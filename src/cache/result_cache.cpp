@@ -9,6 +9,7 @@
 #include "util/error.hpp"
 #include "util/fs.hpp"
 #include "util/log.hpp"
+#include "util/thread_pool.hpp"
 
 namespace iotsan::cache {
 
@@ -165,6 +166,21 @@ checker::CheckResult EntryFromJson(const json::Value& doc,
 }
 
 // ---- ResultCache -------------------------------------------------------------
+
+namespace {
+
+// Single-flight computations the calling thread leads (FetchOrCompute
+// frames on its stack).
+thread_local int tls_leading = 0;
+
+struct LeadingScope {
+  LeadingScope() { ++tls_leading; }
+  ~LeadingScope() { --tls_leading; }
+  LeadingScope(const LeadingScope&) = delete;
+  LeadingScope& operator=(const LeadingScope&) = delete;
+};
+
+}  // namespace
 
 struct ResultCache::InFlight {
   std::string key_text;
@@ -331,9 +347,15 @@ checker::CheckResult ResultCache::FetchOrCompute(
       }
     }
     if (!leader) {
-      if (flight->key_text != key.text) {
-        // Digest collision with a different in-flight group: compute
-        // without memoizing rather than wait on an unrelated key.
+      // Wait only where waiting cannot close a cycle.  A thread leading a
+      // computation, or running a pool task, may be what the leader
+      // waits on: checks help-drain nested ParallelFor batches, so a
+      // leader's own stack can pick up this very task (or a task of a
+      // batch it joins).  Such a caller computes the duplicate itself,
+      // without memoizing.  So does a digest collision with a different
+      // in-flight group.
+      if (flight->key_text != key.text || tls_leading > 0 ||
+          util::ThreadPool::InTask()) {
         return compute();
       }
       if (auto* t = telemetry::Active()) ++t->cache.singleflight_waits;
@@ -344,6 +366,7 @@ checker::CheckResult ResultCache::FetchOrCompute(
     }
     checker::CheckResult result;
     try {
+      const LeadingScope leading;
       result = compute();
     } catch (...) {
       {

@@ -6,12 +6,12 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string_view>
+#include <tuple>
 
 #include "checker/collapse.hpp"
 #include "checker/state_store.hpp"
 #include "model/footprint.hpp"
-#include "model/state_view.hpp"
-#include "props/eval.hpp"
 #include "util/build_info.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
@@ -157,14 +157,26 @@ using Clock = std::chrono::steady_clock;
 // wins the test_and_set and prints.
 std::atomic_flag g_saturation_warned = ATOMIC_FLAG_INIT;
 
-/// One step of a guided (replay) search: the recorded external event,
-/// failure scenario, and interleaving choice, resolved against a
-/// concrete model.
+/// One external event along a search path: the event, the failure
+/// scenario, and the interleaving choice, resolved against a concrete
+/// model.  The DFS keeps its path as these triples (Spin's .trail);
+/// guided replays follow a recorded list of them.
 struct GuideStep {
   model::ExternalEvent event;
   model::FailureScenario failure;
   int outcome_index = 0;
 };
+
+/// The TraceStep::kind name of an external-event kind.
+std::string_view EventKindName(model::ExternalEventSpec::Kind kind) {
+  switch (kind) {
+    case model::ExternalEventSpec::Kind::kSensor: return "sensor";
+    case model::ExternalEventSpec::Kind::kAppTouch: return "app_touch";
+    case model::ExternalEventSpec::Kind::kTimerTick: return "timer";
+    case model::ExternalEventSpec::Kind::kUserModeChange: return "user_mode";
+  }
+  return "sensor";
+}
 
 /// Resolves an artifact's name-based event coordinates to model indices.
 /// Throws iotsan::Error when the model does not match the recording.
@@ -249,31 +261,74 @@ std::vector<GuideStep> ResolveSteps(const model::SystemModel& model,
 // failure flags, interleaving index) participate: they fix the entire
 // step content, so comparing the rest would be redundant.
 
-int CompareStepIdentity(const TraceStep& a, const TraceStep& b) {
-  if (int c = a.kind.compare(b.kind)) return c;
-  if (int c = a.device.compare(b.device)) return c;
-  if (int c = a.attribute.compare(b.attribute)) return c;
-  if (int c = a.value.compare(b.value)) return c;
-  if (int c = a.app.compare(b.app)) return c;
-  if (a.sensor_offline != b.sensor_offline) return a.sensor_offline ? 1 : -1;
-  if (a.actuator_offline != b.actuator_offline) {
-    return a.actuator_offline ? 1 : -1;
-  }
-  if (a.comm_fail != b.comm_fail) return a.comm_fail ? 1 : -1;
-  if (a.outcome_index != b.outcome_index) {
-    return a.outcome_index < b.outcome_index ? -1 : 1;
-  }
-  return 0;
+/// A rendered step's identity, in comparison order.
+auto StepIdentity(const TraceStep& s) {
+  return std::tie(s.kind, s.device, s.attribute, s.value, s.app,
+                  s.sensor_offline, s.actuator_offline, s.comm_fail,
+                  s.outcome_index);
 }
 
-int ComparePaths(const std::vector<TraceStep>& a, const std::string& a_detail,
-                 const std::vector<TraceStep>& b,
-                 const std::string& b_detail) {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (int c = CompareStepIdentity(a[i], b[i])) return c;
+/// The TraceStep coordinates of a search path's compact step, read from
+/// the model: what the rendered step carries, and what canonical-min
+/// compares before any step is rendered.
+struct StepCoordinates {
+  std::string_view kind;
+  std::string_view device;     // sensor
+  std::string_view attribute;  // sensor
+  std::string value;           // sensor value / target mode
+  std::string_view app;        // app touch
+  model::FailureScenario failure;
+  int outcome_index = 0;
+
+  StepCoordinates(const model::SystemModel& model, const GuideStep& s)
+      : kind(EventKindName(s.event.kind)),
+        failure(s.failure),
+        outcome_index(s.outcome_index) {
+    const model::ExternalEvent& e = s.event;
+    switch (e.kind) {
+      case model::ExternalEventSpec::Kind::kSensor: {
+        const devices::Device& d = model.devices()[e.device];
+        const devices::AttributeSpec& spec = *d.attributes()[e.attribute];
+        device = d.id();
+        attribute = spec.name;
+        value = spec.ValueName(e.value);
+        break;
+      }
+      case model::ExternalEventSpec::Kind::kAppTouch:
+        app = model.apps()[e.app].config.label;
+        break;
+      case model::ExternalEventSpec::Kind::kTimerTick:
+        break;
+      case model::ExternalEventSpec::Kind::kUserModeChange:
+        value = model.modes()[e.value];
+        break;
+    }
   }
-  return a_detail.compare(b_detail);
+
+  auto Tie() const {
+    return std::tie(kind, device, attribute, value, app,
+                    failure.sensor_offline, failure.actuator_offline,
+                    failure.comm_fail, outcome_index);
+  }
+
+  /// Ordered as StepIdentity orders rendered steps.
+  friend auto operator<=>(const StepCoordinates& a,
+                          const StepCoordinates& b) {
+    return a.Tie() <=> b.Tie();
+  }
+};
+
+/// Fewest events first, then step identities, then the diagnosis.
+template <typename Step, typename Identity>
+bool PathLess(const std::vector<Step>& a, const std::string& a_detail,
+              const std::vector<Step>& b, const std::string& b_detail,
+              const Identity& identity) {
+  if (a.size() != b.size()) return a.size() < b.size();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto order = identity(a[i]) <=> identity(b[i]);
+    if (order != 0) return order < 0;
+  }
+  return a_detail < b_detail;
 }
 
 }  // namespace
@@ -290,7 +345,8 @@ void MergeViolationInto(Violation& existing, Violation v) {
     }
     if (!known) existing.apps.push_back(std::move(app));
   }
-  if (ComparePaths(v.steps, v.detail, existing.steps, existing.detail) < 0) {
+  if (PathLess(v.steps, v.detail, existing.steps, existing.detail,
+               StepIdentity)) {
     existing.steps = std::move(v.steps);
     existing.detail = std::move(v.detail);
     existing.depth = v.depth;
@@ -473,6 +529,7 @@ class Search {
     EncodeStateKey(initial);
     store_->TestAndInsert(key_scratch_);
     Explore(initial, 0);
+    BuildViolationSteps();
     result_.seconds =
         std::chrono::duration<double>(Clock::now() - start_).count();
     FinishDiagnostics();
@@ -497,10 +554,10 @@ class Search {
                                         std::memory_order_relaxed);
       for (std::size_t i = 0; i < outcomes.size(); ++i) {
         if (BudgetExceeded()) break;
-        ProcessOutcome(initial, event, failure, outcomes[i], 0,
-                       static_cast<int>(i));
+        ProcessOutcome(event, failure, outcomes[i], 0, static_cast<int>(i));
       }
     }
+    BuildViolationSteps();
     shared_->branches_done.fetch_add(1, std::memory_order_relaxed);
     return std::move(result_);
   }
@@ -530,12 +587,15 @@ class Search {
   // Handed to the cascade engine so budgets are honored between drains.
   model::CancelFn cancel_;
 
-  // Current DFS path context: structured trace steps, and causality data
-  // for violation charging — which app actuated which device, and which
-  // apps changed the location mode, along the path.
-  std::vector<TraceStep> path_steps_;
+  // Current DFS path context: the compact steps, and causality data for
+  // violation charging — which app actuated which device, and which apps
+  // changed the location mode, along the path.
+  std::vector<GuideStep> path_;
   std::vector<std::pair<int, int>> path_actuations_;
   std::vector<int> path_mode_setters_;
+  // The canonical path of each result_.violations entry (same index);
+  // rendered into the entry's TraceSteps once the search ends.
+  std::vector<std::vector<GuideStep>> violation_paths_;
 
   bool BudgetExceeded() {
     if (stopped_) return true;
@@ -712,41 +772,22 @@ class Search {
   /// Builds the structured record of one external-event step: the event
   /// coordinates (by stable names, for replay), the failure flags, and
   /// everything observed while the cascade drained.
-  TraceStep MakeStep(const model::SystemState& before,
-                     const model::ExternalEvent& event,
-                     const model::FailureScenario& failure,
-                     const model::StepOutcome& outcome, int depth,
-                     int outcome_index) const {
+  TraceStep MakeStep(const model::SystemState& before, const GuideStep& g,
+                     const model::StepOutcome& outcome, int depth) const {
+    const StepCoordinates at(model_, g);
     TraceStep step;
     step.index = depth + 1;
     step.sim_time_ms = (depth + 1) * 1000;
-    switch (event.kind) {
-      case model::ExternalEventSpec::Kind::kSensor: {
-        const devices::Device& device = model_.devices()[event.device];
-        step.kind = "sensor";
-        step.device = device.id();
-        step.attribute = device.attributes()[event.attribute]->name;
-        step.value =
-            device.attributes()[event.attribute]->ValueName(event.value);
-        break;
-      }
-      case model::ExternalEventSpec::Kind::kAppTouch:
-        step.kind = "app_touch";
-        step.app = model_.apps()[event.app].config.label;
-        break;
-      case model::ExternalEventSpec::Kind::kTimerTick:
-        step.kind = "timer";
-        break;
-      case model::ExternalEventSpec::Kind::kUserModeChange:
-        step.kind = "user_mode";
-        step.value = model_.modes()[event.value];
-        break;
-    }
-    step.description = event.Describe(model_);
-    step.sensor_offline = failure.sensor_offline;
-    step.actuator_offline = failure.actuator_offline;
-    step.comm_fail = failure.comm_fail;
-    step.outcome_index = outcome_index;
+    step.kind = at.kind;
+    step.device = at.device;
+    step.attribute = at.attribute;
+    step.value = at.value;
+    step.app = at.app;
+    step.description = g.event.Describe(model_);
+    step.sensor_offline = g.failure.sensor_offline;
+    step.actuator_offline = g.failure.actuator_offline;
+    step.comm_fail = g.failure.comm_fail;
+    step.outcome_index = g.outcome_index;
     for (const model::HandlerDispatch& d : outcome.log.dispatches) {
       step.dispatches.push_back(
           {model_.apps()[d.app].config.label, d.handler});
@@ -775,11 +816,38 @@ class Search {
     return step;
   }
 
-  Violation* RecordViolation(const props::Property& property, int depth,
-                             const std::string& failure_label,
-                             const std::string& detail,
-                             const std::set<int>& charged_apps) {
-    for (Violation& existing : result_.violations) {
+  /// Renders every violation's canonical path into its TraceSteps by
+  /// re-applying the path's cascades from the initial state with trace
+  /// output on (Spin's `-t`).  Runs once per reported violation when the
+  /// search ends, not at each canonical-min replacement, and ticks no
+  /// search counter.  Guided replays report only whether and where a
+  /// property fired, so they render nothing.
+  void BuildViolationSteps() {
+    if (guide_ != nullptr) return;
+    const model::CascadeEngine tracer(model_, footprints_,
+                                      model::Recording::kTrace);
+    for (std::size_t v = 0; v < result_.violations.size(); ++v) {
+      const std::vector<GuideStep>& path = violation_paths_[v];
+      std::vector<TraceStep>& steps = result_.violations[v].steps;
+      model::SystemState state = model_.MakeInitialState();
+      for (std::size_t d = 0; d < path.size(); ++d) {
+        const GuideStep& g = path[d];
+        std::vector<model::StepOutcome> outcomes =
+            tracer.Apply(state, g.event, g.failure, options_.scheduling);
+        model::StepOutcome& outcome =
+            outcomes.at(static_cast<std::size_t>(g.outcome_index));
+        steps.push_back(MakeStep(state, g, outcome, static_cast<int>(d)));
+        state = std::move(outcome.state);
+      }
+    }
+  }
+
+  void RecordViolation(const props::Property& property, int depth,
+                       const model::FailureScenario& failure,
+                       const std::string& detail,
+                       const std::set<int>& charged_apps) {
+    for (std::size_t v = 0; v < result_.violations.size(); ++v) {
+      Violation& existing = result_.violations[v];
       if (existing.property_id == property.id) {
         ++existing.occurrences;
         // Accumulate every charged app across re-violations —
@@ -795,14 +863,16 @@ class Search {
           }
           if (!known) existing.apps.push_back(label);
         }
-        if (ComparePaths(path_steps_, detail, existing.steps,
-                         existing.detail) < 0) {
-          existing.steps = path_steps_;
+        if (PathLess(path_, detail, violation_paths_[v], existing.detail,
+                     [this](const GuideStep& s) {
+                       return StepCoordinates(model_, s);
+                     })) {
+          violation_paths_[v] = path_;
           existing.detail = detail;
           existing.depth = depth;
-          existing.failure = failure_label;
+          existing.failure = failure.Any() ? failure.Label() : "";
         }
-        return nullptr;
+        return;
       }
     }
     Violation violation;
@@ -810,7 +880,6 @@ class Search {
     violation.category = property.category;
     violation.description = property.description;
     violation.kind = property.kind;
-    violation.steps = path_steps_;
     violation.detail = detail;
     for (int app : charged_apps) {
       violation.apps.push_back(model_.apps()[app].config.label);
@@ -818,9 +887,10 @@ class Search {
     for (const model::InstalledApp& app : model_.apps()) {
       violation.model_apps.push_back(app.config.label);
     }
-    violation.failure = failure_label;
+    violation.failure = failure.Any() ? failure.Label() : "";
     violation.depth = depth;
     result_.violations.push_back(std::move(violation));
+    violation_paths_.push_back(path_);
     if (options_.stop_at_first_violation) {
       stopped_ = true;
       result_.completed = false;  // the search was cut short on purpose
@@ -828,43 +898,32 @@ class Search {
         shared_->stop.store(true, std::memory_order_relaxed);
       }
     }
-    return &result_.violations.back();
   }
 
   /// Apps responsible for an invariant violation: those that actuated a
   /// device carrying one of the property's roles along the path, plus —
   /// when the property reads the location mode — the apps that changed
   /// the mode.
-  std::set<int> ChargedApps(const props::Property& property) const {
+  std::set<int> ChargedApps(const model::CompiledInvariant& invariant) const {
     std::set<int> charged;
     for (const auto& [app, device] : path_actuations_) {
-      for (const std::string& role : property.roles) {
-        if (model_.devices()[device].HasRole(role)) {
-          charged.insert(app);
-          break;
-        }
-      }
+      if (invariant.ReferencesDevice(device)) charged.insert(app);
     }
-    if (props::ReferencesMode(property.ParsedExpression())) {
+    if (invariant.references_mode()) {
       charged.insert(path_mode_setters_.begin(), path_mode_setters_.end());
     }
     return charged;
   }
 
   void CheckInvariants(const model::SystemState& state, int depth,
-                       const std::string& failure_label) {
-    model::ModelStateView view(model_, state);
-    for (const props::Property& property : model_.active_properties()) {
+                       const model::FailureScenario& failure) {
+    for (const model::CompiledInvariant& invariant : model_.invariants()) {
       if (stopped_) return;
-      if (property.kind != props::PropertyKind::kInvariant) continue;
       if (auto* t = telemetry::Active()) ++t->search.invariant_evals;
-      if (props::EvalPropertyExpr(property.ParsedExpression(), view)) {
-        continue;
-      }
-      RecordViolation(property, depth, failure_label,
-                      "assertion violated: " + property.description + " (" +
-                          property.id + ")",
-                      ChargedApps(property));
+      if (invariant.Holds(state)) continue;
+      RecordViolation(model_.active_properties()[invariant.property_index()],
+                      depth, failure, invariant.detail(),
+                      ChargedApps(invariant));
     }
   }
 
@@ -885,7 +944,6 @@ class Search {
   void RunMonitors(const model::CascadeLog& log, int depth,
                    const model::FailureScenario& failure) {
     if (stopped_) return;
-    const std::string failure_label = failure.Any() ? failure.Label() : "";
 
     // Conflicting / repeated commands (Algorithm 1, line 16).  Each
     // cascade records at most one violation per monitor kind (the first
@@ -906,7 +964,7 @@ class Search {
                         b.spec->name) != a.spec->conflicts_with.end();
           if (!conflicting) continue;
           RecordViolation(MonitorProperty(props::PropertyKind::kNoConflict),
-                          depth, failure_label,
+                          depth, failure,
                           "conflicting commands on " +
                               model_.devices()[a.device].id() + ": " +
                               a.spec->name + " vs " + b.spec->name,
@@ -927,7 +985,7 @@ class Search {
             continue;
           }
           RecordViolation(MonitorProperty(props::PropertyKind::kNoRepeat),
-                          depth, failure_label,
+                          depth, failure,
                           "repeated command on " +
                               model_.devices()[a.device].id() + ": " +
                               a.spec->name + " received twice",
@@ -946,7 +1004,7 @@ class Search {
               MonitorActive(props::PropertyKind::kNoNetworkLeak)) {
             RecordViolation(
                 MonitorProperty(props::PropertyKind::kNoNetworkLeak), depth,
-                failure_label, "network interface used: " + api.detail,
+                failure, "network interface used: " + api.detail,
                 {api.app});
           }
           break;
@@ -955,7 +1013,7 @@ class Search {
               MonitorActive(props::PropertyKind::kSmsRecipient)) {
             RecordViolation(
                 MonitorProperty(props::PropertyKind::kSmsRecipient), depth,
-                failure_label,
+                failure,
                 "SMS recipient '" + api.detail +
                     "' does not match the configured contact",
                 {api.app});
@@ -965,7 +1023,7 @@ class Search {
           if (MonitorActive(props::PropertyKind::kNoSensitiveCmd)) {
             RecordViolation(
                 MonitorProperty(props::PropertyKind::kNoSensitiveCmd), depth,
-                failure_label,
+                failure,
                 "security-sensitive command: unsubscribe()", {api.app});
           }
           break;
@@ -973,7 +1031,7 @@ class Search {
           if (MonitorActive(props::PropertyKind::kNoFakeEvent)) {
             RecordViolation(
                 MonitorProperty(props::PropertyKind::kNoFakeEvent), depth,
-                failure_label, "fake event injected: " + api.detail,
+                failure, "fake event injected: " + api.detail,
                 {api.app});
           }
           break;
@@ -991,7 +1049,7 @@ class Search {
         if (!cmd.delivered) losers.insert(cmd.app);
       }
       RecordViolation(MonitorProperty(props::PropertyKind::kRobustness),
-                      depth, failure_label,
+                      depth, failure,
                       std::to_string(log.failed_deliveries) +
                           " command(s) lost to " + failure.Label() +
                           " with no user notification",
@@ -1003,8 +1061,7 @@ class Search {
   /// runs the monitors and invariants, and (in free-search mode) prunes
   /// through the store and recurses.  Shared by the free DFS and the
   /// guided replay.
-  void ProcessOutcome(const model::SystemState& before,
-                      const model::ExternalEvent& event,
+  void ProcessOutcome(const model::ExternalEvent& event,
                       const model::FailureScenario& failure,
                       model::StepOutcome& outcome, int depth,
                       int outcome_index) {
@@ -1015,8 +1072,7 @@ class Search {
 
     const std::size_t actuation_mark = path_actuations_.size();
     const std::size_t mode_mark = path_mode_setters_.size();
-    path_steps_.push_back(
-        MakeStep(before, event, failure, outcome, depth, outcome_index));
+    path_.push_back({event, failure, outcome_index});
     path_actuations_.insert(path_actuations_.end(),
                             outcome.log.actuations.begin(),
                             outcome.log.actuations.end());
@@ -1025,8 +1081,7 @@ class Search {
                               outcome.log.mode_setters.end());
 
     RunMonitors(outcome.log, depth + 1, failure);
-    CheckInvariants(outcome.state, depth + 1,
-                    failure.Any() ? failure.Label() : "");
+    CheckInvariants(outcome.state, depth + 1, failure);
 
     if (guide_ != nullptr) {
       // Guided replay follows the recorded path unconditionally — a
@@ -1048,7 +1103,7 @@ class Search {
     }
 
     // Restore path context.
-    path_steps_.pop_back();
+    path_.pop_back();
     path_actuations_.resize(actuation_mark);
     path_mode_setters_.resize(mode_mark);
   }
@@ -1082,7 +1137,7 @@ class Search {
       if (outcomes.empty()) return;
       const int index = std::min(g.outcome_index,
                                  static_cast<int>(outcomes.size()) - 1);
-      ProcessOutcome(state, g.event, g.failure,
+      ProcessOutcome(g.event, g.failure,
                      outcomes[static_cast<std::size_t>(index)], depth, index);
       return;
     }
@@ -1103,7 +1158,7 @@ class Search {
         }
         for (std::size_t i = 0; i < outcomes.size(); ++i) {
           if (BudgetExceeded()) return;
-          ProcessOutcome(state, event, failure, outcomes[i], depth,
+          ProcessOutcome(event, failure, outcomes[i], depth,
                          static_cast<int>(i));
         }
       }
@@ -1131,14 +1186,6 @@ CheckResult RunParallel(const model::SystemModel& model,
     span.Attr("request_id", options.request_id);
   }
   const Clock::time_point start = Clock::now();
-
-  // Property expressions parse lazily into an unsynchronized cache;
-  // resolve them all on this thread before any worker can race on one.
-  // Monitor-kind properties carry no expression, so only invariants parse.
-  for (const props::Property& property : model.active_properties()) {
-    if (property.kind != props::PropertyKind::kInvariant) continue;
-    property.ParsedExpression();
-  }
 
   std::unique_ptr<util::ThreadPool> owned_pool;
   util::ThreadPool* pool = options.pool;

@@ -18,7 +18,7 @@ constexpr FlagSpec kFlagTable[] = {
     {Flag::kJobs, "--jobs", "N",
      kCmdCheck | kCmdAttribute | kCmdServe | kCmdCluster,
      "worker threads for the search (0 = all hardware threads; default 1, "
-     "serve: 0); the report is identical for any N",
+     "serve: 0); verdicts and counts are identical for any N",
      0, 1024},
     {Flag::kFailures, "--failures", nullptr, kCmdCheck | kCmdCluster,
      "enumerate device/communication failure scenarios per event (paper §8)"},

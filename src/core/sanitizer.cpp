@@ -335,15 +335,6 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
     // Related sets are independent models, so they fan out across the
     // pool; each group's checker fans its root branches over the *same*
     // pool (nested ParallelFor), so one pool serves both layers.
-    // Pre-parse the lazily-cached property expressions on this thread —
-    // group workers would otherwise race on the shared builtins.  Only
-    // invariants carry an expression; monitor kinds have none to parse.
-    for (const props::Property& p : props::BuiltinProperties()) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
-    for (const props::Property& p : options.extra_properties) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
     std::unique_ptr<util::ThreadPool> owned_pool;
     util::ThreadPool* pool = options.check.pool;
     checker::CheckOptions check = options.check;

@@ -89,7 +89,9 @@ void CascadeEngine::InjectExternal(SystemState& state,
                                    const FailureScenario& failure,
                                    std::deque<devices::Event>& queue,
                                    CascadeLog& log) const {
-  if (auto* t = telemetry::Active()) ++t->search.events_injected;
+  if (auto* t = telemetry::Active(); t != nullptr && !tracing()) {
+    ++t->search.events_injected;
+  }
   switch (event.kind) {
     case ExternalEventSpec::Kind::kSensor: {
       const devices::Device& device = model_.devices()[event.device];
@@ -106,9 +108,11 @@ void CascadeEngine::InjectExternal(SystemState& state,
         // The physical event happened but the sensor cannot report it:
         // no cyber event is generated, and the cyber reading goes stale
         // (paper §8 failure model, Fig. 8b).
-        log.trace.push_back("-- sensor " + device.id() +
-                            " offline: physical event " + attr.name + "/" +
-                            attr.ValueName(event.value) + " missed");
+        if (tracing()) {
+          log.trace.push_back("-- sensor " + device.id() +
+                              " offline: physical event " + attr.name + "/" +
+                              attr.ValueName(event.value) + " missed");
+        }
         return;
       }
       // sensor_state_update (Algorithm 1, lines 8-12).
@@ -120,9 +124,11 @@ void CascadeEngine::InjectExternal(SystemState& state,
       cyber.attribute = event.attribute;
       cyber.value = event.value;
       queue.push_back(cyber);
-      log.trace.push_back("generatedEvent.evtType = " +
-                          attr.ValueName(event.value) + " (" + device.id() +
-                          "/" + attr.name + ")");
+      if (tracing()) {
+        log.trace.push_back("generatedEvent.evtType = " +
+                            attr.ValueName(event.value) + " (" + device.id() +
+                            "/" + attr.name + ")");
+      }
       break;
     }
     case ExternalEventSpec::Kind::kAppTouch: {
@@ -130,8 +136,10 @@ void CascadeEngine::InjectExternal(SystemState& state,
       cyber.source = devices::EventSource::kAppTouch;
       cyber.app = event.app;
       queue.push_back(cyber);
-      log.trace.push_back("app touch: " +
-                          model_.apps()[event.app].config.label);
+      if (tracing()) {
+        log.trace.push_back("app touch: " +
+                            model_.apps()[event.app].config.label);
+      }
       break;
     }
     case ExternalEventSpec::Kind::kTimerTick: {
@@ -160,7 +168,7 @@ void CascadeEngine::InjectExternal(SystemState& state,
           }
         }
       }
-      log.trace.push_back("timer tick");
+      if (tracing()) log.trace.push_back("timer tick");
       break;
     }
     case ExternalEventSpec::Kind::kUserModeChange: {
@@ -170,8 +178,10 @@ void CascadeEngine::InjectExternal(SystemState& state,
       cyber.source = devices::EventSource::kLocationMode;
       cyber.value = event.value;
       queue.push_back(cyber);
-      log.trace.push_back("user sets location.mode = " +
-                          model_.modes()[event.value]);
+      if (tracing()) {
+        log.trace.push_back("user sets location.mode = " +
+                            model_.modes()[event.value]);
+      }
       break;
     }
   }
@@ -182,31 +192,37 @@ void CascadeEngine::DispatchOne(SystemState& state,
                                 std::deque<devices::Event>& queue,
                                 CascadeLog& log,
                                 const FailureScenario& failure) const {
-  if (auto* t = telemetry::Active()) ++t->search.handler_dispatches;
-  Evaluator evaluator(model_, state, queue, log, failure);
+  if (auto* t = telemetry::Active(); t != nullptr && !tracing()) {
+    ++t->search.handler_dispatches;
+  }
+  Evaluator evaluator(model_, state, queue, log, failure, tracing());
   if (event.source == devices::EventSource::kTimer) {
     const InstalledApp& app = model_.apps()[event.app];
     const ir::ScheduleInfo& schedule = app.analysis.schedules[event.timer];
-    log.trace.push_back("dispatch timer -> " + app.config.label + "." +
-                        schedule.handler);
-    log.dispatches.push_back({event.app, schedule.handler});
+    if (tracing()) {
+      log.trace.push_back("dispatch timer -> " + app.config.label + "." +
+                          schedule.handler);
+      log.dispatches.push_back({event.app, schedule.handler});
+    }
     evaluator.InvokeHandler(event.app, schedule.handler, &event);
     return;
   }
   for (const ResolvedSubscription* sub : model_.Subscribers(event)) {
-    std::string description;
-    if (event.source == devices::EventSource::kDevice) {
-      description =
-          devices::DescribeDeviceEvent(model_.devices()[event.device], event);
-    } else if (event.source == devices::EventSource::kLocationMode) {
-      description = "location/" + model_.modes()[event.value];
-    } else {
-      description = "app/touch";
+    if (tracing()) {
+      std::string description;
+      if (event.source == devices::EventSource::kDevice) {
+        description = devices::DescribeDeviceEvent(
+            model_.devices()[event.device], event);
+      } else if (event.source == devices::EventSource::kLocationMode) {
+        description = "location/" + model_.modes()[event.value];
+      } else {
+        description = "app/touch";
+      }
+      log.trace.push_back("dispatch " + description + " -> " +
+                          model_.apps()[sub->app].config.label + "." +
+                          sub->handler);
+      log.dispatches.push_back({sub->app, sub->handler});
     }
-    log.trace.push_back("dispatch " + description + " -> " +
-                        model_.apps()[sub->app].config.label + "." +
-                        sub->handler);
-    log.dispatches.push_back({sub->app, sub->handler});
     evaluator.InvokeHandler(sub->app, sub->handler, &event);
   }
 }
@@ -258,7 +274,7 @@ void CascadeEngine::RunConcurrent(const SystemState& state,
     FootprintIndex::Fallback reason = FootprintIndex::Fallback::kNone;
     const int ample =
         footprints_->PickAmple(queue, depth, kCascadeBound, reason);
-    if (auto* t = telemetry::Active()) {
+    if (auto* t = telemetry::Active(); t != nullptr && !tracing()) {
       if (ample >= 0) {
         t->por.ample_singletons.fetch_add(1, std::memory_order_relaxed);
         t->por.interleavings_pruned.fetch_add(queue.size() - 1,

@@ -27,6 +27,17 @@ class FootprintIndex;
 
 enum class Scheduling { kSequential, kConcurrent };
 
+/// What a drain records beyond the state change and the monitors' inputs
+/// (commands, API calls, actuations, mode setters, delivery tallies).
+enum class Recording {
+  /// The free search: no Fig. 7 notes (CascadeLog::trace) and no
+  /// dispatch list; ticks the search.* and por.* counters.
+  kSearch,
+  /// Counter-example building: renders the notes and the dispatch list a
+  /// TraceStep reports, and ticks no counter.
+  kTrace,
+};
+
 /// One concrete external event chosen from the permutation space.
 struct ExternalEvent {
   ExternalEventSpec::Kind kind = ExternalEventSpec::Kind::kSensor;
@@ -56,10 +67,12 @@ class CascadeEngine {
   /// ample-set partial-order reduction: a pending event whose dispatch
   /// commutes with all other pending dispatches (and their trigger
   /// cones) is expanded alone instead of fanning out the full
-  /// interleaving set.  Sequential scheduling ignores it.
+  /// interleaving set.  Sequential scheduling ignores it.  `recording`
+  /// says whether drains render trace output (see Recording).
   explicit CascadeEngine(const SystemModel& model,
-                         const FootprintIndex* footprints = nullptr)
-      : model_(model), footprints_(footprints) {}
+                         const FootprintIndex* footprints = nullptr,
+                         Recording recording = Recording::kSearch)
+      : model_(model), footprints_(footprints), recording_(recording) {}
 
   /// Applies `event` under `failure` starting from `from`.  Sequential
   /// scheduling returns exactly one outcome; concurrent scheduling one
@@ -87,6 +100,9 @@ class CascadeEngine {
  private:
   const SystemModel& model_;
   const FootprintIndex* footprints_ = nullptr;
+  Recording recording_ = Recording::kSearch;
+
+  bool tracing() const { return recording_ == Recording::kTrace; }
 
   void InjectExternal(SystemState& state, const ExternalEvent& event,
                       const FailureScenario& failure,

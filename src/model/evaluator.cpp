@@ -29,14 +29,15 @@ class Interp {
  public:
   Interp(const SystemModel& model, SystemState& state,
          std::deque<devices::Event>& queue, CascadeLog& log,
-         const FailureScenario& failure, int app_index)
+         const FailureScenario& failure, int app_index, bool notes)
       : model_(model),
         state_(state),
         queue_(queue),
         log_(log),
         failure_(failure),
         app_index_(app_index),
-        app_(model.apps()[app_index]) {}
+        app_(model.apps()[app_index]),
+        notes_(notes) {}
 
   void Invoke(const std::string& method_name, const devices::Event* event) {
     const dsl::MethodDecl* method = app_.analysis.app.FindMethod(method_name);
@@ -60,9 +61,11 @@ class Interp {
   const FailureScenario& failure_;
   int app_index_;
   const InstalledApp& app_;
+  // Render the Fig. 7 notes (CascadeLog::trace); call sites test this
+  // before building a note's text.
+  const bool notes_;
   std::vector<std::map<std::string, Value>> scopes_;
   int steps_ = 0;
-  const dsl::MethodDecl* current_method_ = nullptr;
 
   void Budget() {
     if (++steps_ > Evaluator::kStepBudget) {
@@ -126,12 +129,10 @@ class Interp {
   // ---- Environment ---------------------------------------------------------
 
   Value CallMethod(const dsl::MethodDecl& method, const ValueList& args) {
-    const dsl::MethodDecl* saved_method = current_method_;
     const std::size_t saved_depth = scopes_.size();
     if (saved_depth > 64) {
       throw Error("app '" + app_.config.label + "': call depth exceeded");
     }
-    current_method_ = &method;
     scopes_.emplace_back();
     for (std::size_t i = 0; i < method.params.size(); ++i) {
       scopes_.back()[method.params[i]] =
@@ -144,7 +145,6 @@ class Interp {
       result = ret.value;
     }
     scopes_.resize(saved_depth);
-    current_method_ = saved_method;
     return result;
   }
 
@@ -696,7 +696,7 @@ class Interp {
       log_.api_calls.push_back({ApiCallRecord::Kind::kUnsubscribe,
                                 app_index_, app_.config.label, false,
                                 expr.line});
-      Trace(expr.line, "unsubscribe()");
+      if (notes_) Trace(expr.line, "unsubscribe()");
       return Value::Null();
     }
     if (name == "runIn" || name == "runOnce") {
@@ -745,7 +745,7 @@ class Interp {
       if (expr.items.size() > 1) Eval(*expr.items[1]);
       if (!record.recipient_mismatch) log_.user_notified = true;
       log_.api_calls.push_back(std::move(record));
-      Trace(expr.line, "sendSms(...)");
+      if (notes_) Trace(expr.line, "sendSms(...)");
       return Value::Null();
     }
     if (name == "sendPush" || name == "sendPushMessage" ||
@@ -755,7 +755,7 @@ class Interp {
       log_.api_calls.push_back({ApiCallRecord::Kind::kPush, app_index_,
                                 "push", false, expr.line});
       log_.user_notified = true;
-      Trace(expr.line, "sendPush(...)");
+      if (notes_) Trace(expr.line, "sendPush(...)");
       return Value::Null();
     }
     if (name == "httpPost" || name == "httpGet" || name == "httpPostJson") {
@@ -763,7 +763,7 @@ class Interp {
       if (!expr.items.empty()) detail = Eval(*expr.items[0]).ToDisplayString();
       log_.api_calls.push_back({ApiCallRecord::Kind::kHttp, app_index_,
                                 detail, false, expr.line});
-      Trace(expr.line, name + "(...)");
+      if (notes_) Trace(expr.line, name + "(...)");
       return Value::Null();
     }
     if (name == "getAllDevices" || name == "getChildDevices" ||
@@ -826,7 +826,7 @@ class Interp {
         if (pending == entry) return;  // SmartThings replaces pending timers
       }
       state_.timers.push_back(entry);
-      Trace(line, "runIn -> " + handler);
+      if (notes_) Trace(line, "runIn -> " + handler);
       return;
     }
   }
@@ -843,7 +843,7 @@ class Interp {
     event.source = devices::EventSource::kLocationMode;
     event.value = index;
     queue_.push_back(event);
-    Trace(line, "location.mode = " + mode);
+    if (notes_) Trace(line, "location.mode = " + mode);
   }
 
   void EmitFakeEvent(const Expr& expr) {
@@ -857,8 +857,10 @@ class Interp {
     log_.api_calls.push_back({ApiCallRecord::Kind::kFakeEvent, app_index_,
                               attr_name + "/" + value_name, false,
                               expr.line});
-    Trace(expr.line, "sendEvent(name: " + attr_name + ", value: " +
-                          value_name + ")");
+    if (notes_) {
+      Trace(expr.line, "sendEvent(name: " + attr_name + ", value: " +
+                           value_name + ")");
+    }
     if (attr_name.empty()) return;
     // The forged event is delivered to every subscriber of a matching
     // (device, attribute, value) — the spoofing vector of §3: apps
@@ -985,13 +987,14 @@ class Interp {
 
     CommandRecord record;
     record.app = app_index_;
-    record.handler = current_method_ ? current_method_->name : "";
     record.device = device_index;
     record.spec = &spec;
     record.value_index = target;
     record.line = line;
 
-    Trace(line, "ST_Command.evtType = " + spec.name + " -> " + device.id());
+    if (notes_) {
+      Trace(line, "ST_Command.evtType = " + spec.name + " -> " + device.id());
+    }
     log_.actuations.emplace_back(app_index_, device_index);
 
     const bool delivered = !failure_.actuator_offline && !failure_.comm_fail;
@@ -1013,8 +1016,10 @@ class Interp {
       event.attribute = attr_index;
       event.value = target;
       queue_.push_back(event);
-      Trace(line, device.id() + ".current" + attr.name + " = " +
-                      attr.ValueName(target));
+      if (notes_) {
+        Trace(line, device.id() + ".current" + attr.name + " = " +
+                        attr.ValueName(target));
+      }
     }
     log_.commands.push_back(record);
   }
@@ -1213,16 +1218,17 @@ class Interp {
 
 Evaluator::Evaluator(const SystemModel& model, SystemState& state,
                      std::deque<devices::Event>& queue, CascadeLog& log,
-                     const FailureScenario& failure)
+                     const FailureScenario& failure, bool notes)
     : model_(model),
       state_(state),
       queue_(queue),
       log_(log),
-      failure_(failure) {}
+      failure_(failure),
+      notes_(notes) {}
 
 void Evaluator::InvokeHandler(int app, const std::string& method,
                               const devices::Event* event) {
-  Interp interp(model_, state_, queue_, log_, failure_, app);
+  Interp interp(model_, state_, queue_, log_, failure_, app, notes_);
   interp.Invoke(method, event);
 }
 

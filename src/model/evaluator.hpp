@@ -21,11 +21,11 @@ class Evaluator {
  public:
   /// `queue` receives the cyber events the handler generates (actuator
   /// state updates, mode changes, synthetic events); `log` accumulates
-  /// commands/API calls/trace lines; `failure` is the cascade's failure
-  /// scenario.
+  /// commands/API calls (and, when `notes` is set, the Fig. 7 trace
+  /// lines); `failure` is the cascade's failure scenario.
   Evaluator(const SystemModel& model, SystemState& state,
             std::deque<devices::Event>& queue, CascadeLog& log,
-            const FailureScenario& failure);
+            const FailureScenario& failure, bool notes = false);
 
   /// Invokes `method` of app `app`, passing `event` (may be null for
   /// timer fires) as the handler's parameter.  Throws iotsan::Error on
@@ -44,6 +44,7 @@ class Evaluator {
   std::deque<devices::Event>& queue_;
   CascadeLog& log_;
   const FailureScenario& failure_;
+  bool notes_;
 };
 
 }  // namespace iotsan::model

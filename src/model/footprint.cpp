@@ -69,29 +69,15 @@ FootprintIndex::FootprintIndex(const SystemModel& model) : model_(model) {
 
   // --- Visible slots: what the selected invariants observe ---------------
   visible_slots_ = SlotSet(slot_count_);
-  for (const props::Property& property : model.active_properties()) {
-    if (property.kind != props::PropertyKind::kInvariant) continue;
+  for (const CompiledInvariant& invariant : model.invariants()) {
     for (int d = 0; d < static_cast<int>(model.devices().size()); ++d) {
+      if (!invariant.ReferencesDevice(d)) continue;
       const devices::Device& device = model.devices()[static_cast<std::size_t>(d)];
-      bool carries_role = false;
-      for (const std::string& role : property.roles) {
-        if (device.HasRole(role)) {
-          carries_role = true;
-          break;
-        }
-      }
-      if (!carries_role) continue;
       for (int a = 0; a < static_cast<int>(device.attributes().size()); ++a) {
         visible_slots_.Add(SlotOf(d, a));
       }
     }
-    try {
-      if (props::ReferencesMode(property.ParsedExpression())) {
-        visible_slots_.Add(mode_slot_);
-      }
-    } catch (...) {
-      visible_slots_.Add(mode_slot_);  // unparseable: stay conservative
-    }
+    if (invariant.references_mode()) visible_slots_.Add(mode_slot_);
   }
 
   // --- Per-handler resolved footprints + trigger edges --------------------

@@ -30,7 +30,6 @@ struct FailureScenario {
 /// repeated-command monitors (§8) run over this list.
 struct CommandRecord {
   int app = 0;
-  std::string handler;
   int device = -1;
   const devices::CommandSpec* spec = nullptr;
   int value_index = -1;    // resolved target value
@@ -62,8 +61,10 @@ struct HandlerDispatch {
 struct CascadeLog {
   std::vector<CommandRecord> commands;
   std::vector<ApiCallRecord> api_calls;
+  /// Handler invocations and the Fig. 7-style trace lines: recorded only
+  /// when the cascade is drained for a counter-example
+  /// (Recording::kTrace), never during the free search.
   std::vector<HandlerDispatch> dispatches;
-  /// Counter-example trace lines in the paper's Fig. 7 style.
   std::vector<std::string> trace;
   /// (app, device) pairs for every actuation attempt this cascade; used
   /// by the Output Analyzer to charge violations to the apps that drove

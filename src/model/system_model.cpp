@@ -358,7 +358,7 @@ void SystemModel::BuildExternalEvents() {
 int SystemModel::SelectProperties(
     const std::vector<props::Property>& properties) {
   active_properties_.clear();
-  int invariants = 0;
+  invariants_.clear();
   for (const props::Property& property : properties) {
     // Applicable when every universally-quantified role is present (all()
     // over an empty set is vacuously true -> spurious violations) and at
@@ -380,10 +380,13 @@ int SystemModel::SelectProperties(
       applicable = any_role_present;
     }
     if (!applicable) continue;
+    if (property.kind == props::PropertyKind::kInvariant) {
+      invariants_.emplace_back(property, active_properties_.size(), devices_,
+                               deployment_.modes);
+    }
     active_properties_.push_back(property);
-    if (property.kind == props::PropertyKind::kInvariant) ++invariants;
   }
-  return invariants;
+  return static_cast<int>(invariants_.size());
 }
 
 int SystemModel::TotalHandlerCount() const {

@@ -18,6 +18,7 @@
 #include "devices/device.hpp"
 #include "devices/event.hpp"
 #include "ir/analyzed_app.hpp"
+#include "model/invariant.hpp"
 #include "model/state.hpp"
 #include "model/value.hpp"
 #include "props/property.hpp"
@@ -113,10 +114,16 @@ class SystemModel {
 
   /// Selects the safety properties to verify; by default every built-in
   /// property applicable to this deployment (all referenced roles
-  /// present).  Returns the number of active invariants.
+  /// present).  Compiles the active invariants.  Returns the number of
+  /// active invariants.
   int SelectProperties(const std::vector<props::Property>& properties);
   const std::vector<props::Property>& active_properties() const {
     return active_properties_;
+  }
+  /// The active invariants, compiled against this model, in
+  /// active_properties() order.
+  const std::vector<CompiledInvariant>& invariants() const {
+    return invariants_;
   }
 
   /// Sum of event-handler counts across installed apps (reporting).
@@ -130,6 +137,7 @@ class SystemModel {
   std::vector<ResolvedSubscription> subscriptions_;
   std::vector<ExternalEventSpec> external_events_;
   std::vector<props::Property> active_properties_;
+  std::vector<CompiledInvariant> invariants_;
 
   void BuildDevices();
   void ResolveApps(std::vector<ir::AnalyzedApp> analyzed);

@@ -1,5 +1,7 @@
 #include "props/eval.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 namespace iotsan::props {
@@ -188,9 +190,18 @@ class Evaluator {
           case BinaryOp::kSub: r = lhs.number - rhs.number; break;
           case BinaryOp::kMul: r = lhs.number * rhs.number; break;
           case BinaryOp::kDiv: r = lhs.number / rhs.number; break;
-          default: r = static_cast<double>(
-                       static_cast<long long>(lhs.number) %
-                       static_cast<long long>(rhs.number));
+          default: {
+            // Remainder of the truncated operands; the conversion and
+            // the division must both be defined.
+            if (!(std::fabs(lhs.number) < 9e18) ||
+                !(std::fabs(rhs.number) < 9e18)) {
+              Malformed(expr, "modulo operands out of range");
+            }
+            const auto divisor = static_cast<long long>(rhs.number);
+            if (divisor == 0) Malformed(expr, "modulo by zero");
+            r = static_cast<double>(static_cast<long long>(lhs.number) %
+                                    divisor);
+          }
         }
         return PropValue::Number(r);
       }

@@ -1,14 +1,12 @@
 #include "props/property.hpp"
 
 #include "dsl/parser.hpp"
+#include "util/error.hpp"
 
 namespace iotsan::props {
 
 const dsl::Expr& Property::ParsedExpression() const {
-  if (!parsed_) {
-    dsl::ExprPtr owned = dsl::ParseExpression(expression, "property " + id);
-    parsed_ = std::shared_ptr<dsl::Expr>(owned.release());
-  }
+  if (!parsed_) throw Error("property " + id + " has no expression");
   return *parsed_;
 }
 
@@ -106,8 +104,9 @@ Property MakeInvariant(std::string id, std::string category,
   p.description = std::move(description);
   p.kind = PropertyKind::kInvariant;
   p.expression = std::move(expression);
-  p.roles = RolesReferenced(p.ParsedExpression());
-  p.universal_roles = UniversalRolesReferenced(p.ParsedExpression());
+  p.parsed_ = dsl::ParseExpression(p.expression, "property " + p.id);
+  p.roles = RolesReferenced(*p.parsed_);
+  p.universal_roles = UniversalRolesReferenced(*p.parsed_);
   return p;
 }
 

@@ -116,14 +116,6 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   const unsigned jobs = util::ResolveJobs(options.check.jobs);
   unsigned effective_jobs = jobs;
   if (jobs > 1 && dirty.size() > 1) {
-    // Pre-parse the lazily-cached property expressions on this thread —
-    // group workers would otherwise race on the shared builtins.
-    for (const props::Property& p : props::BuiltinProperties()) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
-    for (const props::Property& p : options.extra_properties) {
-      if (p.kind == props::PropertyKind::kInvariant) p.ParsedExpression();
-    }
     std::unique_ptr<util::ThreadPool> owned_pool;
     util::ThreadPool* pool = options.check.pool;
     checker::CheckOptions check = options.check;

@@ -247,6 +247,7 @@ class Parser {
 
  private:
   std::string_view text_;
+  int depth_ = 0;  // open arrays/objects
   std::size_t pos_ = 0;
 
   [[noreturn]] void Fail(const std::string& message) {
@@ -300,8 +301,16 @@ class Parser {
     if (AtEnd()) Fail("unexpected end of input");
     char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          Fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        Value nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': return Value(ParseString());
       case 't': return ParseKeyword("true", Value(true));
       case 'f': return ParseKeyword("false", Value(false));

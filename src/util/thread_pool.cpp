@@ -11,6 +11,8 @@ namespace {
 // on which lane.  External threads fall through to lane 0.
 thread_local const ThreadPool* tls_pool = nullptr;
 thread_local unsigned tls_lane = 0;
+// Task bodies the current thread is running (nested when helping).
+thread_local int tls_task_depth = 0;
 
 std::atomic<PoolTimingHook> g_on_task_run{nullptr};
 std::atomic<PoolTimingHook> g_on_steal_wait{nullptr};
@@ -22,16 +24,20 @@ std::uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-// Executes one task body, timing it when a run hook is installed.
+// Executes one task body, timing it when a run hook is installed.  Task
+// bodies catch their own exceptions (ParallelFor's wrapper), so the depth
+// count needs no unwinding guard.
 void RunTimed(const std::function<void()>& task) {
+  ++tls_task_depth;
   const PoolTimingHook hook = g_on_task_run.load(std::memory_order_acquire);
   if (hook == nullptr) {
     task();
-    return;
+  } else {
+    const auto start = std::chrono::steady_clock::now();
+    task();
+    hook(ElapsedMicros(start));
   }
-  const auto start = std::chrono::steady_clock::now();
-  task();
-  hook(ElapsedMicros(start));
+  --tls_task_depth;
 }
 
 }  // namespace
@@ -74,6 +80,8 @@ ThreadPool::~ThreadPool() {
 unsigned ThreadPool::CurrentLane() const {
   return tls_pool == this ? tls_lane : 0;
 }
+
+bool ThreadPool::InTask() { return tls_task_depth > 0; }
 
 ThreadPool::Stats ThreadPool::stats() const {
   return {tasks_run_.load(), tasks_stolen_.load()};

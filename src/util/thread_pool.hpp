@@ -71,6 +71,12 @@ class ThreadPool {
   /// 0 for every external thread (including the owner).
   unsigned CurrentLane() const;
 
+  /// True while the calling thread runs a task body of any pool — a
+  /// worker's, or one a ParallelFor caller helps with while it waits.
+  /// Some batch's join may then depend on this thread returning, so it
+  /// must not block on work that itself waits for pool tasks.
+  static bool InTask();
+
   struct Stats {
     std::uint64_t tasks_run = 0;     // bodies executed
     std::uint64_t tasks_stolen = 0;  // executed on a lane != push lane

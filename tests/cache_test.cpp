@@ -5,20 +5,29 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <thread>
 
 #include "cache/result_cache.hpp"
 #include "config/builder.hpp"
 #include "core/sanitizer.hpp"
+#include "core/service.hpp"
+#include "corpus/corpus.hpp"
+#include "corpus/groups.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
+#include "test_support.hpp"
 
 namespace iotsan {
 namespace {
 
 namespace fs = std::filesystem;
+using testing_support::Verdicts;
+using testing_support::WithinDeadline;
 
 constexpr const char* kSourceA = R"(
 definition(name: "Cache App A", namespace: "t")
@@ -425,6 +434,117 @@ TEST(CacheTest, SingleFlightSurvivesLeaderFailure) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(successes, 3) << "a waiter must take over after a failed leader";
+}
+
+// ---- Single-flight under nested parallelism -----------------------------------
+//
+// Checks help-drain nested ParallelFor batches, so the thread leading a
+// group's computation may itself pick up another task for the same key,
+// or a task of a batch it joins.  Waiting there deadlocks; these tests
+// fail through a watchdog instead of hanging ctest.
+
+checker::CheckResult StatesResult(std::uint64_t states) {
+  checker::CheckResult result;
+  result.states_explored = states;
+  return result;
+}
+
+TEST(CacheTest, LeaderComputesItsOwnInFlightKeyInsteadOfWaiting) {
+  cache::ResultCache cache(cache::CacheConfig{});
+  cache::GroupKey key;
+  key.digest = 44;
+  key.text = "reentrant";
+  std::uint64_t inner = 0;
+  WithinDeadline(std::chrono::seconds(120), [&] {
+    cache.FetchOrCompute(key, 1, [&] {
+      inner = cache.FetchOrCompute(key, 1, [] { return StatesResult(7); })
+                  .states_explored;
+      return StatesResult(5);
+    });
+  });
+  EXPECT_EQ(inner, 7u);
+  EXPECT_EQ(cache.Lookup(key)->states_explored, 5u);
+}
+
+TEST(CacheTest, PoolTaskComputesAnInFlightKeyInsteadOfWaiting) {
+  // The leader cannot finish before the pool batch does (as when it
+  // joins that batch further down its stack), so a task of the batch
+  // that waited for the leader would never return.
+  cache::ResultCache cache(cache::CacheConfig{});
+  cache::GroupKey key;
+  key.digest = 45;
+  key.text = "nested";
+  std::promise<void> batch_done;
+  std::shared_future<void> batch_finished = batch_done.get_future().share();
+  std::promise<void> leading;
+  std::thread leader([&] {
+    cache.FetchOrCompute(key, 1, [&] {
+      leading.set_value();
+      batch_finished.wait();
+      return StatesResult(5);
+    });
+  });
+  leading.get_future().wait();
+  util::ThreadPool pool(2);
+  std::atomic<std::uint64_t> seen{0};
+  WithinDeadline(std::chrono::seconds(120), [&] {
+    pool.ParallelFor(2, [&](std::size_t i) {
+      if (i == 0) {
+        seen = cache.FetchOrCompute(key, 1, [] { return StatesResult(7); })
+                   .states_explored;
+      }
+    });
+    batch_done.set_value();
+  });
+  leader.join();
+  EXPECT_EQ(seen.load(), 7u);
+  EXPECT_EQ(cache.Lookup(key)->states_explored, 5u);
+}
+
+/// The climate expert group: 168 related sets, 118 distinct group keys.
+const corpus::SystemUnderTest& Climate() { return corpus::ExpertGroups()[1]; }
+
+TEST(CacheTest, ParallelCheckWithDuplicateGroupKeysFinishes) {
+  core::CheckRequest request;
+  request.deployment = Climate().deployment;
+  request.extra_sources = Climate().extra_sources;
+  request.options.jobs = 1;
+  const std::string serial = core::RunCheck(request).text;
+
+  const std::string dir = FreshDir("climate");
+  cache::CacheConfig config;
+  config.dir = dir;
+  cache::ResultCache cache(config);
+  core::ServiceEnv env;
+  env.cache = &cache;
+  request.options.jobs = 4;
+  std::string parallel;
+  WithinDeadline(std::chrono::seconds(120),
+                 [&] { parallel = core::RunCheck(request, env).text; });
+  EXPECT_EQ(Verdicts(parallel), Verdicts(serial));
+  fs::remove_all(dir);
+}
+
+TEST(CacheTest, ParallelAttributionWithSharedGroupsFinishes) {
+  // Attribution fans configurations over the pool; every configuration
+  // re-checks the same app-alone groups, so in-flight keys meet tasks of
+  // batches their leaders join.  The climate group's first ten installs
+  // are corpus apps (no variant sources) and keep the run short.
+  core::AttributeRequest request;
+  request.app_source = corpus::FindApp("It's Too Cold")->source;
+  request.deployment = Climate().deployment;
+  request.deployment.apps.resize(10);
+  request.options.jobs = 1;
+  const std::string serial = core::RunAttribute(request).text;
+
+  cache::ResultCache cache(cache::CacheConfig{});
+  core::ServiceEnv env;
+  env.cache = &cache;
+  request.options.jobs = 4;
+  std::string parallel;
+  WithinDeadline(std::chrono::seconds(120),
+                 [&] { parallel = core::RunAttribute(request, env).text; });
+  EXPECT_EQ(parallel, serial);
 }
 
 TEST(CacheTest, ScanAndClearAccountForEveryFile) {

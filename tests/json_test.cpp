@@ -132,5 +132,30 @@ TEST(JsonDumpTest, IntegralNumbersStayIntegral) {
   EXPECT_EQ(Parse("-3").Dump(), "-3");
 }
 
+TEST(JsonParseTest, NestingDepthIsBounded) {
+  auto nested = [](int depth, char open, char close) {
+    std::string text(static_cast<std::size_t>(depth), open);
+    if (open == '{') {
+      text.clear();
+      for (int i = 0; i < depth; ++i) text += "{\"k\":";
+      text += "0";
+    }
+    return text + std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_NO_THROW(Parse(nested(kMaxDepth, '[', ']')));
+  EXPECT_NO_THROW(Parse(nested(kMaxDepth, '{', '}')));
+  EXPECT_THROW(Parse(nested(kMaxDepth + 1, '[', ']')), ParseError);
+  EXPECT_THROW(Parse(nested(kMaxDepth + 1, '{', '}')), ParseError);
+  // An unterminated bomb fails at the limit, long before the stack does.
+  try {
+    Parse(std::string(100000, '['));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace iotsan::json

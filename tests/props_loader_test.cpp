@@ -43,9 +43,13 @@ TEST(PropsLoaderTest, RejectsDuplicateAndBuiltinIds) {
 }
 
 TEST(PropsLoaderTest, RejectsUnparseableExpressions) {
-  EXPECT_THROW(LoadPropertiesJson(
-                   R"([{"id": "U1", "expression": "mode == ("}])"),
-               Error);
+  try {
+    LoadPropertiesJson(R"([{"id": "U1", "expression": "mode == ("}])");
+    FAIL() << "expected SemanticError";
+  } catch (const SemanticError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("user property 'U1': ", 0), 0u)
+        << e.what();
+  }
 }
 
 TEST(PropsLoaderTest, RejectsNonArrayDocuments) {

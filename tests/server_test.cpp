@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -32,14 +33,19 @@
 #include "checker/trace.hpp"
 #include "config/builder.hpp"
 #include "core/service.hpp"
+#include "corpus/groups.hpp"
 #include "server/handlers.hpp"
 #include "server/server.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
+#include "test_support.hpp"
 
 namespace iotsan::server {
 namespace {
+
+using testing_support::Verdicts;
+using testing_support::WithinDeadline;
 
 // ---- loopback HTTP client ----------------------------------------------------
 
@@ -1126,6 +1132,86 @@ TEST_F(ServerTest, AccessLogRotatesOnReopen) {
   EXPECT_FALSE(ids_in(rotated).count("after-rotate"));
   EXPECT_TRUE(ids_in(log_path).count("after-rotate"));
   std::filesystem::remove_all(log_dir);
+}
+
+// ---- Hostile and heavy inputs -------------------------------------------------
+
+TEST_F(ServerTest, DeeplyNestedBodyIsBadJsonAndServerStaysHealthy) {
+  StartServer();
+  const int port = server_->port();
+  // One '[' per nesting level: unbounded recursion in the JSON parser
+  // used to overflow the stack and kill the daemon.
+  ClientResponse bomb =
+      Fetch(port, "POST", "/v1/check", std::string(100000, '['));
+  ASSERT_TRUE(bomb.complete);
+  EXPECT_EQ(bomb.status, 400);
+  EXPECT_EQ(ErrorCode(bomb), "bad_json");
+
+  ClientResponse health = Fetch(port, "GET", "/v1/health");
+  ASSERT_TRUE(health.complete);
+  EXPECT_EQ(health.status, 200);
+}
+
+/// The climate expert group: 168 related sets but only 118 distinct
+/// cache keys, so parallel group checks race on in-flight keys.
+const corpus::SystemUnderTest& Climate() { return corpus::ExpertGroups()[1]; }
+
+std::string ClimateBody() {
+  json::Object doc;
+  doc["schema"] = kRequestSchema;
+  doc["deployment"] = config::DeploymentToJson(Climate().deployment);
+  json::Object sources;
+  for (const auto& [name, source] : Climate().extra_sources) {
+    sources[name] = source;
+  }
+  doc["appSources"] = std::move(sources);
+  return json::Value(std::move(doc)).Dump(0);
+}
+
+std::string SerialClimateText() {
+  core::CheckRequest request;
+  request.deployment = Climate().deployment;
+  request.extra_sources = Climate().extra_sources;
+  request.options.jobs = 1;
+  return core::RunCheck(request).text;
+}
+
+TEST_F(ServerTest, ParallelCheckWithDuplicateGroupKeysAnswers) {
+  // The serve default sizes the pool to the hardware; four lanes make
+  // the single-flight race reproducible on any machine.
+  ServerConfig config;
+  config.jobs = 4;
+  StartServer(std::move(config));
+  ClientResponse response;
+  WithinDeadline(std::chrono::seconds(120), [&] {
+    response = Fetch(server_->port(), "POST", "/v1/check", ClimateBody());
+  });
+  ASSERT_TRUE(response.complete);
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(Verdicts(json::Parse(response.body).At("text").AsString()),
+            Verdicts(SerialClimateText()));
+}
+
+TEST_F(ServerTest, ParallelFleetDeltaCheckAnswers) {
+  ServerConfig config;
+  config.jobs = 4;
+  StartServer(std::move(config));
+  const int port = server_->port();
+  const std::string serial = Verdicts(SerialClimateText());
+  for (int round = 0; round < 2; ++round) {
+    ClientResponse put = Fetch(port, "PUT", "/v1/deployments/climate",
+                               ClimateBody());
+    ASSERT_TRUE(put.complete);
+    ASSERT_EQ(put.status, round == 0 ? 201 : 200) << put.body;
+    ClientResponse check;
+    WithinDeadline(std::chrono::seconds(120), [&] {
+      check = Fetch(port, "POST", "/v1/deployments/climate/check");
+    });
+    ASSERT_TRUE(check.complete);
+    ASSERT_EQ(check.status, 200) << check.body;
+    EXPECT_EQ(Verdicts(json::Parse(check.body).At("text").AsString()), serial)
+        << "round " << round;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // Violation-forensics tests: structured TraceStep records, artifact
-// (de)serialization round-trips, deterministic replay, and the
-// reverify-bitstate false-positive filter.
+// (de)serialization round-trips, deterministic replay, the
+// reverify-bitstate false-positive filter, and counter-example building.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 #include "checker/checker.hpp"
 #include "config/builder.hpp"
+#include "core/sanitizer.hpp"
+#include "corpus/groups.hpp"
 #include "ir/analyzer.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -301,6 +306,131 @@ TEST(SaturationTest, SaturatedBitstateTicksCounterOncePerCheck) {
   // The counter ticks per saturated check even though the stderr warning
   // is latched after the first.
   EXPECT_EQ(registry.store.saturation_warnings, 2u);
+}
+
+// ---- Counter-example building ------------------------------------------------
+//
+// The search keeps each violation's canonical path as compact (event,
+// failure, interleaving) steps and renders TraceSteps once, when it ends.
+// These pin the rendered violations — steps, notes, deltas, apps,
+// occurrences — under every option that shapes which path is kept.  The
+// golden (tests/data/trace_build.json) holds, per scenario, a
+// Sanitizer::Check's merged violations; for concurrent scheduling also
+// the per-related-set violations whose path follows a later
+// interleaving (outcome_index > 0).
+
+json::Value ScenarioViolations(std::size_t group, const CheckOptions& check,
+                               bool later_interleavings) {
+  const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[group];
+  core::Sanitizer sanitizer(sut.deployment);
+  for (const auto& [name, source] : sut.extra_sources) {
+    sanitizer.AddAppSource(name, source);
+  }
+  core::SanitizerOptions options;
+  options.check = check;
+  const core::SanitizerReport report = sanitizer.Check(options);
+  json::Object out;
+  out["states_explored"] = static_cast<std::int64_t>(report.states_explored);
+  out["completed"] = report.completed;
+  json::Array violations;
+  for (const Violation& v : report.violations) {
+    violations.push_back(ViolationToJson(v));
+  }
+  out["violations"] = std::move(violations);
+  if (later_interleavings) {
+    json::Array per_set;
+    for (const Violation& v : report.per_set_violations) {
+      bool later = false;
+      for (const TraceStep& step : v.steps) {
+        later = later || step.outcome_index > 0;
+      }
+      if (later) per_set.push_back(ViolationToJson(v));
+    }
+    out["per_set_violations"] = std::move(per_set);
+  }
+  return json::Value(std::move(out));
+}
+
+void ExpectSameViolations(const json::Value& golden, const json::Value& got,
+                          const std::string& scenario) {
+  EXPECT_EQ(golden.GetNumber("states_explored"),
+            got.GetNumber("states_explored"))
+      << scenario;
+  EXPECT_EQ(golden.GetBool("completed"), got.GetBool("completed"))
+      << scenario;
+  for (const char* list : {"violations", "per_set_violations"}) {
+    ASSERT_EQ(golden.Has(list), got.Has(list)) << scenario;
+    if (!golden.Has(list)) continue;
+    const json::Array& want = golden.At(list).AsArray();
+    const json::Array& have = got.At(list).AsArray();
+    ASSERT_EQ(want.size(), have.size()) << scenario << " " << list;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].Dump(), have[i].Dump())
+          << scenario << " " << list << "[" << i << "] "
+          << want[i].GetString("property_id");
+    }
+  }
+}
+
+TEST(TraceBuildTest, ViolationsMatchGoldenUnderEveryPathShapingOption) {
+  std::ifstream in(std::string(IOTSAN_TEST_DATA_DIR) + "/trace_build.json");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  const json::Value golden = json::Parse(text.str());
+
+  // Water & garden (group 4) is small enough for every option; the
+  // climate group's concurrent search follows later interleavings.
+  constexpr std::size_t kWater = 3;
+  constexpr std::size_t kClimate = 1;
+  CheckOptions first;
+  first.stop_at_first_violation = true;
+  CheckOptions failures;
+  failures.model_failures = true;
+  CheckOptions bitstate;
+  bitstate.store = StoreKind::kBitstate;
+  bitstate.bitstate_bits = std::size_t{1} << 20;
+  bitstate.reverify_bitstate = true;
+  CheckOptions budget;
+  budget.max_states = 300;
+  CheckOptions concurrent;
+  concurrent.scheduling = model::Scheduling::kConcurrent;
+  concurrent.por = true;
+  concurrent.max_events = 2;
+
+  ExpectSameViolations(golden.At("first"),
+                       ScenarioViolations(kWater, first, false), "first");
+  ExpectSameViolations(golden.At("failures"),
+                       ScenarioViolations(kWater, failures, false),
+                       "failures");
+  ExpectSameViolations(golden.At("bitstate_reverify"),
+                       ScenarioViolations(kWater, bitstate, false),
+                       "bitstate_reverify");
+  ExpectSameViolations(golden.At("max_states"),
+                       ScenarioViolations(kWater, budget, false),
+                       "max_states");
+  ExpectSameViolations(golden.At("concurrent_por"),
+                       ScenarioViolations(kClimate, concurrent, true),
+                       "concurrent_por");
+}
+
+TEST(TraceBuildTest, BuildingStepsTicksNoSearchCounter) {
+  // Every sequential transition injects exactly one external event, so
+  // events_injected == transitions holds for the search alone; rendering
+  // a counter-example re-applies its path and must not add to either.
+  telemetry::Registry registry;
+  telemetry::SetActive(&registry);
+  model::SystemModel model = UnlockModel();
+  Checker checker(model);
+  CheckOptions options;
+  options.max_events = 3;
+  CheckResult result = checker.Run(options);
+  telemetry::SetActive(nullptr);
+
+  ASSERT_TRUE(result.HasViolation("P06"));
+  EXPECT_FALSE(result.Find("P06")->steps.empty());
+  EXPECT_EQ(registry.search.events_injected.load(), result.transitions);
+  EXPECT_EQ(registry.search.transitions.load(), result.transitions);
 }
 
 }  // namespace
