@@ -72,7 +72,7 @@ CollapseCodec::CollapseCodec(const model::SystemModel& model,
   for (int a = 0; a < static_cast<int>(model.apps().size()); ++a) {
     bool touches = false;
     for (const ir::HandlerInfo& handler :
-         model.apps()[static_cast<std::size_t>(a)].analysis.handlers) {
+         model.apps()[static_cast<std::size_t>(a)].analysis->handlers) {
       touches |= handler.touches_app_state;
     }
     if (touches) state_apps_.push_back(a);

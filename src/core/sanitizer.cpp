@@ -153,7 +153,8 @@ void FinalizeReport(SanitizerReport& report) {
 }
 
 std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
-    const SanitizerOptions& options, SanitizerReport& report) const {
+    const SanitizerOptions& options, SanitizerReport& report,
+    AppAnalyses* analyses) const {
   const std::string& request_id = options.check.request_id;
   std::vector<bool> rejected;
   const model::ModelOptions model_options = EffectiveModelOptions(options);
@@ -163,16 +164,17 @@ std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
   // Index sets of app instances to check together.
   std::vector<std::vector<std::size_t>> groups;
   std::vector<std::size_t> accepted;
+  std::vector<ir::AnalyzedApp> view;  // the accepted apps, in order
   for (std::size_t i = 0; i < analyzed.size(); ++i) {
-    if (!rejected[i]) accepted.push_back(i);
+    if (rejected[i]) continue;
+    accepted.push_back(i);
+    view.push_back(std::move(analyzed[i]));
   }
 
   if (options.use_dependency_analysis) {
     telemetry::ScopedSpan deps_span("dependency_analysis");
     if (!request_id.empty()) deps_span.Attr("request_id", request_id);
     // Dependency analysis over accepted instances only.
-    std::vector<ir::AnalyzedApp> view;
-    for (std::size_t i : accepted) view.push_back(std::move(analyzed[i]));
     report.scale = deps::ComputeScaleStats(view);
     deps::DependencyGraph graph = deps::DependencyGraph::Build(view);
     std::vector<deps::RelatedSet> sets = deps::ComputeRelatedSets(graph);
@@ -197,6 +199,13 @@ std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
   } else {
     if (!accepted.empty()) groups.push_back(accepted);
     report.related_set_count = static_cast<int>(groups.size());
+  }
+  if (analyses != nullptr) {
+    analyses->assign(deployment_.apps.size(), nullptr);
+    for (std::size_t k = 0; k < accepted.size(); ++k) {
+      (*analyses)[accepted[k]] =
+          std::make_shared<const ir::AnalyzedApp>(std::move(view[k]));
+    }
   }
   return groups;
 }
@@ -225,7 +234,7 @@ cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
 
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
-    const checker::CheckOptions& check) const {
+    const checker::CheckOptions& check, const AppAnalyses* analyses) const {
   const model::ModelOptions model_options = EffectiveModelOptions(options);
   const std::vector<props::Property> all_properties =
       CandidateProperties(options);
@@ -236,13 +245,15 @@ checker::CheckResult Sanitizer::CheckGroup(
   for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
 
   auto run = [&]() -> checker::CheckResult {
-    std::vector<ir::AnalyzedApp> group_apps;
+    AppAnalyses group_apps;
     for (std::size_t i : group) {
-      // Re-analyze per group: AnalyzedApp is consumed by SystemModel and
-      // related sets may overlap.
-      group_apps.push_back(
-          ir::AnalyzeSource(SourceFor(deployment_.apps[i].app),
-                            deployment_.apps[i].app));
+      if (analyses != nullptr && (*analyses)[i] != nullptr) {
+        group_apps.push_back((*analyses)[i]);
+        continue;
+      }
+      const std::string& app = deployment_.apps[i].app;
+      group_apps.push_back(std::make_shared<const ir::AnalyzedApp>(
+          ir::AnalyzeSource(SourceFor(app), app)));
     }
     model::SystemModel model = [&] {
       telemetry::ScopedSpan build_span("model_build");
@@ -263,7 +274,7 @@ checker::CheckResult Sanitizer::CheckGroup(
 
   if (options.cache == nullptr) return run();
   // A group's result is a pure function of this key: a hit skips the
-  // re-analysis, model build, and search above.
+  // model build and search above.
   cache::GroupKeyInputs inputs;
   inputs.deployment = &sub;
   for (std::size_t i : group) {
@@ -289,8 +300,9 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
   const std::string& request_id = options.check.request_id;
   if (!request_id.empty()) pipeline_span.Attr("request_id", request_id);
   SanitizerReport report;
+  AppAnalyses analyses;
   const std::vector<std::vector<std::size_t>> groups =
-      PlanGroups(options, report);
+      PlanGroups(options, report, &analyses);
 
   // End-to-end group latency (cache hits included — that is what a
   // caller observes) and the search throughput computed groups achieved.
@@ -303,7 +315,7 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
   auto check_group = [&](const std::vector<std::size_t>& group,
                          const checker::CheckOptions& check) {
     const auto group_start = std::chrono::steady_clock::now();
-    checker::CheckResult result = CheckGroup(group, options, check);
+    checker::CheckResult result = CheckGroup(group, options, check, &analyses);
     if (auto* t = telemetry::Active()) {
       t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(

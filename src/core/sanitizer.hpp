@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,11 @@ void MergeGroupResult(SanitizerReport& report, checker::CheckResult result);
 /// Call once after the last MergeGroupResult.
 void FinalizeReport(SanitizerReport& report);
 
+/// The analysed apps of one check, by deployment app index (null: not
+/// analysed or rejected).  Immutable, so every related-set model of the
+/// check shares them, parallel groups included.
+using AppAnalyses = std::vector<std::shared_ptr<const ir::AnalyzedApp>>;
+
 class Sanitizer {
  public:
   /// `deployment` names the installed apps; sources are resolved from the
@@ -127,9 +133,11 @@ class Sanitizer {
   /// deployment().apps), filling the report's rejection/analysis/scale
   /// fields exactly as Check does.  Exposed so the fleet registry's
   /// delta re-verification (src/registry) can classify groups without
-  /// running them.
+  /// running them.  When `analyses` is set it receives the accepted
+  /// apps' analyses for CheckGroup.
   std::vector<std::vector<std::size_t>> PlanGroups(
-      const SanitizerOptions& options, SanitizerReport& report) const;
+      const SanitizerOptions& options, SanitizerReport& report,
+      AppAnalyses* analyses = nullptr) const;
 
   /// The content-addressed fingerprint of one group under `options` —
   /// the exact key the result cache memoizes the group's result under.
@@ -139,10 +147,13 @@ class Sanitizer {
 
   /// Builds, property-selects, and checks one related-set group,
   /// consulting `options.cache` when set.  `check` is `options.check`,
-  /// possibly rebound to a shared pool by a parallel dispatcher.
+  /// possibly rebound to a shared pool by a parallel dispatcher.  The
+  /// group's apps come from `analyses` (PlanGroups') where present and
+  /// are analysed here otherwise.
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
-                                  const checker::CheckOptions& check) const;
+                                  const checker::CheckOptions& check,
+                                  const AppAnalyses* analyses = nullptr) const;
 
   const config::Deployment& deployment() const { return deployment_; }
 

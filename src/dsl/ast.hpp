@@ -15,6 +15,7 @@ namespace iotsan::dsl {
 
 struct Expr;
 struct Stmt;
+struct MethodDecl;
 using ExprPtr = std::unique_ptr<Expr>;
 using StmtPtr = std::unique_ptr<Stmt>;
 
@@ -51,6 +52,20 @@ enum class AssignOp { kAssign, kAddAssign, kSubAssign };
 struct NamedArg {
   std::string name;
   ExprPtr value;
+};
+
+/// The frame slots [begin, end) of one scope's locals, nested scopes'
+/// included (name resolution, see Expr).
+struct SlotRange {
+  int begin = 0;
+  int end = 0;
+};
+
+/// One piece of an interpolated string: literal `text`, or a `${...}`
+/// fragment's parsed `expr` with `text` its verbatim fallback.
+struct StringPart {
+  std::string text;
+  ExprPtr expr;
 };
 
 struct Expr {
@@ -91,6 +106,26 @@ struct Expr {
   std::vector<std::string> params;          // empty => implicit `it`
   std::vector<StmtPtr> body;
 
+  // Name resolution, filled once per analysed app by ResolveNames
+  // (dsl/resolve.hpp) so the evaluator looks no name up by string.
+  // Other passes ignore these fields; clones start unresolved.
+  //  kIdent: `slot` = the enclosing method's frame slot of the innermost
+  //    scope that can declare `text` (-1: none); `index` = the app input
+  //    named `text` (-1: none).
+  //  kIdent/kCall/kMember: `builtin` = the Builtin named `text` (-1:
+  //    none).  kCall without receiver: `method` = the app method named
+  //    `text`.
+  //  kMember: `attribute` = the attribute a `current<Attr>` member reads.
+  //  kStringLit: `parts` when `text` interpolates `${...}`.
+  //  kClosure: `scope`; its parameters (or `it`) take its first slots.
+  int slot = -1;
+  int index = -1;
+  int builtin = -1;
+  const MethodDecl* method = nullptr;
+  std::string attribute;
+  std::vector<StringPart> parts;
+  SlotRange scope;
+
   Expr() = default;
   Expr(const Expr&) = delete;
   Expr& operator=(const Expr&) = delete;
@@ -121,6 +156,13 @@ struct Stmt {
   std::vector<StmtPtr> body;
   std::vector<StmtPtr> else_body;
 
+  // Name resolution (see Expr): kVarDecl/kForIn `slot` = the local
+  // `name` declares; `scope` = the then/loop/block scope, `else_scope`
+  // the else scope.
+  int slot = -1;
+  SlotRange scope;
+  SlotRange else_scope;
+
   Stmt() = default;
   Stmt(const Stmt&) = delete;
   Stmt& operator=(const Stmt&) = delete;
@@ -146,6 +188,10 @@ struct MethodDecl {
   std::vector<std::string> params;
   std::vector<StmtPtr> body;
   int line = 0;
+  /// Name resolution (see Expr): one entry per frame slot (parameters
+  /// first), the slot of the same name in the nearest enclosing scope
+  /// that can declare it, or -1.
+  std::vector<int> outer_slot;
 };
 
 /// A parsed SmartScript application.

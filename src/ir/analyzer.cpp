@@ -5,6 +5,7 @@
 
 #include "devices/capability.hpp"
 #include "dsl/parser.hpp"
+#include "dsl/resolve.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/strings.hpp"
 
@@ -650,6 +651,7 @@ class Analyzer {
 }  // namespace
 
 AnalyzedApp AnalyzeApp(dsl::App app) {
+  dsl::ResolveNames(app);
   return Analyzer(std::move(app)).Run();
 }
 

@@ -10,7 +10,8 @@ namespace iotsan::ir {
 /// Runs the full static analysis over a parsed app: type inference,
 /// subscription/schedule extraction, per-handler input/output event
 /// summaries (propagated over the app's internal call graph), API-use
-/// collection, and dynamic-discovery detection.
+/// collection, dynamic-discovery detection, and the evaluator's name
+/// resolution (dsl/resolve.hpp).
 AnalyzedApp AnalyzeApp(dsl::App app);
 
 /// Convenience: parse + analyze.

@@ -58,7 +58,7 @@ std::vector<ExternalEvent> CascadeEngine::EnabledEvents(
         // has a recurring schedule.
         bool enabled = !state.timers.empty();
         for (const InstalledApp& app : model_.apps()) {
-          for (const ir::ScheduleInfo& schedule : app.analysis.schedules) {
+          for (const ir::ScheduleInfo& schedule : app.analysis->schedules) {
             enabled = enabled || schedule.recurring;
           }
         }
@@ -157,7 +157,7 @@ void CascadeEngine::InjectExternal(SystemState& state,
         }
       } else {
         for (std::size_t a = 0; a < model_.apps().size(); ++a) {
-          const auto& schedules = model_.apps()[a].analysis.schedules;
+          const auto& schedules = model_.apps()[a].analysis->schedules;
           for (std::size_t s = 0; s < schedules.size(); ++s) {
             if (!schedules[s].recurring) continue;
             devices::Event cyber;
@@ -198,16 +198,18 @@ void CascadeEngine::DispatchOne(SystemState& state,
   Evaluator evaluator(model_, state, queue, log, failure, tracing());
   if (event.source == devices::EventSource::kTimer) {
     const InstalledApp& app = model_.apps()[event.app];
-    const ir::ScheduleInfo& schedule = app.analysis.schedules[event.timer];
+    const ir::ScheduleInfo& schedule = app.analysis->schedules[event.timer];
     if (tracing()) {
       log.trace.push_back("dispatch timer -> " + app.config.label + "." +
                           schedule.handler);
       log.dispatches.push_back({event.app, schedule.handler});
     }
-    evaluator.InvokeHandler(event.app, schedule.handler, &event);
+    evaluator.InvokeHandler(event.app, schedule.handler,
+                            app.schedule_handlers[event.timer], &event);
     return;
   }
-  for (const ResolvedSubscription* sub : model_.Subscribers(event)) {
+  for (int s : model_.Subscribers(event)) {
+    const ResolvedSubscription& sub = model_.subscriptions()[s];
     if (tracing()) {
       std::string description;
       if (event.source == devices::EventSource::kDevice) {
@@ -219,11 +221,11 @@ void CascadeEngine::DispatchOne(SystemState& state,
         description = "app/touch";
       }
       log.trace.push_back("dispatch " + description + " -> " +
-                          model_.apps()[sub->app].config.label + "." +
-                          sub->handler);
-      log.dispatches.push_back({sub->app, sub->handler});
+                          model_.apps()[sub.app].config.label + "." +
+                          sub.handler);
+      log.dispatches.push_back({sub.app, sub.handler});
     }
-    evaluator.InvokeHandler(sub->app, sub->handler, &event);
+    evaluator.InvokeHandler(sub.app, sub.handler, sub.method, &event);
   }
 }
 

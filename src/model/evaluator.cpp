@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
 
-#include "dsl/parser.hpp"
-#include "dsl/printer.hpp"
+#include "dsl/resolve.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -20,9 +21,27 @@ using dsl::ExprKind;
 using dsl::Stmt;
 using dsl::StmtKind;
 
-/// Thrown to unwind to the enclosing method on `return`.
-struct ReturnSignal {
+/// One frame slot: a local and whether its scope has declared it yet
+/// (an undeclared slot is invisible to lookups).
+struct Slot {
   Value value;
+  bool declared = false;
+};
+
+constexpr std::size_t kNoSlot = SIZE_MAX;
+
+/// The fields of an event object, in the order its map is built.
+constexpr std::pair<int, const char*> kEventFields[] = {
+    {dsl::kName, "name"},
+    {dsl::kValue, "value"},
+    {dsl::kNumericValue, "numericValue"},
+    {dsl::kDoubleValue, "doubleValue"},
+    {dsl::kIntegerValue, "integerValue"},
+    {dsl::kDevice, "device"},
+    {dsl::kDeviceId, "deviceId"},
+    {dsl::kDisplayName, "displayName"},
+    {dsl::kIsStateChange, "isStateChange"},
+    {dsl::kDescriptionText, "descriptionText"},
 };
 
 class Interp {
@@ -39,18 +58,13 @@ class Interp {
         app_(model.apps()[app_index]),
         notes_(notes) {}
 
-  void Invoke(const std::string& method_name, const devices::Event* event) {
-    const dsl::MethodDecl* method = app_.analysis.app.FindMethod(method_name);
+  void Invoke(const std::string& name, const dsl::MethodDecl* method,
+              const devices::Event* event) {
     if (method == nullptr) {
       throw SemanticError("app '" + app_.config.label +
-                          "' has no handler '" + method_name + "'");
+                          "' has no handler '" + name + "'");
     }
-    ValueList args;
-    if (!method->params.empty()) {
-      args.push_back(event != nullptr ? MakeEventValue(*event)
-                                      : Value::Null());
-    }
-    CallMethod(*method, args);
+    CallMethod(*method, {}, event);
   }
 
  private:
@@ -64,7 +78,20 @@ class Interp {
   // Render the Fig. 7 notes (CascadeLog::trace); call sites test this
   // before building a note's text.
   const bool notes_;
-  std::vector<std::map<std::string, Value>> scopes_;
+  // Every active frame's slots; the running frame is method_'s, from
+  // base_ on.
+  std::vector<Slot> slots_;
+  const dsl::MethodDecl* method_ = nullptr;
+  std::size_t base_ = 0;
+  // Scopes open across all frames (the call-depth measure).
+  int scope_depth_ = 0;
+  // A `return` is unwinding to its method or closure.
+  bool returning_ = false;
+  Value return_value_;
+  // The handler's event while its `evt` map is unbuilt: field reads come
+  // straight from it until the handler uses `evt` as a whole value.
+  const devices::Event* event_ = nullptr;
+  std::size_t event_slot_ = kNoSlot;
   int steps_ = 0;
 
   void Budget() {
@@ -75,98 +102,182 @@ class Interp {
   }
 
   [[noreturn]] void Fail(int line, const std::string& message) {
-    throw SemanticError(app_.analysis.app.source_name + ":" +
+    throw SemanticError(app_.analysis->app.source_name + ":" +
                         std::to_string(line) + ": " + message);
   }
 
   void Trace(int line, const std::string& code) {
-    log_.trace.push_back(app_.analysis.app.source_name + ":" +
+    log_.trace.push_back(app_.analysis->app.source_name + ":" +
                          std::to_string(line) + "\t[" + code + "]");
   }
 
   // ---- Event objects ------------------------------------------------------
 
-  Value MakeEventValue(const devices::Event& event) {
-    ValueMap fields;
+  /// Field `field` (a Builtin id) of `event`'s object; null when the
+  /// object has no such field.
+  Value EventField(const devices::Event& event, int field) const {
+    std::string name;
+    std::string value;
+    const devices::Device* device = nullptr;
+    const devices::AttributeSpec* attr = nullptr;
     switch (event.source) {
-      case devices::EventSource::kDevice: {
-        const devices::Device& device = model_.devices()[event.device];
-        const devices::AttributeSpec& attr =
-            *device.attributes()[event.attribute];
-        fields["name"] = Value::String(attr.name);
-        fields["value"] = Value::String(attr.ValueName(event.value));
-        if (attr.kind == devices::AttributeKind::kNumeric) {
-          fields["numericValue"] =
-              Value::Number(attr.NumericAt(event.value));
-          fields["doubleValue"] = fields["numericValue"];
-          fields["integerValue"] = fields["numericValue"];
-        }
-        fields["device"] = Value::Device(event.device);
-        fields["deviceId"] = Value::String(device.id());
-        fields["displayName"] = Value::String(device.id());
+      case devices::EventSource::kDevice:
+        device = &model_.devices()[event.device];
+        attr = device->attributes()[event.attribute];
+        name = attr->name;
+        value = attr->ValueName(event.value);
         break;
-      }
       case devices::EventSource::kLocationMode:
-        fields["name"] = Value::String("mode");
-        fields["value"] = Value::String(model_.modes()[event.value]);
+        name = "mode";
+        value = model_.modes()[event.value];
         break;
       case devices::EventSource::kAppTouch:
-        fields["name"] = Value::String("touch");
-        fields["value"] = Value::String("touched");
+        name = "touch";
+        value = "touched";
         break;
       case devices::EventSource::kTimer:
-        fields["name"] = Value::String("timer");
-        fields["value"] = Value::String("fired");
+        name = "timer";
+        value = "fired";
         break;
     }
-    fields["isStateChange"] = Value::Bool(true);
-    fields["descriptionText"] =
-        Value::String(fields["name"].ToDisplayString() + " is " +
-                      fields["value"].ToDisplayString());
+    switch (field) {
+      case dsl::kName:
+        return Value::String(std::move(name));
+      case dsl::kValue:
+        return Value::String(std::move(value));
+      case dsl::kNumericValue:
+      case dsl::kDoubleValue:
+      case dsl::kIntegerValue:
+        if (attr == nullptr || attr->kind != devices::AttributeKind::kNumeric) {
+          return Value::Null();
+        }
+        return Value::Number(attr->NumericAt(event.value));
+      case dsl::kDevice:
+        return device ? Value::Device(event.device) : Value::Null();
+      case dsl::kDeviceId:
+      case dsl::kDisplayName:
+        return device ? Value::String(device->id()) : Value::Null();
+      case dsl::kIsStateChange:
+        return Value::Bool(true);
+      case dsl::kDescriptionText:
+        return Value::String(name + " is " + value);
+      default:
+        return Value::Null();
+    }
+  }
+
+  Value MakeEventValue(const devices::Event& event) const {
+    ValueMap fields;
+    for (const auto& [field, spelling] : kEventFields) {
+      Value v = EventField(event, field);
+      if (!v.is_null()) fields[spelling] = std::move(v);
+    }
     return Value::Map(std::move(fields));
   }
 
   // ---- Environment ---------------------------------------------------------
 
-  Value CallMethod(const dsl::MethodDecl& method, const ValueList& args) {
-    const std::size_t saved_depth = scopes_.size();
-    if (saved_depth > 64) {
+  /// Runs `method` in a new frame.  A handler's `event` becomes its
+  /// first parameter.
+  Value CallMethod(const dsl::MethodDecl& method, const ValueList& args,
+                   const devices::Event* event = nullptr) {
+    if (scope_depth_ > 64) {
       throw Error("app '" + app_.config.label + "': call depth exceeded");
     }
-    scopes_.emplace_back();
+    const dsl::MethodDecl* caller = method_;
+    const std::size_t caller_base = base_;
+    method_ = &method;
+    base_ = slots_.size();
+    slots_.resize(base_ + method.outer_slot.size());
+    ++scope_depth_;
     for (std::size_t i = 0; i < method.params.size(); ++i) {
-      scopes_.back()[method.params[i]] =
-          i < args.size() ? args[i] : Value::Null();
+      Declare(static_cast<int>(i), i < args.size() ? args[i] : Value::Null());
     }
-    Value result;
-    try {
-      result = ExecBody(method.body);
-    } catch (const ReturnSignal& ret) {
-      result = ret.value;
+    if (event != nullptr && !method.params.empty()) {
+      event_ = event;
+      event_slot_ = base_;
     }
-    scopes_.resize(saved_depth);
+    Value result = ExecBody(method.body);
+    if (returning_) {
+      returning_ = false;
+      result = std::move(return_value_);
+    }
+    --scope_depth_;
+    slots_.resize(base_);
+    method_ = caller;
+    base_ = caller_base;
     return result;
   }
 
-  Value* FindVariable(const std::string& name) {
-    for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
-      auto found = it->find(name);
-      if (found != it->end()) return &found->second;
+  /// Runs `closure` with `arg` as its first parameter (or `it`).
+  Value CallClosure(const Expr& closure, const Value& arg) {
+    ++scope_depth_;
+    const int params = std::max(static_cast<int>(closure.params.size()), 1);
+    for (int i = 0; i < params; ++i) {
+      Declare(closure.scope.begin + i, i == 0 ? arg : Value::Null());
     }
-    return nullptr;
+    Value result = ExecBody(closure.body);
+    if (returning_) {
+      returning_ = false;
+      result = std::move(return_value_);
+    }
+    CloseScope(closure.scope);
+    return result;
+  }
+
+  /// Declares the running frame's `slot` with `value`.
+  void Declare(int slot, Value value) {
+    const std::size_t index = base_ + static_cast<std::size_t>(slot);
+    if (index == event_slot_) event_ = nullptr;
+    slots_[index] = {std::move(value), true};
+  }
+
+  /// The declared local `ident` names: the innermost declared slot of
+  /// its name (see dsl/resolve.hpp), or kNoSlot.
+  std::size_t FindLocal(const Expr& ident) const {
+    for (int s = ident.slot; s >= 0; s = method_->outer_slot[s]) {
+      const std::size_t index = base_ + static_cast<std::size_t>(s);
+      if (slots_[index].declared) return index;
+    }
+    return kNoSlot;
+  }
+
+  /// A local as a whole value: builds the handler's event object the
+  /// first time its slot is read this way.
+  Value& Local(std::size_t index) {
+    if (event_ != nullptr && index == event_slot_) {
+      slots_[index].value = MakeEventValue(*event_);
+      event_ = nullptr;
+    }
+    return slots_[index].value;
+  }
+
+  void CloseScope(dsl::SlotRange scope) {
+    --scope_depth_;
+    for (int s = scope.begin; s < scope.end; ++s) {
+      slots_[base_ + static_cast<std::size_t>(s)] = Slot{};
+    }
   }
 
   // ---- Statements -----------------------------------------------------------
 
   /// Executes a body; the value of the trailing expression statement is
-  /// the Groovy implicit return value.
+  /// the Groovy implicit return value.  Stops at a `return`.
   Value ExecBody(const std::vector<dsl::StmtPtr>& body) {
-    Value last;
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      last = ExecStmt(*body[i]);
-      if (i + 1 < body.size()) last = Value::Null();
+    if (body.empty()) return Value::Null();
+    for (std::size_t i = 0; i + 1 < body.size(); ++i) {
+      ExecStmt(*body[i]);
+      if (returning_) return Value::Null();
     }
-    return last;
+    return ExecStmt(*body.back());
+  }
+
+  Value ExecScoped(const std::vector<dsl::StmtPtr>& body,
+                   dsl::SlotRange scope) {
+    ++scope_depth_;
+    Value v = ExecBody(body);
+    CloseScope(scope);
+    return v;
   }
 
   Value ExecStmt(const Stmt& stmt) {
@@ -174,55 +285,44 @@ class Interp {
     switch (stmt.kind) {
       case StmtKind::kExpr:
         return Eval(*stmt.expr);
-      case StmtKind::kVarDecl: {
-        Value init = stmt.expr ? Eval(*stmt.expr) : Value::Null();
-        scopes_.back()[stmt.name] = std::move(init);
+      case StmtKind::kVarDecl:
+        Declare(stmt.slot, stmt.expr ? Eval(*stmt.expr) : Value::Null());
         return Value::Null();
-      }
-      case StmtKind::kIf: {
-        if (Eval(*stmt.expr).Truthy()) {
-          scopes_.emplace_back();
-          Value v = ExecBody(stmt.body);
-          scopes_.pop_back();
-          return v;
-        }
-        scopes_.emplace_back();
-        Value v = ExecBody(stmt.else_body);
-        scopes_.pop_back();
-        return v;
-      }
+      case StmtKind::kIf:
+        if (Eval(*stmt.expr).Truthy()) return ExecScoped(stmt.body, stmt.scope);
+        return ExecScoped(stmt.else_body, stmt.else_scope);
       case StmtKind::kReturn:
-        throw ReturnSignal{stmt.expr ? Eval(*stmt.expr) : Value::Null()};
+        return_value_ = stmt.expr ? Eval(*stmt.expr) : Value::Null();
+        returning_ = true;
+        return Value::Null();
       case StmtKind::kForIn: {
         Value iterable = Eval(*stmt.expr);
         if (!iterable.is_list()) {
           if (iterable.is_null()) return Value::Null();
           Fail(stmt.line, "for-in expects a list");
         }
-        scopes_.emplace_back();
+        ++scope_depth_;
         for (const Value& item : iterable.AsList()) {
           Budget();
-          scopes_.back()[stmt.name] = item;
+          Declare(stmt.slot, item);
           ExecBody(stmt.body);
+          if (returning_) break;
         }
-        scopes_.pop_back();
+        CloseScope(stmt.scope);
         return Value::Null();
       }
       case StmtKind::kWhile: {
-        scopes_.emplace_back();
+        ++scope_depth_;
         while (Eval(*stmt.expr).Truthy()) {
           Budget();
           ExecBody(stmt.body);
+          if (returning_) break;
         }
-        scopes_.pop_back();
+        CloseScope(stmt.scope);
         return Value::Null();
       }
-      case StmtKind::kBlock: {
-        scopes_.emplace_back();
-        Value v = ExecBody(stmt.body);
-        scopes_.pop_back();
-        return v;
-      }
+      case StmtKind::kBlock:
+        return ExecScoped(stmt.body, stmt.scope);
     }
     return Value::Null();
   }
@@ -239,7 +339,8 @@ class Interp {
       case ExprKind::kNumberLit:
         return Value::Number(expr.number_value);
       case ExprKind::kStringLit:
-        return Value::String(Interpolate(expr.text));
+        return Value::String(expr.parts.empty() ? expr.text
+                                                : Interpolate(expr));
       case ExprKind::kListLit: {
         ValueList items;
         items.reserve(expr.items.size());
@@ -302,52 +403,63 @@ class Interp {
     return Value::Null();
   }
 
-  /// GString interpolation: replaces ${name} / ${simple.expr} with the
-  /// evaluated value.
-  std::string Interpolate(const std::string& text) {
-    if (text.find("${") == std::string::npos) return text;
+  /// GString interpolation of the fragments parsed at resolution.
+  std::string Interpolate(const Expr& expr) {
     std::string out;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-      std::size_t start = text.find("${", pos);
-      if (start == std::string::npos) {
-        out += text.substr(pos);
-        break;
+    for (const dsl::StringPart& part : expr.parts) {
+      if (!part.expr) {
+        out += part.text;
+        continue;
       }
-      out += text.substr(pos, start - pos);
-      std::size_t end = text.find('}', start);
-      if (end == std::string::npos) {
-        out += text.substr(start);
-        break;
-      }
-      const std::string inner = text.substr(start + 2, end - start - 2);
+      const dsl::MethodDecl* method = method_;
+      const std::size_t base = base_;
+      const std::size_t slots = slots_.size();
+      const int depth = scope_depth_;
       try {
-        dsl::ExprPtr parsed = dsl::ParseExpression(inner);
-        out += Eval(*parsed).ToDisplayString();
+        out += Eval(*part.expr).ToDisplayString();
       } catch (const Error&) {
-        out += "${" + inner + "}";  // leave unparseable fragments verbatim
+        // Leave the fragment verbatim; drop the frames it abandoned.
+        method_ = method;
+        base_ = base;
+        slots_.resize(slots);
+        scope_depth_ = depth;
+        out += part.text;
       }
-      pos = end + 1;
     }
     return out;
   }
 
   Value EvalIdent(const Expr& expr) {
-    const std::string& name = expr.text;
-    if (Value* local = FindVariable(name)) return *local;
-    auto binding = app_.bindings.find(name);
-    if (binding != app_.bindings.end()) return binding->second;
-    if (name == "state") {
-      return Value::Map(state_.app_state[app_index_]);
+    const std::size_t local = FindLocal(expr);
+    if (local != kNoSlot) return Local(local);
+    if (expr.index >= 0) return app_.bindings[expr.index];
+    switch (expr.builtin) {
+      case dsl::kState:
+        return Value::Map(state_.app_state[app_index_]);
+      case dsl::kLocation:
+      case dsl::kApp:
+      case dsl::kLog:
+      case dsl::kMath:
+      case dsl::kSettings:
+        // Platform objects: handled structurally by member/call evaluation.
+        return Value::String("<" + expr.text + ">");
+      default:
+        // Groovy resolves unknown names to null-ish bindings; surface a
+        // diagnostic instead — apps in the corpus must be fully resolved.
+        Fail(expr.line, "unknown identifier '" + expr.text + "'");
     }
-    if (name == "location" || name == "app" || name == "log" ||
-        name == "Math" || name == "settings") {
-      // Platform objects: handled structurally by member/call evaluation.
-      return Value::String("<" + name + ">");
-    }
-    // Groovy resolves unknown names to null-ish bindings; surface a
-    // diagnostic instead — apps in the corpus must be fully resolved.
-    Fail(expr.line, "unknown identifier '" + name + "'");
+  }
+
+  /// True when `expr` is the bare platform name `builtin` (`state`,
+  /// `location`, `log`, `Math`), whatever locals or inputs are called.
+  static bool IsPlatform(const Expr& expr, int builtin) {
+    return expr.kind == ExprKind::kIdent && expr.builtin == builtin;
+  }
+
+  /// True when `state` names the app state here (no local or input).
+  bool IsAppState(const Expr& expr) const {
+    return IsPlatform(expr, dsl::kState) && expr.index < 0 &&
+           FindLocal(expr) == kNoSlot;
   }
 
   Value EvalBinary(const Expr& expr) {
@@ -445,54 +557,65 @@ class Interp {
     }
   }
 
+  /// The value `assign` stores over `old`: `value` itself, or for +=/-=
+  /// the sum/difference.
+  Value Combine(const Expr& assign, const Value& old, const Value& value) {
+    if (assign.assign_op == dsl::AssignOp::kAssign) return value;
+    if (!old.is_number() || !value.is_number()) {
+      Fail(assign.line, "+=/-= need numbers");
+    }
+    return Value::Number(assign.assign_op == dsl::AssignOp::kAddAssign
+                             ? old.AsNumber() + value.AsNumber()
+                             : old.AsNumber() - value.AsNumber());
+  }
+
+  /// `state.key = value` / `state[key] = value`: persistent app state,
+  /// scalars only.
+  Value AssignState(const Expr& assign, const std::string& key,
+                    const Value& value) {
+    auto& state_map = state_.app_state[app_index_];
+    Value old;
+    auto it = state_map.find(key);
+    if (it != state_map.end()) old = it->second;
+    Value result = Combine(assign, old, value);
+    switch (result.kind()) {
+      case Value::Kind::kNull:
+      case Value::Kind::kBool:
+      case Value::Kind::kNumber:
+      case Value::Kind::kString:
+        break;
+      default:
+        Fail(assign.line, "state entries must be scalars");
+    }
+    state_map[key] = result;
+    return result;
+  }
+
   Value EvalAssign(const Expr& expr) {
     Value value = Eval(*expr.b);
     const Expr& target = *expr.a;
 
-    auto combine = [&](const Value& old) -> Value {
-      if (expr.assign_op == dsl::AssignOp::kAssign) return value;
-      if (!old.is_number() || !value.is_number()) {
-        Fail(expr.line, "+=/-= need numbers");
-      }
-      return Value::Number(expr.assign_op == dsl::AssignOp::kAddAssign
-                               ? old.AsNumber() + value.AsNumber()
-                               : old.AsNumber() - value.AsNumber());
-    };
-
     if (target.kind == ExprKind::kIdent) {
-      if (Value* slot = FindVariable(target.text)) {
-        *slot = combine(*slot);
-        return *slot;
+      const std::size_t local = FindLocal(target);
+      if (local != kNoSlot) {
+        Value& slot = Local(local);
+        slot = Combine(expr, slot, value);
+        return slot;
       }
-      // Undeclared: bind in the current scope (Groovy script binding).
-      Value result = combine(Value::Null());
-      scopes_.back()[target.text] = result;
+      // Undeclared: declare it in the scope the assignment runs in
+      // (Groovy script binding).
+      Value result = Combine(expr, Value::Null(), value);
+      Declare(target.slot, result);
       return result;
     }
 
     if (target.kind == ExprKind::kMember) {
-      // state.foo = v  — persistent app state.
-      if (target.a->kind == ExprKind::kIdent && target.a->text == "state") {
-        auto& state_map = state_.app_state[app_index_];
-        Value old;
-        auto it = state_map.find(target.text);
-        if (it != state_map.end()) old = it->second;
-        Value result = combine(old);
-        switch (result.kind()) {
-          case Value::Kind::kNull:
-          case Value::Kind::kBool:
-          case Value::Kind::kNumber:
-          case Value::Kind::kString:
-            break;
-          default:
-            Fail(expr.line, "state entries must be scalars");
-        }
-        state_map[target.text] = result;
-        return result;
+      if (IsPlatform(*target.a, dsl::kState)) {
+        return AssignState(expr, target.text, value);
       }
       // location.mode = "Away".
-      if (target.text == "mode" && target.a->kind == ExprKind::kIdent &&
-          target.a->text == "location") {
+      if (target.builtin == dsl::kMode &&
+          IsPlatform(*target.a, dsl::kLocation)) {
         if (!value.is_string()) Fail(expr.line, "mode must be a string");
         SetLocationMode(value.AsString(), expr.line);
         return value;
@@ -500,13 +623,18 @@ class Interp {
       // Map field assignment.
       Value recv = Eval(*target.a);
       if (recv.is_map()) {
-        recv.MutableMap()[target.text] = combine(Value::Null());
+        recv.MutableMap()[target.text] = Combine(expr, Value::Null(), value);
         return value;
       }
       Fail(expr.line, "unsupported assignment target");
     }
 
     if (target.kind == ExprKind::kIndex) {
+      if (IsAppState(*target.a)) {
+        Budget();  // the receiver's evaluation
+        Value index = Eval(*target.b);
+        return AssignState(expr, index.ToDisplayString(), value);
+      }
       Value recv = Eval(*target.a);
       Value index = Eval(*target.b);
       if (recv.is_list() && index.is_number()) {
@@ -526,25 +654,34 @@ class Interp {
 
   Value EvalMember(const Expr& expr) {
     // state.foo read.
-    if (expr.a->kind == ExprKind::kIdent && expr.a->text == "state") {
+    if (IsPlatform(*expr.a, dsl::kState)) {
       const auto& state_map = state_.app_state[app_index_];
       auto it = state_map.find(expr.text);
       return it != state_map.end() ? it->second : Value::Null();
     }
     // location.*
-    if (expr.a->kind == ExprKind::kIdent && expr.a->text == "location") {
-      if (expr.text == "mode") {
-        return Value::String(model_.modes()[state_.mode]);
-      }
-      if (expr.text == "modes") {
-        ValueList modes;
-        for (const std::string& m : model_.modes()) {
-          modes.push_back(Value::String(m));
+    if (IsPlatform(*expr.a, dsl::kLocation)) {
+      switch (expr.builtin) {
+        case dsl::kMode:
+          return Value::String(model_.modes()[state_.mode]);
+        case dsl::kModes: {
+          ValueList modes;
+          for (const std::string& m : model_.modes()) {
+            modes.push_back(Value::String(m));
+          }
+          return Value::List(std::move(modes));
         }
-        return Value::List(std::move(modes));
+        case dsl::kName:
+          return Value::String("Home");
+        default:
+          return Value::Null();
       }
-      if (expr.text == "name") return Value::String("Home");
-      return Value::Null();
+    }
+    // evt.field on the handler's still-unbuilt event object.
+    if (event_ != nullptr && expr.a->kind == ExprKind::kIdent &&
+        FindLocal(*expr.a) == event_slot_) {
+      Budget();  // the receiver's evaluation
+      return EventField(*event_, expr.builtin);
     }
 
     Value recv = Eval(*expr.a);
@@ -552,55 +689,57 @@ class Interp {
       if (expr.safe_navigation) return Value::Null();
       Fail(expr.line, "member '" + expr.text + "' on null");
     }
-    return MemberOf(recv, expr.text, expr.line);
+    return MemberOf(recv, expr);
   }
 
-  Value MemberOf(const Value& recv, const std::string& name, int line) {
+  Value MemberOf(const Value& recv, const Expr& expr) {
     if (recv.is_device()) {
-      return DeviceMember(recv.DeviceIndex(), name, line);
+      return DeviceMember(recv.DeviceIndex(), expr);
     }
     if (recv.is_map()) {
-      auto it = recv.AsMap().find(name);
+      auto it = recv.AsMap().find(expr.text);
       return it != recv.AsMap().end() ? it->second : Value::Null();
     }
     if (recv.is_list()) {
-      if (name == "size") {
-        return Value::Number(static_cast<double>(recv.AsList().size()));
+      const ValueList& items = recv.AsList();
+      switch (expr.builtin) {
+        case dsl::kSize:
+          return Value::Number(static_cast<double>(items.size()));
+        case dsl::kFirst:
+          return items.empty() ? Value::Null() : items.front();
+        case dsl::kLast:
+          return items.empty() ? Value::Null() : items.back();
+        default: {
+          // Groovy spread: devices.currentSwitch.
+          ValueList mapped;
+          for (const Value& item : items) {
+            mapped.push_back(MemberOf(item, expr));
+          }
+          return Value::List(std::move(mapped));
+        }
       }
-      if (name == "first") {
-        return recv.AsList().empty() ? Value::Null() : recv.AsList().front();
-      }
-      if (name == "last") {
-        return recv.AsList().empty() ? Value::Null() : recv.AsList().back();
-      }
-      // Groovy spread: devices.currentSwitch.
-      ValueList mapped;
-      for (const Value& item : recv.AsList()) {
-        mapped.push_back(MemberOf(item, name, line));
-      }
-      return Value::List(std::move(mapped));
     }
-    if (recv.is_string()) {
-      if (name == "length" || name == "size") {
-        return Value::Number(static_cast<double>(recv.AsString().size()));
-      }
+    if (recv.is_string() &&
+        (expr.builtin == dsl::kLength || expr.builtin == dsl::kSize)) {
+      return Value::Number(static_cast<double>(recv.AsString().size()));
     }
     return Value::Null();
   }
 
-  Value DeviceMember(int device_index, const std::string& name, int line) {
-    const devices::Device& device = model_.devices()[device_index];
-    if (name == "id" || name == "label" || name == "displayName" ||
-        name == "name") {
-      return Value::String(device.id());
+  Value DeviceMember(int device_index, const Expr& expr) {
+    switch (expr.builtin) {
+      case dsl::kId:
+      case dsl::kLabel:
+      case dsl::kDisplayName:
+      case dsl::kName:
+        return Value::String(model_.devices()[device_index].id());
+      default:
+        break;
     }
-    if (strings::StartsWith(name, "current") && name.size() > 7) {
-      std::string attr_name = name.substr(7);
-      attr_name[0] = static_cast<char>(
-          std::tolower(static_cast<unsigned char>(attr_name[0])));
-      return ReadAttribute(device_index, attr_name, line);
+    if (!expr.attribute.empty()) {
+      return ReadAttribute(device_index, expr.attribute, expr.line);
     }
-    Fail(line, "unknown device member '" + name + "'");
+    Fail(expr.line, "unknown device member '" + expr.text + "'");
   }
 
   Value ReadAttribute(int device_index, const std::string& attr_name,
@@ -625,12 +764,12 @@ class Interp {
     if (!expr.a) return EvalFreeCall(expr);
 
     // log.debug(...) and friends: ignore, but evaluate args for effects.
-    if (expr.a->kind == ExprKind::kIdent && expr.a->text == "log") {
+    if (IsPlatform(*expr.a, dsl::kLog)) {
       for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
       return Value::Null();
     }
     // Math.xyz(...).
-    if (expr.a->kind == ExprKind::kIdent && expr.a->text == "Math") {
+    if (IsPlatform(*expr.a, dsl::kMath)) {
       return EvalMathCall(expr);
     }
 
@@ -651,162 +790,151 @@ class Interp {
       }
       return args[i].AsNumber();
     };
-    if (expr.text == "abs") return Value::Number(std::abs(num(0)));
-    if (expr.text == "max") return Value::Number(std::max(num(0), num(1)));
-    if (expr.text == "min") return Value::Number(std::min(num(0), num(1)));
-    if (expr.text == "round") return Value::Number(std::round(num(0)));
-    if (expr.text == "floor") return Value::Number(std::floor(num(0)));
-    if (expr.text == "ceil") return Value::Number(std::ceil(num(0)));
-    Fail(expr.line, "unknown Math function '" + expr.text + "'");
-  }
-
-  Value CallClosure(const Expr& closure, const ValueList& args) {
-    scopes_.emplace_back();
-    if (closure.params.empty()) {
-      scopes_.back()["it"] = args.empty() ? Value::Null() : args[0];
-    } else {
-      for (std::size_t i = 0; i < closure.params.size(); ++i) {
-        scopes_.back()[closure.params[i]] =
-            i < args.size() ? args[i] : Value::Null();
-      }
+    switch (expr.builtin) {
+      case dsl::kAbs: return Value::Number(std::abs(num(0)));
+      case dsl::kMax: return Value::Number(std::max(num(0), num(1)));
+      case dsl::kMin: return Value::Number(std::min(num(0), num(1)));
+      case dsl::kRound: return Value::Number(std::round(num(0)));
+      case dsl::kFloor: return Value::Number(std::floor(num(0)));
+      case dsl::kCeil: return Value::Number(std::ceil(num(0)));
+      default:
+        Fail(expr.line, "unknown Math function '" + expr.text + "'");
     }
-    Value result;
-    try {
-      result = ExecBody(closure.body);
-    } catch (const ReturnSignal& ret) {
-      result = ret.value;
-    }
-    scopes_.pop_back();
-    return result;
   }
 
   Value EvalFreeCall(const Expr& expr) {
-    const std::string& name = expr.text;
-
-    // Lifecycle/registration APIs are modeled statically; at runtime they
-    // are inert (the Model Generator already registered callbacks, §8).
-    if (name == "subscribe" || name == "unschedule" || name == "pause" ||
-        name == "initialize" || name == "updated") {
-      for (const dsl::ExprPtr& arg : expr.items) {
-        if (arg->kind != ExprKind::kIdent) Eval(*arg);
-      }
-      return Value::Null();
-    }
-    if (name == "unsubscribe") {
-      log_.api_calls.push_back({ApiCallRecord::Kind::kUnsubscribe,
-                                app_index_, app_.config.label, false,
-                                expr.line});
-      if (notes_) Trace(expr.line, "unsubscribe()");
-      return Value::Null();
-    }
-    if (name == "runIn" || name == "runOnce") {
-      if (expr.items.size() >= 2) {
-        RegisterTimer(HandlerName(*expr.items[1]), expr.line);
-      }
-      return Value::Null();
-    }
-    if (name == "schedule") {
-      return Value::Null();  // recurring schedules fire via timer ticks
-    }
-    if (strings::StartsWith(name, "runEvery")) {
-      return Value::Null();
-    }
-    if (name == "setLocationMode") {
-      if (expr.items.empty()) Fail(expr.line, "setLocationMode needs a mode");
-      Value mode = Eval(*expr.items[0]);
-      if (!mode.is_string()) Fail(expr.line, "mode must be a string");
-      SetLocationMode(mode.AsString(), expr.line);
-      return Value::Null();
-    }
-    if (name == "sendLocationEvent") {
-      for (const dsl::NamedArg& arg : expr.named) {
-        if (arg.name == "value") {
-          Value mode = Eval(*arg.value);
-          if (mode.is_string()) SetLocationMode(mode.AsString(), expr.line);
+    switch (expr.builtin) {
+      // Lifecycle/registration APIs are modeled statically; at runtime
+      // they are inert (the Model Generator already registered
+      // callbacks, §8).
+      case dsl::kSubscribe:
+      case dsl::kUnschedule:
+      case dsl::kPause:
+      case dsl::kInitialize:
+      case dsl::kUpdated:
+        for (const dsl::ExprPtr& arg : expr.items) {
+          if (arg->kind != ExprKind::kIdent) Eval(*arg);
         }
+        return Value::Null();
+      case dsl::kUnsubscribe:
+        log_.api_calls.push_back({ApiCallRecord::Kind::kUnsubscribe,
+                                  app_index_, app_.config.label, false,
+                                  expr.line});
+        if (notes_) Trace(expr.line, "unsubscribe()");
+        return Value::Null();
+      case dsl::kRunIn:
+      case dsl::kRunOnce:
+        if (expr.items.size() >= 2) {
+          RegisterTimer(HandlerName(*expr.items[1]), expr.line);
+        }
+        return Value::Null();
+      case dsl::kSchedule:
+      case dsl::kRunEvery:
+        return Value::Null();  // recurring schedules fire via timer ticks
+      case dsl::kSetLocationMode: {
+        if (expr.items.empty()) Fail(expr.line, "setLocationMode needs a mode");
+        Value mode = Eval(*expr.items[0]);
+        if (!mode.is_string()) Fail(expr.line, "mode must be a string");
+        SetLocationMode(mode.AsString(), expr.line);
+        return Value::Null();
       }
-      return Value::Null();
-    }
-    if (name == "sendEvent" || name == "createFakeEvent") {
-      EmitFakeEvent(expr);
-      return Value::Null();
-    }
-    if (name == "sendSms" || name == "sendSmsMessage") {
-      ApiCallRecord record;
-      record.kind = ApiCallRecord::Kind::kSms;
-      record.app = app_index_;
-      record.line = expr.line;
-      if (!expr.items.empty()) {
-        Value to = Eval(*expr.items[0]);
-        record.detail = to.ToDisplayString();
-        record.recipient_mismatch =
-            record.detail != model_.deployment().contact_phone;
+      case dsl::kSendLocationEvent:
+        for (const dsl::NamedArg& arg : expr.named) {
+          if (arg.name == "value") {
+            Value mode = Eval(*arg.value);
+            if (mode.is_string()) SetLocationMode(mode.AsString(), expr.line);
+          }
+        }
+        return Value::Null();
+      case dsl::kSendEvent:
+      case dsl::kCreateFakeEvent:
+        EmitFakeEvent(expr);
+        return Value::Null();
+      case dsl::kSendSms:
+      case dsl::kSendSmsMessage: {
+        ApiCallRecord record;
+        record.kind = ApiCallRecord::Kind::kSms;
+        record.app = app_index_;
+        record.line = expr.line;
+        if (!expr.items.empty()) {
+          Value to = Eval(*expr.items[0]);
+          record.detail = to.ToDisplayString();
+          record.recipient_mismatch =
+              record.detail != model_.deployment().contact_phone;
+        }
+        if (expr.items.size() > 1) Eval(*expr.items[1]);
+        if (!record.recipient_mismatch) log_.user_notified = true;
+        log_.api_calls.push_back(std::move(record));
+        if (notes_) Trace(expr.line, "sendSms(...)");
+        return Value::Null();
       }
-      if (expr.items.size() > 1) Eval(*expr.items[1]);
-      if (!record.recipient_mismatch) log_.user_notified = true;
-      log_.api_calls.push_back(std::move(record));
-      if (notes_) Trace(expr.line, "sendSms(...)");
-      return Value::Null();
-    }
-    if (name == "sendPush" || name == "sendPushMessage" ||
-        name == "sendNotification" || name == "sendNotificationEvent" ||
-        name == "sendNotificationToContacts") {
-      for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
-      log_.api_calls.push_back({ApiCallRecord::Kind::kPush, app_index_,
-                                "push", false, expr.line});
-      log_.user_notified = true;
-      if (notes_) Trace(expr.line, "sendPush(...)");
-      return Value::Null();
-    }
-    if (name == "httpPost" || name == "httpGet" || name == "httpPostJson") {
-      std::string detail;
-      if (!expr.items.empty()) detail = Eval(*expr.items[0]).ToDisplayString();
-      log_.api_calls.push_back({ApiCallRecord::Kind::kHttp, app_index_,
-                                detail, false, expr.line});
-      if (notes_) Trace(expr.line, name + "(...)");
-      return Value::Null();
-    }
-    if (name == "getAllDevices" || name == "getChildDevices" ||
-        name == "findAllDevices" || name == "discoverDevices") {
-      // Dynamic-discovery extension: hand the app every installed device.
-      if (!model_.options().dynamic_discovery) {
-        Fail(expr.line, "dynamic device discovery is disabled (enable the "
-                        "extension to check this app)");
+      case dsl::kSendPush:
+      case dsl::kSendPushMessage:
+      case dsl::kSendNotification:
+      case dsl::kSendNotificationEvent:
+      case dsl::kSendNotificationToContacts:
+        for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
+        log_.api_calls.push_back({ApiCallRecord::Kind::kPush, app_index_,
+                                  "push", false, expr.line});
+        log_.user_notified = true;
+        if (notes_) Trace(expr.line, "sendPush(...)");
+        return Value::Null();
+      case dsl::kHttpPost:
+      case dsl::kHttpGet:
+      case dsl::kHttpPostJson: {
+        std::string detail;
+        if (!expr.items.empty()) {
+          detail = Eval(*expr.items[0]).ToDisplayString();
+        }
+        log_.api_calls.push_back({ApiCallRecord::Kind::kHttp, app_index_,
+                                  detail, false, expr.line});
+        if (notes_) Trace(expr.line, expr.text + "(...)");
+        return Value::Null();
       }
-      ValueList all;
-      for (std::size_t d = 0; d < model_.devices().size(); ++d) {
-        all.push_back(Value::Device(static_cast<int>(d)));
+      case dsl::kGetAllDevices:
+      case dsl::kGetChildDevices:
+      case dsl::kFindAllDevices:
+      case dsl::kDiscoverDevices: {
+        // Dynamic-discovery extension: hand the app every installed device.
+        if (!model_.options().dynamic_discovery) {
+          Fail(expr.line, "dynamic device discovery is disabled (enable the "
+                          "extension to check this app)");
+        }
+        ValueList all;
+        for (std::size_t d = 0; d < model_.devices().size(); ++d) {
+          all.push_back(Value::Device(static_cast<int>(d)));
+        }
+        return Value::List(std::move(all));
       }
-      return Value::List(std::move(all));
-    }
-    if (name == "now") return Value::Number(0);
-    if (name == "timeOfDayIsBetween") {
-      // Wall-clock windows are abstracted away: the checker enumerates
-      // event permutations regardless of clock time (paper §8 models time
-      // as a monotonic counter; guards on it are kept permissive so no
-      // behaviour is missed).
-      for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
-      return Value::Bool(true);
-    }
-    if (name == "getSunriseAndSunset") {
-      ValueMap result;
-      result["sunrise"] = Value::Number(6 * 3600);
-      result["sunset"] = Value::Number(18 * 3600);
-      return Value::Map(std::move(result));
-    }
-    if (name == "parseJson") {
-      for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
-      return Value::Map({});
+      case dsl::kNow:
+        return Value::Number(0);
+      case dsl::kTimeOfDayIsBetween:
+        // Wall-clock windows are abstracted away: the checker enumerates
+        // event permutations regardless of clock time (paper §8 models
+        // time as a monotonic counter; guards on it are kept permissive
+        // so no behaviour is missed).
+        for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
+        return Value::Bool(true);
+      case dsl::kGetSunriseAndSunset: {
+        ValueMap result;
+        result["sunrise"] = Value::Number(6 * 3600);
+        result["sunset"] = Value::Number(18 * 3600);
+        return Value::Map(std::move(result));
+      }
+      case dsl::kParseJson:
+        for (const dsl::ExprPtr& arg : expr.items) Eval(*arg);
+        return Value::Map({});
+      default:
+        break;
     }
 
     // User-defined method.
-    if (const dsl::MethodDecl* method =
-            app_.analysis.app.FindMethod(name)) {
+    if (expr.method != nullptr) {
       ValueList args;
       for (const dsl::ExprPtr& arg : expr.items) args.push_back(Eval(*arg));
-      return CallMethod(*method, args);
+      return CallMethod(*expr.method, args);
     }
-    Fail(expr.line, "unknown function '" + name + "'");
+    Fail(expr.line, "unknown function '" + expr.text + "'");
   }
 
   std::string HandlerName(const Expr& arg) {
@@ -818,8 +946,8 @@ class Interp {
 
   void RegisterTimer(const std::string& handler, int line) {
     if (handler.empty()) return;
-    for (std::size_t s = 0; s < app_.analysis.schedules.size(); ++s) {
-      const ir::ScheduleInfo& schedule = app_.analysis.schedules[s];
+    for (std::size_t s = 0; s < app_.analysis->schedules.size(); ++s) {
+      const ir::ScheduleInfo& schedule = app_.analysis->schedules[s];
       if (schedule.handler != handler || schedule.recurring) continue;
       TimerEntry entry{app_index_, static_cast<int>(s)};
       for (const TimerEntry& pending : state_.timers) {
@@ -889,8 +1017,6 @@ class Interp {
   }
 
   Value EvalMethodCall(const Value& recv, const Expr& expr) {
-    const std::string& name = expr.text;
-
     if (recv.is_device()) {
       return DeviceCall(recv.DeviceIndex(), expr);
     }
@@ -901,54 +1027,69 @@ class Interp {
       return StringCall(recv.AsString(), expr);
     }
     if (recv.is_number()) {
-      if (name == "toInteger" || name == "intValue" || name == "toLong") {
-        return Value::Number(std::floor(recv.AsNumber()));
-      }
-      if (name == "toDouble" || name == "toFloat" ||
-          name == "toBigDecimal") {
-        return recv;
-      }
-      if (name == "toString") {
-        return Value::String(recv.ToDisplayString());
+      switch (expr.builtin) {
+        case dsl::kToInteger:
+        case dsl::kIntValue:
+        case dsl::kToLong:
+          return Value::Number(std::floor(recv.AsNumber()));
+        case dsl::kToDouble:
+        case dsl::kToFloat:
+        case dsl::kToBigDecimal:
+          return recv;
+        case dsl::kToString:
+          return Value::String(recv.ToDisplayString());
+        default:
+          break;
       }
     }
     if (recv.is_map()) {
-      if (name == "get") {
-        Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
-        auto it = recv.AsMap().find(key.ToDisplayString());
-        return it != recv.AsMap().end() ? it->second : Value::Null();
+      switch (expr.builtin) {
+        case dsl::kGet: {
+          Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
+          auto it = recv.AsMap().find(key.ToDisplayString());
+          return it != recv.AsMap().end() ? it->second : Value::Null();
+        }
+        case dsl::kContainsKey: {
+          Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
+          return Value::Bool(recv.AsMap().count(key.ToDisplayString()) > 0);
+        }
+        case dsl::kToString:
+          return Value::String(recv.ToDisplayString());
+        default:
+          break;
       }
-      if (name == "containsKey") {
-        Value key = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
-        return Value::Bool(recv.AsMap().count(key.ToDisplayString()) > 0);
-      }
-      if (name == "toString") return Value::String(recv.ToDisplayString());
     }
-    Fail(expr.line, "unsupported method '" + name + "' on " +
+    Fail(expr.line, "unsupported method '" + expr.text + "' on " +
                         recv.ToDisplayString());
   }
 
   Value DeviceCall(int device_index, const Expr& expr) {
-    const std::string& name = expr.text;
     const devices::Device& device = model_.devices()[device_index];
+    switch (expr.builtin) {
+      case dsl::kCurrentValue:
+      case dsl::kLatestValue: {
+        if (expr.items.empty()) {
+          Fail(expr.line, "currentValue needs an attribute");
+        }
+        Value attr = Eval(*expr.items[0]);
+        return ReadAttribute(device_index, attr.ToDisplayString(), expr.line);
+      }
+      case dsl::kHasCapability: {
+        if (expr.items.empty()) return Value::Bool(false);
+        Value cap = Eval(*expr.items[0]);
+        return Value::Bool(device.type().HasCapability(
+            strings::ToLower(cap.ToDisplayString())));
+      }
+      case dsl::kRefresh:
+      case dsl::kPoll:
+      case dsl::kPing:
+      case dsl::kConfigure:
+        return Value::Null();
+      default:
+        break;
+    }
 
-    if (name == "currentValue" || name == "latestValue") {
-      if (expr.items.empty()) Fail(expr.line, "currentValue needs an attribute");
-      Value attr = Eval(*expr.items[0]);
-      return ReadAttribute(device_index, attr.ToDisplayString(), expr.line);
-    }
-    if (name == "hasCapability") {
-      if (expr.items.empty()) return Value::Bool(false);
-      Value cap = Eval(*expr.items[0]);
-      return Value::Bool(
-          device.type().HasCapability(strings::ToLower(cap.ToDisplayString())));
-    }
-    if (name == "refresh" || name == "poll" || name == "ping" ||
-        name == "configure") {
-      return Value::Null();
-    }
-
-    const devices::CommandSpec* spec = device.type().FindCommand(name);
+    const devices::CommandSpec* spec = device.type().FindCommand(expr.text);
     if (spec == nullptr) {
       // Under the dynamic-discovery extension apps blanket-command every
       // device they found; devices without the command ignore it (the
@@ -958,7 +1099,7 @@ class Interp {
         return Value::Null();
       }
       Fail(expr.line, "device '" + device.id() + "' has no command '" +
-                          name + "'");
+                          expr.text + "'");
     }
     ValueList args;
     for (const dsl::ExprPtr& arg : expr.items) args.push_back(Eval(*arg));
@@ -1025,7 +1166,6 @@ class Interp {
   }
 
   Value ListCall(const Value& recv, const Expr& expr) {
-    const std::string& name = expr.text;
     const ValueList& items = recv.AsList();
 
     // Device-list broadcast: switches.on() commands every member.
@@ -1037,7 +1177,7 @@ class Interp {
       if (all_devices) {
         const devices::Device& first =
             model_.devices()[items.front().DeviceIndex()];
-        if (first.type().FindCommand(name) != nullptr) {
+        if (first.type().FindCommand(expr.text) != nullptr) {
           ValueList args;
           for (const dsl::ExprPtr& arg : expr.items) {
             args.push_back(Eval(*arg));
@@ -1046,7 +1186,7 @@ class Interp {
             const devices::Device& device =
                 model_.devices()[item.DeviceIndex()];
             if (const devices::CommandSpec* spec =
-                    device.type().FindCommand(name)) {
+                    device.type().FindCommand(expr.text)) {
               ExecuteCommand(item.DeviceIndex(), *spec, args, expr.line);
             }
           }
@@ -1062,155 +1202,158 @@ class Interp {
     }
     auto apply = [this, closure](const Value& item) -> Value {
       if (closure == nullptr) return item;
-      return CallClosure(*closure, {item});
+      return CallClosure(*closure, item);
     };
 
-    if (name == "each") {
-      for (const Value& item : items) apply(item);
-      return recv;
-    }
-    if (name == "find") {
-      for (const Value& item : items) {
-        if (apply(item).Truthy()) return item;
-      }
-      return Value::Null();
-    }
-    if (name == "findAll") {
-      ValueList out;
-      for (const Value& item : items) {
-        if (apply(item).Truthy()) out.push_back(item);
-      }
-      return Value::List(std::move(out));
-    }
-    if (name == "collect") {
-      ValueList out;
-      for (const Value& item : items) out.push_back(apply(item));
-      return Value::List(std::move(out));
-    }
-    if (name == "any") {
-      for (const Value& item : items) {
-        if (apply(item).Truthy()) return Value::Bool(true);
-      }
-      return Value::Bool(false);
-    }
-    if (name == "every") {
-      for (const Value& item : items) {
-        if (!apply(item).Truthy()) return Value::Bool(false);
-      }
-      return Value::Bool(true);
-    }
-    if (name == "count") {
-      int matched = 0;
-      for (const Value& item : items) {
-        if (apply(item).Truthy()) ++matched;
-      }
-      return Value::Number(matched);
-    }
-    if (name == "first") {
-      return items.empty() ? Value::Null() : items.front();
-    }
-    if (name == "last") {
-      return items.empty() ? Value::Null() : items.back();
-    }
-    if (name == "size") {
-      return Value::Number(static_cast<double>(items.size()));
-    }
-    if (name == "isEmpty") return Value::Bool(items.empty());
-    if (name == "contains") {
-      Value needle = expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
-      for (const Value& item : items) {
-        if (item.Equals(needle)) return Value::Bool(true);
-      }
-      return Value::Bool(false);
-    }
-    if (name == "sum") {
-      double total = 0;
-      for (const Value& item : items) {
-        Value v = apply(item);
-        if (v.is_number()) total += v.AsNumber();
-      }
-      return Value::Number(total);
-    }
-    if (name == "join") {
-      std::string sep =
-          expr.items.empty() ? "" : Eval(*expr.items[0]).ToDisplayString();
-      std::string out;
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i > 0) out += sep;
-        out += items[i].ToDisplayString();
-      }
-      return Value::String(std::move(out));
-    }
-    if (name == "unique" || name == "sort" || name == "reverse" ||
-        name == "flatten") {
-      ValueList out = items;
-      if (name == "reverse") std::reverse(out.begin(), out.end());
-      if (name == "unique") {
-        ValueList deduped;
-        for (const Value& item : out) {
-          bool seen = false;
-          for (const Value& existing : deduped) {
-            seen = seen || existing.Equals(item);
-          }
-          if (!seen) deduped.push_back(item);
+    switch (expr.builtin) {
+      case dsl::kEach:
+        for (const Value& item : items) apply(item);
+        return recv;
+      case dsl::kFind:
+        for (const Value& item : items) {
+          if (apply(item).Truthy()) return item;
         }
-        out = std::move(deduped);
+        return Value::Null();
+      case dsl::kFindAll: {
+        ValueList out;
+        for (const Value& item : items) {
+          if (apply(item).Truthy()) out.push_back(item);
+        }
+        return Value::List(std::move(out));
       }
-      return Value::List(std::move(out));
+      case dsl::kCollect: {
+        ValueList out;
+        for (const Value& item : items) out.push_back(apply(item));
+        return Value::List(std::move(out));
+      }
+      case dsl::kAny:
+        for (const Value& item : items) {
+          if (apply(item).Truthy()) return Value::Bool(true);
+        }
+        return Value::Bool(false);
+      case dsl::kEvery:
+        for (const Value& item : items) {
+          if (!apply(item).Truthy()) return Value::Bool(false);
+        }
+        return Value::Bool(true);
+      case dsl::kCount: {
+        int matched = 0;
+        for (const Value& item : items) {
+          if (apply(item).Truthy()) ++matched;
+        }
+        return Value::Number(matched);
+      }
+      case dsl::kFirst:
+        return items.empty() ? Value::Null() : items.front();
+      case dsl::kLast:
+        return items.empty() ? Value::Null() : items.back();
+      case dsl::kSize:
+        return Value::Number(static_cast<double>(items.size()));
+      case dsl::kIsEmpty:
+        return Value::Bool(items.empty());
+      case dsl::kContains: {
+        Value needle =
+            expr.items.empty() ? Value::Null() : Eval(*expr.items[0]);
+        for (const Value& item : items) {
+          if (item.Equals(needle)) return Value::Bool(true);
+        }
+        return Value::Bool(false);
+      }
+      case dsl::kSum: {
+        double total = 0;
+        for (const Value& item : items) {
+          Value v = apply(item);
+          if (v.is_number()) total += v.AsNumber();
+        }
+        return Value::Number(total);
+      }
+      case dsl::kJoin: {
+        std::string sep =
+            expr.items.empty() ? "" : Eval(*expr.items[0]).ToDisplayString();
+        std::string out;
+        for (std::size_t i = 0; i < items.size(); ++i) {
+          if (i > 0) out += sep;
+          out += items[i].ToDisplayString();
+        }
+        return Value::String(std::move(out));
+      }
+      case dsl::kUnique:
+      case dsl::kSort:
+      case dsl::kReverse:
+      case dsl::kFlatten: {
+        ValueList out = items;
+        if (expr.builtin == dsl::kReverse) std::reverse(out.begin(), out.end());
+        if (expr.builtin == dsl::kUnique) {
+          ValueList deduped;
+          for (const Value& item : out) {
+            bool seen = false;
+            for (const Value& existing : deduped) {
+              seen = seen || existing.Equals(item);
+            }
+            if (!seen) deduped.push_back(item);
+          }
+          out = std::move(deduped);
+        }
+        return Value::List(std::move(out));
+      }
+      default:
+        Fail(expr.line, "unsupported list method '" + expr.text + "'");
     }
-    Fail(expr.line, "unsupported list method '" + name + "'");
   }
 
   Value StringCall(const std::string& recv, const Expr& expr) {
-    const std::string& name = expr.text;
     auto arg0 = [this, &expr]() -> std::string {
       return expr.items.empty() ? ""
                                 : Eval(*expr.items[0]).ToDisplayString();
     };
-    if (name == "toInteger" || name == "toLong") {
-      return Value::Number(std::atoi(recv.c_str()));
-    }
-    if (name == "toDouble" || name == "toFloat" || name == "toBigDecimal") {
-      return Value::Number(std::atof(recv.c_str()));
-    }
-    if (name == "toLowerCase") return Value::String(strings::ToLower(recv));
-    if (name == "toUpperCase") {
-      std::string out = recv;
-      for (char& c : out) {
-        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    switch (expr.builtin) {
+      case dsl::kToInteger:
+      case dsl::kToLong:
+        return Value::Number(std::atoi(recv.c_str()));
+      case dsl::kToDouble:
+      case dsl::kToFloat:
+      case dsl::kToBigDecimal:
+        return Value::Number(std::atof(recv.c_str()));
+      case dsl::kToLowerCase:
+        return Value::String(strings::ToLower(recv));
+      case dsl::kToUpperCase: {
+        std::string out = recv;
+        for (char& c : out) {
+          c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        }
+        return Value::String(std::move(out));
       }
-      return Value::String(std::move(out));
+      case dsl::kTrim:
+        return Value::String(std::string(strings::Trim(recv)));
+      case dsl::kContains:
+        return Value::Bool(recv.find(arg0()) != std::string::npos);
+      case dsl::kStartsWith:
+        return Value::Bool(strings::StartsWith(recv, arg0()));
+      case dsl::kEndsWith:
+        return Value::Bool(strings::EndsWith(recv, arg0()));
+      case dsl::kEqualsIgnoreCase:
+        return Value::Bool(strings::ToLower(recv) == strings::ToLower(arg0()));
+      case dsl::kReplaceAll: {
+        std::string from = arg0();
+        std::string to = expr.items.size() > 1
+                             ? Eval(*expr.items[1]).ToDisplayString()
+                             : "";
+        return Value::String(strings::ReplaceAll(recv, from, to));
+      }
+      case dsl::kLength:
+      case dsl::kSize:
+        return Value::Number(static_cast<double>(recv.size()));
+      case dsl::kToString:
+        return Value::String(recv);
+      case dsl::kIsNumber: {
+        char* end = nullptr;
+        std::strtod(recv.c_str(), &end);
+        return Value::Bool(!recv.empty() &&
+                           end == recv.c_str() + recv.size());
+      }
+      default:
+        Fail(expr.line, "unsupported string method '" + expr.text + "'");
     }
-    if (name == "trim") return Value::String(std::string(strings::Trim(recv)));
-    if (name == "contains") {
-      return Value::Bool(recv.find(arg0()) != std::string::npos);
-    }
-    if (name == "startsWith") {
-      return Value::Bool(strings::StartsWith(recv, arg0()));
-    }
-    if (name == "endsWith") {
-      return Value::Bool(strings::EndsWith(recv, arg0()));
-    }
-    if (name == "equalsIgnoreCase") {
-      return Value::Bool(strings::ToLower(recv) == strings::ToLower(arg0()));
-    }
-    if (name == "replaceAll") {
-      std::string from = arg0();
-      std::string to = expr.items.size() > 1
-                           ? Eval(*expr.items[1]).ToDisplayString()
-                           : "";
-      return Value::String(strings::ReplaceAll(recv, from, to));
-    }
-    if (name == "length" || name == "size") {
-      return Value::Number(static_cast<double>(recv.size()));
-    }
-    if (name == "toString") return Value::String(recv);
-    if (name == "isNumber") {
-      char* end = nullptr;
-      std::strtod(recv.c_str(), &end);
-      return Value::Bool(!recv.empty() && end == recv.c_str() + recv.size());
-    }
-    Fail(expr.line, "unsupported string method '" + name + "'");
   }
 };
 
@@ -1226,10 +1369,11 @@ Evaluator::Evaluator(const SystemModel& model, SystemState& state,
       failure_(failure),
       notes_(notes) {}
 
-void Evaluator::InvokeHandler(int app, const std::string& method,
+void Evaluator::InvokeHandler(int app, const std::string& name,
+                              const dsl::MethodDecl* method,
                               const devices::Event* event) {
   Interp interp(model_, state_, queue_, log_, failure_, app, notes_);
-  interp.Invoke(method, event);
+  interp.Invoke(name, method, event);
 }
 
 }  // namespace iotsan::model

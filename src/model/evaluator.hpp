@@ -27,10 +27,13 @@ class Evaluator {
             std::deque<devices::Event>& queue, CascadeLog& log,
             const FailureScenario& failure, bool notes = false);
 
-  /// Invokes `method` of app `app`, passing `event` (may be null for
-  /// timer fires) as the handler's parameter.  Throws iotsan::Error on
-  /// runtime errors (step budget exceeded, state-map misuse).
-  void InvokeHandler(int app, const std::string& method,
+  /// Invokes handler `method`, named `name`, of app `app`, passing
+  /// `event` (may be null) as the handler's parameter.  A null `method`
+  /// (the app has no method `name`) is a runtime error.  Throws
+  /// iotsan::Error on runtime errors (step budget exceeded, state-map
+  /// misuse).
+  void InvokeHandler(int app, const std::string& name,
+                     const dsl::MethodDecl* method,
                      const devices::Event* event);
 
   /// Evaluation step budget per handler invocation; generous for real

@@ -86,7 +86,7 @@ FootprintIndex::FootprintIndex(const SystemModel& model) : model_(model) {
   triggers_.resize(model.apps().size());
   for (int a = 0; a < static_cast<int>(model.apps().size()); ++a) {
     const InstalledApp& app = model.apps()[static_cast<std::size_t>(a)];
-    const std::size_t n = app.analysis.handlers.size();
+    const std::size_t n = app.analysis->handlers.size();
     handler_fp_[static_cast<std::size_t>(a)].resize(n);
     handler_cone_[static_cast<std::size_t>(a)].resize(n);
     triggers_[static_cast<std::size_t>(a)].resize(n);
@@ -166,21 +166,21 @@ FootprintIndex::FootprintIndex(const SystemModel& model) : model_(model) {
   }
   for (int a = 0; a < static_cast<int>(model.apps().size()); ++a) {
     const InstalledApp& app = model.apps()[static_cast<std::size_t>(a)];
-    for (int s = 0; s < static_cast<int>(app.analysis.schedules.size()); ++s) {
+    for (int s = 0; s < static_cast<int>(app.analysis->schedules.size()); ++s) {
       auto [it, inserted] = timer_events_.try_emplace(std::make_pair(a, s),
                                                       EventFootprints{blank, blank});
       (void)inserted;
       merge_handler(
           it->second, a,
           HandlerIndexOf(
-              a, app.analysis.schedules[static_cast<std::size_t>(s)].handler));
+              a, app.analysis->schedules[static_cast<std::size_t>(s)].handler));
     }
   }
 }
 
 int FootprintIndex::HandlerIndexOf(int app, const std::string& name) const {
   const auto& handlers =
-      model_.apps()[static_cast<std::size_t>(app)].analysis.handlers;
+      model_.apps()[static_cast<std::size_t>(app)].analysis->handlers;
   for (int h = 0; h < static_cast<int>(handlers.size()); ++h) {
     if (handlers[static_cast<std::size_t>(h)].name == name) return h;
   }
@@ -190,7 +190,7 @@ int FootprintIndex::HandlerIndexOf(int app, const std::string& name) const {
 void FootprintIndex::ResolveHandler(int app, int h) {
   const InstalledApp& installed = model_.apps()[static_cast<std::size_t>(app)];
   const ir::HandlerInfo& handler =
-      installed.analysis.handlers[static_cast<std::size_t>(h)];
+      installed.analysis->handlers[static_cast<std::size_t>(h)];
   const deps::PatternFootprint pattern = deps::FootprintOf(handler);
   const std::size_t a = static_cast<std::size_t>(app);
 
@@ -218,8 +218,8 @@ void FootprintIndex::ResolveHandler(int app, int h) {
       }
       return true;
     }
-    auto it = installed.bindings.find(p.input);
-    if (it == installed.bindings.end()) return false;
+    const Value* binding = installed.Binding(p.input);
+    if (binding == nullptr) return false;
     auto add_device = [&](const Value& v) {
       if (!v.is_device()) return false;
       const int d = v.DeviceIndex();
@@ -228,13 +228,13 @@ void FootprintIndex::ResolveHandler(int app, int h) {
       if (attr >= 0) out.emplace_back(d, attr);
       return true;
     };
-    if (it->second.is_list()) {
-      for (const Value& v : it->second.AsList()) {
+    if (binding->is_list()) {
+      for (const Value& v : binding->AsList()) {
         if (!add_device(v)) return false;
       }
       return true;
     }
-    return add_device(it->second);
+    return add_device(*binding);
   };
 
   std::vector<std::pair<int, int>> slots;

@@ -8,16 +8,46 @@
 
 namespace iotsan::model {
 
-SystemModel::SystemModel(config::Deployment deployment,
-                         std::vector<ir::AnalyzedApp> analyzed,
-                         const ModelOptions& options)
+namespace {
+
+std::vector<std::shared_ptr<const ir::AnalyzedApp>> Share(
+    std::vector<ir::AnalyzedApp> analyzed) {
+  std::vector<std::shared_ptr<const ir::AnalyzedApp>> shared;
+  shared.reserve(analyzed.size());
+  for (ir::AnalyzedApp& app : analyzed) {
+    shared.push_back(std::make_shared<const ir::AnalyzedApp>(std::move(app)));
+  }
+  return shared;
+}
+
+}  // namespace
+
+const Value* InstalledApp::Binding(std::string_view input) const {
+  const std::vector<dsl::InputDecl>& inputs = analysis->app.inputs;
+  for (std::size_t i = inputs.size(); i-- > 0;) {
+    if (inputs[i].name == input) return &bindings[i];
+  }
+  return nullptr;
+}
+
+SystemModel::SystemModel(
+    config::Deployment deployment,
+    std::vector<std::shared_ptr<const ir::AnalyzedApp>> analyzed,
+    const ModelOptions& options)
     : deployment_(std::move(deployment)), options_(options) {
   BuildDevices();
   ResolveApps(std::move(analyzed));
   ResolveSubscriptions();
+  IndexSubscribers();
   BuildExternalEvents();
   SelectProperties(props::BuiltinProperties());
 }
+
+SystemModel::SystemModel(config::Deployment deployment,
+                         std::vector<ir::AnalyzedApp> analyzed,
+                         const ModelOptions& options)
+    : SystemModel(std::move(deployment), Share(std::move(analyzed)),
+                  options) {}
 
 void SystemModel::BuildDevices() {
   for (const config::DeviceConfig& cfg : deployment_.devices) {
@@ -37,18 +67,20 @@ int SystemModel::DeviceIndex(const std::string& id) const {
   return -1;
 }
 
-void SystemModel::ResolveApps(std::vector<ir::AnalyzedApp> analyzed) {
+void SystemModel::ResolveApps(
+    std::vector<std::shared_ptr<const ir::AnalyzedApp>> analyzed) {
   for (const config::AppConfig& app_cfg : deployment_.apps) {
     // Find (and consume) the analyzed app with this name.
-    auto it = std::find_if(analyzed.begin(), analyzed.end(),
-                           [&app_cfg](const ir::AnalyzedApp& a) {
-                             return a.app.name == app_cfg.app;
-                           });
+    auto it = std::find_if(
+        analyzed.begin(), analyzed.end(),
+        [&app_cfg](const std::shared_ptr<const ir::AnalyzedApp>& a) {
+          return a->app.name == app_cfg.app;
+        });
     if (it == analyzed.end()) {
       throw ConfigError("deployment installs app '" + app_cfg.app +
                         "' but no such app source was provided");
     }
-    if (it->dynamic_device_discovery && !options_.dynamic_discovery) {
+    if ((*it)->dynamic_device_discovery && !options_.dynamic_discovery) {
       throw ConfigError(
           "app '" + app_cfg.app +
           "' discovers devices dynamically; IotSan cannot handle such apps "
@@ -56,17 +88,16 @@ void SystemModel::ResolveApps(std::vector<ir::AnalyzedApp> analyzed) {
           "to check it)");
     }
     InstalledApp installed;
-    // Multiple installs of the same app are allowed: clone the analysis
-    // by re-running it on a cloned AST would be wasteful; instead move if
-    // unique, otherwise re-analyze from the printed source.  Deployments
-    // in this codebase install each app once per group, so moving is the
-    // common path.
     installed.analysis = std::move(*it);
     analyzed.erase(it);
     installed.config = app_cfg;
     ResolveBindings(installed);
-    for (const ir::Subscription& sub : installed.analysis.subscriptions) {
+    for (const ir::Subscription& sub : installed.analysis->subscriptions) {
       if (sub.scope == ir::EventScope::kAppTouch) installed.touchable = true;
+    }
+    for (const ir::ScheduleInfo& schedule : installed.analysis->schedules) {
+      installed.schedule_handlers.push_back(
+          installed.analysis->app.FindMethod(schedule.handler));
     }
     apps_.push_back(std::move(installed));
   }
@@ -74,7 +105,11 @@ void SystemModel::ResolveApps(std::vector<ir::AnalyzedApp> analyzed) {
 
 void SystemModel::ResolveBindings(InstalledApp& app) {
   const std::string& label = app.config.label;
-  for (const dsl::InputDecl& input : app.analysis.app.inputs) {
+  const std::vector<dsl::InputDecl>& inputs = app.analysis->app.inputs;
+  app.bindings.resize(inputs.size());
+  for (std::size_t ordinal = 0; ordinal < inputs.size(); ++ordinal) {
+    const dsl::InputDecl& input = inputs[ordinal];
+    Value& bound_value = app.bindings[ordinal];
     auto bound = app.config.inputs.find(input.name);
     if (bound == app.config.inputs.end()) {
       if (input.required && input.default_value == nullptr) {
@@ -85,16 +120,12 @@ void SystemModel::ResolveBindings(InstalledApp& app) {
       if (input.default_value != nullptr) {
         const dsl::Expr& dflt = *input.default_value;
         if (dflt.kind == dsl::ExprKind::kNumberLit) {
-          app.bindings[input.name] = Value::Number(dflt.number_value);
+          bound_value = Value::Number(dflt.number_value);
         } else if (dflt.kind == dsl::ExprKind::kStringLit) {
-          app.bindings[input.name] = Value::String(dflt.text);
+          bound_value = Value::String(dflt.text);
         } else if (dflt.kind == dsl::ExprKind::kBoolLit) {
-          app.bindings[input.name] = Value::Bool(dflt.bool_value);
-        } else {
-          app.bindings[input.name] = Value::Null();
+          bound_value = Value::Bool(dflt.bool_value);
         }
-      } else {
-        app.bindings[input.name] = Value::Null();
       }
       continue;
     }
@@ -134,19 +165,19 @@ void SystemModel::ResolveBindings(InstalledApp& app) {
                           " were configured");
       }
       if (input.multiple) {
-        app.bindings[input.name] = Value::List(std::move(devices_list));
+        bound_value = Value::List(std::move(devices_list));
       } else {
-        app.bindings[input.name] = devices_list.front();
+        bound_value = devices_list.front();
       }
       continue;
     }
 
     if (binding.number.has_value()) {
-      app.bindings[input.name] = Value::Number(*binding.number);
+      bound_value = Value::Number(*binding.number);
     } else if (binding.text.has_value()) {
-      app.bindings[input.name] = Value::String(*binding.text);
+      bound_value = Value::String(*binding.text);
     } else if (binding.flag.has_value()) {
-      app.bindings[input.name] = Value::Bool(*binding.flag);
+      bound_value = Value::Bool(*binding.flag);
     } else {
       throw ConfigError("app '" + label + "': input '" + input.name +
                         "' has an incompatible binding");
@@ -157,11 +188,12 @@ void SystemModel::ResolveBindings(InstalledApp& app) {
 void SystemModel::ResolveSubscriptions() {
   for (std::size_t a = 0; a < apps_.size(); ++a) {
     const InstalledApp& app = apps_[a];
-    for (const ir::Subscription& sub : app.analysis.subscriptions) {
+    for (const ir::Subscription& sub : app.analysis->subscriptions) {
       ResolvedSubscription resolved;
       resolved.scope = sub.scope;
       resolved.app = static_cast<int>(a);
       resolved.handler = sub.handler;
+      resolved.method = app.analysis->app.FindMethod(sub.handler);
 
       switch (sub.scope) {
         case ir::EventScope::kAppTouch:
@@ -175,13 +207,13 @@ void SystemModel::ResolveSubscriptions() {
           break;
         }
         case ir::EventScope::kDevice: {
-          auto binding = app.bindings.find(sub.input);
-          if (binding == app.bindings.end()) break;
+          const Value* binding = app.Binding(sub.input);
+          if (binding == nullptr) break;
           ValueList targets;
-          if (binding->second.is_device()) {
-            targets.push_back(binding->second);
-          } else if (binding->second.is_list()) {
-            targets = binding->second.AsList();
+          if (binding->is_device()) {
+            targets.push_back(*binding);
+          } else if (binding->is_list()) {
+            targets = binding->AsList();
           } else {
             break;  // unbound optional input: no subscription
           }
@@ -213,34 +245,65 @@ void SystemModel::ResolveSubscriptions() {
   }
 }
 
-std::vector<const ResolvedSubscription*> SystemModel::Subscribers(
-    const devices::Event& event) const {
-  std::vector<const ResolvedSubscription*> out;
-  for (const ResolvedSubscription& sub : subscriptions_) {
-    switch (event.source) {
-      case devices::EventSource::kDevice:
-        if (sub.scope != ir::EventScope::kDevice) continue;
-        if (sub.device != event.device || sub.attribute != event.attribute) {
-          continue;
-        }
-        if (sub.value >= 0 && sub.value != event.value) continue;
-        out.push_back(&sub);
-        break;
-      case devices::EventSource::kLocationMode:
-        if (sub.scope != ir::EventScope::kLocationMode) continue;
-        if (sub.mode >= 0 && sub.mode != event.value) continue;
-        out.push_back(&sub);
-        break;
-      case devices::EventSource::kAppTouch:
-        if (sub.scope != ir::EventScope::kAppTouch) continue;
-        if (sub.app != event.app) continue;
-        out.push_back(&sub);
-        break;
-      case devices::EventSource::kTimer:
-        break;  // timers dispatch directly to their handler
+void SystemModel::IndexSubscribers() {
+  device_subscribers_.resize(devices_.size());
+  for (std::size_t d = 0; d < devices_.size(); ++d) {
+    for (const devices::AttributeSpec* attr : devices_[d].attributes()) {
+      device_subscribers_[d].emplace_back(
+          static_cast<std::size_t>(attr->domain_size()));
     }
   }
-  return out;
+  mode_subscribers_.resize(modes().size());
+  touch_subscribers_.resize(apps_.size());
+  for (std::size_t i = 0; i < subscriptions_.size(); ++i) {
+    const ResolvedSubscription& sub = subscriptions_[i];
+    const int index = static_cast<int>(i);
+    switch (sub.scope) {
+      case ir::EventScope::kDevice: {
+        auto& by_value = device_subscribers_[sub.device][sub.attribute];
+        for (std::size_t v = 0; v < by_value.size(); ++v) {
+          if (sub.value < 0 || sub.value == static_cast<int>(v)) {
+            by_value[v].push_back(index);
+          }
+        }
+        break;
+      }
+      case ir::EventScope::kLocationMode:
+        for (std::size_t m = 0; m < mode_subscribers_.size(); ++m) {
+          if (sub.mode < 0 || sub.mode == static_cast<int>(m)) {
+            mode_subscribers_[m].push_back(index);
+          }
+        }
+        break;
+      case ir::EventScope::kAppTouch:
+        touch_subscribers_[sub.app].push_back(index);
+        break;
+      case ir::EventScope::kTime:
+        break;
+    }
+  }
+}
+
+const std::vector<int>& SystemModel::Subscribers(
+    const devices::Event& event) const {
+  static const std::vector<int> kNone;
+  auto at = [](const std::vector<std::vector<int>>& lists,
+               int i) -> const std::vector<int>& {
+    return i >= 0 && static_cast<std::size_t>(i) < lists.size() ? lists[i]
+                                                                 : kNone;
+  };
+  switch (event.source) {
+    case devices::EventSource::kDevice:
+      return at(device_subscribers_[event.device][event.attribute],
+                event.value);
+    case devices::EventSource::kLocationMode:
+      return at(mode_subscribers_, event.value);
+    case devices::EventSource::kAppTouch:
+      return at(touch_subscribers_, event.app);
+    case devices::EventSource::kTimer:
+      break;  // timers dispatch directly to their handler
+  }
+  return kNone;
 }
 
 SystemState SystemModel::MakeInitialState() const {
@@ -276,16 +339,16 @@ void SystemModel::BuildExternalEvents() {
   }
   // State reads from handler summaries, resolved through bindings.
   for (const InstalledApp& app : apps_) {
-    for (const ir::HandlerInfo& handler : app.analysis.handlers) {
+    for (const ir::HandlerInfo& handler : app.analysis->handlers) {
       for (const ir::EventPattern& in : handler.inputs) {
         if (in.scope != ir::EventScope::kDevice || in.input.empty()) continue;
-        auto binding = app.bindings.find(in.input);
-        if (binding == app.bindings.end()) continue;
+        const Value* binding = app.Binding(in.input);
+        if (binding == nullptr) continue;
         ValueList targets;
-        if (binding->second.is_device()) {
-          targets.push_back(binding->second);
-        } else if (binding->second.is_list()) {
-          targets = binding->second.AsList();
+        if (binding->is_device()) {
+          targets.push_back(*binding);
+        } else if (binding->is_list()) {
+          targets = binding->AsList();
         }
         for (const Value& target : targets) {
           if (!target.is_device()) continue;
@@ -332,7 +395,7 @@ void SystemModel::BuildExternalEvents() {
   // deadline, §8).
   bool has_schedules = false;
   for (const InstalledApp& app : apps_) {
-    has_schedules = has_schedules || !app.analysis.schedules.empty();
+    has_schedules = has_schedules || !app.analysis->schedules.empty();
   }
   if (has_schedules) {
     ExternalEventSpec event;
@@ -392,7 +455,7 @@ int SystemModel::SelectProperties(
 int SystemModel::TotalHandlerCount() const {
   int count = 0;
   for (const InstalledApp& app : apps_) {
-    count += static_cast<int>(app.analysis.handlers.size());
+    count += static_cast<int>(app.analysis->handlers.size());
   }
   return count;
 }

@@ -9,9 +9,9 @@
 //   * bind the applicable safety properties via device roles.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/deployment.hpp"
@@ -34,16 +34,24 @@ struct ResolvedSubscription {
   int mode = -1;       // kLocationMode: required mode index; -1 = any
   int app = 0;
   std::string handler;
+  const dsl::MethodDecl* method = nullptr;  // null: the app has no `handler`
 };
 
 /// One installed app with its resolved configuration.
 struct InstalledApp {
-  ir::AnalyzedApp analysis;
+  /// The app's analysis, shared read-only with every other model built
+  /// from it.
+  std::shared_ptr<const ir::AnalyzedApp> analysis;
   config::AppConfig config;
-  /// Input name -> runtime value (Device / List of Device / Number /
-  /// String / Bool).
-  std::map<std::string, Value> bindings;
+  /// Each input's runtime value (Device / List of Device / Number /
+  /// String / Bool / null), by input ordinal.
+  std::vector<Value> bindings;
+  /// Each schedule's handler, by schedule index (null: no such method).
+  std::vector<const dsl::MethodDecl*> schedule_handlers;
   bool touchable = false;  // subscribes to app touch
+
+  /// The binding of the input named `input` (the last declared), or null.
+  const Value* Binding(std::string_view input) const;
 };
 
 /// External events the checker enumerates (Algorithm 1's "permutation
@@ -78,12 +86,19 @@ struct ModelOptions {
 class SystemModel {
  public:
   /// Builds the model.  Apps in `deployment.apps` are resolved against
-  /// `analyzed` by app name.  Throws iotsan::ConfigError on unresolvable
-  /// bindings, missing required inputs, or apps using dynamic device
-  /// discovery (unsupported, paper §11).
+  /// `analyzed` by app name, each analysis installed at most once.
+  /// Throws iotsan::ConfigError on unresolvable bindings, missing
+  /// required inputs, or apps using dynamic device discovery
+  /// (unsupported, paper §11).
   SystemModel(config::Deployment deployment,
               std::vector<ir::AnalyzedApp> analyzed,
               const ModelOptions& options = {});
+  /// The same over analyses other models may share (the related sets
+  /// of one check share each app's analysis).  `options` has no default
+  /// so that `SystemModel(deployment, {})` stays unambiguous.
+  SystemModel(config::Deployment deployment,
+              std::vector<std::shared_ptr<const ir::AnalyzedApp>> analyzed,
+              const ModelOptions& options);
 
   const config::Deployment& deployment() const { return deployment_; }
   const ModelOptions& options() const { return options_; }
@@ -96,9 +111,9 @@ class SystemModel {
 
   int DeviceIndex(const std::string& id) const;
 
-  /// Subscriptions matching a device event / mode change / app touch.
-  std::vector<const ResolvedSubscription*> Subscribers(
-      const devices::Event& event) const;
+  /// Indices into subscriptions() of those matching a device event /
+  /// mode change / app touch, in subscriptions() order.
+  const std::vector<int>& Subscribers(const devices::Event& event) const;
 
   /// The initial state: all devices at their first domain values, mode 0,
   /// empty app state, no timers.
@@ -135,14 +150,20 @@ class SystemModel {
   std::vector<devices::Device> devices_;
   std::vector<InstalledApp> apps_;
   std::vector<ResolvedSubscription> subscriptions_;
+  // Subscribers() by event: [device][attribute][value], [mode], [app].
+  std::vector<std::vector<std::vector<std::vector<int>>>> device_subscribers_;
+  std::vector<std::vector<int>> mode_subscribers_;
+  std::vector<std::vector<int>> touch_subscribers_;
   std::vector<ExternalEventSpec> external_events_;
   std::vector<props::Property> active_properties_;
   std::vector<CompiledInvariant> invariants_;
 
   void BuildDevices();
-  void ResolveApps(std::vector<ir::AnalyzedApp> analyzed);
+  void ResolveApps(
+      std::vector<std::shared_ptr<const ir::AnalyzedApp>> analyzed);
   void ResolveBindings(InstalledApp& app);
   void ResolveSubscriptions();
+  void IndexSubscribers();
   void BuildExternalEvents();
 };
 

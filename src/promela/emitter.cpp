@@ -179,9 +179,8 @@ class Emitter {
         return "/* \"" + expr.text + "\" */ 0";
       }
       case ExprKind::kIdent: {
-        auto binding = app.bindings.find(expr.text);
-        if (binding != app.bindings.end()) {
-          const model::Value& value = binding->second;
+        if (const model::Value* binding = app.Binding(expr.text)) {
+          const model::Value& value = *binding;
           if (value.is_device()) return DeviceRef(value.DeviceIndex());
           if (value.is_number()) {
             return strings::FormatNumber(value.AsNumber());
@@ -298,13 +297,12 @@ class Emitter {
     }
     // Device commands: receiver resolves to a bound device.
     if (expr.a && expr.a->kind == ExprKind::kIdent) {
-      auto binding = app.bindings.find(expr.a->text);
-      if (binding != app.bindings.end()) {
+      if (const model::Value* binding = app.Binding(expr.a->text)) {
         std::vector<int> targets;
-        if (binding->second.is_device()) {
-          targets.push_back(binding->second.DeviceIndex());
-        } else if (binding->second.is_list()) {
-          for (const model::Value& v : binding->second.AsList()) {
+        if (binding->is_device()) {
+          targets.push_back(binding->DeviceIndex());
+        } else if (binding->is_list()) {
+          for (const model::Value& v : binding->AsList()) {
             if (v.is_device()) targets.push_back(v.DeviceIndex());
           }
         }
@@ -350,10 +348,10 @@ class Emitter {
     for (const model::InstalledApp& app : model_.apps()) {
       const std::string app_prefix = Sanitize(app.config.label);
       std::set<std::string> emitted;
-      for (const ir::HandlerInfo& handler : app.analysis.handlers) {
+      for (const ir::HandlerInfo& handler : app.analysis->handlers) {
         if (!emitted.insert(handler.name).second) continue;
         const dsl::MethodDecl* method =
-            app.analysis.app.FindMethod(handler.name);
+            app.analysis->app.FindMethod(handler.name);
         if (method == nullptr) continue;
         out_ += "inline " + app_prefix + "_" + handler.name + "() {\n";
         for (const dsl::StmtPtr& stmt : method->body) {

@@ -38,8 +38,9 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   options.extra_properties = request.extra_properties;
 
   core::SanitizerReport report;
+  core::AppAnalyses analyses;
   const std::vector<std::vector<std::size_t>> groups =
-      sanitizer.PlanGroups(options, report);
+      sanitizer.PlanGroups(options, report, &analyses);
   const std::string version = options.cache != nullptr
                                   ? options.cache->version()
                                   : build::GetBuildInfo().version;
@@ -86,7 +87,7 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
                          const checker::CheckOptions& check) {
     const auto group_start = std::chrono::steady_clock::now();
     checker::CheckResult result =
-        sanitizer.CheckGroup(groups[index], options, check);
+        sanitizer.CheckGroup(groups[index], options, check, &analyses);
     if (auto* t = telemetry::Active()) {
       t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(

@@ -68,8 +68,15 @@ def installed() {
     event.device = model_->DeviceIndex("motion1");
     event.attribute = 0;
     event.value = 1;  // active
+    Run(event, handler);
+  }
+
+  void Run(const devices::Event& event,
+           const std::string& handler = "handler") {
     Evaluator evaluator(*model_, state_, queue_, log_, failure_);
-    evaluator.InvokeHandler(0, handler, &event);
+    evaluator.InvokeHandler(
+        0, handler, model_->apps()[0].analysis->app.FindMethod(handler),
+        &event);
   }
 
   std::string Attr(const std::string& device, const std::string& attr) {
@@ -398,6 +405,299 @@ def handler(evt) {
   h.Run();
   h.Run();
   EXPECT_DOUBLE_EQ(h.state().app_state[0].at("count").AsNumber(), 3);
+}
+
+/// Copies every field of the handler's event into app state.
+constexpr const char* kEventFieldDump = R"(
+def handler(evt) {
+    state.name = evt.name
+    state.value = evt.value
+    state.numericValue = evt.numericValue
+    state.doubleValue = evt.doubleValue
+    state.integerValue = evt.integerValue
+    state.device = "${evt.device}"
+    state.deviceId = evt.deviceId
+    state.displayName = evt.displayName
+    state.isStateChange = evt.isStateChange
+    state.descriptionText = evt.descriptionText
+    state.unknown = evt.unit
+    state.whole = "${evt}"
+}
+)";
+
+std::string Dump(const std::map<std::string, Value>& entries) {
+  std::string out;
+  for (const auto& [key, value] : entries) {
+    out += key + "=" + value.ToDisplayString() + "\n";
+  }
+  return out;
+}
+
+std::string EventFields(const devices::Event& event) {
+  Harness h(kEventFieldDump);
+  h.Run(event);
+  return Dump(h.state().app_state[0]);
+}
+
+TEST(EvaluatorTest, EventFieldsOfEverySource) {
+  devices::Event motion;  // motion1 (device 4): enum attribute
+  motion.source = devices::EventSource::kDevice;
+  motion.device = 4;
+  motion.attribute = 0;
+  motion.value = 1;
+  EXPECT_EQ(EventFields(motion),
+            "descriptionText=motion is active\n"
+            "device=<device 4>\n"
+            "deviceId=motion1\n"
+            "displayName=motion1\n"
+            "doubleValue=null\n"
+            "integerValue=null\n"
+            "isStateChange=true\n"
+            "name=motion\n"
+            "numericValue=null\n"
+            "unknown=null\n"
+            "value=active\n"
+            "whole=[descriptionText: motion is active, device: <device 4>, "
+            "deviceId: motion1, displayName: motion1, isStateChange: true, "
+            "name: motion, value: active]\n");
+
+  devices::Event temperature = motion;  // temp1 (device 3): numeric
+  temperature.device = 3;
+  temperature.value = 2;
+  EXPECT_EQ(EventFields(temperature),
+            "descriptionText=temperature is 80\n"
+            "device=<device 3>\n"
+            "deviceId=temp1\n"
+            "displayName=temp1\n"
+            "doubleValue=80\n"
+            "integerValue=80\n"
+            "isStateChange=true\n"
+            "name=temperature\n"
+            "numericValue=80\n"
+            "unknown=null\n"
+            "value=80\n"
+            "whole=[descriptionText: temperature is 80, device: <device 3>, "
+            "deviceId: temp1, displayName: temp1, doubleValue: 80, "
+            "integerValue: 80, isStateChange: true, name: temperature, "
+            "numericValue: 80, value: 80]\n");
+
+  // Platform events carry a name, a value and the common fields only.
+  auto platform = [](const std::string& name, const std::string& value) {
+    return "descriptionText=" + name + " is " + value +
+           "\ndevice=null\ndeviceId=null\ndisplayName=null\n"
+           "doubleValue=null\nintegerValue=null\nisStateChange=true\n"
+           "name=" + name + "\nnumericValue=null\nunknown=null\nvalue=" +
+           value + "\nwhole=[descriptionText: " + name + " is " + value +
+           ", isStateChange: true, name: " + name + ", value: " + value +
+           "]\n";
+  };
+  devices::Event mode;
+  mode.source = devices::EventSource::kLocationMode;
+  mode.value = 2;
+  EXPECT_EQ(EventFields(mode), platform("mode", "Night"));
+  devices::Event touch;
+  touch.source = devices::EventSource::kAppTouch;
+  touch.app = 0;
+  EXPECT_EQ(EventFields(touch), platform("touch", "touched"));
+  devices::Event timer;
+  timer.source = devices::EventSource::kTimer;
+  timer.app = 0;
+  timer.timer = 0;
+  EXPECT_EQ(EventFields(timer), platform("timer", "fired"));
+}
+
+TEST(EvaluatorTest, EventObjectIsOneSharedMap) {
+  Harness h(R"(
+def handler(evt) {
+    state.viaHelper = describe(evt)
+    evt.value = "changed"
+    state.mutated = evt.value
+    def alias = evt
+    alias.name = "renamed"
+    state.viaAlias = evt.name
+    state.whole = "${evt}"
+}
+def describe(e) {
+    return e.name + "/" + e.value
+}
+)");
+  h.Run();
+  EXPECT_EQ(Dump(h.state().app_state[0]),
+            "mutated=changed\n"
+            "viaAlias=renamed\n"
+            "viaHelper=motion/active\n"
+            "whole=[descriptionText: motion is active, device: <device 4>, "
+            "deviceId: motion1, displayName: motion1, isStateChange: true, "
+            "name: renamed, value: changed]\n");
+}
+
+TEST(EvaluatorTest, ReturnLeavesNestedBlocks) {
+  Harness h(R"(
+def handler(evt) {
+    state.fromIf = fromIf()
+    state.fromFor = fromFor()
+    state.fromWhile = fromWhile()
+    state.fromClosure = [1, 2, 3].find { if (it == 2) { return true }; false }
+    state.fromLoopInClosure =
+        [1, 2].collect { for (x in [it]) { return x * 10 }; 0 }.join(",")
+    state.afterReturns = "still running"
+}
+def fromIf() {
+    if (true) {
+        if (true) {
+            return "if"
+        }
+    }
+    return "after"
+}
+def fromFor() {
+    for (x in [1, 2, 3]) {
+        if (x == 2) {
+            return x
+        }
+    }
+    return -1
+}
+def fromWhile() {
+    def i = 0
+    while (true) {
+        i = i + 1
+        if (i == 3) {
+            return i
+        }
+    }
+    return -1
+}
+)");
+  h.Run();
+  EXPECT_EQ(Dump(h.state().app_state[0]),
+            "afterReturns=still running\n"
+            "fromClosure=2\n"
+            "fromFor=2\n"
+            "fromIf=if\n"
+            "fromLoopInClosure=10,20\n"
+            "fromWhile=3\n");
+}
+
+TEST(EvaluatorTest, UnevaluableFragmentsStayVerbatim) {
+  Harness h(R"app(
+def handler(evt) {
+    def a = 5
+    state.msg = "x ${boom()} y ${a + 1} z ${"
+    state.a = a
+}
+def boom() {
+    def b = 1
+    return nope
+}
+)app");
+  h.Run();
+  EXPECT_EQ(Dump(h.state().app_state[0]), "a=5\nmsg=x ${boom()} y 6 z ${\n");
+}
+
+/// The SemanticError text `methods` fails with.
+std::string FailureOf(const std::string& methods) {
+  try {
+    Harness h(methods);
+    h.Run();
+  } catch (const SemanticError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(EvaluatorTest, ClosureParametersDoNotOutliveTheClosure) {
+  // A `return` inside a block of a closure once left the closure's scope
+  // behind, so the method went on seeing `it`.
+  EXPECT_NE(FailureOf(R"(
+def handler(evt) {
+    [1, 2, 3].find { if (it == 2) { return true }; false }
+    state.leaked = it
+}
+)").find("unknown identifier 'it'"),
+            std::string::npos);
+}
+
+TEST(EvaluatorTest, ScopesStartEmptyOnEveryEntry) {
+  // `x`, declared by the closure's first run, is gone in its second.
+  EXPECT_NE(FailureOf(R"(
+def handler(evt) {
+    [1, 2].each {
+        if (it == 2) {
+            state.seen = x
+        }
+        x = it
+    }
+}
+)").find("unknown identifier 'x'"),
+            std::string::npos);
+}
+
+TEST(EvaluatorTest, WhileConditionRunsInTheLoopScope) {
+  // `more` is first assigned in the body, which declares it in the loop
+  // scope; later condition checks see it there.
+  Harness h(R"(
+def handler(evt) {
+    def n = 0
+    while (n == 0 || more) {
+        n = n + 1
+        more = n < 3
+    }
+    state.n = n
+}
+)");
+  h.Run();
+  EXPECT_EQ(Dump(h.state().app_state[0]), "n=3\n");
+}
+
+TEST(EvaluatorTest, StateIndexAssignmentWritesAppState) {
+  Harness h(R"(
+def handler(evt) {
+    state["count"] = 3
+    state["count"] += 1
+    state.seen = state["count"]
+}
+)");
+  h.Run();
+  EXPECT_EQ(Dump(h.state().app_state[0]), "count=4\nseen=4\n");
+  // The same scalar check, with the same text, as `state.key = v`.
+  EXPECT_EQ(FailureOf("def handler(evt) {\n    state[\"bad\"] = [1]\n}\n"),
+            FailureOf("def handler(evt) {\n    state.bad = [1]\n}\n"));
+}
+
+/// A loop whose every iteration reads an event field, interpolates,
+/// runs a closure, a for-in loop and a method call that returns from a
+/// nested block.
+std::string BudgetLoop(int iterations) {
+  return R"(
+def handler(evt) {
+    def i = 0
+    while (i < )" + std::to_string(iterations) + R"() {
+        i = i + 1
+        def s = "${evt.value}"
+        [i].each { helper(it) }
+        for (x in [i]) {
+            s = s + x
+        }
+    }
+}
+def helper(x) {
+    if (x > 0) {
+        return x
+    }
+    return 0
+}
+)";
+}
+
+TEST(EvaluatorTest, StepBudgetBoundaryIsExact) {
+  // Every statement, expression and loop iteration is one step, so the
+  // largest loop that fits pins what each construct costs.
+  constexpr int kLargestFitting = 2856;
+  Harness fits(BudgetLoop(kLargestFitting));
+  EXPECT_NO_THROW(fits.Run());
+  Harness over(BudgetLoop(kLargestFitting + 1));
+  EXPECT_THROW(over.Run(), Error);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "corpus/corpus.hpp"
 #include "corpus/groups.hpp"
 #include "dsl/parser.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace iotsan {
 namespace {
@@ -36,6 +37,21 @@ TEST(GroupsTest, SixExpertGroupsWith150Apps) {
     total += sut.app_count();
   }
   EXPECT_EQ(total, 150);
+}
+
+TEST(GroupsTest, EachAppIsAnalysedOncePerCheck) {
+  // The climate group's 25 apps fall into 168 overlapping related sets;
+  // every set's model shares the check's one analysis per app.
+  struct ScopedRegistry {
+    telemetry::Registry registry;
+    ScopedRegistry() { telemetry::SetActive(&registry); }
+    ~ScopedRegistry() { telemetry::SetActive(nullptr); }
+  } scoped;
+  core::SanitizerReport report =
+      CheckGroup(corpus::ExpertGroups()[1], /*max_events=*/1);
+  EXPECT_EQ(report.related_set_count, 168);
+  EXPECT_EQ(scoped.registry.pipeline.models_built, 168u);
+  EXPECT_EQ(scoped.registry.pipeline.apps_parsed, 25u);
 }
 
 TEST(GroupsTest, AllExpertGroupsBuildAndCheck) {

@@ -50,14 +50,14 @@ SystemModel Build(const ModelOptions& options = {}) {
 TEST(SystemModelTest, BindingsResolved) {
   SystemModel model = Build();
   const InstalledApp& app = model.apps()[0];
-  EXPECT_TRUE(app.bindings.at("sensors").is_list());
-  EXPECT_EQ(app.bindings.at("sensors").AsList().size(), 2u);
-  EXPECT_TRUE(app.bindings.at("sw").is_device());
-  EXPECT_DOUBLE_EQ(app.bindings.at("threshold").AsNumber(), 42);
-  EXPECT_EQ(app.bindings.at("mode1").AsString(), "Away");
+  EXPECT_TRUE(app.Binding("sensors")->is_list());
+  EXPECT_EQ(app.Binding("sensors")->AsList().size(), 2u);
+  EXPECT_TRUE(app.Binding("sw")->is_device());
+  EXPECT_DOUBLE_EQ(app.Binding("threshold")->AsNumber(), 42);
+  EXPECT_EQ(app.Binding("mode1")->AsString(), "Away");
   // Unbound optional inputs bind to null.
-  EXPECT_TRUE(app.bindings.at("note").is_null());
-  EXPECT_TRUE(app.bindings.at("extra").is_null());
+  EXPECT_TRUE(app.Binding("note")->is_null());
+  EXPECT_TRUE(app.Binding("extra")->is_null());
   EXPECT_TRUE(app.touchable);
 }
 
