@@ -84,8 +84,12 @@ std::string GroupKeyText(const GroupKeyInputs& inputs) {
   check_obj["max_states"] = static_cast<std::int64_t>(check.max_states);
   check_obj["time_budget_seconds"] = check.time_budget_seconds;
   check_obj["reverify_bitstate"] = check.reverify_bitstate;
-  // Cluster sharding options change the result, so they must key the
-  // cache — but only when active, so historical keys stay stable.
+  // Options added after the key format froze key the cache only when
+  // active, so historical keys stay stable.  POR changes transitions and
+  // the por.* counters, COLLAPSE the store footprint, and cluster
+  // sharding the counts.
+  if (check.por) check_obj["por"] = true;
+  if (check.state_compression) check_obj["state_compression"] = true;
   if (check.branch_modulus > 1) {
     check_obj["branch_modulus"] =
         static_cast<std::int64_t>(check.branch_modulus);

@@ -67,39 +67,7 @@ json::Value EntryToJson(const GroupKey& key, const std::string& version,
   doc["version"] = version;
   doc["key"] = key.Hex();
   doc["key_text"] = key.text;
-  json::Object res;
-  json::Array violations;
-  for (const checker::Violation& v : result.violations) {
-    violations.push_back(checker::ViolationToJson(v));
-  }
-  res["violations"] = std::move(violations);
-  res["states_explored"] = static_cast<std::int64_t>(result.states_explored);
-  res["states_matched"] = static_cast<std::int64_t>(result.states_matched);
-  res["transitions"] = static_cast<std::int64_t>(result.transitions);
-  res["cascade_drains"] = static_cast<std::int64_t>(result.cascade_drains);
-  res["completed"] = result.completed;
-  // The original compute time: a warm run reports the same per-group
-  // seconds the cold run measured, so aggregated reports stay
-  // byte-identical across cold and warm runs.
-  res["seconds"] = result.seconds;
-  res["store_fill_ratio"] = result.store_fill_ratio;
-  res["est_omission_probability"] = result.est_omission_probability;
-  res["store_entries"] = static_cast<std::int64_t>(result.store_entries);
-  res["store_memory_bytes"] =
-      static_cast<std::int64_t>(result.store_memory_bytes);
-  res["store_bytes_per_state"] = result.store_bytes_per_state;
-  res["compress_pool_entries"] =
-      static_cast<std::int64_t>(result.compress_pool_entries);
-  res["compress_pool_bytes"] =
-      static_cast<std::int64_t>(result.compress_pool_bytes);
-  res["compress_lookups"] = static_cast<std::int64_t>(result.compress_lookups);
-  res["compress_hits"] = static_cast<std::int64_t>(result.compress_hits);
-  json::Array depths;
-  for (std::uint64_t count : result.depth_histogram) {
-    depths.push_back(static_cast<std::int64_t>(count));
-  }
-  res["depth_histogram"] = std::move(depths);
-  doc["result"] = std::move(res);
+  doc["result"] = checker::CheckResultToJson(result);
   return doc;
 }
 
@@ -119,50 +87,7 @@ checker::CheckResult EntryFromJson(const json::Value& doc,
     // for a different group; serving it would be silently wrong.
     throw Error("cache entry: key document mismatch (digest collision)");
   }
-  const json::Value& res = doc.At("result");
-  checker::CheckResult result;
-  for (const json::Value& v : res.At("violations").AsArray()) {
-    result.violations.push_back(checker::ViolationFromJson(v));
-  }
-  result.states_explored =
-      static_cast<std::uint64_t>(res.GetNumber("states_explored"));
-  result.states_matched =
-      static_cast<std::uint64_t>(res.GetNumber("states_matched"));
-  result.transitions =
-      static_cast<std::uint64_t>(res.GetNumber("transitions"));
-  result.cascade_drains =
-      static_cast<std::uint64_t>(res.GetNumber("cascade_drains"));
-  result.completed = res.GetBool("completed", true);
-  result.seconds = res.GetNumber("seconds");
-  result.store_fill_ratio = res.GetNumber("store_fill_ratio");
-  result.est_omission_probability =
-      res.GetNumber("est_omission_probability");
-  result.store_entries =
-      static_cast<std::uint64_t>(res.GetNumber("store_entries"));
-  result.store_memory_bytes =
-      static_cast<std::uint64_t>(res.GetNumber("store_memory_bytes"));
-  // COLLAPSE diagnostics arrived after the schema froze; entries written
-  // before them read back with the fields zeroed.
-  if (res.Has("store_bytes_per_state")) {
-    result.store_bytes_per_state = res.GetNumber("store_bytes_per_state");
-  }
-  if (res.Has("compress_pool_entries")) {
-    result.compress_pool_entries =
-        static_cast<std::uint64_t>(res.GetNumber("compress_pool_entries"));
-    result.compress_pool_bytes =
-        static_cast<std::uint64_t>(res.GetNumber("compress_pool_bytes"));
-    result.compress_lookups =
-        static_cast<std::uint64_t>(res.GetNumber("compress_lookups"));
-    result.compress_hits =
-        static_cast<std::uint64_t>(res.GetNumber("compress_hits"));
-  }
-  if (res.Has("depth_histogram")) {
-    for (const json::Value& count : res.At("depth_histogram").AsArray()) {
-      result.depth_histogram.push_back(
-          static_cast<std::uint64_t>(count.AsNumber()));
-    }
-  }
-  return result;
+  return checker::CheckResultFromJson(doc.At("result"));
 }
 
 // ---- ResultCache -------------------------------------------------------------

@@ -129,11 +129,78 @@ Violation ViolationFromJson(const json::Value& value) {
     }
   }
   violation.failure = value.GetString("failure");
-  violation.depth = static_cast<int>(value.GetNumber("depth"));
-  violation.occurrences =
-      static_cast<std::uint64_t>(value.GetNumber("occurrences", 1));
+  violation.depth = value.GetInteger<int>("depth");
+  violation.occurrences = value.GetInteger<std::uint64_t>("occurrences", 1);
   violation.replay_verified = value.GetBool("replay_verified");
   return violation;
+}
+
+json::Value CheckResultToJson(const CheckResult& result) {
+  json::Object res;
+  json::Array violations;
+  for (const Violation& v : result.violations) {
+    violations.push_back(ViolationToJson(v));
+  }
+  res["violations"] = std::move(violations);
+  res["states_explored"] = static_cast<std::int64_t>(result.states_explored);
+  res["states_matched"] = static_cast<std::int64_t>(result.states_matched);
+  res["transitions"] = static_cast<std::int64_t>(result.transitions);
+  res["cascade_drains"] = static_cast<std::int64_t>(result.cascade_drains);
+  res["completed"] = result.completed;
+  // The original compute time: a warm cache hit or a remote unit reports
+  // the seconds the search measured, so aggregated reports stay
+  // byte-identical across cold, warm and cluster runs.
+  res["seconds"] = result.seconds;
+  res["store_fill_ratio"] = result.store_fill_ratio;
+  res["est_omission_probability"] = result.est_omission_probability;
+  res["store_entries"] = static_cast<std::int64_t>(result.store_entries);
+  res["store_memory_bytes"] =
+      static_cast<std::int64_t>(result.store_memory_bytes);
+  res["store_bytes_per_state"] = result.store_bytes_per_state;
+  res["compress_pool_entries"] =
+      static_cast<std::int64_t>(result.compress_pool_entries);
+  res["compress_pool_bytes"] =
+      static_cast<std::int64_t>(result.compress_pool_bytes);
+  res["compress_lookups"] = static_cast<std::int64_t>(result.compress_lookups);
+  res["compress_hits"] = static_cast<std::int64_t>(result.compress_hits);
+  json::Array depths;
+  for (std::uint64_t count : result.depth_histogram) {
+    depths.push_back(static_cast<std::int64_t>(count));
+  }
+  res["depth_histogram"] = std::move(depths);
+  return res;
+}
+
+CheckResult CheckResultFromJson(const json::Value& doc) {
+  CheckResult result;
+  for (const json::Value& v : doc.At("violations").AsArray()) {
+    result.violations.push_back(ViolationFromJson(v));
+  }
+  using U64 = std::uint64_t;
+  result.states_explored = doc.GetInteger<U64>("states_explored");
+  result.states_matched = doc.GetInteger<U64>("states_matched");
+  result.transitions = doc.GetInteger<U64>("transitions");
+  result.cascade_drains = doc.GetInteger<U64>("cascade_drains");
+  result.completed = doc.GetBool("completed", true);
+  result.seconds = doc.GetNumber("seconds");
+  result.store_fill_ratio = doc.GetNumber("store_fill_ratio");
+  result.est_omission_probability =
+      doc.GetNumber("est_omission_probability");
+  result.store_entries = doc.GetInteger<U64>("store_entries");
+  result.store_memory_bytes = doc.GetInteger<U64>("store_memory_bytes");
+  // COLLAPSE diagnostics and the depth histogram arrived after the cache
+  // schema froze; entries written before them read back zeroed.
+  result.store_bytes_per_state = doc.GetNumber("store_bytes_per_state");
+  result.compress_pool_entries = doc.GetInteger<U64>("compress_pool_entries");
+  result.compress_pool_bytes = doc.GetInteger<U64>("compress_pool_bytes");
+  result.compress_lookups = doc.GetInteger<U64>("compress_lookups");
+  result.compress_hits = doc.GetInteger<U64>("compress_hits");
+  if (doc.Has("depth_histogram")) {
+    for (const json::Value& count : doc.At("depth_histogram").AsArray()) {
+      result.depth_histogram.push_back(count.AsInteger<U64>());
+    }
+  }
+  return result;
 }
 
 namespace {

@@ -255,6 +255,14 @@ props::PropertyKind PropertyKindFromName(std::string_view name);
 json::Value ViolationToJson(const Violation& violation);
 Violation ViolationFromJson(const json::Value& value);
 
+/// JSON round-trip for the replayable fields of a CheckResult: the one
+/// codec behind cache entries, fleet registry records and cluster unit
+/// replies, so every field a merged report reads survives each of them.
+/// FromJson reads fields older cache entries lack as zero, and throws
+/// iotsan::Error on a malformed count (negative, fractional, too large).
+json::Value CheckResultToJson(const CheckResult& result);
+CheckResult CheckResultFromJson(const json::Value& doc);
+
 /// Bundles a violation with a reproducibility manifest.  `options` must
 /// be the CheckOptions of the run that found it; deployment name/hash
 /// come from the caller (which holds the config); build info is filled

@@ -14,11 +14,6 @@ std::string GetStr(const json::Value& v, std::string_view key) {
   return v.GetString(key);
 }
 
-std::int64_t GetInt(const json::Value& v, std::string_view key,
-                    std::int64_t dflt = 0) {
-  return static_cast<std::int64_t>(v.GetNumber(key, static_cast<double>(dflt)));
-}
-
 void PutIf(json::Object& obj, const char* key, const std::string& value) {
   if (!value.empty()) obj[key] = value;
 }
@@ -99,8 +94,8 @@ json::Value ToJson(const TraceStep& step) {
 
 TraceStep TraceStepFromJson(const json::Value& value) {
   TraceStep step;
-  step.index = static_cast<int>(GetInt(value, "index"));
-  step.sim_time_ms = static_cast<int>(GetInt(value, "sim_time_ms"));
+  step.index = value.GetInteger<int>("index");
+  step.sim_time_ms = value.GetInteger<int>("sim_time_ms");
   step.kind = value.GetString("kind", "sensor");
   step.device = GetStr(value, "device");
   step.attribute = GetStr(value, "attribute");
@@ -110,7 +105,7 @@ TraceStep TraceStepFromJson(const json::Value& value) {
   step.sensor_offline = value.GetBool("sensor_offline");
   step.actuator_offline = value.GetBool("actuator_offline");
   step.comm_fail = value.GetBool("comm_fail");
-  step.outcome_index = static_cast<int>(GetInt(value, "outcome_index"));
+  step.outcome_index = value.GetInteger<int>("outcome_index");
   if (value.Has("dispatches")) {
     for (const json::Value& entry : value.At("dispatches").AsArray()) {
       step.dispatches.push_back(
@@ -144,9 +139,9 @@ TraceStep TraceStepFromJson(const json::Value& value) {
       step.notes.push_back(entry.AsString());
     }
   }
-  step.failed_sends = static_cast<int>(GetInt(value, "failed_sends"));
+  step.failed_sends = value.GetInteger<int>("failed_sends");
   step.user_notified = value.GetBool("user_notified");
-  step.queue_peak = static_cast<int>(GetInt(value, "queue_peak"));
+  step.queue_peak = value.GetInteger<int>("queue_peak");
   step.truncated = value.GetBool("truncated");
   return step;
 }
@@ -196,23 +191,22 @@ RunManifest ManifestFromJson(const json::Value& value) {
       manifest.model_apps.push_back(app.AsString());
     }
   }
-  manifest.rng_seed = static_cast<std::uint64_t>(GetInt(value, "rng_seed"));
+  manifest.rng_seed = value.GetInteger<std::uint64_t>("rng_seed");
   manifest.request_id = GetStr(value, "request_id");
   const json::Value& options = value.At("options");
-  manifest.max_events = static_cast<int>(GetInt(options, "max_events", 3));
+  manifest.max_events = options.GetInteger<int>("max_events", 3);
   manifest.scheduling = options.GetString("scheduling", "sequential");
   manifest.model_failures = options.GetBool("model_failures");
   manifest.store = options.GetString("store", "exhaustive");
   manifest.bitstate_bits =
-      static_cast<std::uint64_t>(GetInt(options, "bitstate_bits"));
+      options.GetInteger<std::uint64_t>("bitstate_bits");
   manifest.include_depth_in_state =
       options.GetBool("include_depth_in_state", true);
   manifest.por = options.GetBool("por");
   manifest.state_compression = options.GetBool("state_compression");
   manifest.stop_at_first_violation =
       options.GetBool("stop_at_first_violation");
-  manifest.max_states =
-      static_cast<std::uint64_t>(GetInt(options, "max_states"));
+  manifest.max_states = options.GetInteger<std::uint64_t>("max_states");
   manifest.time_budget_seconds = options.GetNumber("time_budget_seconds");
   return manifest;
 }
@@ -260,9 +254,9 @@ ViolationArtifact ArtifactFromJson(const json::Value& value) {
   const json::Value& violation = value.At("violation");
   artifact.failure = violation.GetString("failure");
   artifact.detail = violation.GetString("detail");
-  artifact.depth = static_cast<int>(GetInt(violation, "depth"));
+  artifact.depth = violation.GetInteger<int>("depth");
   artifact.occurrences =
-      static_cast<std::uint64_t>(GetInt(violation, "occurrences", 1));
+      violation.GetInteger<std::uint64_t>("occurrences", 1);
   if (violation.Has("apps")) {
     for (const json::Value& app : violation.At("apps").AsArray()) {
       artifact.apps.push_back(app.AsString());

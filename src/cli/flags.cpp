@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <string_view>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -10,136 +12,139 @@ namespace iotsan::cli {
 
 namespace {
 
-constexpr FlagSpec kFlagTable[] = {
-    {Flag::kEvents, "--events", "N",
-     kCmdCheck | kCmdAttribute | kCmdPromela | kCmdCluster,
-     "external-event bound per run (Algorithm 1; default 3, attribute: 2)",
-     1, 64},
-    {Flag::kJobs, "--jobs", "N",
-     kCmdCheck | kCmdAttribute | kCmdServe | kCmdCluster,
-     "worker threads for the search (0 = all hardware threads; default 1, "
-     "serve: 0); verdicts and counts are identical for any N",
-     0, 1024},
-    {Flag::kFailures, "--failures", nullptr, kCmdCheck | kCmdCluster,
-     "enumerate device/communication failure scenarios per event (paper §8)"},
-    {Flag::kMono, "--mono", nullptr, kCmdCheck,
-     "skip dependency analysis; check all apps in one monolithic model"},
-    {Flag::kBitstate, "--bitstate", nullptr,
-     kCmdCheck | kCmdAttribute | kCmdCluster,
-     "use Spin-style BITSTATE hashing instead of the exhaustive store"},
-    {Flag::kBitstateBits, "--bitstate-bits", "P",
-     kCmdCheck | kCmdAttribute | kCmdCluster,
-     "BITSTATE bit-field size as a power of two (Spin -w; default 27 = "
-     "16 MiB)",
-     10, 40},
-    {Flag::kPor, "--por", nullptr, kCmdCheck | kCmdAttribute | kCmdCluster,
-     "ample-set partial-order reduction: expand a single pending dispatch "
-     "when it provably commutes with the rest (concurrent scheduling only)"},
-    {Flag::kStateCompression, "--state-compression", nullptr,
-     kCmdCheck | kCmdAttribute | kCmdCluster,
-     "Spin-style COLLAPSE store keys: intern per-device/app-state/timer "
-     "components instead of hashing full state vectors"},
-    {Flag::kFirst, "--first", nullptr, kCmdCheck | kCmdCluster,
-     "stop at the first property violation"},
-    {Flag::kProperties, "--properties", "FILE", kCmdCheck | kCmdCluster,
-     "load additional user-defined safety properties from JSON"},
-    {Flag::kAllowDiscovery, "--allow-discovery", nullptr,
-     kCmdCheck | kCmdAttribute | kCmdCluster,
-     "check dynamic-device-discovery apps instead of rejecting them"},
-    {Flag::kStats, "--stats", nullptr,
+// The CLI's own flags; the request-option flags come from core/options.
+constexpr FlagSpec kCliFlags[] = {
+    {"--properties", "FILE", kCmdCheck | kCmdCluster,
+     "load additional user-defined safety properties from JSON",
+     &CliFlags::properties_path, 0, 0, "--first"},
+    {"--stats", nullptr,
      kCmdCheck | kCmdAttribute | kCmdDeps | kCmdServe | kCmdCluster,
      "print telemetry after the run: counters, per-phase durations, store "
-     "diagnostics"},
-    {Flag::kTraceOut, "--trace-out", "FILE",
+     "diagnostics",
+     &CliFlags::stats, 0, 0, "--allow-discovery"},
+    {"--trace-out", "FILE",
      kCmdCheck | kCmdAttribute | kCmdDeps | kCmdServe,
-     "write a JSONL span trace (one JSON object per line) to FILE"},
-    {Flag::kProgressEvery, "--progress-every", "N", kCmdCheck,
+     "write a JSONL span trace (one JSON object per line) to FILE",
+     &CliFlags::trace_out},
+    {"--progress-every", "N", kCmdCheck,
      "report search progress to stderr every N expanded states",
-     0, 1000000000000000000LL},
-    {Flag::kArtifactsDir, "--artifacts-dir", "DIR",
+     &CliFlags::progress_every, 0, 1000000000000000000LL},
+    {"--artifacts-dir", "DIR",
      kCmdCheck | kCmdAttribute,
      "write one violation artifact (JSON: run manifest + structured "
-     "trace) per violated property into DIR"},
-    {Flag::kReplay, "--replay", "FILE", kCmdCheck,
+     "trace) per violated property into DIR",
+     &CliFlags::artifacts_dir},
+    {"--replay", "FILE", kCmdCheck,
      "deterministically re-execute a recorded violation artifact instead "
-     "of searching; exit 0 iff it reproduces"},
-    {Flag::kReverifyBitstate, "--reverify-bitstate", nullptr,
-     kCmdCheck | kCmdAttribute,
-     "replay-verify every BITSTATE violation with an exhaustive store "
-     "before reporting it (false-positive filter)"},
-    {Flag::kCacheDir, "--cache-dir", "DIR",
+     "of searching; exit 0 iff it reproduces",
+     &CliFlags::replay_path},
+    {"--cache-dir", "DIR",
      kCmdCheck | kCmdAttribute | kCmdServe,
      "memoize per-group verification results in DIR; warm re-checks of "
-     "unchanged groups skip the search (see docs/caching.md)"},
-    {Flag::kMetricsOut, "--metrics-out", "FILE", kCmdCheck,
+     "unchanged groups skip the search (see docs/caching.md)",
+     &CliFlags::cache_dir, 0, 0, "--reverify-bitstate"},
+    {"--metrics-out", "FILE", kCmdCheck,
      "write counters and latency histograms as Prometheus text "
-     "exposition (the same format GET /v1/metrics serves) to FILE"},
-    {Flag::kAccessLog, "--access-log", "FILE", kCmdServe,
+     "exposition (the same format GET /v1/metrics serves) to FILE",
+     &CliFlags::metrics_out},
+    {"--access-log", "FILE", kCmdServe,
      "append one JSON line per request (request id, status, latency, "
-     "queue wait, cache delta) to FILE"},
-    {Flag::kRegistryDir, "--registry-dir", "DIR", kCmdServe,
+     "queue wait, cache delta) to FILE",
+     &CliFlags::access_log},
+    {"--registry-dir", "DIR", kCmdServe,
      "persist fleet deployments (/v1/deployments) in DIR; without it "
-     "the registry is memory-only (docs/fleet.md)"},
-    {Flag::kIfMatch, "--if-match", "REVISION", kCmdFleet,
+     "the registry is memory-only (docs/fleet.md)",
+     &CliFlags::registry_dir},
+    {"--if-match", "REVISION", kCmdFleet,
      "fleet check: only run against this deployment revision (the ETag "
-     "from put/get); a stale pin fails with the server's 409"},
-    {Flag::kHost, "--host", "ADDR", kCmdServe | kCmdTop | kCmdFleet,
+     "from put/get); a stale pin fails with the server's 409",
+     &CliFlags::if_match},
+    {"--host", "ADDR", kCmdServe | kCmdTop | kCmdFleet,
      "bind address for the HTTP service (default 127.0.0.1); top/fleet: "
-     "the address to call"},
-    {Flag::kPort, "--port", "N", kCmdServe | kCmdTop | kCmdFleet,
+     "the address to call",
+     &CliFlags::host},
+    {"--port", "N", kCmdServe | kCmdTop | kCmdFleet,
      "TCP port for the HTTP service (0 = kernel-assigned; default 8080); "
      "top/fleet: the port to call",
-     0, 65535},
-    {Flag::kHttpWorkers, "--http-workers", "N", kCmdServe,
+     &CliFlags::port, 0, 65535},
+    {"--http-workers", "N", kCmdServe,
      "HTTP session threads draining the accept queue (default 4)",
-     1, 256},
-    {Flag::kMaxQueue, "--max-queue", "N", kCmdServe,
+     &CliFlags::http_workers, 1, 256},
+    {"--max-queue", "N", kCmdServe,
      "accepted-connection queue bound; beyond it the acceptor sheds "
      "with 503 queue_full (default 64)",
-     1, 65536},
-    {Flag::kDeadline, "--deadline", "SECONDS", kCmdServe | kCmdCluster,
-     "default wall-clock budget per request, seconds (0 = none); "
-     "requests may override via options.deadlineSeconds",
-     0, 86400},
-    {Flag::kLogLevel, "--log-level", "LEVEL", kCmdServe,
+     &CliFlags::max_queue, 1, 65536},
+    {"--log-level", "LEVEL", kCmdServe,
      "structured-log threshold on stderr: debug, info, warn (default), "
-     "error, or off (docs/observability.md)"},
-    {Flag::kLogJson, "--log-json", nullptr, kCmdServe,
-     "emit structured log lines as JSON objects instead of text"},
-    {Flag::kInterval, "--interval", "SECONDS", kCmdTop,
+     "error, or off (docs/observability.md)",
+     &CliFlags::log_level, 0, 0, "--deadline"},
+    {"--log-json", nullptr, kCmdServe,
+     "emit structured log lines as JSON objects instead of text",
+     &CliFlags::log_json},
+    {"--interval", "SECONDS", kCmdTop,
      "refresh period of the live status view (default 2)",
-     1, 3600},
-    {Flag::kOnce, "--once", nullptr, kCmdTop,
+     &CliFlags::interval_seconds, 1, 3600},
+    {"--once", nullptr, kCmdTop,
      "print one status snapshot and exit (plain output, no screen "
-     "redraw)"},
-    {Flag::kWorkers, "--workers", "LIST", kCmdServe | kCmdCluster,
+     "redraw)",
+     &CliFlags::once},
+    {"--workers", "LIST", kCmdServe | kCmdCluster,
      "comma-separated worker endpoints (host:port,...) the coordinator "
-     "dispatches work units to (docs/cluster.md)"},
-    {Flag::kCoordinator, "--coordinator", nullptr, kCmdServe,
+     "dispatches work units to (docs/cluster.md)",
+     &CliFlags::workers},
+    {"--coordinator", nullptr, kCmdServe,
      "serve as a cluster coordinator: plan /v1/check requests into work "
-     "units and dispatch them across --workers"},
-    {Flag::kUnitDeadline, "--unit-deadline", "SECONDS",
+     "units and dispatch them across --workers",
+     &CliFlags::coordinator},
+    {"--unit-deadline", "SECONDS",
      kCmdServe | kCmdCluster,
      "per-work-unit dispatch deadline before the coordinator retries or "
      "re-dispatches (default 600)",
-     1, 86400},
-    {Flag::kBranchSplit, "--branch-split", "N", kCmdServe | kCmdCluster,
+     &CliFlags::unit_deadline_seconds, 1, 86400},
+    {"--branch-split", "N", kCmdServe | kCmdCluster,
      "split each related-set group into N root-branch shards (verdicts "
      "unchanged; summed state counts reflect the aggregate work)",
-     0, 4096},
-    {Flag::kSwarmLanes, "--swarm-lanes", "N", kCmdServe | kCmdCluster,
+     &CliFlags::branch_split, 0, 4096},
+    {"--swarm-lanes", "N", kCmdServe | kCmdCluster,
      "bitstate swarm: re-run each group under N diverse hash seeds and "
      "union the violations (needs --bitstate)",
-     0, 4096},
-    {Flag::kNoLocalFallback, "--no-local-fallback", nullptr,
+     &CliFlags::swarm_lanes, 0, 4096},
+    {"--no-local-fallback", nullptr,
      kCmdServe | kCmdCluster,
      "fail the check when no worker is reachable instead of degrading "
-     "to local execution"},
-    {Flag::kHelp, "--help", nullptr,
+     "to local execution",
+     &CliFlags::no_local_fallback},
+    {"--help", nullptr,
      kCmdCheck | kCmdAttribute | kCmdDeps | kCmdPromela | kCmdServe |
          kCmdTop | kCmdFleet | kCmdCluster,
-     "show this help"},
+     "show this help", &CliFlags::help},
 };
+
+/// The request-option flags in their table's order, each followed by
+/// the run of CLI rows anchored to it (FlagSpec::after).
+std::vector<FlagSpec> MergeFlagTables() {
+  std::vector<FlagSpec> out;
+  const std::span<const FlagSpec> cli = kCliFlags;
+  std::size_t next = 0;
+  for (const core::OptionSpec& option : core::RequestOptionTable()) {
+    if (option.flag == nullptr) continue;
+    out.push_back({option.flag, option.arg, option.commands, option.help,
+                   &option, option.min, option.max});
+    if (next < cli.size() && cli[next].after != nullptr &&
+        std::string_view(cli[next].after) == option.flag) {
+      do {
+        out.push_back(cli[next++]);
+      } while (next < cli.size() && cli[next].after == nullptr);
+    }
+  }
+  out.insert(out.end(), cli.begin() + next, cli.end());
+  return out;
+}
+
+bool IsHelp(const FlagSpec& spec) {
+  const auto* member = std::get_if<bool CliFlags::*>(&spec.target);
+  return member != nullptr && *member == &CliFlags::help;
+}
 
 struct CommandSpec {
   unsigned id;
@@ -201,10 +206,13 @@ std::string FlagUsage(const FlagSpec& spec) {
 
 }  // namespace
 
-std::span<const FlagSpec> FlagTable() { return kFlagTable; }
+std::span<const FlagSpec> FlagTable() {
+  static const std::vector<FlagSpec> table = MergeFlagTables();
+  return table;
+}
 
 const FlagSpec* FindFlag(const std::string& name) {
-  for (const FlagSpec& spec : kFlagTable) {
+  for (const FlagSpec& spec : FlagTable()) {
     if (name == spec.name) return &spec;
   }
   return nullptr;
@@ -221,8 +229,8 @@ std::string UsageFor(unsigned command) {
       out += cmd.positionals;
     }
   }
-  for (const FlagSpec& spec : kFlagTable) {
-    if (spec.id == Flag::kHelp || !(spec.commands & command)) continue;
+  for (const FlagSpec& spec : FlagTable()) {
+    if (IsHelp(spec) || !(spec.commands & command)) continue;
     out += " [" + FlagUsage(spec) + "]";
   }
   return out;
@@ -242,8 +250,8 @@ void PrintHelp(std::FILE* out) {
   std::fprintf(out, "\nflags (letters mark the accepting commands: "
                     "C=check, A=attribute, D=deps, P=promela, S=serve, "
                     "T=top, F=fleet, L=cluster):\n");
-  for (const FlagSpec& spec : kFlagTable) {
-    if (spec.id == Flag::kHelp) continue;
+  for (const FlagSpec& spec : FlagTable()) {
+    if (IsHelp(spec)) continue;
     std::fprintf(out, "  %-4s %-22s %s\n",
                  CommandLetters(spec.commands).c_str(),
                  FlagUsage(spec).c_str(), spec.help);
@@ -296,7 +304,7 @@ std::vector<std::string> ParseFlags(unsigned command,
                   UsageFor(command));
     }
     std::string value;
-    long long number = 0;
+    long long number = 1;  // what a flag without a value stores
     if (spec->arg != nullptr) {
       if (i + 1 >= args.size()) {
         throw Error("option " + arg + " needs a value (" + spec->arg + ")");
@@ -308,63 +316,19 @@ std::vector<std::string> ParseFlags(unsigned command,
         number = ParseFlagInt(spec->name, value, spec->min, spec->max);
       }
     }
-    switch (spec->id) {
-      case Flag::kEvents: flags.events = static_cast<int>(number); break;
-      case Flag::kJobs: flags.jobs = static_cast<int>(number); break;
-      case Flag::kFailures: flags.failures = true; break;
-      case Flag::kMono: flags.mono = true; break;
-      case Flag::kBitstate: flags.bitstate = true; break;
-      case Flag::kBitstateBits:
-        flags.bitstate_bits_pow = static_cast<int>(number);
-        flags.bitstate = true;
-        break;
-      case Flag::kPor: flags.por = true; break;
-      case Flag::kStateCompression: flags.state_compression = true; break;
-      case Flag::kFirst: flags.first = true; break;
-      case Flag::kProperties: flags.properties_path = value; break;
-      case Flag::kAllowDiscovery: flags.allow_discovery = true; break;
-      case Flag::kStats: flags.stats = true; break;
-      case Flag::kTraceOut: flags.trace_out = value; break;
-      case Flag::kProgressEvery:
-        flags.progress_every = static_cast<std::uint64_t>(number);
-        break;
-      case Flag::kArtifactsDir: flags.artifacts_dir = value; break;
-      case Flag::kReplay: flags.replay_path = value; break;
-      case Flag::kReverifyBitstate: flags.reverify_bitstate = true; break;
-      case Flag::kCacheDir: flags.cache_dir = value; break;
-      case Flag::kMetricsOut: flags.metrics_out = value; break;
-      case Flag::kAccessLog: flags.access_log = value; break;
-      case Flag::kRegistryDir: flags.registry_dir = value; break;
-      case Flag::kIfMatch: flags.if_match = value; break;
-      case Flag::kHost: flags.host = value; break;
-      case Flag::kPort: flags.port = static_cast<int>(number); break;
-      case Flag::kHttpWorkers:
-        flags.http_workers = static_cast<int>(number);
-        break;
-      case Flag::kMaxQueue: flags.max_queue = static_cast<int>(number); break;
-      case Flag::kDeadline:
-        flags.deadline_seconds = static_cast<int>(number);
-        break;
-      case Flag::kLogLevel: flags.log_level = value; break;
-      case Flag::kLogJson: flags.log_json = true; break;
-      case Flag::kInterval:
-        flags.interval_seconds = static_cast<int>(number);
-        break;
-      case Flag::kOnce: flags.once = true; break;
-      case Flag::kWorkers: flags.workers = value; break;
-      case Flag::kCoordinator: flags.coordinator = true; break;
-      case Flag::kUnitDeadline:
-        flags.unit_deadline_seconds = static_cast<int>(number);
-        break;
-      case Flag::kBranchSplit:
-        flags.branch_split = static_cast<int>(number);
-        break;
-      case Flag::kSwarmLanes:
-        flags.swarm_lanes = static_cast<int>(number);
-        break;
-      case Flag::kNoLocalFallback: flags.no_local_fallback = true; break;
-      case Flag::kHelp: flags.help = true; break;
-    }
+    std::visit(
+        [&](auto target) {
+          using T = decltype(target);
+          if constexpr (std::is_same_v<T, const core::OptionSpec*>) {
+            core::SetOption(flags.request, *target, number);
+          } else if constexpr (std::is_same_v<T, std::string CliFlags::*>) {
+            flags.*target = value;
+          } else {
+            using Field = std::remove_reference_t<decltype(flags.*target)>;
+            flags.*target = static_cast<Field>(number);
+          }
+        },
+        spec->target);
   }
   return positionals;
 }

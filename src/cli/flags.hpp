@@ -1,86 +1,83 @@
 // Shared command-line flag table for the iotsan tool.
 //
-// Flags are declared once in FlagTable() — the parser, the generated
-// help text, and the per-command usage lines all read it, so the three
-// cannot drift.  Living in src/cli (instead of the tool's main file)
-// makes the table and the strict numeric validation unit-testable
-// without spawning the binary.
+// Request-option flags (--events, --bitstate, ...) are rows of
+// core/options' table; the rows here are the CLI's own.  The parser, the
+// generated help text, and the per-command usage lines all read the
+// merged table, so the three cannot drift.  Living in src/cli (instead
+// of the tool's main file) makes the table and the strict numeric
+// validation unit-testable without spawning the binary.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
+
+#include "core/options.hpp"
 
 namespace iotsan::cli {
 
-/// Commands that accept flags, as a bitmask (FlagSpec::commands).
-enum : unsigned {
-  kCmdCheck = 1u << 0,
-  kCmdAttribute = 1u << 1,
-  kCmdDeps = 1u << 2,
-  kCmdPromela = 1u << 3,
-  kCmdServe = 1u << 4,
-  kCmdTop = 1u << 5,
-  kCmdFleet = 1u << 6,
-  kCmdCluster = 1u << 7,
-};
+using enum core::Command;
 
-enum class Flag {
-  kEvents,
-  kJobs,
-  kFailures,
-  kMono,
-  kBitstate,
-  kBitstateBits,
-  kPor,
-  kStateCompression,
-  kFirst,
-  kProperties,
-  kAllowDiscovery,
-  kStats,
-  kTraceOut,
-  kProgressEvery,
-  kArtifactsDir,
-  kReplay,
-  kReverifyBitstate,
-  kCacheDir,
-  kMetricsOut,
-  kAccessLog,
-  kRegistryDir,
-  kIfMatch,
-  kHost,
-  kPort,
-  kHttpWorkers,
-  kMaxQueue,
-  kDeadline,
-  kLogLevel,
-  kLogJson,
-  kInterval,
-  kOnce,
-  kWorkers,
-  kCoordinator,
-  kUnitDeadline,
-  kBranchSplit,
-  kSwarmLanes,
-  kNoLocalFallback,
-  kHelp,
+/// Values collected from the flag table; each command reads the fields
+/// relevant to it.
+struct CliFlags {
+  /// The request-option flags (core/options), ready for a request.
+  core::RequestOptions request;
+  bool stats = false;
+  bool help = false;
+  std::string properties_path;
+  std::string trace_out;
+  std::string artifacts_dir;
+  std::string replay_path;
+  std::string cache_dir;
+  std::string metrics_out;   // Prometheus exposition file (check)
+  std::string access_log;    // JSONL access log file (serve)
+  std::string registry_dir;  // fleet registry persistence root (serve)
+  std::string if_match;      // revision pin for `fleet check` ("" = none)
+  std::uint64_t progress_every = 0;
+  // serve + top + fleet
+  std::string host = "127.0.0.1";
+  int port = 8080;            // 0 = kernel-assigned ephemeral port
+  int http_workers = 4;       // HTTP session threads
+  int max_queue = 64;         // accept-queue bound before 503 shedding
+  std::string log_level;      // structured-log threshold ("" = default warn)
+  bool log_json = false;      // structured logs as JSON lines
+  // top
+  int interval_seconds = 2;   // refresh period of the live view
+  bool once = false;          // one snapshot, then exit
+  // cluster (+ serve --coordinator); docs/cluster.md
+  std::string workers;        // "host:port,host:port,..." worker fleet
+  bool coordinator = false;   // serve: dispatch /v1/check across workers
+  int unit_deadline_seconds = 600;  // per-unit dispatch deadline
+  int branch_split = 0;       // root-branch shards per group (0/1 = off)
+  int swarm_lanes = 0;        // bitstate swarm lanes per group (0/1 = off)
+  bool no_local_fallback = false;  // fail instead of degrading to local
 };
 
 struct FlagSpec {
-  Flag id;
   const char* name;
   const char* arg;    // metavar; nullptr when the flag takes no value
   unsigned commands;  // bitmask of commands accepting the flag
   const char* help;
+  /// Where the value goes: a CliFlags member, or a request option
+  /// stored in CliFlags::request.
+  std::variant<bool CliFlags::*, int CliFlags::*, std::uint64_t CliFlags::*,
+               std::string CliFlags::*, const core::OptionSpec*>
+      target;
   // Valid range for numeric-valued flags (min < max marks the flag as
   // numeric; the parser strictly validates the value against it).
   long long min = 0;
   long long max = 0;
+  /// Help placement of the CLI's own rows: a row naming a request-option
+  /// flag here starts a run printed right after that flag, and the rows
+  /// that follow it without one continue the run.
+  const char* after = nullptr;
 };
 
-/// The full flag table, in help order.
+/// Every flag, request options included, in help order.
 std::span<const FlagSpec> FlagTable();
 
 /// Looks a flag up by its exact `--name`; nullptr when unknown.
@@ -99,52 +96,6 @@ void PrintHelp(std::FILE* out);
 /// empty, overflow) or an out-of-range value.
 long long ParseFlagInt(const std::string& flag, const std::string& value,
                        long long min_value, long long max_value);
-
-/// Values collected from the flag table; each command reads the fields
-/// relevant to it.
-struct CliFlags {
-  int events = -1;  // -1 = keep the command's default
-  int jobs = 1;     // worker threads (0 = hardware concurrency)
-  bool failures = false;
-  bool mono = false;
-  bool bitstate = false;
-  int bitstate_bits_pow = 0;  // 0 = default (27)
-  bool por = false;               // ample-set partial-order reduction
-  bool state_compression = false; // COLLAPSE store-key compression
-  bool first = false;
-  bool allow_discovery = false;
-  bool stats = false;
-  bool help = false;
-  bool reverify_bitstate = false;
-  std::string properties_path;
-  std::string trace_out;
-  std::string artifacts_dir;
-  std::string replay_path;
-  std::string cache_dir;
-  std::string metrics_out;   // Prometheus exposition file (check)
-  std::string access_log;    // JSONL access log file (serve)
-  std::string registry_dir;  // fleet registry persistence root (serve)
-  std::string if_match;      // revision pin for `fleet check` ("" = none)
-  std::uint64_t progress_every = 0;
-  // serve + top + fleet
-  std::string host = "127.0.0.1";
-  int port = 8080;            // 0 = kernel-assigned ephemeral port
-  int http_workers = 4;       // HTTP session threads
-  int max_queue = 64;         // accept-queue bound before 503 shedding
-  int deadline_seconds = 0;   // default per-request budget (0 = none)
-  std::string log_level;      // structured-log threshold ("" = default warn)
-  bool log_json = false;      // structured logs as JSON lines
-  // top
-  int interval_seconds = 2;   // refresh period of the live view
-  bool once = false;          // one snapshot, then exit
-  // cluster (+ serve --coordinator); docs/cluster.md
-  std::string workers;        // "host:port,host:port,..." worker fleet
-  bool coordinator = false;   // serve: dispatch /v1/check across workers
-  int unit_deadline_seconds = 600;  // per-unit dispatch deadline
-  int branch_split = 0;       // root-branch shards per group (0/1 = off)
-  int swarm_lanes = 0;        // bitstate swarm lanes per group (0/1 = off)
-  bool no_local_fallback = false;  // fail instead of degrading to local
-};
 
 /// Parses `args` for `command`, separating positionals from flags.
 /// Throws iotsan::Error on unknown flags, missing or malformed values,

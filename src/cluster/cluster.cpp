@@ -20,30 +20,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Non-default request options forwarded verbatim to every unit — the
-/// worker must search exactly as a single node would.  `jobs` is
-/// deliberately absent: the worker's own pool size does not affect the
-/// canonicalized result, so each worker runs at its native width.
-json::Object BaseOptionsJson(const core::RequestOptions& options) {
-  json::Object out;
-  if (options.events > 0) out["events"] = options.events;
-  if (options.failures) out["failures"] = true;
-  if (options.bitstate) out["bitstate"] = true;
-  if (options.bitstate_bits_pow > 0) {
-    out["bitstateBits"] = options.bitstate_bits_pow;
-  }
-  if (options.por) out["por"] = true;
-  if (options.state_compression) out["stateCompression"] = true;
-  if (options.first) out["first"] = true;
-  if (options.reverify_bitstate) out["reverifyBitstate"] = true;
-  if (options.allow_discovery) out["allowDiscovery"] = true;
-  // Always explicit, so a worker's own default deadline can never cut a
-  // unit short when the coordinator runs unbounded.
-  out["deadlineSeconds"] =
-      static_cast<std::int64_t>(options.deadline_seconds);
-  return out;
-}
-
 /// [{id, category, description, expression}] — the shape
 /// props::LoadPropertiesJson reads back on the worker.
 json::Array PropertiesJson(const std::vector<props::Property>& properties) {
@@ -102,80 +78,6 @@ std::vector<WorkerSpec> ParseWorkerList(const std::string& list) {
 
 // ---- wire format -------------------------------------------------------------
 
-json::Value CheckResultToJson(const checker::CheckResult& result) {
-  json::Object res;
-  json::Array violations;
-  for (const checker::Violation& v : result.violations) {
-    violations.push_back(checker::ViolationToJson(v));
-  }
-  res["violations"] = std::move(violations);
-  res["states_explored"] = static_cast<std::int64_t>(result.states_explored);
-  res["states_matched"] = static_cast<std::int64_t>(result.states_matched);
-  res["transitions"] = static_cast<std::int64_t>(result.transitions);
-  res["cascade_drains"] = static_cast<std::int64_t>(result.cascade_drains);
-  res["completed"] = result.completed;
-  // The worker's compute time, replayed verbatim: serial single-node
-  // reports sum per-group seconds, and so does the coordinator's merge.
-  res["seconds"] = result.seconds;
-  res["store_fill_ratio"] = result.store_fill_ratio;
-  res["est_omission_probability"] = result.est_omission_probability;
-  res["store_entries"] = static_cast<std::int64_t>(result.store_entries);
-  res["store_memory_bytes"] =
-      static_cast<std::int64_t>(result.store_memory_bytes);
-  res["store_bytes_per_state"] = result.store_bytes_per_state;
-  res["compress_pool_entries"] =
-      static_cast<std::int64_t>(result.compress_pool_entries);
-  res["compress_pool_bytes"] =
-      static_cast<std::int64_t>(result.compress_pool_bytes);
-  res["compress_lookups"] =
-      static_cast<std::int64_t>(result.compress_lookups);
-  res["compress_hits"] = static_cast<std::int64_t>(result.compress_hits);
-  json::Array depths;
-  for (std::uint64_t count : result.depth_histogram) {
-    depths.push_back(static_cast<std::int64_t>(count));
-  }
-  res["depth_histogram"] = std::move(depths);
-  return json::Value(std::move(res));
-}
-
-checker::CheckResult CheckResultFromJson(const json::Value& doc) {
-  checker::CheckResult result;
-  for (const json::Value& v : doc.At("violations").AsArray()) {
-    result.violations.push_back(checker::ViolationFromJson(v));
-  }
-  result.states_explored =
-      static_cast<std::uint64_t>(doc.GetNumber("states_explored"));
-  result.states_matched =
-      static_cast<std::uint64_t>(doc.GetNumber("states_matched"));
-  result.transitions =
-      static_cast<std::uint64_t>(doc.GetNumber("transitions"));
-  result.cascade_drains =
-      static_cast<std::uint64_t>(doc.GetNumber("cascade_drains"));
-  result.completed = doc.GetBool("completed", true);
-  result.seconds = doc.GetNumber("seconds");
-  result.store_fill_ratio = doc.GetNumber("store_fill_ratio");
-  result.est_omission_probability =
-      doc.GetNumber("est_omission_probability");
-  result.store_entries =
-      static_cast<std::uint64_t>(doc.GetNumber("store_entries"));
-  result.store_memory_bytes =
-      static_cast<std::uint64_t>(doc.GetNumber("store_memory_bytes"));
-  result.store_bytes_per_state = doc.GetNumber("store_bytes_per_state");
-  result.compress_pool_entries =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_pool_entries"));
-  result.compress_pool_bytes =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_pool_bytes"));
-  result.compress_lookups =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_lookups"));
-  result.compress_hits =
-      static_cast<std::uint64_t>(doc.GetNumber("compress_hits"));
-  for (const json::Value& count : doc.At("depth_histogram").AsArray()) {
-    result.depth_histogram.push_back(
-        static_cast<std::uint64_t>(count.AsNumber()));
-  }
-  return result;
-}
-
 json::Value UnitRequestJson(const core::CheckRequest& request,
                             const WorkUnit& unit) {
   json::Object doc;
@@ -191,20 +93,23 @@ json::Value UnitRequestJson(const core::CheckRequest& request,
   if (!request.extra_properties.empty()) {
     doc["properties"] = PropertiesJson(request.extra_properties);
   }
-  json::Object options = BaseOptionsJson(request.options);
-  json::Array group;
-  for (std::size_t index : unit.group_apps) {
-    group.push_back(static_cast<std::int64_t>(index));
-  }
-  options["groupApps"] = std::move(group);
+  core::RequestOptions options = request.options;
+  options.group_apps = unit.group_apps;
   if (unit.branch_modulus > 1) {
-    options["branchModulus"] = static_cast<std::int64_t>(unit.branch_modulus);
-    options["branchResidue"] = static_cast<std::int64_t>(unit.branch_residue);
+    options.branch_modulus = unit.branch_modulus;
+    options.branch_residue = unit.branch_residue;
   }
-  if (unit.bitstate_seed != 0) {
-    options["bitstateSeed"] = static_cast<std::int64_t>(unit.bitstate_seed);
-  }
-  doc["options"] = std::move(options);
+  options.bitstate_seed = unit.bitstate_seed;
+  // The worker must search exactly as a single node would, so every
+  // option that differs from its defaults rides along — except `jobs`:
+  // the worker's own pool size does not affect the canonicalized result,
+  // so each worker runs at its native width.  The deadline is always
+  // explicit, so a worker's own default deadline can never cut a unit
+  // short when the coordinator runs unbounded.
+  core::RequestOptions omitted;
+  omitted.jobs = options.jobs;
+  omitted.deadline_seconds = -1;
+  doc["options"] = core::OptionsToJson(options, omitted);
   return json::Value(std::move(doc));
 }
 
@@ -519,7 +424,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
         if (response.status == 200) {
           const json::Value doc = json::Parse(response.body);
           checker::CheckResult result =
-              CheckResultFromJson(doc.At("unit"));
+              checker::CheckResultFromJson(doc.At("unit"));
           const double latency_ms =
               std::chrono::duration<double, std::milli>(Clock::now() -
                                                         dispatch_start)

@@ -115,13 +115,6 @@ struct ClusterOutcome {
 
 // ---- wire format (exposed for tests) -----------------------------------------
 
-/// CheckResult <-> JSON round trip for the unit response ("unit" key of
-/// the worker's envelope).  The field set mirrors the result cache's
-/// entry serialization, so every field MergeGroupResult consumes
-/// survives the trip and merged reports stay byte-identical.
-json::Value CheckResultToJson(const checker::CheckResult& result);
-checker::CheckResult CheckResultFromJson(const json::Value& doc);
-
 /// The iotsan.request/1 envelope dispatching `unit` of `request` to a
 /// worker's POST /v1/check.
 json::Value UnitRequestJson(const core::CheckRequest& request,

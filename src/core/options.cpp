@@ -1,0 +1,159 @@
+#include "core/options.hpp"
+
+#include <limits>
+#include <string>
+#include <type_traits>
+
+#include "util/error.hpp"
+
+namespace iotsan::core {
+
+namespace {
+
+using R = RequestOptions;
+
+constexpr OptionSpec kOptionTable[] = {
+    {"events", "--events", "N",
+     kCmdCheck | kCmdAttribute | kCmdPromela | kCmdCluster,
+     "external-event bound per run (Algorithm 1; default 3, attribute: 2)",
+     &R::events, 1, 64},
+    {"jobs", "--jobs", "N",
+     kCmdCheck | kCmdAttribute | kCmdServe | kCmdCluster,
+     "worker threads for the search (0 = all hardware threads; default 1, "
+     "serve: 0); verdicts and counts are identical for any N",
+     &R::jobs, 0, 1024},
+    {"failures", "--failures", nullptr, kCmdCheck | kCmdCluster,
+     "enumerate device/communication failure scenarios per event (paper §8)",
+     &R::failures},
+    {"mono", "--mono", nullptr, kCmdCheck,
+     "skip dependency analysis; check all apps in one monolithic model",
+     &R::mono},
+    {"bitstate", "--bitstate", nullptr,
+     kCmdCheck | kCmdAttribute | kCmdCluster,
+     "use Spin-style BITSTATE hashing instead of the exhaustive store",
+     &R::bitstate},
+    {"bitstateBits", "--bitstate-bits", "P",
+     kCmdCheck | kCmdAttribute | kCmdCluster,
+     "BITSTATE bit-field size as a power of two (Spin -w; default 27 = "
+     "16 MiB)",
+     &R::bitstate_bits_pow, 10, 40, &R::bitstate},
+    {"por", "--por", nullptr, kCmdCheck | kCmdAttribute | kCmdCluster,
+     "ample-set partial-order reduction: expand a single pending dispatch "
+     "when it provably commutes with the rest (concurrent scheduling only)",
+     &R::por},
+    {"stateCompression", "--state-compression", nullptr,
+     kCmdCheck | kCmdAttribute | kCmdCluster,
+     "Spin-style COLLAPSE store keys: intern per-device/app-state/timer "
+     "components instead of hashing full state vectors",
+     &R::state_compression},
+    {"first", "--first", nullptr, kCmdCheck | kCmdCluster,
+     "stop at the first property violation", &R::first},
+    {"allowDiscovery", "--allow-discovery", nullptr,
+     kCmdCheck | kCmdAttribute | kCmdCluster,
+     "check dynamic-device-discovery apps instead of rejecting them",
+     &R::allow_discovery},
+    {"reverifyBitstate", "--reverify-bitstate", nullptr,
+     kCmdCheck | kCmdAttribute,
+     "replay-verify every BITSTATE violation with an exhaustive store "
+     "before reporting it (false-positive filter)",
+     &R::reverify_bitstate},
+    {"deadlineSeconds", "--deadline", "SECONDS", kCmdServe | kCmdCluster,
+     "default wall-clock budget per request, seconds (0 = none); "
+     "requests may override via options.deadlineSeconds",
+     &R::deadline_seconds, 0, 86400},
+    // Cluster work units (src/cluster): set by the coordinator per unit,
+    // never on a command line.
+    {"groupApps", nullptr, nullptr, 0, nullptr, &R::group_apps, 0, 1 << 20},
+    {"branchModulus", nullptr, nullptr, 0, nullptr, &R::branch_modulus, 1,
+     1 << 16},
+    {"branchResidue", nullptr, nullptr, 0, nullptr, &R::branch_residue, 0,
+     1 << 16},
+    {"bitstateSeed", nullptr, nullptr, 0, nullptr, &R::bitstate_seed, 0,
+     std::numeric_limits<long long>::max()},
+};
+
+const OptionSpec* FindKey(const std::string& key) {
+  for (const OptionSpec& spec : kOptionTable) {
+    if (key == spec.key) return &spec;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::span<const OptionSpec> RequestOptionTable() { return kOptionTable; }
+
+void SetOption(RequestOptions& options, const OptionSpec& spec,
+               long long value) {
+  std::visit(
+      [&](auto member) {
+        auto& field = options.*member;
+        using T = std::remove_reference_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+          field.push_back(static_cast<std::size_t>(value));
+        } else {
+          field = static_cast<T>(value);
+        }
+      },
+      spec.field);
+  if (spec.implies != nullptr) options.*spec.implies = true;
+}
+
+void ParseOptionsJson(const json::Value& doc, RequestOptions& options) {
+  if (!doc.is_object()) throw Error("\"options\" must be a JSON object");
+  for (const auto& [key, value] : doc.AsObject()) {
+    const OptionSpec* spec = FindKey(key);
+    if (spec == nullptr) throw Error("unknown option \"" + key + "\"");
+    const std::string name = "option \"" + key + "\" ";
+    if (std::holds_alternative<bool R::*>(spec->field)) {
+      if (!value.is_bool()) throw Error(name + "must be a boolean");
+      SetOption(options, *spec, value.AsBool());
+      continue;
+    }
+    auto read = [&](const json::Value& item) {
+      try {
+        SetOption(options, *spec, item.AsInteger(spec->min, spec->max));
+      } catch (const Error& e) {
+        throw Error(name + e.what());
+      }
+    };
+    if (std::holds_alternative<std::vector<std::size_t> R::*>(spec->field)) {
+      if (!value.is_array() || value.AsArray().empty()) {
+        throw Error("\"" + key +
+                    "\" must be a non-empty array of app indices");
+      }
+      for (const json::Value& item : value.AsArray()) read(item);
+    } else {
+      read(value);
+    }
+  }
+}
+
+json::Object OptionsToJson(const RequestOptions& options,
+                           const RequestOptions& base) {
+  json::Object out;
+  for (const OptionSpec& spec : kOptionTable) {
+    std::visit(
+        [&](auto member) {
+          const auto& value = options.*member;
+          if (value == base.*member) return;
+          using T = std::remove_cvref_t<decltype(value)>;
+          if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
+            json::Array items;
+            for (std::size_t item : value) {
+              items.push_back(static_cast<std::int64_t>(item));
+            }
+            out[spec.key] = std::move(items);
+          } else if constexpr (std::is_same_v<T, bool> ||
+                               std::is_same_v<T, double>) {
+            out[spec.key] = value;
+          } else {
+            out[spec.key] = static_cast<std::int64_t>(value);
+          }
+        },
+        spec.field);
+  }
+  return out;
+}
+
+}  // namespace iotsan::core

@@ -60,7 +60,7 @@ StoredDeployment StoredDeploymentFromJson(const json::Value& doc) {
   }
   StoredDeployment out;
   out.id = doc.GetString("id");
-  out.revision = static_cast<std::uint64_t>(doc.GetNumber("revision"));
+  out.revision = doc.GetInteger<std::uint64_t>("revision");
   out.deployment = config::ParseDeployment(doc.At("deployment"));
   if (doc.Has("appSources")) {
     for (const auto& [name, source] : doc.At("appSources").AsObject()) {
@@ -101,14 +101,13 @@ CheckRecord CheckRecordFromJson(const json::Value& doc) {
                 "' (want '" + std::string(kRecordSchema) + "')");
   }
   CheckRecord out;
-  out.revision = static_cast<std::uint64_t>(doc.GetNumber("revision"));
+  out.revision = doc.GetInteger<std::uint64_t>("revision");
   out.cache_version = doc.GetString("cache_version");
   out.verdict = doc.GetString("verdict");
-  out.exit_code = static_cast<int>(doc.GetNumber("exit_code"));
+  out.exit_code = doc.GetInteger<int>("exit_code");
   out.check_seconds = doc.GetNumber("check_seconds");
-  out.groups_total = static_cast<std::uint64_t>(doc.GetNumber("groups_total"));
-  out.groups_recomputed =
-      static_cast<std::uint64_t>(doc.GetNumber("groups_recomputed"));
+  out.groups_total = doc.GetInteger<std::uint64_t>("groups_total");
+  out.groups_recomputed = doc.GetInteger<std::uint64_t>("groups_recomputed");
   for (const json::Value& entry : doc.At("groups").AsArray()) {
     CheckRecord::Group group;
     group.key.text = entry.GetString("key_text");

@@ -1,7 +1,6 @@
 #include "server/handlers.hpp"
 
 #include <cstdio>
-#include <limits>
 #include <optional>
 #include <string_view>
 
@@ -57,102 +56,19 @@ const json::Value& ValidateEnvelope(const json::Value& doc) {
   return doc.At("deployment");
 }
 
-long long RequireInt(const json::Value& value, const char* key,
-                     long long min, long long max) {
-  if (!value.is_number()) {
-    throw RequestError(400, kErrBadRequest,
-                       std::string("option \"") + key + "\" must be an "
-                       "integer");
-  }
-  const std::int64_t n = value.AsInt();
-  if (n < min || n > max) {
-    throw RequestError(400, kErrBadRequest,
-                       std::string("option \"") + key + "\" wants a value "
-                       "in [" + std::to_string(min) + ", " +
-                       std::to_string(max) + "], got " + std::to_string(n));
-  }
-  return n;
-}
-
-bool RequireBool(const json::Value& value, const char* key) {
-  if (!value.is_bool()) {
-    throw RequestError(400, kErrBadRequest,
-                       std::string("option \"") + key + "\" must be a "
-                       "boolean");
-  }
-  return value.AsBool();
-}
-
-/// Parses the request's "options" object.  Every key is validated
-/// against the same ranges the CLI flag table enforces; unknown keys are
-/// rejected so a typo can never silently fall back to a default.
+/// Parses the request's "options" object over `defaults` through the
+/// option table (core/options): every key is validated against the same
+/// ranges the CLI enforces, and unknown keys are rejected so a typo can
+/// never silently fall back to a default.
 core::RequestOptions ParseOptions(const json::Value& doc,
-                                  ParsedOptionsMeta* meta) {
-  core::RequestOptions out;
-  if (!doc.Has("options")) return out;
-  const json::Value& options = doc.At("options");
-  if (!options.is_object()) {
-    throw RequestError(400, kErrBadRequest,
-                       "\"options\" must be a JSON object");
+                                  core::RequestOptions defaults) {
+  if (!doc.Has("options")) return defaults;
+  try {
+    core::ParseOptionsJson(doc.At("options"), defaults);
+  } catch (const Error& e) {
+    throw RequestError(400, kErrBadRequest, e.what());
   }
-  for (const auto& [key, value] : options.AsObject()) {
-    if (key == "events") {
-      out.events = static_cast<int>(RequireInt(value, "events", 1, 64));
-    } else if (key == "jobs") {
-      out.jobs = static_cast<int>(RequireInt(value, "jobs", 0, 1024));
-      if (meta != nullptr) meta->jobs_given = true;
-    } else if (key == "failures") {
-      out.failures = RequireBool(value, "failures");
-    } else if (key == "mono") {
-      out.mono = RequireBool(value, "mono");
-    } else if (key == "bitstate") {
-      out.bitstate = RequireBool(value, "bitstate");
-    } else if (key == "bitstateBits") {
-      out.bitstate_bits_pow =
-          static_cast<int>(RequireInt(value, "bitstateBits", 10, 40));
-      out.bitstate = true;
-    } else if (key == "por") {
-      out.por = RequireBool(value, "por");
-    } else if (key == "stateCompression") {
-      out.state_compression = RequireBool(value, "stateCompression");
-    } else if (key == "first") {
-      out.first = RequireBool(value, "first");
-    } else if (key == "reverifyBitstate") {
-      out.reverify_bitstate = RequireBool(value, "reverifyBitstate");
-    } else if (key == "allowDiscovery") {
-      out.allow_discovery = RequireBool(value, "allowDiscovery");
-    } else if (key == "deadlineSeconds") {
-      out.deadline_seconds = static_cast<double>(
-          RequireInt(value, "deadlineSeconds", 0, 86400));
-      if (meta != nullptr) meta->deadline_given = true;
-    } else if (key == "groupApps") {
-      // Cluster work unit: check exactly this related-set group (app
-      // indices into the deployment, as planned by the coordinator).
-      if (!value.is_array() || value.AsArray().empty()) {
-        throw RequestError(400, kErrBadRequest,
-                           "\"groupApps\" must be a non-empty array of "
-                           "app indices");
-      }
-      for (const json::Value& index : value.AsArray()) {
-        out.group_apps.push_back(static_cast<std::size_t>(
-            RequireInt(index, "groupApps[]", 0, 1 << 20)));
-      }
-    } else if (key == "branchModulus") {
-      out.branch_modulus = static_cast<unsigned>(
-          RequireInt(value, "branchModulus", 1, 1 << 16));
-    } else if (key == "branchResidue") {
-      out.branch_residue = static_cast<unsigned>(
-          RequireInt(value, "branchResidue", 0, 1 << 16));
-    } else if (key == "bitstateSeed") {
-      out.bitstate_seed = static_cast<std::uint64_t>(
-          RequireInt(value, "bitstateSeed", 0,
-                     std::numeric_limits<long long>::max()));
-    } else {
-      throw RequestError(400, kErrBadRequest,
-                         "unknown option \"" + key + "\"");
-    }
-  }
-  return out;
+  return defaults;
 }
 
 config::Deployment ParseDeploymentOrThrow(const json::Value& doc) {
@@ -202,18 +118,16 @@ std::vector<props::Property> ParseInlineProperties(const json::Value& doc) {
   }
 }
 
-/// Fills request defaults a resident server owns: worker lanes come
-/// from the shared pool unless the request pins them, the deadline from
-/// the server config unless the request sets its own.
-void ApplyServerDefaults(core::RequestOptions& options,
-                         const ParsedOptionsMeta& meta,
-                         const ServiceState& state) {
-  if (!meta.jobs_given && state.env.pool != nullptr) {
-    options.jobs = static_cast<int>(state.env.pool->jobs());
+/// The request defaults a resident server owns: worker lanes come from
+/// the shared pool and the deadline from the server config, unless the
+/// request sets its own.
+core::RequestOptions ServerDefaults(const ServiceState& state) {
+  core::RequestOptions defaults;
+  if (state.env.pool != nullptr) {
+    defaults.jobs = static_cast<int>(state.env.pool->jobs());
   }
-  if (!meta.deadline_given) {
-    options.deadline_seconds = state.request_deadline_seconds;
-  }
+  defaults.deadline_seconds = state.request_deadline_seconds;
+  return defaults;
 }
 
 json::Object ResponseEnvelope() {
@@ -477,9 +391,8 @@ void WireProgressEvents(core::ServiceEnv& env, const ServiceState& state,
 HttpResponse HandleCheck(const HttpRequest& request,
                          const ServiceState& state,
                          const std::string& request_id) {
-  ParsedOptionsMeta meta;
-  core::CheckRequest check = ParseCheckRequest(request.body, &meta);
-  ApplyServerDefaults(check.options, meta, state);
+  core::CheckRequest check =
+      ParseCheckRequest(request.body, ServerDefaults(state));
   // Per-request env copy: the shared env serves every request, the id
   // belongs to this one.  It flows into CheckOptions::request_id and
   // from there into spans and artifact manifests.
@@ -500,7 +413,7 @@ HttpResponse HandleCheck(const HttpRequest& request,
     }
     if (auto* t = telemetry::Active()) ++t->server.checks;
     json::Object doc = ResponseEnvelope();
-    doc["unit"] = cluster::CheckResultToJson(unit);
+    doc["unit"] = checker::CheckResultToJson(unit);
     doc["request_id"] = request_id;
     return JsonResponse(200, std::move(doc));
   }
@@ -596,10 +509,8 @@ HttpResponse HandleCheck(const HttpRequest& request,
 HttpResponse HandleAttribute(const HttpRequest& request,
                              const ServiceState& state,
                              const std::string& request_id) {
-  ParsedOptionsMeta meta;
   core::AttributeRequest attribute =
-      ParseAttributeRequest(request.body, &meta);
-  ApplyServerDefaults(attribute.options, meta, state);
+      ParseAttributeRequest(request.body, ServerDefaults(state));
   core::ServiceEnv env = state.env;
   env.request_id = request_id;
   core::AttributeResponse result = core::RunAttribute(attribute, env);
@@ -707,8 +618,7 @@ HttpResponse HandleDeploymentCheck(const HttpRequest& request,
                                    const std::string& request_id,
                                    const std::string& id) {
   const std::optional<std::uint64_t> if_match = ParseIfMatch(request);
-  ParsedOptionsMeta meta;
-  core::RequestOptions options;
+  core::RequestOptions options = ServerDefaults(state);
   if (!request.body.empty()) {
     const json::Value doc = ParseBodyJson(request.body);
     if (!doc.is_object()) {
@@ -722,9 +632,8 @@ HttpResponse HandleDeploymentCheck(const HttpRequest& request,
                          std::string("unsupported request schema (this "
                                      "server speaks ") + kRequestSchema + ")");
     }
-    options = ParseOptions(doc, &meta);
+    options = ParseOptions(doc, options);
   }
-  ApplyServerDefaults(options, meta, state);
   core::ServiceEnv env = state.env;
   env.request_id = request_id;
   if (state.inflight != nullptr) {
@@ -871,24 +780,24 @@ std::string GenerateRequestId() {
 }
 
 core::CheckRequest ParseCheckRequest(const std::string& body,
-                                     ParsedOptionsMeta* meta) {
+                                     const core::RequestOptions& defaults) {
   const json::Value doc = ParseBodyJson(body);
   const json::Value& deployment = ValidateEnvelope(doc);
   core::CheckRequest out;
   out.deployment = ParseDeploymentOrThrow(deployment);
   out.extra_sources = ParseInlineSources(doc);
   out.extra_properties = ParseInlineProperties(doc);
-  out.options = ParseOptions(doc, meta);
+  out.options = ParseOptions(doc, defaults);
   return out;
 }
 
-core::AttributeRequest ParseAttributeRequest(const std::string& body,
-                                             ParsedOptionsMeta* meta) {
+core::AttributeRequest ParseAttributeRequest(
+    const std::string& body, const core::RequestOptions& defaults) {
   const json::Value doc = ParseBodyJson(body);
   const json::Value& deployment = ValidateEnvelope(doc);
   core::AttributeRequest out;
   out.deployment = ParseDeploymentOrThrow(deployment);
-  out.options = ParseOptions(doc, meta);
+  out.options = ParseOptions(doc, defaults);
   if (!doc.Has("app") || !doc.At("app").is_object()) {
     throw RequestError(400, kErrBadSchema,
                        "attribute requests need an \"app\" object: "

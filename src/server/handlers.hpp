@@ -153,20 +153,13 @@ std::string GenerateRequestId();
 HttpResponse Route(const HttpRequest& request, const ServiceState& state,
                    RequestContext* context = nullptr);
 
-/// Which per-request options the body set explicitly (unset ones fall
-/// back to the server's configuration: shared-pool jobs, the default
-/// deadline).
-struct ParsedOptionsMeta {
-  bool jobs_given = false;
-  bool deadline_given = false;
-};
-
-/// Parses and validates POST bodies.  Throw RequestError on malformed
-/// JSON, wrong schema version, or invalid structure; exposed for the
-/// negative tests.
-core::CheckRequest ParseCheckRequest(const std::string& body,
-                                     ParsedOptionsMeta* meta = nullptr);
+/// Parses and validates POST bodies; options the body leaves out keep
+/// their value in `defaults`.  Throw RequestError on malformed JSON,
+/// wrong schema version, or invalid structure; exposed for the negative
+/// tests.
+core::CheckRequest ParseCheckRequest(
+    const std::string& body, const core::RequestOptions& defaults = {});
 core::AttributeRequest ParseAttributeRequest(
-    const std::string& body, ParsedOptionsMeta* meta = nullptr);
+    const std::string& body, const core::RequestOptions& defaults = {});
 
 }  // namespace iotsan::server

@@ -47,266 +47,40 @@ void SetActive(Registry* registry) {
 
 std::vector<Sample> Registry::Snapshot() const {
   std::vector<Sample> out;
-  auto add = [&out](const char* name, std::uint64_t value,
-                    SampleKind kind = SampleKind::kCounter) {
-    out.push_back({name, value, kind});
-  };
-  add("search.states_explored", search.states_explored);
-  add("search.states_matched", search.states_matched);
-  add("search.transitions", search.transitions);
-  add("search.cascade_drains", search.cascade_drains);
-  add("search.events_injected", search.events_injected);
-  add("search.handler_dispatches", search.handler_dispatches);
-  add("search.invariant_evals", search.invariant_evals);
-  add("search.violations_recorded", search.violations_recorded);
-  add("search.budget_stops", search.budget_stops);
-  add("search.progress_reports", search.progress_reports);
-  add("search.replays_run", search.replays_run);
-  add("search.replays_reproduced", search.replays_reproduced);
-  add("search.replays_refuted", search.replays_refuted);
-  add("pipeline.apps_parsed", pipeline.apps_parsed);
-  add("pipeline.parse_failures", pipeline.parse_failures);
-  add("pipeline.type_problems", pipeline.type_problems);
-  add("pipeline.dependency_edges", pipeline.dependency_edges);
-  add("pipeline.related_sets", pipeline.related_sets);
-  add("pipeline.models_built", pipeline.models_built);
-  add("pipeline.checks_run", pipeline.checks_run);
-  add("pipeline.configs_enumerated", pipeline.configs_enumerated);
-  add("pipeline.attributions", pipeline.attributions);
-  add("store.entries", store.entries, SampleKind::kGauge);
-  add("store.memory_bytes", store.memory_bytes, SampleKind::kGauge);
-  add("store.fill_permille", store.fill_permille, SampleKind::kGauge);
-  add("store.omission_ppm", store.omission_ppm, SampleKind::kGauge);
-  add("store.bytes_per_state", store.bytes_per_state, SampleKind::kGauge);
-  add("store.saturation_warnings", store.saturation_warnings);
-  add("por.ample_singletons", por.ample_singletons);
-  add("por.full_expansions", por.full_expansions);
-  add("por.interleavings_pruned", por.interleavings_pruned);
-  add("por.fallback_unknown", por.fallback_unknown);
-  add("por.fallback_visible", por.fallback_visible);
-  add("por.fallback_conflict", por.fallback_conflict);
-  add("por.fallback_depth", por.fallback_depth);
-  add("compress.states_encoded", compress.states_encoded);
-  add("compress.intern_lookups", compress.intern_lookups);
-  add("compress.intern_hits", compress.intern_hits);
-  add("compress.pool_entries", compress.pool_entries, SampleKind::kGauge);
-  add("compress.pool_bytes", compress.pool_bytes, SampleKind::kGauge);
-  add("parallel.pools_created", parallel.pools_created);
-  add("parallel.workers_spawned", parallel.workers_spawned);
-  add("parallel.tasks_run", parallel.tasks_run);
-  add("parallel.tasks_stolen", parallel.tasks_stolen);
-  add("parallel.branch_tasks", parallel.branch_tasks);
-  add("parallel.group_tasks", parallel.group_tasks);
-  add("parallel.config_tasks", parallel.config_tasks);
-  add("cache.lookups", cache.lookups);
-  add("cache.hits", cache.hits);
-  add("cache.hits_memory", cache.hits_memory);
-  add("cache.hits_disk", cache.hits_disk);
-  add("cache.misses", cache.misses);
-  add("cache.stores", cache.stores);
-  add("cache.store_skips", cache.store_skips);
-  add("cache.evictions", cache.evictions);
-  add("cache.corrupt_entries", cache.corrupt_entries);
-  add("cache.bytes_read", cache.bytes_read);
-  add("cache.bytes_written", cache.bytes_written);
-  add("cache.singleflight_waits", cache.singleflight_waits);
-  add("server.connections_accepted", server.connections_accepted);
-  add("server.requests", server.requests);
-  add("server.responses_ok", server.responses_ok);
-  add("server.responses_client_error", server.responses_client_error);
-  add("server.responses_server_error", server.responses_server_error);
-  add("server.checks", server.checks);
-  add("server.attributions", server.attributions);
-  add("server.bad_requests", server.bad_requests);
-  add("server.shed_queue_full", server.shed_queue_full);
-  add("server.shed_oversized", server.shed_oversized);
-  add("server.deadline_hits", server.deadline_hits);
-  add("server.active_connections", server.active_connections,
-      SampleKind::kGauge);
-  add("server.queue_depth", server.queue_depth, SampleKind::kGauge);
-  add("registry.deployments_put", registry.deployments_put);
-  add("registry.deployments_deleted", registry.deployments_deleted);
-  add("registry.checks_full", registry.checks_full);
-  add("registry.checks_delta", registry.checks_delta);
-  add("registry.groups_total", registry.groups_total);
-  add("registry.groups_reused", registry.groups_reused);
-  add("registry.groups_recomputed", registry.groups_recomputed);
-  add("registry.revision_conflicts", registry.revision_conflicts);
-  add("registry.corrupt_entries", registry.corrupt_entries);
-  add("registry.evictions", registry.evictions);
-  add("cluster.checks", cluster.checks);
-  add("cluster.units_planned", cluster.units_planned);
-  add("cluster.units_dispatched", cluster.units_dispatched);
-  add("cluster.units_completed", cluster.units_completed);
-  add("cluster.units_redispatched", cluster.units_redispatched);
-  add("cluster.units_local", cluster.units_local);
-  add("cluster.local_fallback_checks", cluster.local_fallback_checks);
-  add("cluster.retries", cluster.retries);
-  add("cluster.worker_failures", cluster.worker_failures);
-  add("cluster.health_probes", cluster.health_probes);
-  add("cluster.workers_healthy", cluster.workers_healthy,
-      SampleKind::kGauge);
-  add("memory.store_exhaustive_bytes", memory.store_exhaustive_bytes,
-      SampleKind::kGauge);
-  add("memory.store_bitstate_bytes", memory.store_bitstate_bytes,
-      SampleKind::kGauge);
-  add("memory.trace_buffer_bytes", memory.trace_buffer_bytes);
-  add("memory.cache_resident_bytes", memory.cache_resident_bytes,
-      SampleKind::kGauge);
-  add("memory.peak_rss_bytes", memory.peak_rss_bytes, SampleKind::kGauge);
+  ForEachCounter(*this, [&](const char* group, const char* name,
+                            const Counter& counter, SampleKind kind) {
+    out.push_back({std::string(group) + "." + name, counter.load(), kind});
+  });
   return out;
 }
 
 std::vector<HistogramSample> Registry::SnapshotHistograms() const {
   std::vector<HistogramSample> out;
-  auto add = [&out](const char* name, const Histogram& histogram) {
-    out.push_back({name, histogram.TakeSnapshot()});
-  };
-  add("search.group_check_duration_us",
-      search_hist.group_check_duration_us);
-  add("search.group_states_per_second",
-      search_hist.group_states_per_second);
-  add("cache.lookup_hit_duration_us", cache_hist.lookup_hit_duration_us);
-  add("cache.lookup_miss_duration_us", cache_hist.lookup_miss_duration_us);
-  add("parallel.task_run_duration_us", parallel_hist.task_run_duration_us);
-  add("parallel.steal_wait_duration_us",
-      parallel_hist.steal_wait_duration_us);
-  add("server.request_duration_us", server_hist.request_duration_us);
-  add("server.queue_wait_us", server_hist.queue_wait_us);
-  add("server.request_body_bytes", server_hist.request_body_bytes);
-  add("registry.full_check_duration_us",
-      registry_hist.full_check_duration_us);
-  add("registry.delta_check_duration_us",
-      registry_hist.delta_check_duration_us);
-  add("cluster.dispatch_latency_us", cluster_hist.dispatch_latency_us);
+  ForEachHistogram(*this, [&](const char* group, const char* name,
+                              const Histogram& histogram) {
+    out.push_back({std::string(group) + "." + name, histogram.TakeSnapshot()});
+  });
   return out;
 }
 
 void Registry::Reset() {
-  // Atomic members make the structs non-assignable, so zero each counter
-  // explicitly (keep in sync with Snapshot()).
-  for (Counter* c : {
-           &search.states_explored, &search.states_matched,
-           &search.transitions, &search.cascade_drains,
-           &search.events_injected, &search.handler_dispatches,
-           &search.invariant_evals, &search.violations_recorded,
-           &search.budget_stops, &search.progress_reports,
-           &search.replays_run, &search.replays_reproduced,
-           &search.replays_refuted, &pipeline.apps_parsed,
-           &pipeline.parse_failures, &pipeline.type_problems,
-           &pipeline.dependency_edges, &pipeline.related_sets,
-           &pipeline.models_built, &pipeline.checks_run,
-           &pipeline.configs_enumerated, &pipeline.attributions,
-           &store.entries, &store.memory_bytes, &store.fill_permille,
-           &store.omission_ppm, &store.bytes_per_state,
-           &store.saturation_warnings, &por.ample_singletons,
-           &por.full_expansions, &por.interleavings_pruned,
-           &por.fallback_unknown, &por.fallback_visible,
-           &por.fallback_conflict, &por.fallback_depth,
-           &compress.states_encoded, &compress.intern_lookups,
-           &compress.intern_hits, &compress.pool_entries,
-           &compress.pool_bytes,
-           &parallel.pools_created, &parallel.workers_spawned,
-           &parallel.tasks_run, &parallel.tasks_stolen,
-           &parallel.branch_tasks, &parallel.group_tasks,
-           &parallel.config_tasks, &cache.lookups, &cache.hits,
-           &cache.hits_memory, &cache.hits_disk, &cache.misses,
-           &cache.stores, &cache.store_skips, &cache.evictions,
-           &cache.corrupt_entries, &cache.bytes_read, &cache.bytes_written,
-           &cache.singleflight_waits, &server.connections_accepted,
-           &server.requests, &server.responses_ok,
-           &server.responses_client_error, &server.responses_server_error,
-           &server.checks, &server.attributions, &server.bad_requests,
-           &server.shed_queue_full, &server.shed_oversized,
-           &server.deadline_hits, &server.active_connections,
-           &server.queue_depth, &registry.deployments_put,
-           &registry.deployments_deleted, &registry.checks_full,
-           &registry.checks_delta, &registry.groups_total,
-           &registry.groups_reused, &registry.groups_recomputed,
-           &registry.revision_conflicts, &registry.corrupt_entries,
-           &registry.evictions, &cluster.checks, &cluster.units_planned,
-           &cluster.units_dispatched, &cluster.units_completed,
-           &cluster.units_redispatched, &cluster.units_local,
-           &cluster.local_fallback_checks, &cluster.retries,
-           &cluster.worker_failures, &cluster.health_probes,
-           &cluster.workers_healthy, &memory.store_exhaustive_bytes,
-           &memory.store_bitstate_bytes, &memory.trace_buffer_bytes,
-           &memory.cache_resident_bytes, &memory.peak_rss_bytes,
-       }) {
-    c->store(0);
-  }
-  for (Histogram* h : {
-           &search_hist.group_check_duration_us,
-           &search_hist.group_states_per_second,
-           &cache_hist.lookup_hit_duration_us,
-           &cache_hist.lookup_miss_duration_us,
-           &parallel_hist.task_run_duration_us,
-           &parallel_hist.steal_wait_duration_us,
-           &server_hist.request_duration_us,
-           &server_hist.queue_wait_us,
-           &server_hist.request_body_bytes,
-           &registry_hist.full_check_duration_us,
-           &registry_hist.delta_check_duration_us,
-           &cluster_hist.dispatch_latency_us,
-       }) {
-    h->Reset();
-  }
+  ForEachCounter(*this, [](const char*, const char*, Counter& counter,
+                           SampleKind) { counter.store(0); });
+  ForEachHistogram(*this, [](const char*, const char*, Histogram& histogram) {
+    histogram.Reset();
+  });
 }
 
 json::Value Registry::ToJson() const {
-  json::Object search_obj;
-  json::Object pipeline_obj;
-  json::Object store_obj;
-  json::Object por_obj;
-  json::Object compress_obj;
-  json::Object parallel_obj;
-  json::Object cache_obj;
-  json::Object server_obj;
-  json::Object registry_obj;
-  json::Object cluster_obj;
-  json::Object memory_obj;
-  for (const Sample& sample : Snapshot()) {
-    const auto dot = sample.name.find('.');
-    const std::string group = sample.name.substr(0, dot);
-    const std::string key = sample.name.substr(dot + 1);
-    const json::Value value(static_cast<std::int64_t>(sample.value));
-    if (group == "search") {
-      search_obj[key] = value;
-    } else if (group == "pipeline") {
-      pipeline_obj[key] = value;
-    } else if (group == "por") {
-      por_obj[key] = value;
-    } else if (group == "compress") {
-      compress_obj[key] = value;
-    } else if (group == "parallel") {
-      parallel_obj[key] = value;
-    } else if (group == "cache") {
-      cache_obj[key] = value;
-    } else if (group == "server") {
-      server_obj[key] = value;
-    } else if (group == "registry") {
-      registry_obj[key] = value;
-    } else if (group == "cluster") {
-      cluster_obj[key] = value;
-    } else if (group == "memory") {
-      memory_obj[key] = value;
-    } else {
-      store_obj[key] = value;
-    }
-  }
   json::Object doc;
-  doc["search"] = json::Value(std::move(search_obj));
-  doc["pipeline"] = json::Value(std::move(pipeline_obj));
-  doc["store"] = json::Value(std::move(store_obj));
-  doc["por"] = json::Value(std::move(por_obj));
-  doc["compress"] = json::Value(std::move(compress_obj));
-  doc["parallel"] = json::Value(std::move(parallel_obj));
-  doc["cache"] = json::Value(std::move(cache_obj));
-  doc["server"] = json::Value(std::move(server_obj));
-  doc["registry"] = json::Value(std::move(registry_obj));
-  doc["cluster"] = json::Value(std::move(cluster_obj));
-  doc["memory"] = json::Value(std::move(memory_obj));
-  return json::Value(std::move(doc));
+  ForEachCounter(*this, [&](const char* group, const char* name,
+                            const Counter& counter, SampleKind) {
+    json::Value& members = doc[group];
+    if (!members.is_object()) members = json::Object{};
+    members.MutableObject()[name] =
+        static_cast<std::int64_t>(counter.load());
+  });
+  return doc;
 }
 
 std::uint64_t ReadPeakRssBytes() {

@@ -51,156 +51,162 @@ namespace iotsan::telemetry {
 /// cross-counter consistency is only guaranteed at rest (between runs).
 using Counter = std::atomic<std::uint64_t>;
 
+// Each counter group is declared once, as an X-macro list of
+// X(name, kind) rows (kind: kCounter or kGauge).  The list generates the
+// group's struct members, and Registry's snapshot, reset and JSON
+// output iterate it, so a new counter is one list row.
+#define IOTSAN_COUNTER_FIELD(name, kind) Counter name{0};
+
 /// Search-layer counters (checker + cascade engine).  All monotonic.
-struct SearchCounters {
-  Counter states_explored{0};    // stable states expanded
-  Counter states_matched{0};     // pruned as already-seen
-  Counter transitions{0};        // (event, failure) applications
-  Counter cascade_drains{0};     // cascades drained to quiescence
-  Counter events_injected{0};    // external events injected
-  Counter handler_dispatches{0}; // app handler invocations
-  Counter invariant_evals{0};    // property-expression evaluations
-  Counter violations_recorded{0};
-  Counter budget_stops{0};       // runs cut short by a budget
-  Counter progress_reports{0};   // on_progress invocations
-  Counter replays_run{0};        // deterministic trace re-executions
-  Counter replays_reproduced{0}; // replays that re-fired the property
-  Counter replays_refuted{0};    // bitstate violations replay killed
-};
+#define IOTSAN_SEARCH_COUNTERS(X)                                             \
+  X(states_explored, kCounter)     /* stable states expanded */               \
+  X(states_matched, kCounter)      /* pruned as already-seen */               \
+  X(transitions, kCounter)         /* (event, failure) applications */        \
+  X(cascade_drains, kCounter)      /* cascades drained to quiescence */       \
+  X(events_injected, kCounter)     /* external events injected */             \
+  X(handler_dispatches, kCounter)  /* app handler invocations */              \
+  X(invariant_evals, kCounter)     /* property-expression evaluations */      \
+  X(violations_recorded, kCounter)                                            \
+  X(budget_stops, kCounter)        /* runs cut short by a budget */           \
+  X(progress_reports, kCounter)    /* on_progress invocations */              \
+  X(replays_run, kCounter)         /* deterministic trace re-executions */    \
+  X(replays_reproduced, kCounter)  /* replays that re-fired the property */   \
+  X(replays_refuted, kCounter)     /* bitstate violations replay killed */
+struct SearchCounters { IOTSAN_SEARCH_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Pipeline-layer counters (translator, dependency analyzer, model
 /// generator, output analyzer).  All monotonic.
-struct PipelineCounters {
-  Counter apps_parsed{0};        // SmartScript sources parsed
-  Counter parse_failures{0};
-  Counter type_problems{0};      // type-inference diagnostics
-  Counter dependency_edges{0};   // edges in dependency graphs
-  Counter related_sets{0};       // related sets computed
-  Counter models_built{0};       // SystemModel instantiations
-  Counter checks_run{0};         // Checker::Run completions
-  Counter configs_enumerated{0}; // attribution configurations
-  Counter attributions{0};       // AttributeApp completions
-};
+#define IOTSAN_PIPELINE_COUNTERS(X)                                           \
+  X(apps_parsed, kCounter)         /* SmartScript sources parsed */           \
+  X(parse_failures, kCounter)                                                 \
+  X(type_problems, kCounter)       /* type-inference diagnostics */           \
+  X(dependency_edges, kCounter)    /* edges in dependency graphs */           \
+  X(related_sets, kCounter)        /* related sets computed */                \
+  X(models_built, kCounter)        /* SystemModel instantiations */           \
+  X(checks_run, kCounter)          /* Checker::Run completions */             \
+  X(configs_enumerated, kCounter)  /* attribution configurations */           \
+  X(attributions, kCounter)        /* AttributeApp completions */
+struct PipelineCounters { IOTSAN_PIPELINE_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// State-store gauges: last-written values, not monotonic.  Ratios are
 /// kept in fixed point so every sample is a uint64 (permille = 1/1000,
-/// ppm = 1/1e6).
-struct StoreGauges {
-  Counter entries{0};
-  Counter memory_bytes{0};
-  Counter fill_permille{0};   // bit occupancy for BITSTATE
-  Counter omission_ppm{0};    // estimated hash-omission probability
-  /// Average store bytes paid per stored state (key bytes + bookkeeping +
-  /// intern-pool arenas when COLLAPSE compression is on).  The headline
-  /// gauge the compression work is measured by.
-  Counter bytes_per_state{0};
-  /// How many checks ended above the 50%-occupancy saturation threshold
-  /// (the stderr warning itself is emitted once per run; this counter
-  /// still ticks per saturated check).  Monotonic, unlike the gauges.
-  Counter saturation_warnings{0};
-};
+/// ppm = 1/1e6).  bytes_per_state is the average store bytes paid per
+/// stored state (key bytes + bookkeeping + intern-pool arenas when
+/// COLLAPSE compression is on), the headline gauge the compression work
+/// is measured by.  saturation_warnings counts the checks that ended
+/// above the 50%-occupancy saturation threshold (the stderr warning
+/// itself is emitted once per run; this counter still ticks per
+/// saturated check), and is monotonic, unlike the gauges.
+#define IOTSAN_STORE_GAUGES(X)                                                \
+  X(entries, kGauge)                                                          \
+  X(memory_bytes, kGauge)                                                     \
+  X(fill_permille, kGauge)         /* bit occupancy for BITSTATE */           \
+  X(omission_ppm, kGauge)          /* estimated hash-omission probability */  \
+  X(bytes_per_state, kGauge)       /* average store bytes per state */        \
+  X(saturation_warnings, kCounter) /* checks that ended saturated */
+struct StoreGauges { IOTSAN_STORE_GAUGES(IOTSAN_COUNTER_FIELD) };
 
 /// Partial-order-reduction counters (cascade engine, concurrent
 /// scheduling with --por).  All monotonic.
-struct PorCounters {
-  Counter ample_singletons{0};     // expansions reduced to one pick
-  Counter full_expansions{0};      // expansions that fanned out fully
-  Counter interleavings_pruned{0}; // picks skipped by ample singletons
-  Counter fallback_unknown{0};     // full: some footprint unboundable
-  Counter fallback_visible{0};     // full: property-relevant write
-  Counter fallback_conflict{0};    // full: overlapping footprints
-  Counter fallback_depth{0};       // full: cascade-bound proviso
-};
+#define IOTSAN_POR_COUNTERS(X)                                                \
+  X(ample_singletons, kCounter)    /* expansions reduced to one pick */       \
+  X(full_expansions, kCounter)     /* expansions that fanned out fully */     \
+  X(interleavings_pruned, kCounter) /* picks skipped by ample singletons */   \
+  X(fallback_unknown, kCounter)    /* full: some footprint unboundable */     \
+  X(fallback_visible, kCounter)    /* full: property-relevant write */        \
+  X(fallback_conflict, kCounter)   /* full: overlapping footprints */         \
+  X(fallback_depth, kCounter)      /* full: cascade-bound proviso */
+struct PorCounters { IOTSAN_POR_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// COLLAPSE state-compression counters (--state-compression).  Pool
 /// entries/bytes are gauges (last-written); the rest are monotonic.
-struct CompressCounters {
-  Counter states_encoded{0};  // states turned into index tuples
-  Counter intern_lookups{0};  // component lookups across all pools
-  Counter intern_hits{0};     // ... served by an existing pool entry
-  Counter pool_entries{0};    // gauge: distinct interned components
-  Counter pool_bytes{0};      // gauge: arena + index bytes across pools
-};
-
-/// Incremental-analysis cache counters (src/cache): per-group result
-/// memoization across check/attribute runs.  All monotonic.
-struct CacheCounters {
-  Counter lookups{0};           // Lookup() calls (memory or disk)
-  Counter hits{0};              // results served from the cache
-  Counter hits_memory{0};       // ... of which from the in-memory LRU
-  Counter hits_disk{0};         // ... of which deserialized from disk
-  Counter misses{0};            // lookups that fell through to a check
-  Counter stores{0};            // entries written (memory and/or disk)
-  Counter store_skips{0};       // results refused (incomplete/bitstate)
-  Counter evictions{0};         // LRU entries displaced from memory
-  Counter corrupt_entries{0};   // unreadable disk entries treated as miss
-  Counter bytes_read{0};        // disk entry bytes deserialized
-  Counter bytes_written{0};     // disk entry bytes written
-  Counter singleflight_waits{0};// lookups that waited on an in-flight key
-};
+#define IOTSAN_COMPRESS_COUNTERS(X)                                           \
+  X(states_encoded, kCounter)      /* states turned into index tuples */      \
+  X(intern_lookups, kCounter)      /* component lookups across all pools */   \
+  X(intern_hits, kCounter)         /* ... served by an existing pool entry */ \
+  X(pool_entries, kGauge)          /* distinct interned components */         \
+  X(pool_bytes, kGauge)            /* arena + index bytes across pools */
+struct CompressCounters { IOTSAN_COMPRESS_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Parallel-execution counters: thread-pool activity and how much work
 /// each fan-out layer partitioned.  All monotonic.
-struct ParallelCounters {
-  Counter pools_created{0};    // thread pools constructed
-  Counter workers_spawned{0};  // dedicated worker threads started
-  Counter tasks_run{0};        // pool task bodies executed
-  Counter tasks_stolen{0};     // tasks executed on a lane != push lane
-  Counter branch_tasks{0};     // checker root (event × failure) branches
-  Counter group_tasks{0};      // sanitizer related sets fanned out
-  Counter config_tasks{0};     // attribution configurations fanned out
-};
+#define IOTSAN_PARALLEL_COUNTERS(X)                                           \
+  X(pools_created, kCounter)       /* thread pools constructed */             \
+  X(workers_spawned, kCounter)     /* dedicated worker threads started */     \
+  X(tasks_run, kCounter)           /* pool task bodies executed */            \
+  X(tasks_stolen, kCounter)        /* tasks executed on a lane != push lane */ \
+  X(branch_tasks, kCounter)        /* root (event × failure) branches */      \
+  X(group_tasks, kCounter)         /* sanitizer related sets fanned out */    \
+  X(config_tasks, kCounter)        /* attribution configurations fanned out */
+struct ParallelCounters { IOTSAN_PARALLEL_COUNTERS(IOTSAN_COUNTER_FIELD) };
+
+/// Incremental-analysis cache counters (src/cache): per-group result
+/// memoization across check/attribute runs.  All monotonic.
+#define IOTSAN_CACHE_COUNTERS(X)                                              \
+  X(lookups, kCounter)             /* Lookup() calls (memory or disk) */      \
+  X(hits, kCounter)                /* results served from the cache */        \
+  X(hits_memory, kCounter)         /* ... of which from the in-memory LRU */  \
+  X(hits_disk, kCounter)           /* ... of which deserialized from disk */  \
+  X(misses, kCounter)              /* lookups that fell through to a check */ \
+  X(stores, kCounter)              /* entries written (memory and/or disk) */ \
+  X(store_skips, kCounter)         /* results refused (incomplete/bitstate) */ \
+  X(evictions, kCounter)           /* LRU entries displaced from memory */    \
+  X(corrupt_entries, kCounter)     /* unreadable disk entries (a miss) */     \
+  X(bytes_read, kCounter)          /* disk entry bytes deserialized */        \
+  X(bytes_written, kCounter)       /* disk entry bytes written */             \
+  X(singleflight_waits, kCounter)  /* lookups that waited on an in-flight key */
+struct CacheCounters { IOTSAN_CACHE_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Verification-service counters (src/server): HTTP traffic, request
 /// outcomes, and load shedding.  Monotonic except the two gauges.
-struct ServerCounters {
-  Counter connections_accepted{0}; // TCP connections accepted
-  Counter requests{0};             // HTTP requests routed
-  Counter responses_ok{0};         // 2xx responses
-  Counter responses_client_error{0}; // 4xx responses
-  Counter responses_server_error{0}; // 5xx responses
-  Counter checks{0};               // POST /v1/check handled
-  Counter attributions{0};         // POST /v1/attribute handled
-  Counter bad_requests{0};         // malformed HTTP / JSON / schema
-  Counter shed_queue_full{0};      // connections shed with 503
-  Counter shed_oversized{0};       // requests shed with 413
-  Counter deadline_hits{0};        // requests stopped by their deadline
-  Counter active_connections{0};   // gauge: sessions currently serving
-  Counter queue_depth{0};          // gauge: accepted-but-unserved conns
-};
+#define IOTSAN_SERVER_COUNTERS(X)                                             \
+  X(connections_accepted, kCounter) /* TCP connections accepted */            \
+  X(requests, kCounter)            /* HTTP requests routed */                 \
+  X(responses_ok, kCounter)        /* 2xx responses */                        \
+  X(responses_client_error, kCounter) /* 4xx responses */                     \
+  X(responses_server_error, kCounter) /* 5xx responses */                     \
+  X(checks, kCounter)              /* POST /v1/check handled */               \
+  X(attributions, kCounter)        /* POST /v1/attribute handled */           \
+  X(bad_requests, kCounter)        /* malformed HTTP / JSON / schema */       \
+  X(shed_queue_full, kCounter)     /* connections shed with 503 */            \
+  X(shed_oversized, kCounter)      /* requests shed with 413 */               \
+  X(deadline_hits, kCounter)       /* requests stopped by their deadline */   \
+  X(active_connections, kGauge)    /* sessions currently serving */           \
+  X(queue_depth, kGauge)           /* accepted-but-unserved conns */
+struct ServerCounters { IOTSAN_SERVER_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Fleet-registry counters (src/registry): deployment lifecycle plus
 /// the delta re-verification's group classification.  The reused /
 /// recomputed split is the incrementality headline — the CI fleet
 /// smoke asserts `registry.groups_reused > 0` after a 1-app edit.
-struct FleetRegistryCounters {
-  Counter deployments_put{0};      // PUT upserts accepted
-  Counter deployments_deleted{0};  // DELETE removals
-  Counter checks_full{0};          // checks with no reusable prior groups
-  Counter checks_delta{0};         // checks that reused >=1 retained group
-  Counter groups_total{0};         // groups classified across all checks
-  Counter groups_reused{0};        // unchanged groups served from the prior rev
-  Counter groups_recomputed{0};    // dirty + added groups re-run
-  Counter revision_conflicts{0};   // If-Match guard rejections (409)
-  Counter corrupt_entries{0};      // unreadable store entries (= not_found)
-  Counter evictions{0};            // in-memory LRU layer evictions
-};
+#define IOTSAN_REGISTRY_COUNTERS(X)                                           \
+  X(deployments_put, kCounter)     /* PUT upserts accepted */                 \
+  X(deployments_deleted, kCounter) /* DELETE removals */                      \
+  X(checks_full, kCounter)         /* checks with no reusable prior groups */ \
+  X(checks_delta, kCounter)        /* checks that reused >=1 retained group */ \
+  X(groups_total, kCounter)        /* groups classified across all checks */  \
+  X(groups_reused, kCounter)       /* unchanged groups from the prior rev */  \
+  X(groups_recomputed, kCounter)   /* dirty + added groups re-run */          \
+  X(revision_conflicts, kCounter)  /* If-Match guard rejections (409) */      \
+  X(corrupt_entries, kCounter)     /* unreadable entries (= not_found) */     \
+  X(evictions, kCounter)           /* in-memory LRU layer evictions */
+struct FleetRegistryCounters { IOTSAN_REGISTRY_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Cluster-coordinator counters (src/cluster): work-unit lifecycle and
 /// worker-fleet health.  Monotonic except workers_healthy.
-struct ClusterCounters {
-  Counter checks{0};              // coordinated checks run
-  Counter units_planned{0};       // work units produced by the planner
-  Counter units_dispatched{0};    // dispatch attempts (retries included)
-  Counter units_completed{0};     // units merged into a report
-  Counter units_redispatched{0};  // units re-queued off a failed worker
-  Counter units_local{0};         // units that fell back to local execution
-  Counter local_fallback_checks{0}; // whole checks degraded to local
-  Counter retries{0};             // transient-error retry sleeps
-  Counter worker_failures{0};     // workers marked dead mid-check
-  Counter health_probes{0};       // GET /v1/health probes sent
-  Counter workers_healthy{0};     // gauge: healthy workers at last probe
-};
+#define IOTSAN_CLUSTER_COUNTERS(X)                                            \
+  X(checks, kCounter)              /* coordinated checks run */               \
+  X(units_planned, kCounter)       /* work units produced by the planner */   \
+  X(units_dispatched, kCounter)    /* dispatch attempts (retries included) */ \
+  X(units_completed, kCounter)     /* units merged into a report */           \
+  X(units_redispatched, kCounter)  /* units re-queued off a failed worker */  \
+  X(units_local, kCounter)         /* units run locally as a fallback */      \
+  X(local_fallback_checks, kCounter) /* whole checks degraded to local */     \
+  X(retries, kCounter)             /* transient-error retry sleeps */         \
+  X(worker_failures, kCounter)     /* workers marked dead mid-check */        \
+  X(health_probes, kCounter)       /* GET /v1/health probes sent */           \
+  X(workers_healthy, kGauge)       /* healthy workers at last probe */
+struct ClusterCounters { IOTSAN_CLUSTER_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Byte-level memory accounting: where a verification's footprint
 /// lives.  The store gauges split by kind so a bitstate run's fixed
@@ -209,13 +215,27 @@ struct ClusterCounters {
 /// process (monotonic by construction — getrusage never goes down).
 /// These are the baseline the planned COLLAPSE/arena compression work
 /// will be measured against.
-struct MemoryGauges {
-  Counter store_exhaustive_bytes{0};  // gauge: last exhaustive-store footprint
-  Counter store_bitstate_bytes{0};    // gauge: last bitstate bit-field size
-  Counter trace_buffer_bytes{0};      // JSONL span bytes emitted (monotonic)
-  Counter cache_resident_bytes{0};    // gauge: in-memory result-cache footprint
-  Counter peak_rss_bytes{0};          // gauge: process peak RSS, monotonic
-};
+#define IOTSAN_MEMORY_GAUGES(X)                                               \
+  X(store_exhaustive_bytes, kGauge) /* last exhaustive-store footprint */     \
+  X(store_bitstate_bytes, kGauge)  /* last bitstate bit-field size */         \
+  X(trace_buffer_bytes, kCounter)  /* JSONL span bytes emitted */             \
+  X(cache_resident_bytes, kGauge)  /* in-memory result-cache footprint */     \
+  X(peak_rss_bytes, kGauge)        /* process peak RSS, monotonic */
+struct MemoryGauges { IOTSAN_MEMORY_GAUGES(IOTSAN_COUNTER_FIELD) };
+
+/// Every counter group, in Snapshot order: X(Registry member, list).
+#define IOTSAN_COUNTER_GROUPS(X)                                              \
+  X(search, IOTSAN_SEARCH_COUNTERS)                                           \
+  X(pipeline, IOTSAN_PIPELINE_COUNTERS)                                       \
+  X(store, IOTSAN_STORE_GAUGES)                                               \
+  X(por, IOTSAN_POR_COUNTERS)                                                 \
+  X(compress, IOTSAN_COMPRESS_COUNTERS)                                       \
+  X(parallel, IOTSAN_PARALLEL_COUNTERS)                                       \
+  X(cache, IOTSAN_CACHE_COUNTERS)                                             \
+  X(server, IOTSAN_SERVER_COUNTERS)                                           \
+  X(registry, IOTSAN_REGISTRY_COUNTERS)                                       \
+  X(cluster, IOTSAN_CLUSTER_COUNTERS)                                         \
+  X(memory, IOTSAN_MEMORY_GAUGES)
 
 /// Whether a sample is a monotonically increasing counter or a
 /// last-written gauge — Prometheus exposition needs the distinction for
@@ -292,50 +312,63 @@ class Histogram {
   std::atomic<std::uint64_t> max_{0};
 };
 
+// Histogram groups follow the counter groups' pattern: one X(name) row
+// per histogram.
+#define IOTSAN_HISTOGRAM_FIELD(name) Histogram name;
+
 /// Search-layer distributions: how long one related-set group takes to
 /// check end to end (cache hits included — that is the latency a caller
 /// observes) and the search throughput each computed group achieved.
-struct SearchHistograms {
-  Histogram group_check_duration_us;
-  Histogram group_states_per_second;
-};
+#define IOTSAN_SEARCH_HISTOGRAMS(X) \
+  X(group_check_duration_us) X(group_states_per_second)
+struct SearchHistograms { IOTSAN_SEARCH_HISTOGRAMS(IOTSAN_HISTOGRAM_FIELD) };
 
 /// Cache lookup latency, split by outcome so a disk-heavy cache cannot
 /// hide behind fast memory hits.
-struct CacheHistograms {
-  Histogram lookup_hit_duration_us;
-  Histogram lookup_miss_duration_us;
-};
+#define IOTSAN_CACHE_HISTOGRAMS(X) \
+  X(lookup_hit_duration_us) X(lookup_miss_duration_us)
+struct CacheHistograms { IOTSAN_CACHE_HISTOGRAMS(IOTSAN_HISTOGRAM_FIELD) };
 
 /// Thread-pool distributions, fed through util::SetPoolTimingHooks (the
 /// pool itself stays below telemetry): per-task run time and how long an
 /// idle worker waited before it obtained its next task.
+#define IOTSAN_PARALLEL_HISTOGRAMS(X) \
+  X(task_run_duration_us) X(steal_wait_duration_us)
 struct ParallelHistograms {
-  Histogram task_run_duration_us;
-  Histogram steal_wait_duration_us;
+  IOTSAN_PARALLEL_HISTOGRAMS(IOTSAN_HISTOGRAM_FIELD)
 };
 
 /// Verification-service distributions: request handling latency, how
 /// long an accepted connection sat in the queue before a session thread
 /// picked it up, and request body sizes.
-struct ServerHistograms {
-  Histogram request_duration_us;
-  Histogram queue_wait_us;
-  Histogram request_body_bytes;
-};
+#define IOTSAN_SERVER_HISTOGRAMS(X) \
+  X(request_duration_us) X(queue_wait_us) X(request_body_bytes)
+struct ServerHistograms { IOTSAN_SERVER_HISTOGRAMS(IOTSAN_HISTOGRAM_FIELD) };
 
 /// Fleet-registry distributions: wall-clock latency of a full check vs.
 /// a delta re-check (the bench_fleet_delta headline split).
+#define IOTSAN_REGISTRY_HISTOGRAMS(X) \
+  X(full_check_duration_us) X(delta_check_duration_us)
 struct FleetRegistryHistograms {
-  Histogram full_check_duration_us;
-  Histogram delta_check_duration_us;
+  IOTSAN_REGISTRY_HISTOGRAMS(IOTSAN_HISTOGRAM_FIELD)
 };
 
 /// Cluster distributions: end-to-end latency of one dispatched work
 /// unit (HTTP round trip included — the coordinator's cost per unit).
+#define IOTSAN_CLUSTER_HISTOGRAMS(X) X(dispatch_latency_us)
 struct ClusterHistograms {
-  Histogram dispatch_latency_us;
+  IOTSAN_CLUSTER_HISTOGRAMS(IOTSAN_HISTOGRAM_FIELD)
 };
+
+/// Every histogram group, in SnapshotHistograms order: X(Registry member,
+/// name prefix, list).
+#define IOTSAN_HISTOGRAM_GROUPS(X)                      \
+  X(search_hist, search, IOTSAN_SEARCH_HISTOGRAMS)      \
+  X(cache_hist, cache, IOTSAN_CACHE_HISTOGRAMS)         \
+  X(parallel_hist, parallel, IOTSAN_PARALLEL_HISTOGRAMS) \
+  X(server_hist, server, IOTSAN_SERVER_HISTOGRAMS)      \
+  X(registry_hist, registry, IOTSAN_REGISTRY_HISTOGRAMS) \
+  X(cluster_hist, cluster, IOTSAN_CLUSTER_HISTOGRAMS)
 
 /// One named histogram in a Registry snapshot ("server.request_duration_us").
 struct HistogramSample {
@@ -378,6 +411,39 @@ class Registry {
 
   void Reset();
 };
+
+/// Calls f(group, name, counter, kind) for every counter and gauge of
+/// `registry` (const or not), in Snapshot order.
+template <typename R, typename F>
+void ForEachCounter(R& registry, F&& f) {
+#define IOTSAN_VISIT_COUNTER(name, kind) \
+  f(group, #name, counters.name, SampleKind::kind);
+#define IOTSAN_VISIT_GROUP(member, list)    \
+  {                                         \
+    const char* group = #member;            \
+    auto& counters = registry.member;       \
+    list(IOTSAN_VISIT_COUNTER)              \
+  }
+  IOTSAN_COUNTER_GROUPS(IOTSAN_VISIT_GROUP)
+#undef IOTSAN_VISIT_GROUP
+#undef IOTSAN_VISIT_COUNTER
+}
+
+/// Calls f(group, name, histogram) for every histogram of `registry`,
+/// in SnapshotHistograms order.
+template <typename R, typename F>
+void ForEachHistogram(R& registry, F&& f) {
+#define IOTSAN_VISIT_HISTOGRAM(name) f(group, #name, histograms.name);
+#define IOTSAN_VISIT_GROUP(member, prefix, list) \
+  {                                              \
+    const char* group = #prefix;                 \
+    auto& histograms = registry.member;          \
+    list(IOTSAN_VISIT_HISTOGRAM)                 \
+  }
+  IOTSAN_HISTOGRAM_GROUPS(IOTSAN_VISIT_GROUP)
+#undef IOTSAN_VISIT_GROUP
+#undef IOTSAN_VISIT_HISTOGRAM
+}
 
 /// The process-global registry; null = telemetry disabled (the one
 /// branch instrumented code pays).

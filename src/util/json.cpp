@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +60,31 @@ double Value::AsNumber() const {
 
 std::int64_t Value::AsInt() const {
   return static_cast<std::int64_t>(std::llround(AsNumber()));
+}
+
+namespace {
+/// The value as it would have been sent: numbers in their shortest
+/// round-trip form (Dump's %.17g would turn 0.4 into 0.40000000000000002).
+std::string QuoteValue(const Value& value) {
+  if (!value.is_number()) return value.Dump(0);
+  char buf[32];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), value.AsNumber());
+  return ec == std::errc() ? std::string(buf, end) : value.Dump(0);
+}
+}  // namespace
+
+double Value::IntegralNumber() const {
+  if (type_ != Type::kNumber || !std::isfinite(number_) ||
+      number_ != std::trunc(number_)) {
+    throw Error("wants an integer, got " + QuoteValue(*this));
+  }
+  return number_;
+}
+
+void Value::OutOfRange(const std::string& min, const std::string& max) const {
+  throw Error("wants a value in [" + min + ", " + max + "], got " +
+              QuoteValue(*this));
 }
 
 const std::string& Value::AsString() const {

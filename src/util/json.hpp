@@ -6,11 +6,15 @@
 // bundled configuration files: // line comments and trailing commas.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace iotsan::json {
@@ -75,6 +79,30 @@ class Value {
   double GetNumber(std::string_view key, double dflt = 0) const;
   bool GetBool(std::string_view key, bool dflt = false) const;
 
+  /// Checked integer read for numbers from outside the process (request
+  /// bodies, cache and registry files, worker replies, artifacts): the
+  /// value must be a finite, integral number within [min, max].  Throws
+  /// iotsan::Error quoting the value otherwise ("wants an integer, got
+  /// 2.5", "wants a value in [1, 64], got 1e+300").
+  template <std::integral T>
+  T AsInteger(T min = std::numeric_limits<T>::min(),
+              T max = std::numeric_limits<T>::max()) const {
+    const double d = IntegralNumber();
+    // 2^digits is exact in a double and one past T's largest value, so
+    // a number inside the bounds converts to T without overflow.
+    const double bound = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    if (d >= (std::is_signed_v<T> ? -bound : 0.0) && d < bound) {
+      const T n = static_cast<T>(d);
+      if (n >= min && n <= max) return n;
+    }
+    OutOfRange(std::to_string(min), std::to_string(max));
+  }
+  /// At(key).AsInteger<T>(), or `dflt` when the member is absent.
+  template <std::integral T>
+  T GetInteger(std::string_view key, T dflt = 0) const {
+    return Has(key) ? At(key).AsInteger<T>() : dflt;
+  }
+
   /// Serializes this value.  `indent` 0 emits compact JSON; otherwise
   /// pretty-printed with that many spaces per level.
   std::string Dump(int indent = 0) const;
@@ -90,6 +118,10 @@ class Value {
   std::shared_ptr<Object> object_;
 
   void CopyFrom(const Value& other);
+  /// The number, if finite and integral; throws iotsan::Error otherwise.
+  double IntegralNumber() const;
+  [[noreturn]] void OutOfRange(const std::string& min,
+                               const std::string& max) const;
   void DumpTo(std::string& out, int indent, int depth) const;
 };
 

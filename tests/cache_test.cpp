@@ -9,7 +9,10 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <regex>
+#include <sstream>
 #include <thread>
+#include <variant>
 
 #include "cache/result_cache.hpp"
 #include "config/builder.hpp"
@@ -237,34 +240,45 @@ TEST(CacheTest, DiskLayerServesAFreshProcess) {
 }
 
 TEST(CacheTest, CorruptEntryDegradesToMissAndIsRepaired) {
-  const std::string dir = FreshDir("corrupt");
-  cache::CacheConfig config;
-  config.dir = dir;
-  core::Sanitizer sanitizer = TwoGroupSanitizer();
-  core::SanitizerOptions options;
-  options.check.max_events = 2;
-  core::SanitizerReport cold;
-  {
+  // Unparseable text, and a well-formed entry whose count no uint64 can
+  // hold: both are misses, never a served result.
+  for (const bool negative_count : {false, true}) {
+    SCOPED_TRACE(negative_count ? "negative count" : "garbage");
+    const std::string dir = FreshDir("corrupt");
+    cache::CacheConfig config;
+    config.dir = dir;
+    core::Sanitizer sanitizer = TwoGroupSanitizer();
+    core::SanitizerOptions options;
+    options.check.max_events = 2;
+    core::SanitizerReport cold;
+    {
+      cache::ResultCache cache(config);
+      options.cache = &cache;
+      cold = sanitizer.Check(options);
+    }
+    int corrupted = 0;
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      std::string text = "{ not json";
+      if (negative_count) {
+        std::stringstream stored;
+        stored << std::ifstream(entry.path()).rdbuf();
+        json::Value doc = json::Parse(stored.str());
+        doc.MutableObject()["result"].MutableObject()["states_explored"] = -1;
+        text = doc.Dump(0);
+      }
+      std::ofstream(entry.path(), std::ios::trunc) << text;
+      ++corrupted;
+    }
+    ASSERT_EQ(corrupted, 2);
     cache::ResultCache cache(config);
     options.cache = &cache;
-    cold = sanitizer.Check(options);
+    ScopedRegistry scoped;
+    core::SanitizerReport warm = sanitizer.Check(options);
+    EXPECT_EQ(scoped.registry.cache.misses, 2u);
+    EXPECT_EQ(scoped.registry.cache.corrupt_entries, 2u);
+    EXPECT_EQ(scoped.registry.cache.stores, 2u) << "good entries rewritten";
+    ExpectSameReport(cold, warm);
   }
-  // Truncate every entry to garbage.
-  int corrupted = 0;
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-    std::ofstream out(entry.path(), std::ios::trunc);
-    out << "{ not json";
-    ++corrupted;
-  }
-  ASSERT_EQ(corrupted, 2);
-  cache::ResultCache cache(config);
-  options.cache = &cache;
-  ScopedRegistry scoped;
-  core::SanitizerReport warm = sanitizer.Check(options);
-  EXPECT_EQ(scoped.registry.cache.misses, 2u);
-  EXPECT_EQ(scoped.registry.cache.corrupt_entries, 2u);
-  EXPECT_EQ(scoped.registry.cache.stores, 2u) << "good entries rewritten";
-  ExpectSameReport(cold, warm);
 }
 
 TEST(CacheTest, VersionBumpInvalidatesEverything) {
@@ -565,6 +579,90 @@ TEST(CacheTest, ScanAndClearAccountForEveryFile) {
   stats = cache::ResultCache::Clear(dir);
   EXPECT_EQ(stats.removed, 2u);
   EXPECT_TRUE(fs::is_empty(dir));
+}
+
+// ---- Keys across options -----------------------------------------------------
+
+/// Alice's home (configs/alice_home.json): the paper's §8 example.
+config::Deployment AliceHome() {
+  return config::ParseDeploymentText(R"JSON({
+    "name": "alice's home",
+    "contactPhone": "555-0100",
+    "devices": [
+      {"id": "alicePresence", "type": "presenceSensor", "roles": ["presence"]},
+      {"id": "doorLock", "type": "smartLock", "roles": ["mainDoorLock"]}
+    ],
+    "apps": [
+      {"app": "Auto Mode Change",
+       "inputs": {"people": ["alicePresence"],
+                  "homeMode": "Home", "awayMode": "Away"}},
+      {"app": "Unlock Door", "inputs": {"lock1": ["doorLock"]}}
+    ]
+  })JSON");
+}
+
+/// Everything a check reports, minus wall-clock seconds: the default
+/// text, the --stats block, and the JSON report.
+std::string ReportSurfaces(const config::Deployment& deployment,
+                           const core::CheckResponse& response,
+                           bool bitstate) {
+  static const std::regex kSeconds(" in [0-9]+\\.[0-9]+s");
+  json::Value doc = core::CheckReportToJson(deployment, response.report);
+  doc.MutableObject().erase("seconds");
+  return std::regex_replace(
+             response.text +
+                 core::RenderSearchStats(response.report, bitstate),
+             kSeconds, " in <t>s") +
+         doc.Dump(2);
+}
+
+TEST(CacheKeyTest, EveryRequestOptionKeysTheCacheOrLeavesTheResult) {
+  // For each request option at its smallest non-default value, a warm
+  // run served from a cache the defaults filled must report exactly
+  // what a cold run does: an option that changes the result must key
+  // the cache.  groupApps selects a work unit's apps, not an option of
+  // a whole-deployment check.
+  const config::Deployment deployment = AliceHome();
+  for (const core::OptionSpec& spec : core::RequestOptionTable()) {
+    using Apps = std::vector<std::size_t> core::RequestOptions::*;
+    if (std::holds_alternative<Apps>(spec.field)) continue;
+    SCOPED_TRACE(spec.key);
+    core::CheckRequest request;
+    request.deployment = deployment;
+    core::SetOption(request.options, spec, spec.min);
+    if (core::OptionsToJson(request.options).empty()) {
+      request.options = {};
+      core::SetOption(request.options, spec, spec.min + 1);
+    }
+    const core::CheckResponse cold = core::RunCheck(request);
+
+    cache::ResultCache cache(cache::CacheConfig{});
+    core::ServiceEnv env;
+    env.cache = &cache;
+    core::CheckRequest defaults = request;
+    defaults.options = {};
+    core::RunCheck(defaults, env);
+    const core::CheckResponse warm = core::RunCheck(request, env);
+    EXPECT_EQ(ReportSurfaces(deployment, cold, request.options.bitstate),
+              ReportSurfaces(deployment, warm, request.options.bitstate));
+  }
+}
+
+TEST(CacheKeyTest, DefaultOptionKeysMatchGolden) {
+  // Existing caches stay warm only while the key text at default
+  // options is byte-stable (tests/data/group_key_default.txt).
+  const core::Sanitizer sanitizer = TwoGroupSanitizer();
+  const core::SanitizerOptions options = core::MakeCheckOptions({}, {});
+  std::string keys;
+  for (const std::vector<std::size_t>& group :
+       std::vector<std::vector<std::size_t>>{{0}, {1}}) {
+    const cache::GroupKey key = sanitizer.GroupKeyFor(group, options, "golden");
+    keys += key.Hex() + " " + key.text + "\n";
+  }
+  std::ifstream in(IOTSAN_TEST_DATA_DIR "/group_key_default.txt");
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(keys, golden.str());
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ CliFlags Parse(unsigned command, std::vector<std::string> args) {
 TEST(CliFlagsTest, ParsesValidNumericFlags) {
   const CliFlags flags = Parse(
       kCmdCheck, {"--events", "5", "--jobs", "4", "--progress-every", "1000"});
-  EXPECT_EQ(flags.events, 5);
-  EXPECT_EQ(flags.jobs, 4);
+  EXPECT_EQ(flags.request.events, 5);
+  EXPECT_EQ(flags.request.jobs, 4);
   EXPECT_EQ(flags.progress_every, 1000u);
 }
 
@@ -30,7 +30,7 @@ TEST(CliFlagsTest, SeparatesPositionalsFromFlags) {
   ASSERT_EQ(positionals.size(), 1u);
   EXPECT_EQ(positionals[0], "deployment.json");
   EXPECT_TRUE(flags.stats);
-  EXPECT_EQ(flags.jobs, 2);
+  EXPECT_EQ(flags.request.jobs, 2);
 }
 
 TEST(CliFlagsTest, RejectsMalformedNumericValues) {
@@ -97,19 +97,19 @@ TEST(CliFlagsTest, MetricsOutAndAccessLogAreCommandGated) {
 TEST(CliFlagsTest, PorAndStateCompressionAreCheckAndAttributeFlags) {
   const CliFlags flags =
       Parse(kCmdCheck, {"--por", "--state-compression"});
-  EXPECT_TRUE(flags.por);
-  EXPECT_TRUE(flags.state_compression);
-  EXPECT_FALSE(Parse(kCmdCheck, {}).por);
-  EXPECT_FALSE(Parse(kCmdCheck, {}).state_compression);
-  EXPECT_TRUE(Parse(kCmdAttribute, {"--por"}).por);
+  EXPECT_TRUE(flags.request.por);
+  EXPECT_TRUE(flags.request.state_compression);
+  EXPECT_FALSE(Parse(kCmdCheck, {}).request.por);
+  EXPECT_FALSE(Parse(kCmdCheck, {}).request.state_compression);
+  EXPECT_TRUE(Parse(kCmdAttribute, {"--por"}).request.por);
   EXPECT_THROW(Parse(kCmdServe, {"--por"}), Error);
   EXPECT_THROW(Parse(kCmdDeps, {"--state-compression"}), Error);
 }
 
 TEST(CliFlagsTest, BitstateBitsImpliesBitstate) {
   const CliFlags flags = Parse(kCmdCheck, {"--bitstate-bits", "20"});
-  EXPECT_TRUE(flags.bitstate);
-  EXPECT_EQ(flags.bitstate_bits_pow, 20);
+  EXPECT_TRUE(flags.request.bitstate);
+  EXPECT_EQ(flags.request.bitstate_bits_pow, 20);
 }
 
 TEST(CliFlagsTest, ParseFlagIntStrictness) {
@@ -134,6 +134,32 @@ TEST(CliFlagsTest, TableIsSelfConsistent) {
     EXPECT_EQ(FindFlag(spec.name), &spec);
   }
   EXPECT_EQ(FindFlag("--nope"), nullptr);
+}
+
+TEST(CliFlagsTest, RequestOptionFlagsKeepTheirHelpPlaces) {
+  // The request-option flags (core/options) interleave with the CLI's
+  // own rows exactly as they always have in usage and help.
+  EXPECT_EQ(UsageFor(kCmdCheck),
+            "usage: iotsan check <deployment.json> [--events N] [--jobs N] "
+            "[--failures] [--mono] [--bitstate] [--bitstate-bits P] [--por] "
+            "[--state-compression] [--first] [--properties FILE] "
+            "[--allow-discovery] [--stats] [--trace-out FILE] "
+            "[--progress-every N] [--artifacts-dir DIR] [--replay FILE] "
+            "[--reverify-bitstate] [--cache-dir DIR] [--metrics-out FILE]");
+  EXPECT_EQ(UsageFor(kCmdServe),
+            "usage: iotsan serve [--jobs N] [--stats] [--trace-out FILE] "
+            "[--cache-dir DIR] [--access-log FILE] [--registry-dir DIR] "
+            "[--host ADDR] [--port N] [--http-workers N] [--max-queue N] "
+            "[--deadline SECONDS] [--log-level LEVEL] [--log-json] "
+            "[--workers LIST] [--coordinator] [--unit-deadline SECONDS] "
+            "[--branch-split N] [--swarm-lanes N] [--no-local-fallback]");
+}
+
+TEST(CliFlagsTest, DeadlineFlagSetsTheRequestDeadline) {
+  EXPECT_EQ(Parse(kCmdCluster, {"--deadline", "30"}).request.deadline_seconds,
+            30.0);
+  EXPECT_THROW(Parse(kCmdCheck, {"--deadline", "30"}), Error);
+  EXPECT_THROW(Parse(kCmdServe, {"--deadline", "86401"}), Error);
 }
 
 TEST(CliFlagsTest, UsageListsOnlyAcceptedFlags) {

@@ -381,7 +381,7 @@ TEST(WireTest, CheckResultRoundTripsEveryMergedField) {
   result.depth_histogram = {1, 4, 9, 2};
 
   const checker::CheckResult back =
-      CheckResultFromJson(CheckResultToJson(result));
+      checker::CheckResultFromJson(checker::CheckResultToJson(result));
   EXPECT_EQ(back.states_explored, result.states_explored);
   EXPECT_EQ(back.states_matched, result.states_matched);
   EXPECT_EQ(back.transitions, result.transitions);
@@ -403,6 +403,20 @@ TEST(WireTest, CheckResultRoundTripsEveryMergedField) {
   EXPECT_EQ(back.violations[0].property_id, "P06");
   EXPECT_EQ(back.violations[0].apps, violation.apps);
   EXPECT_EQ(back.violations[0].occurrences, 3u);
+}
+
+TEST(WireTest, UnitReplyWithMalformedCountThrows) {
+  // A worker's reply is outside input: a count that is negative,
+  // fractional or too large for its field is an Error (the coordinator
+  // then re-dispatches the unit), never an unchecked cast.
+  for (const std::string bad : {"-1", "2.5", "1e300"}) {
+    const json::Value doc = json::Parse(
+        R"({"violations": [], "states_explored": )" + bad + "}");
+    EXPECT_THROW(checker::CheckResultFromJson(doc), Error) << bad;
+  }
+  EXPECT_THROW(checker::CheckResultFromJson(json::Parse(
+                   R"({"violations": [], "depth_histogram": [1, -1]})")),
+               Error);
 }
 
 TEST(WireTest, UnitRequestCarriesEnvelopeAndUnitOptions) {
@@ -649,7 +663,8 @@ TEST(ClusterTest, WorkerUnitEndpointReturnsRawResult) {
   ASSERT_EQ(response.status, 200);
   const json::Value doc = json::Parse(response.body);
   ASSERT_TRUE(doc.Has("unit"));
-  const checker::CheckResult result = CheckResultFromJson(doc.At("unit"));
+  const checker::CheckResult result =
+      checker::CheckResultFromJson(doc.At("unit"));
   EXPECT_GT(result.states_explored, 0u);
   EXPECT_FALSE(result.violations.empty());
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -103,6 +105,33 @@ TEST(JsonValueTest, Equality) {
   EXPECT_EQ(Parse("[1, {\"a\": true}]"), Parse("[1, {\"a\": true}]"));
   EXPECT_FALSE(Parse("[1]") == Parse("[2]"));
   EXPECT_FALSE(Parse("1") == Parse("\"1\""));
+}
+
+TEST(JsonValueTest, AsIntegerAcceptsOnlyIntegralNumbersInRange) {
+  EXPECT_EQ(Parse("42").AsInteger<int>(), 42);
+  EXPECT_EQ(Parse("-3").AsInteger<int>(-10, 10), -3);
+  EXPECT_EQ(Parse("4294967295").AsInteger<std::uint32_t>(), 4294967295u);
+  EXPECT_EQ(Parse("-9223372036854775808").AsInteger<std::int64_t>(),
+            std::numeric_limits<std::int64_t>::min());
+  // 2^32, 2^63 and 2^64 are one past the largest value of their type.
+  EXPECT_THROW(Parse("4294967296").AsInteger<std::uint32_t>(), Error);
+  EXPECT_THROW(Parse("9223372036854775808").AsInteger<std::int64_t>(), Error);
+  EXPECT_THROW(Parse("18446744073709551616").AsInteger<std::uint64_t>(),
+               Error);
+  EXPECT_THROW(Parse("-1").AsInteger<std::uint64_t>(), Error);
+  EXPECT_THROW(Parse("65").AsInteger<int>(1, 64), Error);
+  EXPECT_THROW(Parse("2.5").AsInteger<int>(), Error);
+  EXPECT_THROW(Parse("1e999").AsInteger<int>(), Error);
+  EXPECT_THROW(Parse("\"3\"").AsInteger<int>(), Error);
+  try {
+    Parse("1e300").AsInteger<int>(1, 64);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "wants a value in [1, 64], got 1e+300");
+  }
+  const Value doc = Parse(R"({"n": 5})");
+  EXPECT_EQ(doc.GetInteger<int>("n"), 5);
+  EXPECT_EQ(doc.GetInteger<int>("missing", 9), 9);
 }
 
 TEST(JsonDumpTest, RoundTrip) {

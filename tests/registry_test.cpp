@@ -212,6 +212,24 @@ TEST_F(RegistryTest, DeltaIsByteIdenticalToColdFullCheckWithJobs4) {
   EXPECT_EQ(delta->response.report.seconds, cold->response.report.seconds);
 }
 
+TEST_F(RegistryTest, ChecksWithCompressionOrPorReuseNoPlainGroup) {
+  // Groups a plain check recorded cannot answer a check with COLLAPSE or
+  // POR on: the store footprint and counters may differ.
+  Fleet fleet(StoreConfig{});
+  ASSERT_EQ(fleet.Put(MakeStored("home", 2, 40)), 1u);
+  ASSERT_TRUE(fleet.Check("home", std::nullopt, {}, {}).has_value());
+  for (bool core::RequestOptions::*option :
+       {&core::RequestOptions::state_compression,
+        &core::RequestOptions::por}) {
+    core::RequestOptions options;
+    options.*option = true;
+    auto check = fleet.Check("home", std::nullopt, options, {});
+    ASSERT_TRUE(check.has_value());
+    EXPECT_EQ(check->groups_reused, 0u);
+    EXPECT_EQ(check->groups_recomputed, check->groups_total);
+  }
+}
+
 TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
   core::ServiceEnv env;
   core::RequestOptions options;

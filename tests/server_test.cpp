@@ -389,6 +389,41 @@ TEST_F(ServerTest, MalformedBodiesAreStructuredClientErrors) {
   EXPECT_GT(registry_.server.responses_client_error.load(), 0u);
 }
 
+TEST(RequestParseTest, IntegerOptionsMustBeIntegralAndInRange) {
+  // No option value is rounded or wrapped: the error quotes what was sent.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"events": 2.5})", R"(option "events" wants an integer, got 2.5)"},
+      {R"({"jobs": 0.4})", R"(option "jobs" wants an integer, got 0.4)"},
+      {R"({"events": 1e300})",
+       R"(option "events" wants a value in [1, 64], got 1e+300)"},
+      {R"({"bitstateSeed": -1})",
+       R"(option "bitstateSeed" wants a value in [0, 9223372036854775807], )"
+       R"(got -1)"},
+      {R"({"groupApps": [0, 0.5]})",
+       R"(option "groupApps" wants an integer, got 0.5)"},
+  };
+  for (const auto& [options, message] : cases) {
+    json::Value body = json::Parse(CheckBody());
+    body.MutableObject()["options"] = json::Parse(options);
+    try {
+      ParseCheckRequest(body.Dump(0));
+      ADD_FAILURE() << "accepted " << options;
+    } catch (const RequestError& e) {
+      EXPECT_EQ(e.status(), 400);
+      EXPECT_EQ(e.code(), kErrBadRequest);
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+  json::Value body = json::Parse(CheckBody());
+  body.MutableObject()["options"] =
+      json::Parse(R"({"events": 64, "jobs": 0, "bitstateBits": 40.0})");
+  const core::CheckRequest request = ParseCheckRequest(body.Dump(0));
+  EXPECT_EQ(request.options.events, 64);
+  EXPECT_EQ(request.options.jobs, 0);
+  EXPECT_EQ(request.options.bitstate_bits_pow, 40);
+  EXPECT_TRUE(request.options.bitstate);
+}
+
 TEST_F(ServerTest, OversizedBodyIsShedWith413) {
   ServerConfig config;
   config.max_body_bytes = 512;

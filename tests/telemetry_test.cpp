@@ -58,12 +58,39 @@ TEST(RegistryTest, ToJsonGroupsByLayer) {
 
 TEST(RegistryTest, ResetZeroesEverything) {
   Registry registry;
-  registry.search.states_explored = 10;
-  registry.store.memory_bytes = 99;
+  ForEachCounter(registry, [](const char*, const char*, Counter& counter,
+                              SampleKind) { counter = 7; });
+  ForEachHistogram(registry, [](const char*, const char*,
+                                Histogram& histogram) { histogram.Record(7); });
+  for (const Sample& sample : registry.Snapshot()) {
+    ASSERT_EQ(sample.value, 7u) << sample.name;
+  }
   registry.Reset();
   for (const Sample& sample : registry.Snapshot()) {
     EXPECT_EQ(sample.value, 0u) << sample.name;
   }
+  for (const HistogramSample& hist : registry.SnapshotHistograms()) {
+    EXPECT_EQ(hist.snapshot.count, 0u) << hist.name;
+    EXPECT_EQ(hist.snapshot.sum, 0u) << hist.name;
+  }
+}
+
+TEST(RegistryTest, SampleNamesKindsAndOrderMatchGolden) {
+  // --stats, /v1/metrics and Prometheus scrapes read these names in this
+  // order (tests/data/telemetry_surface.txt).
+  Registry registry;
+  std::string surface;
+  for (const Sample& sample : registry.Snapshot()) {
+    surface += sample.kind == SampleKind::kGauge ? "gauge " : "counter ";
+    surface += sample.name + "\n";
+  }
+  for (const HistogramSample& hist : registry.SnapshotHistograms()) {
+    surface += "histogram " + hist.name + "\n";
+  }
+  std::ifstream in(IOTSAN_TEST_DATA_DIR "/telemetry_surface.txt");
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(surface, golden.str());
 }
 
 TEST(RegistryTest, SnapshotTagsGaugesAndCounters) {

@@ -243,6 +243,27 @@ TEST(ArtifactTest, ReplayRejectsUnknownCoordinates) {
   EXPECT_THROW(checker.Replay(artifact), Error);
 }
 
+TEST(ArtifactTest, MalformedStepNumbersAreRejected) {
+  // Artifacts are outside input: a step index or depth no int can hold
+  // is an Error, not an undefined cast.
+  model::SystemModel model = UnlockModel();
+  Checker checker(model);
+  CheckOptions options;
+  options.max_events = 1;
+  CheckResult result = checker.Run(options);
+  const json::Value good =
+      ToJson(MakeArtifact(*result.Find("P06"), options, "home", "hash"));
+  for (const double bad : {1e300, -1e300, 0.5}) {
+    json::Value doc = good;
+    doc.MutableObject()["trace"].MutableArray()[0].MutableObject()["index"] =
+        bad;
+    EXPECT_THROW(ArtifactFromJson(doc), Error) << bad;
+  }
+  json::Value doc = good;
+  doc.MutableObject()["violation"].MutableObject()["occurrences"] = -1;
+  EXPECT_THROW(ArtifactFromJson(doc), Error);
+}
+
 // ---- Reverify-bitstate -------------------------------------------------------
 
 TEST(ReverifyBitstateTest, ViolationsSurviveAndAreMarkedVerified) {

@@ -29,11 +29,12 @@
 //   iotsan help
 //       Full flag reference.
 //
-// Flags are declared once in the shared table (src/cli/flags.hpp) — the
-// parser and the generated help text both read it, so the two cannot
-// drift.  Telemetry flags (--stats, --trace-out, --progress-every)
-// surface the src/telemetry observability layer: counters, per-phase
-// spans, search progress, and bitstate-saturation diagnostics (see
+// Flags are declared once: request options in src/core/options.cpp, the
+// CLI's own flags in src/cli/flags.cpp — the parser and the generated
+// help text both read the merged table, so the two cannot drift.
+// Telemetry flags (--stats, --trace-out, --progress-every) surface the
+// src/telemetry observability layer: counters, per-phase spans, search
+// progress, and bitstate-saturation diagnostics (see
 // docs/observability.md).
 //
 // Deployment files use the JSON schema of config/deployment.hpp; app
@@ -197,25 +198,6 @@ std::vector<ir::AnalyzedApp> AnalyzeDeploymentApps(
   return apps;
 }
 
-/// The result-affecting request options shared by check and attribute,
-/// copied straight off the parsed flags (src/core/service.hpp mirrors
-/// the flag table).
-core::RequestOptions RequestOptionsFromFlags(const CliFlags& flags) {
-  core::RequestOptions out;
-  out.events = flags.events;
-  out.jobs = flags.jobs;
-  out.failures = flags.failures;
-  out.mono = flags.mono;
-  out.bitstate = flags.bitstate;
-  out.bitstate_bits_pow = flags.bitstate_bits_pow;
-  out.por = flags.por;
-  out.state_compression = flags.state_compression;
-  out.first = flags.first;
-  out.reverify_bitstate = flags.reverify_bitstate;
-  out.allow_discovery = flags.allow_discovery;
-  return out;
-}
-
 /// The execution environment for one CLI run: the optional result cache
 /// and the SIGINT/SIGTERM flag the search polls so an interrupt still
 /// renders partial results, writes artifacts, and flushes the trace.
@@ -338,7 +320,7 @@ int CmdCheck(const std::vector<std::string>& args) {
   core::CheckRequest request;
   request.deployment = std::move(system.deployment);
   request.extra_sources = std::move(system.extra_sources);
-  request.options = RequestOptionsFromFlags(flags);
+  request.options = flags.request;
   if (!flags.properties_path.empty()) {
     request.extra_properties =
         props::LoadPropertiesJson(ReadFile(flags.properties_path));
@@ -352,8 +334,9 @@ int CmdCheck(const std::vector<std::string>& args) {
   std::fputs(core::RenderCheckHeader(request.deployment, report).c_str(),
              stdout);
   if (flags.stats) {
-    std::fputs(core::RenderSearchStats(report, flags.bitstate).c_str(),
-               stdout);
+    std::fputs(
+        core::RenderSearchStats(report, flags.request.bitstate).c_str(),
+        stdout);
   }
   telemetry_session.PrintStats();
 
@@ -396,7 +379,7 @@ int CmdAttribute(const std::vector<std::string>& args) {
   }
   LoadedSystem system = LoadSystem(positionals[1]);
   request.deployment = std::move(system.deployment);
-  request.options = RequestOptionsFromFlags(flags);
+  request.options = flags.request;
   CliEnv cli = MakeCliEnv(flags);
 
   TelemetrySession telemetry_session(flags);
@@ -417,7 +400,7 @@ int CmdAttribute(const std::vector<std::string>& args) {
 
 int CmdServe(const std::vector<std::string>& args) {
   CliFlags flags;
-  flags.jobs = 0;  // serve default: size the shared pool to the hardware
+  flags.request.jobs = 0;  // serve default: size the pool to the hardware
   std::vector<std::string> positionals = ParseFlags(kCmdServe, args, flags);
   if (flags.help) {
     PrintHelp(stdout);
@@ -450,11 +433,11 @@ int CmdServe(const std::vector<std::string>& args) {
   server::ServerConfig config;
   config.host = flags.host;
   config.port = flags.port;
-  config.jobs = flags.jobs;
+  config.jobs = flags.request.jobs;
   config.http_workers = flags.http_workers;
   config.cache_dir = flags.cache_dir;
   config.max_queue = static_cast<std::size_t>(flags.max_queue);
-  config.request_deadline_seconds = flags.deadline_seconds;
+  config.request_deadline_seconds = flags.request.deadline_seconds;
   config.access_log_path = flags.access_log;
   config.registry_dir = flags.registry_dir;
   if (flags.coordinator) {
@@ -475,7 +458,7 @@ int CmdServe(const std::vector<std::string>& args) {
   std::printf("iotsan serve: listening on http://%s:%d/ "
               "(%d http workers, deadline %ds)\n",
               config.host.c_str(), server.port(), config.http_workers,
-              flags.deadline_seconds);
+              static_cast<int>(flags.request.deadline_seconds));
   if (config.coordinator) {
     std::printf("iotsan serve: coordinating %zu worker(s): %s\n",
                 config.cluster.workers.size(), flags.workers.c_str());
@@ -832,8 +815,7 @@ int CmdCluster(const std::vector<std::string>& args) {
   core::CheckRequest request;
   request.deployment = std::move(system.deployment);
   request.extra_sources = std::move(system.extra_sources);
-  request.options = RequestOptionsFromFlags(flags);
-  request.options.deadline_seconds = flags.deadline_seconds;
+  request.options = flags.request;
   if (!flags.properties_path.empty()) {
     request.extra_properties =
         props::LoadPropertiesJson(ReadFile(flags.properties_path));
@@ -914,7 +896,7 @@ int CmdPromela(const std::vector<std::string>& args) {
   }
   LoadedSystem system = LoadSystem(positionals[0]);
   promela::EmitOptions options;
-  if (flags.events > 0) options.max_events = flags.events;
+  if (flags.request.events > 0) options.max_events = flags.request.events;
   std::vector<ir::AnalyzedApp> apps = AnalyzeDeploymentApps(system);
   model::SystemModel model(system.deployment, std::move(apps));
   std::printf("%s", promela::EmitPromela(model, options).c_str());
