@@ -86,7 +86,7 @@ void CollapseCodec::Encode(const model::SystemState& state,
                            std::vector<std::uint8_t>& scratch) const {
   states_encoded_.fetch_add(1, std::memory_order_relaxed);
   BitPacker packer(out);
-  for (int d = 0; d < static_cast<int>(state.devices.size()); ++d) {
+  for (int d = 0; d < static_cast<int>(device_pools_.size()); ++d) {
     scratch.clear();
     state.SerializeDeviceTo(d, scratch);
     const std::uint32_t index =

@@ -6,10 +6,15 @@
 
 namespace iotsan::checker {
 
-std::size_t ExhaustiveStore::TransparentHash::operator()(
-    std::string_view key) const {
-  return static_cast<std::size_t>(hash::Fnv1a64(key));
+namespace {
+
+HashedKey<std::string_view> Hashed(std::span<const std::uint8_t> bytes) {
+  return {hash::Fnv1a64(bytes),
+          std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                           bytes.size())};
 }
+
+}  // namespace
 
 ExhaustiveStore::ExhaustiveStore(unsigned shard_count) {
   if (shard_count == 0) shard_count = 1;
@@ -20,15 +25,13 @@ ExhaustiveStore::ExhaustiveStore(unsigned shard_count) {
 }
 
 bool ExhaustiveStore::TestAndInsert(std::span<const std::uint8_t> bytes) {
-  const std::string_view key(reinterpret_cast<const char*>(bytes.data()),
-                             bytes.size());
+  const HashedKey<std::string_view> key = Hashed(bytes);
   // Shard from the top hash bits: unordered_set buckets consume the low
   // bits, so the two stay uncorrelated.
-  const std::uint64_t hash = hash::Fnv1a64(key);
-  Shard& shard = *shards_[(hash >> 32) % shards_.size()];
+  Shard& shard = *shards_[(key.hash >> 32) % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mutex);
   if (shard.states.find(key) != shard.states.end()) return true;
-  shard.states.emplace(key);
+  shard.states.insert({key.hash, std::string(key.bytes)});
   shard.memory += bytes.size() + sizeof(void*) * 2;
   return false;
 }
@@ -51,10 +54,6 @@ std::uint64_t ExhaustiveStore::memory_bytes() const {
   return total;
 }
 
-std::size_t InternPool::ViewHash::operator()(std::string_view key) const {
-  return static_cast<std::size_t>(hash::Fnv1a64(key));
-}
-
 InternPool::InternPool(unsigned shard_count) {
   if (shard_count == 0) shard_count = 1;
   shards_.reserve(shard_count);
@@ -64,11 +63,9 @@ InternPool::InternPool(unsigned shard_count) {
 }
 
 std::uint32_t InternPool::Intern(std::span<const std::uint8_t> bytes) {
-  const std::string_view key(reinterpret_cast<const char*>(bytes.data()),
-                             bytes.size());
-  const std::uint64_t hash = hash::Fnv1a64(key);
+  const HashedKey<std::string_view> key = Hashed(bytes);
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = *shards_[(hash >> 32) % shards_.size()];
+  Shard& shard = *shards_[(key.hash >> 32) % shards_.size()];
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
@@ -77,8 +74,10 @@ std::uint32_t InternPool::Intern(std::span<const std::uint8_t> bytes) {
   }
   // Copy the component into the shard's bump arena; addresses are stable
   // so the map can key on a view into it.  Blocks grow geometrically from
-  // 256 B so the many small pools of a COLLAPSE codec stay cheap.
-  if (shard.block_used + bytes.size() > shard.block_size) {
+  // 256 B so the many small pools of a COLLAPSE codec stay cheap.  An
+  // empty first run still needs a block for `dest` to point into.
+  if (shard.blocks.empty() ||
+      shard.block_used + bytes.size() > shard.block_size) {
     shard.block_size = std::max<std::size_t>(
         shard.block_size == 0 ? 256
                               : std::min<std::size_t>(shard.block_size * 2,
@@ -94,7 +93,9 @@ std::uint32_t InternPool::Intern(std::span<const std::uint8_t> bytes) {
   const std::uint32_t index =
       next_index_.fetch_add(1, std::memory_order_relaxed);
   shard.entries.emplace(
-      std::string_view(reinterpret_cast<const char*>(dest), bytes.size()),
+      HashedKey<std::string_view>{
+          key.hash,
+          std::string_view(reinterpret_cast<const char*>(dest), bytes.size())},
       index);
   shard.memory += sizeof(void*) * 2 + sizeof(std::uint32_t);
   return index;

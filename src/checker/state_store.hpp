@@ -55,6 +55,34 @@ class StateStore {
   virtual double EstOmissionProbability() const { return 0; }
 };
 
+/// Key bytes with their FNV-1a hash.  The stores hash a key once per
+/// probe and use that hash for the shard, the bucket and a fast mismatch
+/// test; `Bytes` owns the bytes (std::string) or views them.
+template <typename Bytes>
+struct HashedKey {
+  std::uint64_t hash = 0;
+  Bytes bytes;
+};
+
+/// The stored hash, so neither lookup, insert nor rehash hashes twice.
+struct HashedKeyHash {
+  using is_transparent = void;
+  template <typename Bytes>
+  std::size_t operator()(const HashedKey<Bytes>& key) const noexcept {
+    return static_cast<std::size_t>(key.hash);
+  }
+};
+
+struct HashedKeyEqual {
+  using is_transparent = void;
+  template <typename A, typename B>
+  bool operator()(const HashedKey<A>& a,
+                  const HashedKey<B>& b) const noexcept {
+    return a.hash == b.hash &&
+           std::string_view(a.bytes) == std::string_view(b.bytes);
+  }
+};
+
 class ExhaustiveStore final : public StateStore {
  public:
   /// `shard_count` hash-set shards, each behind its own mutex; the shard
@@ -68,16 +96,13 @@ class ExhaustiveStore final : public StateStore {
   std::uint64_t memory_bytes() const override;
 
  private:
-  // Transparent hashing lets TestAndInsert probe with a string_view over
-  // the caller's buffer; only genuinely new states pay the std::string
+  // Transparent lookup lets TestAndInsert probe with a view of the
+  // caller's buffer; only genuinely new states pay the std::string
   // allocation.
-  struct TransparentHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view key) const;
-  };
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_set<std::string, TransparentHash, std::equal_to<>> states;
+    std::unordered_set<HashedKey<std::string>, HashedKeyHash, HashedKeyEqual>
+        states;
     std::uint64_t memory = 0;
   };
 
@@ -118,12 +143,11 @@ class InternPool {
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
 
  private:
-  struct ViewHash {
-    std::size_t operator()(std::string_view key) const;
-  };
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string_view, std::uint32_t, ViewHash> entries;
+    std::unordered_map<HashedKey<std::string_view>, std::uint32_t,
+                       HashedKeyHash, HashedKeyEqual>
+        entries;
     /// Bump arenas owning the key bytes (block addresses never move).
     std::vector<std::unique_ptr<std::uint8_t[]>> blocks;
     std::size_t block_used = 0;

@@ -274,33 +274,37 @@ std::vector<TraceDelta> DiffStates(const model::SystemModel& model,
                                    const model::SystemState& before,
                                    const model::SystemState& after) {
   std::vector<TraceDelta> deltas;
-  for (std::size_t d = 0; d < model.devices().size(); ++d) {
-    const devices::Device& device = model.devices()[d];
-    const devices::State& b = before.devices[d];
-    const devices::State& a = after.devices[d];
-    for (std::size_t i = 0; i < device.attributes().size(); ++i) {
-      const devices::AttributeSpec& attr = *device.attributes()[i];
-      const bool cyber_changed = b.values[i] != a.values[i];
-      const bool physical_changed = b.physical[i] != a.physical[i];
-      if (cyber_changed && physical_changed &&
-          b.values[i] == b.physical[i] && a.values[i] == a.physical[i]) {
-        deltas.push_back({device.id(), attr.name, attr.ValueName(b.values[i]),
-                          attr.ValueName(a.values[i]), "both"});
+  for (int d = 0; d < static_cast<int>(model.devices().size()); ++d) {
+    const devices::Device& device =
+        model.devices()[static_cast<std::size_t>(d)];
+    for (int i = 0; i < static_cast<int>(device.attributes().size()); ++i) {
+      const devices::AttributeSpec& attr =
+          *device.attributes()[static_cast<std::size_t>(i)];
+      const int b_value = before.value(d, i);
+      const int a_value = after.value(d, i);
+      const int b_physical = before.physical(d, i);
+      const int a_physical = after.physical(d, i);
+      const bool cyber_changed = b_value != a_value;
+      const bool physical_changed = b_physical != a_physical;
+      if (cyber_changed && physical_changed && b_value == b_physical &&
+          a_value == a_physical) {
+        deltas.push_back({device.id(), attr.name, attr.ValueName(b_value),
+                          attr.ValueName(a_value), "both"});
         continue;
       }
       if (cyber_changed) {
-        deltas.push_back({device.id(), attr.name, attr.ValueName(b.values[i]),
-                          attr.ValueName(a.values[i]), "cyber"});
+        deltas.push_back({device.id(), attr.name, attr.ValueName(b_value),
+                          attr.ValueName(a_value), "cyber"});
       }
       if (physical_changed) {
-        deltas.push_back({device.id(), attr.name,
-                          attr.ValueName(b.physical[i]),
-                          attr.ValueName(a.physical[i]), "physical"});
+        deltas.push_back({device.id(), attr.name, attr.ValueName(b_physical),
+                          attr.ValueName(a_physical), "physical"});
       }
     }
-    if (b.online != a.online) {
-      deltas.push_back({device.id(), "online", b.online ? "true" : "false",
-                        a.online ? "true" : "false", "both"});
+    if (before.online(d) != after.online(d)) {
+      deltas.push_back({device.id(), "online",
+                        before.online(d) ? "true" : "false",
+                        after.online(d) ? "true" : "false", "both"});
     }
   }
   if (before.mode != after.mode) {

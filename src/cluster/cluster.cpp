@@ -541,11 +541,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
                        .count();
   core::FinalizeReport(report);
 
-  out.response.report = std::move(report);
-  out.response.text =
-      core::RenderCheckReport(request.deployment, out.response.report);
-  out.response.exit_code =
-      out.response.report.violations.empty() ? 0 : 1;
+  out.response = core::MakeCheckResponse(request.deployment, std::move(report));
   return out;
 }
 

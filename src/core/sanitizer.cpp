@@ -129,9 +129,8 @@ void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
   for (std::size_t i = 0; i < result.depth_histogram.size(); ++i) {
     report.depth_histogram[i] += result.depth_histogram[i];
   }
-  for (const checker::Violation& violation : result.violations) {
-    report.per_set_violations.push_back(violation);
-  }
+  // Each violation moves to the per-set list; only a property's first
+  // is copied into the merged list, later ones add their occurrences.
   for (checker::Violation& violation : result.violations) {
     bool merged = false;
     for (checker::Violation& existing : report.violations) {
@@ -141,7 +140,8 @@ void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
         break;
       }
     }
-    if (!merged) report.violations.push_back(std::move(violation));
+    if (!merged) report.violations.push_back(violation);
+    report.per_set_violations.push_back(std::move(violation));
   }
 }
 

@@ -69,19 +69,28 @@ SanitizerOptions MakeCheckOptions(const RequestOptions& options,
   return out;
 }
 
-CheckResponse RunCheck(const CheckRequest& request, const ServiceEnv& env) {
+SanitizerReport RunCheckReport(const CheckRequest& request,
+                               const ServiceEnv& env) {
   Sanitizer sanitizer(request.deployment);
   for (const auto& [name, source] : request.extra_sources) {
     sanitizer.AddAppSource(name, source);
   }
   SanitizerOptions options = MakeCheckOptions(request.options, env);
   options.extra_properties = request.extra_properties;
+  return sanitizer.Check(options);
+}
 
+CheckResponse MakeCheckResponse(const config::Deployment& deployment,
+                                SanitizerReport report) {
   CheckResponse response;
-  response.report = sanitizer.Check(options);
-  response.text = RenderCheckReport(request.deployment, response.report);
-  response.exit_code = response.report.violations.empty() ? 0 : 1;
+  response.report = std::move(report);
+  response.text = RenderCheckReport(deployment, response.report);
+  response.exit_code = CheckExitCode(response.report);
   return response;
+}
+
+CheckResponse RunCheck(const CheckRequest& request, const ServiceEnv& env) {
+  return MakeCheckResponse(request.deployment, RunCheckReport(request, env));
 }
 
 checker::CheckResult RunCheckUnit(const CheckRequest& request,
@@ -157,7 +166,10 @@ std::string RenderSearchStats(const SanitizerReport& report, bool bitstate) {
 std::string RenderViolations(const SanitizerReport& report) {
   std::string out;
   for (const checker::Violation& v : report.violations) {
-    Appendf(out, "%s\n", checker::FormatViolation(v).c_str());
+    // Appended as C strings, as "%s" would: a counter-example overflows
+    // Appendf's buffer, which would format it twice.
+    out += checker::FormatViolation(v).c_str();
+    out += '\n';
   }
   return out;
 }

@@ -76,6 +76,20 @@ SanitizerOptions MakeCheckOptions(const RequestOptions& options,
 CheckResponse RunCheck(const CheckRequest& request,
                        const ServiceEnv& env = {});
 
+/// RunCheck without the rendering, for a caller that renders the report
+/// itself (the CLI interleaves --stats and artifacts with it).
+SanitizerReport RunCheckReport(const CheckRequest& request,
+                               const ServiceEnv& env = {});
+
+/// The response for a finished report: its default text and exit code.
+CheckResponse MakeCheckResponse(const config::Deployment& deployment,
+                                SanitizerReport report);
+
+/// 0 when the report is clean, 1 when it has violations.
+inline int CheckExitCode(const SanitizerReport& report) {
+  return report.violations.empty() ? 0 : 1;
+}
+
 /// Runs one cluster work unit: checks exactly the related-set group
 /// named by `request.options.group_apps` (optionally one branch shard /
 /// bitstate lane of it) and returns the raw CheckResult.  The

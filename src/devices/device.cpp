@@ -22,12 +22,4 @@ int Device::AttributeIndex(const std::string& name) const {
   return -1;
 }
 
-State Device::MakeInitialState() const {
-  State state;
-  state.values.assign(attributes_.size(), 0);
-  state.physical.assign(attributes_.size(), 0);
-  state.online = true;
-  return state;
-}
-
 }  // namespace iotsan::devices

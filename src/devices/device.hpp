@@ -1,13 +1,13 @@
-// Device instances and their mutable state.
+// Device instances.
 //
 // A Device is the static description of one installed physical device
 // (its id, type, and role associations from the Configuration Extractor,
-// paper §7).  DeviceState is its mutable part — attribute values plus the
-// online/offline failure flag (§8) — kept separate because the model
-// checker snapshots and restores states millions of times.
+// paper §7).  Its mutable part — attribute values plus the online/offline
+// failure flag (§8) — lives in the model checker's flat state vector
+// (model/state.hpp), which the search snapshots and restores millions of
+// times.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,15 +28,13 @@ class Device {
   const std::vector<std::string>& roles() const { return roles_; }
   bool HasRole(const std::string& role) const;
 
-  /// Flattened attribute list (stable order; indexes into DeviceState).
+  /// Flattened attribute list (stable order; indexes the device's cells
+  /// in a model::SystemState).
   const std::vector<const AttributeSpec*>& attributes() const {
     return attributes_;
   }
   /// Index of `name` in attributes(); -1 if absent.
   int AttributeIndex(const std::string& name) const;
-
-  /// Initial state: every attribute at its first domain value, online.
-  struct State MakeInitialState() const;
 
  private:
   std::string id_;
@@ -44,24 +42,5 @@ class Device {
   std::vector<std::string> roles_;
   std::vector<const AttributeSpec*> attributes_;
 };
-
-/// Mutable state of one device.
-///
-/// `values` is the *cyber* state — what the platform and apps see.
-/// `physical` is the ground truth of the physical space.  The two diverge
-/// exactly when a device/communication failure makes a sensor miss a
-/// physical event (paper §8/§10.2): the temperature really dropped but
-/// the offline sensor still reports the old reading.  Safety properties
-/// are statements about the physical space (§3), so the checker evaluates
-/// them over `physical`; apps read `values`.
-struct State {
-  std::vector<std::int16_t> values;
-  std::vector<std::int16_t> physical;
-  bool online = true;
-
-  bool operator==(const State&) const = default;
-};
-
-using DeviceState = State;
 
 }  // namespace iotsan::devices

@@ -33,8 +33,7 @@ std::vector<ExternalEvent> CascadeEngine::EnabledEvents(
         const devices::Device& device = model_.devices()[spec.device];
         const devices::AttributeSpec& attr =
             *device.attributes()[spec.attribute];
-        const int current =
-            state.devices[spec.device].physical[spec.attribute];
+        const int current = state.physical(spec.device, spec.attribute);
         for (int v = 0; v < attr.domain_size(); ++v) {
           if (v == current) continue;  // Algorithm 1, line 8: no-op events
           ExternalEvent event;
@@ -98,12 +97,9 @@ void CascadeEngine::InjectExternal(SystemState& state,
       const devices::AttributeSpec& attr =
           *device.attributes()[event.attribute];
       // The physical world changes regardless of sensor availability.
-      if (state.devices[event.device].physical[event.attribute] ==
-          event.value) {
-        return;
-      }
-      state.devices[event.device].physical[event.attribute] =
-          static_cast<std::int16_t>(event.value);
+      std::int16_t& physical = state.physical(event.device, event.attribute);
+      if (physical == event.value) return;
+      physical = static_cast<std::int16_t>(event.value);
       if (failure.sensor_offline) {
         // The physical event happened but the sensor cannot report it:
         // no cyber event is generated, and the cyber reading goes stale
@@ -116,7 +112,7 @@ void CascadeEngine::InjectExternal(SystemState& state,
         return;
       }
       // sensor_state_update (Algorithm 1, lines 8-12).
-      state.devices[event.device].values[event.attribute] =
+      state.value(event.device, event.attribute) =
           static_cast<std::int16_t>(event.value);
       devices::Event cyber;
       cyber.source = devices::EventSource::kDevice;

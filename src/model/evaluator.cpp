@@ -587,6 +587,17 @@ class Interp {
       default:
         Fail(assign.line, "state entries must be scalars");
     }
+    // The state vector prefixes each with a 16-bit length.
+    constexpr std::size_t kMax = SystemState::kMaxLength;
+    if (key.size() > kMax ||
+        (result.is_string() && result.AsString().size() > kMax)) {
+      Fail(assign.line, "state keys and strings may hold at most " +
+                            std::to_string(kMax) + " bytes");
+    }
+    if (it == state_map.end() && state_map.size() == kMax) {
+      Fail(assign.line,
+           "state may hold at most " + std::to_string(kMax) + " entries");
+    }
     state_map[key] = result;
     return result;
   }
@@ -751,7 +762,7 @@ class Interp {
                      attr_name + "'");
     }
     const devices::AttributeSpec& attr = *device.attributes()[attr_index];
-    const int value = state_.devices[device_index].values[attr_index];
+    const int value = state_.value(device_index, attr_index);
     if (attr.kind == devices::AttributeKind::kNumeric) {
       return Value::Number(attr.NumericAt(value));
     }
@@ -1146,10 +1157,10 @@ class Interp {
       return;
     }
 
-    devices::State& dev_state = state_.devices[device_index];
-    if (dev_state.values[attr_index] != target) {
-      dev_state.values[attr_index] = static_cast<std::int16_t>(target);
-      dev_state.physical[attr_index] = static_cast<std::int16_t>(target);
+    std::int16_t& value = state_.value(device_index, attr_index);
+    if (value != target) {
+      value = static_cast<std::int16_t>(target);
+      state_.physical(device_index, attr_index) = value;
       record.state_changed = true;
       devices::Event event;
       event.source = devices::EventSource::kDevice;

@@ -138,9 +138,8 @@ struct CompiledInvariant::Program {
     std::vector<char> table;
 
     bool At(const SystemState& state) const {
-      const auto v = static_cast<std::uint16_t>(
-          state.devices[static_cast<std::size_t>(device)]
-              .physical[static_cast<std::size_t>(attribute)]);
+      const auto v =
+          static_cast<std::uint16_t>(state.physical(device, attribute));
       return table[std::min<std::size_t>(v, table.size() - 1)] != 0;
     }
   };
@@ -187,8 +186,7 @@ struct CompiledInvariant::Program {
       case Op::kOffline: {
         bool all_online = true;
         for (int d : device_sets[static_cast<std::size_t>(node.data)]) {
-          all_online = all_online && state.devices[static_cast<std::size_t>(d)]
-                                         .online;
+          all_online = all_online && state.online(d);
         }
         return node.op == Op::kOnline ? all_online : !all_online;
       }
@@ -316,8 +314,7 @@ struct CompiledInvariant::Program {
     for (const Member& m : quant.members) {
       if (!Participates(m, numeric)) continue;
       saw_device = true;
-      const int index = state.devices[static_cast<std::size_t>(m.device)]
-                            .physical[static_cast<std::size_t>(m.attribute)];
+      const int index = state.physical(m.device, m.attribute);
       const bool match =
           CompareScalars(MemberValue(m, index, numeric), op, rhs, line);
       any_match = any_match || match;

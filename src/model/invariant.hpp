@@ -7,8 +7,7 @@
 // IotSan.  Roles become device index lists, attribute names attribute
 // indices, literals per-(device, attribute) match tables over the value
 // domain, and `mode` literals per-mode match tables.  Evaluation then
-// reads SystemState::devices[d].physical[i] and SystemState::mode
-// directly.
+// reads the state's physical cells and mode directly.
 //
 // The compiled form agrees with EvalPropertyExpr on every state,
 // malformed expressions included: a construct the interpreter rejects

@@ -20,8 +20,7 @@ std::optional<std::string> ModelStateView::AttributeValue(
   const devices::Device& dev = model_.devices()[device];
   const int index = dev.AttributeIndex(attr);
   if (index < 0) return std::nullopt;
-  return dev.attributes()[index]->ValueName(
-      state_.devices[device].physical[index]);
+  return dev.attributes()[index]->ValueName(state_.physical(device, index));
 }
 
 std::optional<double> ModelStateView::NumericValue(
@@ -31,7 +30,7 @@ std::optional<double> ModelStateView::NumericValue(
   if (index < 0) return std::nullopt;
   const devices::AttributeSpec& spec = *dev.attributes()[index];
   if (spec.kind != devices::AttributeKind::kNumeric) return std::nullopt;
-  return spec.NumericAt(state_.devices[device].physical[index]);
+  return spec.NumericAt(state_.physical(device, index));
 }
 
 std::string ModelStateView::LocationMode() const {
@@ -39,7 +38,7 @@ std::string ModelStateView::LocationMode() const {
 }
 
 bool ModelStateView::DeviceOnline(int device) const {
-  return state_.devices[device].online;
+  return state_.online(device);
 }
 
 }  // namespace iotsan::model

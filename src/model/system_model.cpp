@@ -58,6 +58,7 @@ void SystemModel::BuildDevices() {
     }
     devices_.emplace_back(cfg.id, *type, cfg.roles);
   }
+  layout_ = std::make_shared<const StateLayout>(devices_);
 }
 
 int SystemModel::DeviceIndex(const std::string& id) const {
@@ -308,10 +309,9 @@ const std::vector<int>& SystemModel::Subscribers(
 
 SystemState SystemModel::MakeInitialState() const {
   SystemState state;
-  state.devices.reserve(devices_.size());
-  for (const devices::Device& device : devices_) {
-    state.devices.push_back(device.MakeInitialState());
-  }
+  state.layout = layout_.get();
+  state.cells.assign(layout_->cell_count(), 0);
+  for (int d = 0; d < layout_->device_count(); ++d) state.set_online(d, true);
   state.mode = 0;
   state.app_state.resize(apps_.size());
   return state;

@@ -115,8 +115,8 @@ class SystemModel {
   /// mode change / app touch, in subscriptions() order.
   const std::vector<int>& Subscribers(const devices::Event& event) const;
 
-  /// The initial state: all devices at their first domain values, mode 0,
-  /// empty app state, no timers.
+  /// The initial state: all devices online at their first domain values,
+  /// mode 0, empty app state, no timers.
   SystemState MakeInitialState() const;
 
   /// External events the checker enumerates.  Sensor events cover
@@ -148,6 +148,9 @@ class SystemModel {
   config::Deployment deployment_;
   ModelOptions options_;
   std::vector<devices::Device> devices_;
+  /// Shared so that its address, which every state holds, survives a
+  /// move of the model.
+  std::shared_ptr<const StateLayout> layout_;
   std::vector<InstalledApp> apps_;
   std::vector<ResolvedSubscription> subscriptions_;
   // Subscribers() by event: [device][attribute][value], [mode], [app].

@@ -159,11 +159,7 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   core::FinalizeReport(report);
 
   RegistryCheckOutcome out;
-  out.response.report = std::move(report);
-  out.response.text =
-      core::RenderCheckReport(request.deployment, out.response.report);
-  out.response.exit_code =
-      out.response.report.violations.empty() ? 0 : 1;
+  out.response = core::MakeCheckResponse(request.deployment, std::move(report));
   out.groups_total = groups.size();
   out.groups_recomputed = dirty.size();
   out.groups_reused = groups.size() - dirty.size();

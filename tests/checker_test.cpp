@@ -28,6 +28,31 @@ TEST(ExhaustiveStoreTest, ExactMembership) {
   EXPECT_GT(store.memory_bytes(), 0u);
 }
 
+TEST(ExhaustiveStoreTest, MemoryIsKeyBytesPlusTwoPointersPerState) {
+  // The formula behind the `store:` line and store.bytes_per_state.
+  ExhaustiveStore store(4);
+  store.TestAndInsert(Bytes({1, 2, 3}));
+  store.TestAndInsert(Bytes({1, 2, 3}));
+  store.TestAndInsert(Bytes({4, 5}));
+  EXPECT_EQ(store.memory_bytes(), 3 + 2 + 2 * 2 * sizeof(void*));
+}
+
+TEST(InternPoolTest, IndicesAreDenseAndMemoryIsArenaPlusEntries) {
+  InternPool pool(1);
+  // An empty run first: the arena has no block yet.
+  EXPECT_EQ(pool.Intern(Bytes({})), 0u);
+  EXPECT_EQ(pool.Intern(Bytes({1, 2, 3})), 1u);
+  EXPECT_EQ(pool.Intern(Bytes({4})), 2u);
+  EXPECT_EQ(pool.Intern(Bytes({1, 2, 3})), 1u);
+  EXPECT_EQ(pool.Intern(Bytes({})), 0u);
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(pool.lookups(), 5u);
+  EXPECT_EQ(pool.hits(), 2u);
+  // One 256-byte arena block, plus the per-entry index cost.
+  EXPECT_EQ(pool.memory_bytes(),
+            256 + 3 * (2 * sizeof(void*) + sizeof(std::uint32_t)));
+}
+
 TEST(BitstateStoreTest, BasicMembership) {
   BitstateStore store(1 << 16);
   EXPECT_FALSE(store.TestAndInsert(Bytes({1, 2, 3})));

@@ -2,13 +2,23 @@
 // device model: 30 device types, finite attribute domains, event queues).
 #include <gtest/gtest.h>
 
+#include "config/builder.hpp"
 #include "devices/capability.hpp"
 #include "devices/device.hpp"
 #include "devices/device_type.hpp"
 #include "devices/event.hpp"
+#include "model/system_model.hpp"
 
 namespace iotsan::devices {
 namespace {
+
+/// A model of one device of `type` and no apps: its initial state is
+/// the device's.
+model::SystemModel OneDeviceModel(const std::string& type) {
+  config::DeploymentBuilder b("probe home");
+  b.Device("probe", type);
+  return model::SystemModel(b.Build(), {});
+}
 
 TEST(CapabilityRegistryTest, CoreCapabilitiesExist) {
   const auto& registry = CapabilityRegistry::Instance();
@@ -125,18 +135,20 @@ TEST(DeviceTest, AttributeIndexing) {
 }
 
 TEST(DeviceTest, InitialState) {
-  const DeviceTypeSpec& type =
-      *DeviceTypeRegistry::Instance().Find("smartLock");
-  Device device("lock1", type);
-  State state = device.MakeInitialState();
-  EXPECT_EQ(state.values.size(), device.attributes().size());
-  EXPECT_EQ(state.physical.size(), device.attributes().size());
-  EXPECT_TRUE(state.online);
+  const model::SystemModel model = OneDeviceModel("smartLock");
+  const Device& device = model.devices()[0];
+  const model::SystemState state = model.MakeInitialState();
+  // The online flag, then a cyber value and a physical reading per
+  // attribute.
+  EXPECT_EQ(state.cells.size(), 1 + 2 * device.attributes().size());
+  EXPECT_EQ(state.layout->attribute_cells(0), 2 * device.attributes().size());
+  EXPECT_TRUE(state.online(0));
   // Locks start locked (first enum value).
   const int lock_attr = device.AttributeIndex("lock");
   EXPECT_EQ(device.attributes()[lock_attr]->ValueName(
-                state.values[lock_attr]),
+                state.value(0, lock_attr)),
             "locked");
+  EXPECT_EQ(state.physical(0, lock_attr), state.value(0, lock_attr));
 }
 
 TEST(EventTest, DescribeDeviceEvent) {
@@ -161,15 +173,16 @@ TEST_P(AllDeviceTypesTest, ConsistentSpec) {
   ASSERT_NE(type, nullptr);
   EXPECT_FALSE(type->display_name.empty());
   EXPECT_FALSE(type->capabilities.empty());
-  Device device("probe", *type);
-  State state = device.MakeInitialState();
-  EXPECT_EQ(state.values.size(), device.attributes().size());
+  const model::SystemModel model = OneDeviceModel(GetParam());
+  const Device& device = model.devices()[0];
+  const model::SystemState state = model.MakeInitialState();
+  EXPECT_EQ(state.layout->attribute_cells(0), 2 * device.attributes().size());
   for (std::size_t i = 0; i < device.attributes().size(); ++i) {
     const AttributeSpec& attr = *device.attributes()[i];
     EXPECT_FALSE(attr.name.empty());
     EXPECT_GT(attr.domain_size(), 0) << attr.name;
     // Initial value is inside the domain and the name round-trips.
-    EXPECT_NE(attr.ValueName(state.values[i]), "?");
+    EXPECT_NE(attr.ValueName(state.value(0, static_cast<int>(i))), "?");
     // Attribute lookup by name must hit the same spec.
     EXPECT_GE(device.AttributeIndex(attr.name), 0);
   }

@@ -66,7 +66,7 @@ TEST(EngineTest, SequentialCascadeDrainsChain) {
   EXPECT_EQ(after.mode, 1);
   const int lock = model.DeviceIndex("lock1");
   const int lock_attr = model.devices()[lock].AttributeIndex("lock");
-  EXPECT_EQ(after.devices[lock].values[lock_attr], 1);  // unlocked
+  EXPECT_EQ(after.value(lock, lock_attr), 1);  // unlocked
   EXPECT_EQ(outcomes[0].log.commands.size(), 1u);
   EXPECT_FALSE(outcomes[0].log.truncated);
 }
@@ -85,8 +85,8 @@ TEST(EngineTest, SensorOfflineSplitsPhysicalAndCyber) {
   const int p1 = model.DeviceIndex("p1");
   const int attr = model.devices()[p1].AttributeIndex("presence");
   // Physical truth changed; the cyber reading is stale; nothing ran.
-  EXPECT_EQ(after.devices[p1].physical[attr], 1);
-  EXPECT_EQ(after.devices[p1].values[attr], 0);
+  EXPECT_EQ(after.physical(p1, attr), 1);
+  EXPECT_EQ(after.value(p1, attr), 0);
   EXPECT_EQ(after.mode, 0);
   EXPECT_TRUE(outcomes[0].log.commands.empty());
 }
@@ -103,7 +103,7 @@ TEST(EngineTest, ActuatorOfflineLosesCommand) {
   const SystemState& after = outcomes[0].state;
   const int lock = model.DeviceIndex("lock1");
   const int lock_attr = model.devices()[lock].AttributeIndex("lock");
-  EXPECT_EQ(after.devices[lock].values[lock_attr], 0);  // still locked
+  EXPECT_EQ(after.value(lock, lock_attr), 0);  // still locked
   EXPECT_EQ(outcomes[0].log.failed_deliveries, 1);
 }
 
@@ -117,8 +117,8 @@ TEST(EngineTest, EnabledEventsSkipNoOps) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].value, 1);
   // After it fires, only the reverse transition is enabled.
-  state.devices[model.DeviceIndex("p1")].physical[0] = 1;
-  state.devices[model.DeviceIndex("p1")].values[0] = 1;
+  state.physical(model.DeviceIndex("p1"), 0) = 1;
+  state.value(model.DeviceIndex("p1"), 0) = 1;
   events = engine.EnabledEvents(state);
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].value, 0);
@@ -241,7 +241,7 @@ TEST(EngineTest, ConcurrentExploresInterleavings) {
   EXPECT_EQ(concurrent.size(), 6u);
   // All interleavings converge on the same final device state here.
   for (const StepOutcome& outcome : concurrent) {
-    EXPECT_EQ(outcome.state.devices, sequential[0].state.devices);
+    EXPECT_EQ(outcome.state.cells, sequential[0].state.cells);
   }
 }
 

@@ -83,7 +83,7 @@ def installed() {
     const int d = model_->DeviceIndex(device);
     const int a = model_->devices()[d].AttributeIndex(attr);
     return model_->devices()[d].attributes()[a]->ValueName(
-        state_.devices[d].values[a]);
+        state_.value(d, a));
   }
 
   SystemModel& model() { return *model_; }
@@ -663,6 +663,31 @@ def handler(evt) {
   // The same scalar check, with the same text, as `state.key = v`.
   EXPECT_EQ(FailureOf("def handler(evt) {\n    state[\"bad\"] = [1]\n}\n"),
             FailureOf("def handler(evt) {\n    state.bad = [1]\n}\n"));
+}
+
+/// A handler that doubles "a" `times` times into `s`, then runs
+/// `assignment` (source line 26, after the harness's preamble).
+std::string DoubledString(int times, const std::string& assignment) {
+  return R"(
+def handler(evt) {
+    def s = "a"
+    def i = 0
+    while (i < )" + std::to_string(times) + R"() {
+        s = s + s
+        i = i + 1
+    }
+    )" + assignment + "\n}\n";
+}
+
+TEST(EvaluatorTest, OverlongStateValueFailsAtTheAssignment) {
+  // A 2^17-byte string: the state vector prefixes strings and keys with
+  // a 16-bit length, which would wrap it to 0.
+  const std::string too_long =
+      "Harness App:26: state keys and strings may hold at most 65535 bytes";
+  EXPECT_EQ(FailureOf(DoubledString(17, "state.big = s")), too_long);
+  EXPECT_EQ(FailureOf(DoubledString(17, "state[s] = 1")), too_long);
+  EXPECT_EQ(FailureOf(DoubledString(16, "state.big = s")), too_long);
+  EXPECT_EQ(FailureOf(DoubledString(15, "state.big = s")), "no error");
 }
 
 /// A loop whose every iteration reads an event field, interpolates,

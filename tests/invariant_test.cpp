@@ -172,8 +172,8 @@ std::vector<model::SystemState> AllStates(const model::SystemModel& model) {
       for (int v = 0; v <= domain; ++v) {
         for (bool online : flags) {
           model::SystemState s = base;
-          s.devices[d].physical[0] = static_cast<std::int16_t>(v);
-          s.devices[d].online = online;
+          s.physical(static_cast<int>(d), 0) = static_cast<std::int16_t>(v);
+          s.set_online(static_cast<int>(d), online);
           next.push_back(std::move(s));
         }
       }

@@ -348,17 +348,18 @@ TEST(CollapseCodecTest, EncodedKeysCollideIffSerializationsCollide) {
   const model::SystemState base = model.MakeInitialState();
   states.push_back(base);
   states.push_back(base);  // duplicate: must collide
-  for (std::size_t d = 0; d < base.devices.size(); ++d) {
-    for (std::size_t i = 0; i < base.devices[d].values.size(); ++i) {
+  for (int d = 0; d < static_cast<int>(model.devices().size()); ++d) {
+    const auto attributes = static_cast<int>(
+        model.devices()[static_cast<std::size_t>(d)].attributes().size());
+    for (int i = 0; i < attributes; ++i) {
       model::SystemState s = base;
-      s.devices[d].values[i] = static_cast<std::int16_t>(1 - s.devices[d].values[i]);
+      s.value(d, i) = static_cast<std::int16_t>(1 - s.value(d, i));
       states.push_back(s);
-      s.devices[d].physical[i] = static_cast<std::int16_t>(
-          s.devices[d].physical[i] + 1);
+      s.physical(d, i) = static_cast<std::int16_t>(s.physical(d, i) + 1);
       states.push_back(s);
     }
     model::SystemState offline = base;
-    offline.devices[d].online = false;
+    offline.set_online(d, false);
     states.push_back(offline);
   }
   {

@@ -60,7 +60,7 @@ class Scenario {
     const int d = model_->DeviceIndex(device_id);
     const int a = model_->devices()[d].AttributeIndex(attr);
     return model_->devices()[d].attributes()[a]->ValueName(
-        state_.devices[d].values[a]);
+        state_.value(d, a));
   }
 
   const SystemState& state() const { return state_; }

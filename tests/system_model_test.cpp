@@ -2,8 +2,12 @@
 // event-space construction, and property selection (paper §8).
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "config/builder.hpp"
 #include "ir/analyzer.hpp"
+#include "model/engine.hpp"
 #include "model/system_model.hpp"
 #include "util/error.hpp"
 
@@ -141,14 +145,21 @@ TEST(SystemModelTest, PropertySelectionByRoles) {
 TEST(SystemModelTest, InitialState) {
   SystemModel model = Build();
   SystemState state = model.MakeInitialState();
-  EXPECT_EQ(state.devices.size(), 3u);
+  EXPECT_EQ(state.layout->device_count(), 3);
   EXPECT_EQ(state.mode, 0);
   EXPECT_EQ(state.app_state.size(), 1u);
   EXPECT_TRUE(state.timers.empty());
-  for (const devices::State& d : state.devices) {
-    EXPECT_TRUE(d.online);
-    EXPECT_EQ(d.values, d.physical);
+  std::size_t cells = 0;
+  for (int d = 0; d < 3; ++d) {
+    EXPECT_TRUE(state.online(d));
+    const auto attributes = static_cast<int>(
+        model.devices()[static_cast<std::size_t>(d)].attributes().size());
+    for (int a = 0; a < attributes; ++a) {
+      EXPECT_EQ(state.value(d, a), state.physical(d, a));
+    }
+    cells += 1 + 2 * static_cast<std::size_t>(attributes);
   }
+  EXPECT_EQ(state.cells.size(), cells);
 }
 
 TEST(SystemModelTest, RejectsBadBindings) {
@@ -216,16 +227,24 @@ TEST(SystemStateTest, EveryComponentAffectsTheSerialization) {
   const auto baseline = base.Serialize();
 
   SystemState s = base;
-  s.devices[0].values[0] = 1;
-  EXPECT_NE(s.Serialize(), baseline) << "cyber attribute ignored";
+  for (int d = 0; d < static_cast<int>(model.devices().size()); ++d) {
+    const auto attributes = static_cast<int>(
+        model.devices()[static_cast<std::size_t>(d)].attributes().size());
+    for (int a = 0; a < attributes; ++a) {
+      s = base;
+      s.value(d, a) = 1;
+      const std::vector<std::uint8_t> cyber = s.Serialize();
+      EXPECT_NE(cyber, baseline) << "cyber attribute ignored";
 
-  s = base;
-  s.devices[0].physical[0] = 1;
-  EXPECT_NE(s.Serialize(), baseline) << "physical attribute ignored";
-
-  s = base;
-  s.devices[0].online = false;
-  EXPECT_NE(s.Serialize(), baseline) << "online flag ignored";
+      s = base;
+      s.physical(d, a) = 1;
+      EXPECT_NE(s.Serialize(), baseline) << "physical attribute ignored";
+      EXPECT_NE(s.Serialize(), cyber) << "cyber and physical share a cell";
+    }
+    s = base;
+    s.set_online(d, false);
+    EXPECT_NE(s.Serialize(), baseline) << "online flag ignored";
+  }
 
   s = base;
   s.mode = 1;
@@ -256,6 +275,184 @@ TEST(SystemStateTest, NonScalarAppStateRejectedAtSerialization) {
   SystemState s = model.MakeInitialState();
   s.app_state[0]["bad"] = Value::List({Value::Number(1)});
   EXPECT_THROW(s.Serialize(), Error);
+}
+
+TEST(SystemStateTest, OverlongAppStateAndTimersRejectedAtSerialization) {
+  // Lengths are 16-bit: one more would wrap around, so that two different
+  // states would share a store key.
+  SystemModel model = Build();
+  const SystemState base = model.MakeInitialState();
+  const std::string longest(SystemState::kMaxLength, 'a');
+
+  SystemState s = base;
+  s.app_state[0]["big"] = Value::String(longest);
+  EXPECT_NO_THROW(s.Serialize());
+  s.app_state[0]["big"] = Value::String(longest + "a");
+  EXPECT_THROW(s.Serialize(), Error);
+  // The 2^17-byte string a handler can build by doubling "a" 17 times
+  // wrapped to length 0.
+  s.app_state[0]["big"] = Value::String(std::string(std::size_t{1} << 17, 'a'));
+  EXPECT_THROW(s.Serialize(), Error);
+
+  s = base;
+  s.app_state[0][longest + "a"] = Value::Null();
+  EXPECT_THROW(s.Serialize(), Error) << "key";
+
+  s = base;
+  for (std::size_t i = 0; i <= SystemState::kMaxLength; ++i) {
+    s.app_state[0][std::to_string(i)] = Value::Null();
+  }
+  EXPECT_THROW(s.Serialize(), Error) << "map size";
+  std::vector<std::uint8_t> bytes;
+  EXPECT_THROW(s.SerializeAppStateTo(0, bytes), Error) << "COLLAPSE run";
+
+  s = base;
+  s.timers.assign(SystemState::kMaxLength, TimerEntry{});
+  EXPECT_NO_THROW(s.Serialize());
+  s.timers.emplace_back();
+  EXPECT_THROW(s.Serialize(), Error) << "timer count";
+}
+
+// ---- Pinned store keys ------------------------------------------------------
+
+constexpr const char* kKeysApp = R"(
+definition(name: "Keys", namespace: "t")
+preferences {
+    section("S") {
+        input "m1", "capability.motionSensor"
+        input "p1", "capability.presenceSensor"
+        input "sw1", "capability.switch"
+    }
+}
+def installed() {
+    subscribe(m1, "motion.active", active)
+    subscribe(p1, "presence", moved)
+}
+def active(evt) {
+    state.count = 3
+    state.label = "on"
+    state.armed = true
+    sw1.on()
+}
+def moved(evt) { runIn(60, later) }
+def later() { sw1.off() }
+)";
+
+std::string Hex(const std::vector<std::uint8_t>& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+/// Serialize() of `state`, then each COLLAPSE component run, one a line.
+std::string KeyText(const SystemModel& model, const std::string& name,
+                    const SystemState& state) {
+  std::string out = "[" + name + "]\nstate: " + Hex(state.Serialize()) + "\n";
+  std::vector<std::uint8_t> bytes;
+  for (int d = 0; d < static_cast<int>(model.devices().size()); ++d) {
+    bytes.clear();
+    state.SerializeDeviceTo(d, bytes);
+    out += "device " + model.devices()[static_cast<std::size_t>(d)].id() +
+           ": " + Hex(bytes) + "\n";
+  }
+  bytes.clear();
+  state.SerializeModeTo(bytes);
+  out += "mode: " + Hex(bytes) + "\n";
+  for (int a = 0; a < static_cast<int>(model.apps().size()); ++a) {
+    bytes.clear();
+    state.SerializeAppStateTo(a, bytes);
+    out += "app " + std::to_string(a) + ": " + Hex(bytes) + "\n";
+  }
+  bytes.clear();
+  state.SerializeTimersTo(bytes);
+  out += "timers: " + Hex(bytes) + "\n";
+  return out;
+}
+
+/// The store keys of a small model in states that exercise every part of
+/// the state vector, reached through the cascade engine.
+std::string StateKeysText() {
+  config::DeploymentBuilder b("keys home");
+  b.Device("m1", "motionSensor");
+  b.Device("p1", "presenceSensor");
+  b.Device("sw1", "smartSwitch", {"light"});
+  b.App("Keys")
+      .Devices("m1", {"m1"})
+      .Devices("p1", {"p1"})
+      .Devices("sw1", {"sw1"});
+  std::vector<ir::AnalyzedApp> apps;
+  apps.push_back(ir::AnalyzeSource(kKeysApp, "Keys"));
+  const SystemModel model(b.Build(), std::move(apps));
+  const CascadeEngine engine(model);
+  const SystemState initial = model.MakeInitialState();
+  const auto step = [&](ExternalEventSpec::Kind kind, const char* device,
+                        int value, const FailureScenario& failure) {
+    ExternalEvent event;
+    event.kind = kind;
+    if (device != nullptr) {
+      event.device = model.DeviceIndex(device);
+      event.attribute = 0;
+    }
+    event.value = value;
+    return engine.Apply(initial, event, failure, Scheduling::kSequential)
+        .at(0)
+        .state;
+  };
+  FailureScenario sensor_offline;
+  sensor_offline.sensor_offline = true;
+  std::string out = KeyText(model, "initial", initial);
+  // motion/active missed: m1's physical reading is active, its cyber
+  // reading still inactive.
+  out += KeyText(model, "sensor offline",
+                 step(ExternalEventSpec::Kind::kSensor, "m1", 1,
+                      sensor_offline));
+  out += KeyText(model, "mode Night",
+                 step(ExternalEventSpec::Kind::kUserModeChange, nullptr, 2,
+                      {}));
+  // motion/active delivered: state.count, state.label, state.armed and
+  // sw1 on.
+  out += KeyText(model, "app state",
+                 step(ExternalEventSpec::Kind::kSensor, "m1", 1, {}));
+  // presence/notpresent: runIn leaves a pending timer.
+  out += KeyText(model, "pending timer",
+                 step(ExternalEventSpec::Kind::kSensor, "p1", 1, {}));
+  SystemState offline = initial;
+  offline.set_online(model.DeviceIndex("sw1"), false);
+  out += KeyText(model, "sw1 offline", offline);
+  return out;
+}
+
+TEST(SystemStateTest, KeyBytesMatchTheGolden) {
+  // The bytes every store hashes (tests/data/state_keys.txt): bitstate
+  // bit positions, COLLAPSE pools and exhaustive dedup all depend on
+  // them, so a layout change must leave them alone.
+  std::ifstream in(IOTSAN_TEST_DATA_DIR "/state_keys.txt");
+  ASSERT_TRUE(in) << "missing tests/data/state_keys.txt";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(StateKeysText(), golden.str());
+}
+
+TEST(SystemStateTest, ComponentRunsConcatenateToTheKey) {
+  SystemModel model = Build();
+  SystemState s = model.MakeInitialState();
+  s.physical(0, 0) = 1;
+  s.set_online(2, false);
+  s.mode = 1;
+  s.app_state[0]["x"] = Value::String("y");
+  s.timers.push_back({0, 0});
+  std::vector<std::uint8_t> runs;
+  for (int d = 0; d < static_cast<int>(model.devices().size()); ++d) {
+    s.SerializeDeviceTo(d, runs);
+  }
+  s.SerializeModeTo(runs);
+  s.SerializeAppStateTo(0, runs);
+  s.SerializeTimersTo(runs);
+  EXPECT_EQ(runs, s.Serialize());
 }
 
 // ---- Value semantics ----------------------------------------------------------

@@ -329,8 +329,7 @@ int CmdCheck(const std::vector<std::string>& args) {
 
   TelemetrySession telemetry_session(
       flags, /*force_registry=*/!flags.metrics_out.empty());
-  core::CheckResponse response = core::RunCheck(request, cli.env);
-  const core::SanitizerReport& report = response.report;
+  const core::SanitizerReport report = core::RunCheckReport(request, cli.env);
   std::fputs(core::RenderCheckHeader(request.deployment, report).c_str(),
              stdout);
   if (flags.stats) {
@@ -355,7 +354,7 @@ int CmdCheck(const std::vector<std::string>& args) {
                  util::InterruptSignal());
     return util::InterruptExitCode();
   }
-  return response.exit_code;
+  return core::CheckExitCode(report);
 }
 
 int CmdAttribute(const std::vector<std::string>& args) {
