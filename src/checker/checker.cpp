@@ -30,32 +30,6 @@ const Violation* CheckResult::Find(const std::string& property_id) const {
   return nullptr;
 }
 
-telemetry::ProgressSnapshot CheckResult::Progress() const {
-  telemetry::ProgressSnapshot snapshot;
-  snapshot.jobs = jobs;
-  snapshot.branches_total = parallel_branches;
-  snapshot.branches_done = parallel_branches;
-  snapshot.worker_states_explored = worker_states_explored;
-  snapshot.states_explored = states_explored;
-  snapshot.states_matched = states_matched;
-  snapshot.transitions = transitions;
-  snapshot.cascade_drains = cascade_drains;
-  snapshot.elapsed_seconds = seconds;
-  snapshot.states_per_second =
-      seconds > 0 ? static_cast<double>(states_explored) / seconds : 0;
-  const double considered =
-      static_cast<double>(states_explored + states_matched);
-  snapshot.pruning_ratio =
-      considered > 0 ? static_cast<double>(states_matched) / considered : 0;
-  snapshot.store_fill_ratio = store_fill_ratio;
-  snapshot.depth_histogram = depth_histogram;
-  if (auto* t = telemetry::Active()) {
-    snapshot.cache_hits = t->cache.hits;
-    snapshot.cache_misses = t->cache.misses;
-  }
-  return snapshot;
-}
-
 std::string_view PropertyKindName(props::PropertyKind kind) {
   switch (kind) {
     case props::PropertyKind::kInvariant: return "invariant";
@@ -205,15 +179,6 @@ CheckResult CheckResultFromJson(const json::Value& doc) {
 
 namespace {
 
-/// Copies the run-so-far analysis-cache tallies into a progress
-/// snapshot (both 0 when telemetry or the cache is off).
-void FillCacheProgress(telemetry::ProgressSnapshot& snapshot) {
-  if (auto* t = telemetry::Active()) {
-    snapshot.cache_hits = t->cache.hits;
-    snapshot.cache_misses = t->cache.misses;
-  }
-}
-
 using Clock = std::chrono::steady_clock;
 
 // The once-per-run latch for the bitstate saturation warning: re-armed
@@ -234,6 +199,8 @@ struct GuideStep {
   int outcome_index = 0;
 };
 
+using GuidePath = std::vector<GuideStep>;
+
 /// The TraceStep::kind name of an external-event kind.
 std::string_view EventKindName(model::ExternalEventSpec::Kind kind) {
   switch (kind) {
@@ -247,9 +214,9 @@ std::string_view EventKindName(model::ExternalEventSpec::Kind kind) {
 
 /// Resolves an artifact's name-based event coordinates to model indices.
 /// Throws iotsan::Error when the model does not match the recording.
-std::vector<GuideStep> ResolveSteps(const model::SystemModel& model,
-                                    const std::vector<TraceStep>& steps) {
-  std::vector<GuideStep> guide;
+GuidePath ResolveSteps(const model::SystemModel& model,
+                       const std::vector<TraceStep>& steps) {
+  GuidePath guide;
   for (const TraceStep& step : steps) {
     GuideStep g;
     g.outcome_index = step.outcome_index;
@@ -321,12 +288,12 @@ std::vector<GuideStep> ResolveSteps(const model::SystemModel& model,
 // A property can fire on many edges of the search.  Which edge a DFS
 // reaches first depends on exploration order, and under parallel search
 // exploration order depends on scheduling — so "first found" would make
-// reports vary run to run.  Instead every path (serial and parallel)
-// keeps the *minimal* counter-example: fewest external events, ties
-// broken by the identifying event coordinates.  Only the coordinates
-// that determine the re-execution (kind/device/attribute/value/app,
-// failure flags, interleaving index) participate: they fix the entire
-// step content, so comparing the rest would be redundant.
+// reports vary run to run.  Instead every path keeps the *minimal*
+// counter-example: fewest external events, ties broken by the
+// identifying event coordinates.  Only the coordinates that determine
+// the re-execution (kind/device/attribute/value/app, failure flags,
+// interleaving index) participate: they fix the entire step content, so
+// comparing the rest would be redundant.
 
 /// A rendered step's identity, in comparison order.
 auto StepIdentity(const TraceStep& s) {
@@ -398,27 +365,38 @@ bool PathLess(const std::vector<Step>& a, const std::string& a_detail,
   return a_detail < b_detail;
 }
 
-}  // namespace
-
-// Public (checker.hpp): the cluster coordinator merges branch-shard and
-// swarm-lane results from remote workers through these, so distributed
-// merges canonicalize exactly like the in-process parallel path.
-void MergeViolationInto(Violation& existing, Violation v) {
-  existing.occurrences += v.occurrences;
-  for (std::string& app : v.apps) {
-    bool known = false;
-    for (const std::string& have : existing.apps) {
-      known = known || have == app;
-    }
-    if (!known) existing.apps.push_back(std::move(app));
+/// Adds `label` to a violation's charged apps unless it is there.
+void AddApp(std::vector<std::string>& apps, const std::string& label) {
+  if (std::find(apps.begin(), apps.end(), label) == apps.end()) {
+    apps.push_back(label);
   }
-  if (PathLess(v.steps, v.detail, existing.steps, existing.detail,
-               StepIdentity)) {
-    existing.steps = std::move(v.steps);
+}
+
+/// Merges violation `v` of the same property, whose counter-example is
+/// `path`, into `existing`, whose counter-example is `existing_path`:
+/// occurrences add, charged apps union, and the canonically smaller path
+/// wins with its diagnosis, depth and failure.  A path is either the
+/// rendered steps or the compact search path, compared by `identity`.
+template <typename Path, typename Identity>
+void MergeInto(Violation& existing, Path& existing_path, Violation& v,
+               Path& path, const Identity& identity) {
+  existing.occurrences += v.occurrences;
+  for (const std::string& app : v.apps) AddApp(existing.apps, app);
+  if (PathLess(path, v.detail, existing_path, existing.detail, identity)) {
+    existing_path = std::move(path);
     existing.detail = std::move(v.detail);
     existing.depth = v.depth;
     existing.failure = std::move(v.failure);
   }
+}
+
+}  // namespace
+
+// Public (checker.hpp): the cluster coordinator merges branch-shard and
+// swarm-lane results from remote workers through these, so distributed
+// merges canonicalize exactly like the in-process branch fold.
+void MergeViolationInto(Violation& existing, Violation v) {
+  MergeInto(existing, existing.steps, v, v.steps, StepIdentity);
 }
 
 void CanonicalizeViolations(std::vector<Violation>& violations) {
@@ -431,7 +409,7 @@ void CanonicalizeViolations(std::vector<Violation>& violations) {
 
 namespace {
 
-// ---- Run-finalization helpers (shared by serial and parallel paths) ----------
+// ---- Run-finalization helpers ------------------------------------------------
 
 void NoteStoreDiagnostics(CheckResult& result, const StateStore& store,
                           const CollapseCodec* codec) {
@@ -512,24 +490,38 @@ void TickFinishTelemetry(const CheckResult& result,
   telemetry::SamplePeakRss(*t);
 }
 
-// ---- Shared state of a parallel search ---------------------------------------
+/// The POR oracle of one run, shared by all its workers (it is
+/// thread-safe).  Null when POR is off or scheduling is sequential (one
+/// dispatch order — nothing to reduce).
+std::unique_ptr<model::FootprintIndex> MakeFootprints(
+    const model::SystemModel& model, const CheckOptions& options) {
+  if (!options.por || options.scheduling != model::Scheduling::kConcurrent) {
+    return nullptr;
+  }
+  return std::make_unique<model::FootprintIndex>(model);
+}
 
-/// Crossbar between the branch workers of one parallel run: the shared
-/// visited-state store, global budget/stop flags, and the live totals
-/// that budgets and progress reports read.  Everything per-branch (path
-/// context, violations, exact counters) stays worker-local in each
-/// branch's CheckResult and is merged deterministically afterwards.
+// ---- Shared state of one search run ------------------------------------------
+
+/// Crossbar between the branch workers of one run: the visited-state
+/// store, the stop flag, and the live totals that budgets and progress
+/// reports read.  Everything per-branch (path context, violations, exact
+/// counters) stays worker-local in each branch's Found and is folded
+/// deterministically afterwards.
 struct SharedSearch {
-  SharedSearch(std::size_t depth_levels, unsigned lanes)
-      : depth_histogram(depth_levels), worker_states(lanes) {}
+  SharedSearch(const CheckOptions& options, unsigned lanes)
+      : options(options),
+        depth_histogram(
+            static_cast<std::size_t>(std::max(options.max_events, 0)) + 1),
+        worker_states(lanes) {}
 
+  const CheckOptions& options;
   StateStore* store = nullptr;
-  util::ThreadPool* pool = nullptr;
-  /// Shared POR oracle / COLLAPSE codec (null when the feature is off);
-  /// both are thread-safe, so every branch worker uses the same instance.
+  /// POR oracle / COLLAPSE codec (null when the feature is off); both are
+  /// thread-safe, so every branch worker uses the same instance.
   const model::FootprintIndex* footprints = nullptr;
-  CollapseCodec* codec = nullptr;
-  Clock::time_point start;
+  const CollapseCodec* codec = nullptr;
+  const Clock::time_point start = Clock::now();
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> states_explored{0};
   std::atomic<std::uint64_t> states_matched{0};
@@ -541,257 +533,23 @@ struct SharedSearch {
   std::atomic<std::uint64_t> branches_done{0};
   // Serializes on_progress invocations (the callback is user code).
   std::mutex progress_mutex;
-};
-
-class Search {
- public:
-  /// `guide` switches the search into guided-replay mode: the recorded
-  /// path is followed step by step (no event enumeration, no store
-  /// pruning), re-running the monitors and invariants along the way —
-  /// Spin's guided simulation of a .trail file.  `shared` switches it
-  /// into parallel-worker mode: the store, clock, and budgets come from
-  /// the shared run; drive it with RunBranch instead of Run.
-  Search(const model::SystemModel& model, const CheckOptions& options,
-         const std::vector<GuideStep>* guide = nullptr,
-         SharedSearch* shared = nullptr)
-      : model_(model),
-        options_(options),
-        owned_footprints_(MakeFootprints(model, options, shared)),
-        footprints_(shared != nullptr ? shared->footprints
-                                      : owned_footprints_.get()),
-        engine_(model, footprints_),
-        guide_(guide),
-        shared_(shared) {
-    if (shared_ != nullptr) {
-      store_ = shared_->store;
-      codec_ = shared_->codec;
-      start_ = shared_->start;
-      lane_ = shared_->pool->CurrentLane();
-    } else {
-      if (options.store == StoreKind::kExhaustive) {
-        owned_store_ = std::make_unique<ExhaustiveStore>();
-      } else {
-        owned_store_ = std::make_unique<BitstateStore>(options.bitstate_bits,
-                                                       3,
-                                                       options.bitstate_seed);
-      }
-      store_ = owned_store_.get();
-      if (options.state_compression) {
-        owned_codec_ = std::make_unique<CollapseCodec>(model);
-        codec_ = owned_codec_.get();
-      }
-    }
-    result_.depth_histogram.assign(
-        static_cast<std::size_t>(std::max(options.max_events, 0)) + 1, 0);
-    cancel_ = [this] { return BudgetExceeded(); };
-  }
-
-  CheckResult Run() {
-    telemetry::ScopedSpan span(guide_ != nullptr ? "replay" : "check");
-    if (!options_.request_id.empty()) {
-      span.Attr("request_id", options_.request_id);
-    }
-    start_ = Clock::now();
-    model::SystemState initial = model_.MakeInitialState();
-    EncodeStateKey(initial);
-    store_->TestAndInsert(key_scratch_);
-    Explore(initial, 0);
-    BuildViolationSteps();
-    result_.seconds =
-        std::chrono::duration<double>(Clock::now() - start_).count();
-    FinishDiagnostics();
-    span.Attr("states", result_.states_explored);
-    span.Attr("transitions", result_.transitions);
-    span.Attr("completed", std::int64_t{result_.completed ? 1 : 0});
-    CanonicalizeViolations(result_.violations);
-    return std::move(result_);
-  }
-
-  /// Parallel-worker entry: explores one root (event × failure) branch
-  /// against the shared store.  The initial state is accounted by the
-  /// driver, so this starts directly with the branch's cascade.
-  CheckResult RunBranch(const model::SystemState& initial,
-                        const model::ExternalEvent& event,
-                        const model::FailureScenario& failure) {
-    if (!BudgetExceeded()) {
-      std::vector<model::StepOutcome> outcomes = engine_.Apply(
-          initial, event, failure, options_.scheduling, cancel_);
-      result_.cascade_drains += outcomes.size();
-      shared_->cascade_drains.fetch_add(outcomes.size(),
-                                        std::memory_order_relaxed);
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (BudgetExceeded()) break;
-        ProcessOutcome(event, failure, outcomes[i], 0, static_cast<int>(i));
-      }
-    }
-    BuildViolationSteps();
-    shared_->branches_done.fetch_add(1, std::memory_order_relaxed);
-    return std::move(result_);
-  }
-
- private:
-  const model::SystemModel& model_;
-  const CheckOptions& options_;
-  // Declared before engine_: the engine captures the footprint pointer at
-  // construction (member-init order).
-  std::unique_ptr<model::FootprintIndex> owned_footprints_;
-  const model::FootprintIndex* footprints_ = nullptr;
-  model::CascadeEngine engine_;
-  const std::vector<GuideStep>* guide_;
-  SharedSearch* shared_;
-  std::unique_ptr<StateStore> owned_store_;
-  StateStore* store_ = nullptr;  // owned_store_ or the shared run's store
-  std::unique_ptr<CollapseCodec> owned_codec_;
-  const CollapseCodec* codec_ = nullptr;  // null = plain serialization keys
-  // Per-worker scratch buffers: store keys are built in place so the hot
-  // loop performs no per-state allocations once capacity settles.
-  std::vector<std::uint8_t> key_scratch_;
-  std::vector<std::uint8_t> component_scratch_;
-  unsigned lane_ = 0;  // pool lane, for per-worker accounting
-  CheckResult result_;
-  Clock::time_point start_;
-  bool stopped_ = false;
-  // Handed to the cascade engine so budgets are honored between drains.
-  model::CancelFn cancel_;
-
-  // Current DFS path context: the compact steps, and causality data for
-  // violation charging — which app actuated which device, and which apps
-  // changed the location mode, along the path.
-  std::vector<GuideStep> path_;
-  std::vector<std::pair<int, int>> path_actuations_;
-  std::vector<int> path_mode_setters_;
-  // The canonical path of each result_.violations entry (same index);
-  // rendered into the entry's TraceSteps once the search ends.
-  std::vector<std::vector<GuideStep>> violation_paths_;
-
-  bool BudgetExceeded() {
-    if (stopped_) return true;
-    if (options_.interrupt != nullptr &&
-        options_.interrupt->load(std::memory_order_relaxed)) {
-      result_.completed = false;
-      stopped_ = true;
-      if (shared_ != nullptr) {
-        shared_->stop.store(true, std::memory_order_relaxed);
-      }
-      return true;
-    }
-    if (shared_ != nullptr) {
-      // Budgets are global across workers: compare the shared totals and
-      // broadcast the stop so every branch winds down together.
-      if (shared_->stop.load(std::memory_order_relaxed)) {
-        result_.completed = false;
-        stopped_ = true;
-        return true;
-      }
-      if (options_.max_states != 0 &&
-          shared_->states_explored.load(std::memory_order_relaxed) >=
-              options_.max_states) {
-        result_.completed = false;
-        stopped_ = true;
-        shared_->stop.store(true, std::memory_order_relaxed);
-        return true;
-      }
-      if (options_.time_budget_seconds > 0 &&
-          Elapsed() > options_.time_budget_seconds) {
-        result_.completed = false;
-        stopped_ = true;
-        shared_->stop.store(true, std::memory_order_relaxed);
-        return true;
-      }
-      return false;
-    }
-    if (options_.max_states != 0 &&
-        result_.states_explored >= options_.max_states) {
-      result_.completed = false;
-      stopped_ = true;
-    }
-    if (options_.time_budget_seconds > 0) {
-      const double elapsed =
-          std::chrono::duration<double>(Clock::now() - start_).count();
-      if (elapsed > options_.time_budget_seconds) {
-        result_.completed = false;
-        stopped_ = true;
-      }
-    }
-    return stopped_;
-  }
 
   double Elapsed() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
+    return std::chrono::duration<double>(Clock::now() - start).count();
   }
 
-  /// The POR oracle is built once per run: serial searches own theirs,
-  /// parallel branch workers share the driver's via SharedSearch.  Null
-  /// when POR is off or scheduling is sequential (one dispatch order —
-  /// nothing to reduce).
-  static std::unique_ptr<model::FootprintIndex> MakeFootprints(
-      const model::SystemModel& model, const CheckOptions& options,
-      const SharedSearch* shared) {
-    if (shared != nullptr) return nullptr;
-    if (!options.por || options.scheduling != model::Scheduling::kConcurrent) {
-      return nullptr;
-    }
-    return std::make_unique<model::FootprintIndex>(model);
-  }
-
-  /// Rebuilds key_scratch_ with `state`'s store key — COLLAPSE-encoded
-  /// when compression is on, the plain serialization otherwise.  The
-  /// depth byte, when enabled, is appended by the caller.
-  void EncodeStateKey(const model::SystemState& state) {
-    key_scratch_.clear();
-    if (codec_ != nullptr) {
-      codec_->Encode(state, key_scratch_, component_scratch_);
-    } else {
-      state.SerializeTo(key_scratch_);
-    }
-  }
-
-  telemetry::ProgressSnapshot ProgressNow() const {
-    telemetry::ProgressSnapshot snapshot;
-    snapshot.states_explored = result_.states_explored;
-    snapshot.states_matched = result_.states_matched;
-    snapshot.transitions = result_.transitions;
-    snapshot.cascade_drains = result_.cascade_drains;
-    snapshot.elapsed_seconds = Elapsed();
-    snapshot.states_per_second =
-        snapshot.elapsed_seconds > 0
-            ? static_cast<double>(result_.states_explored) /
-                  snapshot.elapsed_seconds
-            : 0;
-    const double considered = static_cast<double>(result_.states_explored +
-                                                  result_.states_matched);
-    snapshot.pruning_ratio =
-        considered > 0
-            ? static_cast<double>(result_.states_matched) / considered
-            : 0;
-    snapshot.store_fill_ratio = store_->FillRatio();
-    snapshot.depth_histogram = result_.depth_histogram;
-    FillCacheProgress(snapshot);
-    return snapshot;
-  }
-
+  /// Delivers a snapshot of the shared totals to `on_progress`: from
+  /// whichever worker's expansion crossed a progress_every boundary, and
+  /// once more from RunSearch when a budget stopped the run.
   void EmitProgress() {
-    options_.on_progress(ProgressNow());
-    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
-  }
-
-  /// Progress snapshot of a parallel run, built from the shared totals.
-  /// Called by whichever worker's increment crossed the progress_every
-  /// boundary, under the shared progress mutex.
-  void EmitSharedProgress() {
     telemetry::ProgressSnapshot snapshot;
-    snapshot.jobs = static_cast<int>(shared_->pool->jobs());
-    snapshot.branches_total = shared_->branches_total;
-    snapshot.branches_done =
-        shared_->branches_done.load(std::memory_order_relaxed);
-    snapshot.states_explored =
-        shared_->states_explored.load(std::memory_order_relaxed);
-    snapshot.states_matched =
-        shared_->states_matched.load(std::memory_order_relaxed);
-    snapshot.transitions =
-        shared_->transitions.load(std::memory_order_relaxed);
-    snapshot.cascade_drains =
-        shared_->cascade_drains.load(std::memory_order_relaxed);
+    snapshot.jobs = static_cast<int>(worker_states.size());
+    snapshot.branches_total = branches_total;
+    snapshot.branches_done = branches_done.load(std::memory_order_relaxed);
+    snapshot.states_explored = states_explored.load(std::memory_order_relaxed);
+    snapshot.states_matched = states_matched.load(std::memory_order_relaxed);
+    snapshot.transitions = transitions.load(std::memory_order_relaxed);
+    snapshot.cascade_drains = cascade_drains.load(std::memory_order_relaxed);
     snapshot.elapsed_seconds = Elapsed();
     snapshot.states_per_second =
         snapshot.elapsed_seconds > 0
@@ -804,137 +562,185 @@ class Search {
         considered > 0
             ? static_cast<double>(snapshot.states_matched) / considered
             : 0;
-    snapshot.store_fill_ratio = store_->FillRatio();
-    snapshot.depth_histogram.reserve(shared_->depth_histogram.size());
-    for (const auto& bucket : shared_->depth_histogram) {
+    snapshot.store_fill_ratio = store->FillRatio();
+    for (const auto& bucket : depth_histogram) {
       snapshot.depth_histogram.push_back(
           bucket.load(std::memory_order_relaxed));
     }
-    snapshot.worker_states_explored.reserve(shared_->worker_states.size());
-    for (const auto& lane : shared_->worker_states) {
+    for (const auto& lane : worker_states) {
       snapshot.worker_states_explored.push_back(
           lane.load(std::memory_order_relaxed));
     }
-    FillCacheProgress(snapshot);
-    std::lock_guard<std::mutex> lock(shared_->progress_mutex);
-    options_.on_progress(snapshot);
+    if (auto* t = telemetry::Active()) {
+      snapshot.cache_hits = t->cache.hits;
+      snapshot.cache_misses = t->cache.misses;
+    }
+    std::lock_guard<std::mutex> lock(progress_mutex);
+    options.on_progress(snapshot);
     if (auto* t = telemetry::Active()) ++t->search.progress_reports;
   }
+};
 
-  void FinishDiagnostics() {
-    NoteStoreDiagnostics(result_, *store_, codec_);
-    if (guide_ != nullptr) {
-      // Guided replays neither saturate the store (exhaustive, short
-      // path) nor count as checks: their telemetry is the replay
-      // counters the caller ticks.
-      return;
-    }
-    WarnIfSaturated(result_, options_);
-    // The final snapshot at stop time: budget-stopped runs still report
-    // where the search stood.
-    if (!result_.completed && options_.on_progress) EmitProgress();
-    TickFinishTelemetry(result_, options_);
+/// What one branch of a run found: its exact counters, and its
+/// violations with their canonical paths still compact.  RunSearch
+/// folds every branch's Found before any counter-example is rendered.
+struct Found {
+  CheckResult result;
+  std::vector<GuidePath> paths;  // paths[i] is result.violations[i]'s
+};
+
+/// One worker's bounded DFS against a run's shared store, or a guided
+/// replay of one recorded path (Follow).
+class Search {
+ public:
+  Search(const model::SystemModel& model, SharedSearch& run, unsigned lane)
+      : model_(model),
+        options_(run.options),
+        run_(run),
+        engine_(model, run.footprints),
+        lane_(lane) {
+    found_.result.depth_histogram.assign(run.depth_histogram.size(), 0);
+    cancel_ = [this] { return BudgetExceeded(); };
   }
 
-  /// Builds the structured record of one external-event step: the event
-  /// coordinates (by stable names, for replay), the failure flags, and
-  /// everything observed while the cascade drained.
-  TraceStep MakeStep(const model::SystemState& before, const GuideStep& g,
-                     const model::StepOutcome& outcome, int depth) const {
-    const StepCoordinates at(model_, g);
-    TraceStep step;
-    step.index = depth + 1;
-    step.sim_time_ms = (depth + 1) * 1000;
-    step.kind = at.kind;
-    step.device = at.device;
-    step.attribute = at.attribute;
-    step.value = at.value;
-    step.app = at.app;
-    step.description = g.event.Describe(model_);
-    step.sensor_offline = g.failure.sensor_offline;
-    step.actuator_offline = g.failure.actuator_offline;
-    step.comm_fail = g.failure.comm_fail;
-    step.outcome_index = g.outcome_index;
-    for (const model::HandlerDispatch& d : outcome.log.dispatches) {
-      step.dispatches.push_back(
-          {model_.apps()[d.app].config.label, d.handler});
-    }
-    for (const model::CommandRecord& c : outcome.log.commands) {
-      TraceCommand command;
-      command.app = model_.apps()[c.app].config.label;
-      if (c.device >= 0) command.device = model_.devices()[c.device].id();
-      command.command = c.spec->name;
-      if (c.device >= 0 && c.value_index >= 0) {
-        const devices::Device& device = model_.devices()[c.device];
-        const int attr = device.AttributeIndex(c.spec->attribute);
-        if (attr >= 0) {
-          command.value = device.attributes()[attr]->ValueName(c.value_index);
-        }
-      }
-      command.delivered = c.delivered;
-      step.commands.push_back(std::move(command));
-    }
-    step.deltas = DiffStates(model_, before, outcome.state);
-    step.notes = outcome.log.trace;
-    step.failed_sends = outcome.log.failed_deliveries;
-    step.user_notified = outcome.log.user_notified;
-    step.queue_peak = outcome.log.max_queue_depth;
-    step.truncated = outcome.log.truncated;
-    return step;
+  /// Stores the initial state's key and counts the state through the
+  /// same expansion path as every other state.
+  Found Start(const model::SystemState& initial) {
+    EncodeStateKey(initial);
+    run_.store->TestAndInsert(key_scratch_);
+    Enter(0);
+    return std::move(found_);
   }
 
-  /// Renders every violation's canonical path into its TraceSteps by
-  /// re-applying the path's cascades from the initial state with trace
-  /// output on (Spin's `-t`).  Runs once per reported violation when the
-  /// search ends, not at each canonical-min replacement, and ticks no
-  /// search counter.  Guided replays report only whether and where a
-  /// property fired, so they render nothing.
-  void BuildViolationSteps() {
-    if (guide_ != nullptr) return;
-    const model::CascadeEngine tracer(model_, footprints_,
-                                      model::Recording::kTrace);
-    for (std::size_t v = 0; v < result_.violations.size(); ++v) {
-      const std::vector<GuideStep>& path = violation_paths_[v];
-      std::vector<TraceStep>& steps = result_.violations[v].steps;
-      model::SystemState state = model_.MakeInitialState();
-      for (std::size_t d = 0; d < path.size(); ++d) {
-        const GuideStep& g = path[d];
-        std::vector<model::StepOutcome> outcomes =
-            tracer.Apply(state, g.event, g.failure, options_.scheduling);
-        model::StepOutcome& outcome =
-            outcomes.at(static_cast<std::size_t>(g.outcome_index));
-        steps.push_back(MakeStep(state, g, outcome, static_cast<int>(d)));
-        state = std::move(outcome.state);
-      }
+  /// Explores one root (event × failure) branch.
+  Found RunBranch(const model::SystemState& initial,
+                  const model::ExternalEvent& event,
+                  const model::FailureScenario& failure) {
+    if (!BudgetExceeded()) Step(initial, event, failure, 0);
+    run_.branches_done.fetch_add(1, std::memory_order_relaxed);
+    return std::move(found_);
+  }
+
+  /// Guided replay, Spin's guided simulation of a .trail file: follows
+  /// the recorded path step by step (no enumeration, no store — a prefix
+  /// may revisit states the store would prune), through the same
+  /// monitors and invariants as the search.
+  Found Follow(const GuidePath& guide) {
+    model::SystemState state = model_.MakeInitialState();
+    for (std::size_t depth = 0; depth < guide.size(); ++depth) {
+      const GuideStep& g = guide[depth];
+      std::vector<model::StepOutcome> outcomes =
+          engine_.Apply(state, g.event, g.failure, options_.scheduling);
+      if (outcomes.empty()) break;
+      const int index = std::min(g.outcome_index,
+                                 static_cast<int>(outcomes.size()) - 1);
+      model::StepOutcome& outcome = outcomes[static_cast<std::size_t>(index)];
+      ++found_.result.transitions;
+      Observe(g.event, g.failure, outcome, static_cast<int>(depth), index);
+      state = std::move(outcome.state);
     }
+    return std::move(found_);
+  }
+
+ private:
+  const model::SystemModel& model_;
+  const CheckOptions& options_;
+  SharedSearch& run_;
+  model::CascadeEngine engine_;
+  // Per-worker scratch buffers: store keys are built in place so the hot
+  // loop performs no per-state allocations once capacity settles.
+  std::vector<std::uint8_t> key_scratch_;
+  std::vector<std::uint8_t> component_scratch_;
+  unsigned lane_;  // pool lane, for per-worker accounting
+  Found found_;
+  bool stopped_ = false;
+  // Handed to the cascade engine so budgets are honored between drains.
+  model::CancelFn cancel_;
+
+  // Current DFS path context: the compact steps, and causality data for
+  // violation charging — which app actuated which device, and which apps
+  // changed the location mode, along the path.
+  GuidePath path_;
+  std::vector<std::pair<int, int>> path_actuations_;
+  std::vector<int> path_mode_setters_;
+
+  /// Budgets are global across workers: they compare the shared totals,
+  /// and a stop is broadcast so every branch winds down together.
+  bool BudgetExceeded() {
+    if (stopped_) return true;
+    const bool over =
+        run_.stop.load(std::memory_order_relaxed) ||
+        (options_.interrupt != nullptr &&
+         options_.interrupt->load(std::memory_order_relaxed)) ||
+        (options_.max_states != 0 &&
+         run_.states_explored.load(std::memory_order_relaxed) >=
+             options_.max_states) ||
+        (options_.time_budget_seconds > 0 &&
+         run_.Elapsed() > options_.time_budget_seconds);
+    if (over) Stop();
+    return over;
+  }
+
+  void Stop() {
+    stopped_ = true;
+    found_.result.completed = false;
+    run_.stop.store(true, std::memory_order_relaxed);
+  }
+
+  /// Rebuilds key_scratch_ with `state`'s store key — COLLAPSE-encoded
+  /// when compression is on, the plain serialization otherwise.  The
+  /// depth byte, when enabled, is appended by the caller.
+  void EncodeStateKey(const model::SystemState& state) {
+    key_scratch_.clear();
+    if (run_.codec != nullptr) {
+      run_.codec->Encode(state, key_scratch_, component_scratch_);
+    } else {
+      state.SerializeTo(key_scratch_);
+    }
+  }
+
+  /// Counts a state expanded at `depth`, reporting progress on the
+  /// progress_every cadence.  False when a budget stopped the run or
+  /// the event bound is reached.
+  bool Enter(int depth) {
+    if (BudgetExceeded()) return false;
+    const auto d = static_cast<std::size_t>(depth);
+    ++found_.result.states_explored;
+    ++found_.result.depth_histogram[d];
+    run_.depth_histogram[d].fetch_add(1, std::memory_order_relaxed);
+    run_.worker_states[lane_].fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t total =
+        run_.states_explored.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (options_.progress_every != 0 && options_.on_progress &&
+        total % options_.progress_every == 0) {
+      run_.EmitProgress();
+    }
+    return depth < options_.max_events;
   }
 
   void RecordViolation(const props::Property& property, int depth,
                        const model::FailureScenario& failure,
                        const std::string& detail,
                        const std::set<int>& charged_apps) {
-    for (std::size_t v = 0; v < result_.violations.size(); ++v) {
-      Violation& existing = result_.violations[v];
+    std::vector<Violation>& violations = found_.result.violations;
+    for (std::size_t v = 0; v < violations.size(); ++v) {
+      Violation& existing = violations[v];
       if (existing.property_id == property.id) {
+        // The merge MergeInto applies, without building a Violation per
+        // re-violation: accumulate every charged app — attribution (§9)
+        // needs all apps that can drive the system into this bad state —
+        // and keep the *canonical* (minimal) counter-example rather than
+        // the first found, so the trace does not depend on exploration
+        // order.
         ++existing.occurrences;
-        // Accumulate every charged app across re-violations —
-        // attribution (§9) needs to know all apps that can drive the
-        // system into this bad state — and keep the *canonical*
-        // (minimal) counter-example rather than the first found, so the
-        // reported trace does not depend on exploration order.
         for (int app : charged_apps) {
-          const std::string& label = model_.apps()[app].config.label;
-          bool known = false;
-          for (const std::string& existing_app : existing.apps) {
-            known = known || existing_app == label;
-          }
-          if (!known) existing.apps.push_back(label);
+          AddApp(existing.apps, model_.apps()[app].config.label);
         }
-        if (PathLess(path_, detail, violation_paths_[v], existing.detail,
+        if (PathLess(path_, detail, found_.paths[v], existing.detail,
                      [this](const GuideStep& s) {
                        return StepCoordinates(model_, s);
                      })) {
-          violation_paths_[v] = path_;
+          found_.paths[v] = path_;
           existing.detail = detail;
           existing.depth = depth;
           existing.failure = failure.Any() ? failure.Label() : "";
@@ -956,15 +762,9 @@ class Search {
     }
     violation.failure = failure.Any() ? failure.Label() : "";
     violation.depth = depth;
-    result_.violations.push_back(std::move(violation));
-    violation_paths_.push_back(path_);
-    if (options_.stop_at_first_violation) {
-      stopped_ = true;
-      result_.completed = false;  // the search was cut short on purpose
-      if (shared_ != nullptr) {
-        shared_->stop.store(true, std::memory_order_relaxed);
-      }
-    }
+    violations.push_back(std::move(violation));
+    found_.paths.push_back(path_);
+    if (options_.stop_at_first_violation) Stop();
   }
 
   /// Apps responsible for an invariant violation: those that actuated a
@@ -1124,21 +924,13 @@ class Search {
     }
   }
 
-  /// Processes one drained cascade outcome: extends the path context,
-  /// runs the monitors and invariants, and (in free-search mode) prunes
-  /// through the store and recurses.  Shared by the free DFS and the
-  /// guided replay.
-  void ProcessOutcome(const model::ExternalEvent& event,
-                      const model::FailureScenario& failure,
-                      model::StepOutcome& outcome, int depth,
-                      int outcome_index) {
-    ++result_.transitions;
-    if (shared_ != nullptr) {
-      shared_->transitions.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    const std::size_t actuation_mark = path_actuations_.size();
-    const std::size_t mode_mark = path_mode_setters_.size();
+  /// Extends the path context with one drained cascade and runs the
+  /// monitors and invariants on it.  The path context is restored by
+  /// ProcessOutcome; a guided replay keeps extending it.
+  void Observe(const model::ExternalEvent& event,
+               const model::FailureScenario& failure,
+               const model::StepOutcome& outcome, int depth,
+               int outcome_index) {
     path_.push_back({event, failure, outcome_index});
     path_actuations_.insert(path_actuations_.end(),
                             outcome.log.actuations.begin(),
@@ -1146,186 +938,248 @@ class Search {
     path_mode_setters_.insert(path_mode_setters_.end(),
                               outcome.log.mode_setters.begin(),
                               outcome.log.mode_setters.end());
-
     RunMonitors(outcome.log, depth + 1, failure);
     CheckInvariants(outcome.state, depth + 1, failure);
+  }
 
-    if (guide_ != nullptr) {
-      // Guided replay follows the recorded path unconditionally — a
-      // prefix may revisit states the store would prune.
-      Explore(outcome.state, depth + 1);
+  /// Processes one drained cascade outcome: observes it, then prunes it
+  /// through the store or recurses into it.
+  void ProcessOutcome(const model::ExternalEvent& event,
+                      const model::FailureScenario& failure,
+                      const model::StepOutcome& outcome, int depth,
+                      int outcome_index) {
+    ++found_.result.transitions;
+    run_.transitions.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t actuation_mark = path_actuations_.size();
+    const std::size_t mode_mark = path_mode_setters_.size();
+    Observe(event, failure, outcome, depth, outcome_index);
+
+    EncodeStateKey(outcome.state);
+    if (options_.include_depth_in_state) {
+      key_scratch_.push_back(static_cast<std::uint8_t>(depth + 1));
+    }
+    if (run_.store->TestAndInsert(key_scratch_)) {
+      ++found_.result.states_matched;
+      run_.states_matched.fetch_add(1, std::memory_order_relaxed);
     } else {
-      EncodeStateKey(outcome.state);
-      if (options_.include_depth_in_state) {
-        key_scratch_.push_back(static_cast<std::uint8_t>(depth + 1));
-      }
-      if (store_->TestAndInsert(key_scratch_)) {
-        ++result_.states_matched;
-        if (shared_ != nullptr) {
-          shared_->states_matched.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        Explore(outcome.state, depth + 1);
-      }
+      Explore(outcome.state, depth + 1);
     }
 
-    // Restore path context.
     path_.pop_back();
     path_actuations_.resize(actuation_mark);
     path_mode_setters_.resize(mode_mark);
   }
 
+  /// Applies one (event × failure) at `state` and processes each drained
+  /// outcome.
+  void Step(const model::SystemState& state, const model::ExternalEvent& event,
+            const model::FailureScenario& failure, int depth) {
+    std::vector<model::StepOutcome> outcomes =
+        engine_.Apply(state, event, failure, options_.scheduling, cancel_);
+    found_.result.cascade_drains += outcomes.size();
+    run_.cascade_drains.fetch_add(outcomes.size(), std::memory_order_relaxed);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+      if (BudgetExceeded()) return;
+      ProcessOutcome(event, failure, outcomes[i], depth, static_cast<int>(i));
+    }
+  }
+
   void Explore(const model::SystemState& state, int depth) {
-    if (BudgetExceeded()) return;
-    ++result_.states_explored;
-    ++result_.depth_histogram[static_cast<std::size_t>(depth)];
-    if (shared_ != nullptr) {
-      shared_->depth_histogram[static_cast<std::size_t>(depth)].fetch_add(
-          1, std::memory_order_relaxed);
-      shared_->worker_states[lane_].fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t total =
-          shared_->states_explored.fetch_add(1, std::memory_order_relaxed) +
-          1;
-      if (options_.progress_every != 0 && options_.on_progress &&
-          total % options_.progress_every == 0) {
-        EmitSharedProgress();
-      }
-    } else if (options_.progress_every != 0 && options_.on_progress &&
-               result_.states_explored % options_.progress_every == 0) {
-      EmitProgress();
-    }
-    if (depth >= options_.max_events) return;
-
-    if (guide_ != nullptr) {
-      const GuideStep& g = (*guide_)[static_cast<std::size_t>(depth)];
-      std::vector<model::StepOutcome> outcomes = engine_.Apply(
-          state, g.event, g.failure, options_.scheduling, cancel_);
-      result_.cascade_drains += outcomes.size();
-      if (outcomes.empty()) return;
-      const int index = std::min(g.outcome_index,
-                                 static_cast<int>(outcomes.size()) - 1);
-      ProcessOutcome(g.event, g.failure,
-                     outcomes[static_cast<std::size_t>(index)], depth, index);
-      return;
-    }
-
+    if (!Enter(depth)) return;
     const auto& scenarios = options_.model_failures
                                 ? model::FailureScenario::AllScenarios()
                                 : model::FailureScenario::NoFailure();
-
     for (const model::ExternalEvent& event : engine_.EnabledEvents(state)) {
       for (const model::FailureScenario& failure : scenarios) {
         if (BudgetExceeded()) return;
-        std::vector<model::StepOutcome> outcomes = engine_.Apply(
-            state, event, failure, options_.scheduling, cancel_);
-        result_.cascade_drains += outcomes.size();
-        if (shared_ != nullptr) {
-          shared_->cascade_drains.fetch_add(outcomes.size(),
-                                            std::memory_order_relaxed);
-        }
-        for (std::size_t i = 0; i < outcomes.size(); ++i) {
-          if (BudgetExceeded()) return;
-          ProcessOutcome(event, failure, outcomes[i], depth,
-                         static_cast<int>(i));
-        }
+        Step(state, event, failure, depth);
       }
     }
   }
 };
 
-// ---- Parallel driver ---------------------------------------------------------
+/// Builds the structured record of one external-event step: the event
+/// coordinates (by stable names, for replay), the failure flags, and
+/// everything observed while the cascade drained.
+TraceStep MakeStep(const model::SystemModel& model,
+                   const model::SystemState& before, const GuideStep& g,
+                   const model::StepOutcome& outcome, int depth) {
+  const StepCoordinates at(model, g);
+  TraceStep step;
+  step.index = depth + 1;
+  step.sim_time_ms = (depth + 1) * 1000;
+  step.kind = at.kind;
+  step.device = at.device;
+  step.attribute = at.attribute;
+  step.value = at.value;
+  step.app = at.app;
+  step.description = g.event.Describe(model);
+  step.sensor_offline = g.failure.sensor_offline;
+  step.actuator_offline = g.failure.actuator_offline;
+  step.comm_fail = g.failure.comm_fail;
+  step.outcome_index = g.outcome_index;
+  for (const model::HandlerDispatch& d : outcome.log.dispatches) {
+    step.dispatches.push_back({model.apps()[d.app].config.label, d.handler});
+  }
+  for (const model::CommandRecord& c : outcome.log.commands) {
+    TraceCommand command;
+    command.app = model.apps()[c.app].config.label;
+    if (c.device >= 0) command.device = model.devices()[c.device].id();
+    command.command = c.spec->name;
+    if (c.device >= 0 && c.value_index >= 0) {
+      const devices::Device& device = model.devices()[c.device];
+      const int attr = device.AttributeIndex(c.spec->attribute);
+      if (attr >= 0) {
+        command.value = device.attributes()[attr]->ValueName(c.value_index);
+      }
+    }
+    command.delivered = c.delivered;
+    step.commands.push_back(std::move(command));
+  }
+  step.deltas = DiffStates(model, before, outcome.state);
+  step.notes = outcome.log.trace;
+  step.failed_sends = outcome.log.failed_deliveries;
+  step.user_notified = outcome.log.user_notified;
+  step.queue_peak = outcome.log.max_queue_depth;
+  step.truncated = outcome.log.truncated;
+  return step;
+}
+
+/// Renders each violation's canonical path into its TraceSteps by
+/// re-applying the path's cascades from the initial state with trace
+/// output on (Spin's `-t`).  Runs once per reported violation, after the
+/// branch fold, and ticks no search counter.
+void RenderViolations(const model::SystemModel& model,
+                      const model::FootprintIndex* footprints,
+                      model::Scheduling scheduling, Found& found) {
+  const model::CascadeEngine tracer(model, footprints,
+                                    model::Recording::kTrace);
+  for (std::size_t v = 0; v < found.paths.size(); ++v) {
+    const GuidePath& path = found.paths[v];
+    std::vector<TraceStep>& steps = found.result.violations[v].steps;
+    model::SystemState state = model.MakeInitialState();
+    for (std::size_t d = 0; d < path.size(); ++d) {
+      const GuideStep& g = path[d];
+      std::vector<model::StepOutcome> outcomes =
+          tracer.Apply(state, g.event, g.failure, scheduling);
+      model::StepOutcome& outcome =
+          outcomes.at(static_cast<std::size_t>(g.outcome_index));
+      steps.push_back(MakeStep(model, state, g, outcome, static_cast<int>(d)));
+      state = std::move(outcome.state);
+    }
+  }
+}
+
+/// Folds one branch into the run's total: counters add, and each
+/// violation joins its property's entry through MergeInto, comparing
+/// compact paths by their StepCoordinates — the same merge the search
+/// applies on each re-violation.
+void Fold(const model::SystemModel& model, Found& total, Found branch) {
+  CheckResult& into = total.result;
+  CheckResult& from = branch.result;
+  into.states_explored += from.states_explored;
+  into.states_matched += from.states_matched;
+  into.transitions += from.transitions;
+  into.cascade_drains += from.cascade_drains;
+  into.completed = into.completed && from.completed;
+  for (std::size_t d = 0; d < from.depth_histogram.size(); ++d) {
+    into.depth_histogram[d] += from.depth_histogram[d];
+  }
+  const auto coordinates = [&model](const GuideStep& s) {
+    return StepCoordinates(model, s);
+  };
+  for (std::size_t v = 0; v < from.violations.size(); ++v) {
+    Violation& violation = from.violations[v];
+    std::size_t e = 0;
+    while (e < into.violations.size() &&
+           into.violations[e].property_id != violation.property_id) {
+      ++e;
+    }
+    if (e == into.violations.size()) {
+      into.violations.push_back(std::move(violation));
+      total.paths.push_back(std::move(branch.paths[v]));
+    } else {
+      MergeInto(into.violations[e], total.paths[e], violation,
+                branch.paths[v], coordinates);
+    }
+  }
+}
+
+// ---- Running a search --------------------------------------------------------
 //
-// Partitions the root-level (external event × failure scenario) branches
-// of the permutation DFS across a work-stealing pool.  All workers share
-// one visited-state store, so the frontier is pruned globally exactly as
-// in the serial search.  Determinism: with the exhaustive store every
-// reachable (state, depth) pair is inserted exactly once, so the
-// multiset of explored edges — and with it the violation set, occurrence
-// counts, aggregate counters, and depth histogram — is independent of
-// scheduling; per-branch results are merged in branch-enumeration order
-// and violations are canonicalized, making the full report byte-stable
-// for any jobs value.  (Bitstate relaxes this slightly; see
-// docs/performance.md.)
-CheckResult RunParallel(const model::SystemModel& model,
-                        const CheckOptions& options, unsigned jobs) {
+// Every free search runs here.  The root-level (external event × failure
+// scenario) branches of the permutation DFS are explored against one
+// visited-state store.  On one lane (jobs = 1) they run in enumeration
+// order on the calling thread, which is exactly the serial DFS; no pool
+// is created and no parallel.* counter ticks.  With more lanes they fan
+// out over a work-stealing pool and the store prunes the frontier
+// globally.  Determinism: with the exhaustive store every reachable
+// (state, depth) pair is inserted exactly once, so the multiset of
+// explored edges — and with it the violation set, occurrence counts,
+// aggregate counters, and depth histogram — is independent of
+// scheduling.  Branches are folded in enumeration order, then each
+// surviving counter-example is rendered once.  (Which counter-example
+// candidates a multi-lane run sees, and bitstate pruning, still depend
+// on scheduling; see docs/performance.md.)
+CheckResult RunSearch(const model::SystemModel& model,
+                      const CheckOptions& options) {
   telemetry::ScopedSpan span("check");
   if (!options.request_id.empty()) {
     span.Attr("request_id", options.request_id);
   }
-  const Clock::time_point start = Clock::now();
-
   std::unique_ptr<util::ThreadPool> owned_pool;
-  util::ThreadPool* pool = options.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<util::ThreadPool>(jobs);
-    pool = owned_pool.get();
-    if (auto* t = telemetry::Active()) {
-      ++t->parallel.pools_created;
-      t->parallel.workers_spawned += pool->jobs() - 1;
+  util::ThreadPool* pool = nullptr;
+  if (const unsigned jobs = util::ResolveJobs(options.jobs); jobs > 1) {
+    pool = options.pool;
+    if (pool == nullptr) {
+      owned_pool = std::make_unique<util::ThreadPool>(jobs);
+      pool = owned_pool.get();
+      if (auto* t = telemetry::Active()) {
+        ++t->parallel.pools_created;
+        t->parallel.workers_spawned += pool->jobs() - 1;
+      }
     }
   }
+  const unsigned lanes = pool != nullptr ? pool->jobs() : 1;
+  auto current_lane = [pool]() -> unsigned {
+    return pool != nullptr ? pool->CurrentLane() : 0;
+  };
+  SharedSearch run(options, lanes);
 
+  // ~8 shards per lane keeps two workers off the same mutex without
+  // ballooning fixed per-shard overhead; one lane needs one shard.
+  const unsigned shards = lanes > 1 ? std::min(64u, lanes * 8) : 1;
   std::unique_ptr<StateStore> store;
   if (options.store == StoreKind::kExhaustive) {
-    // ~8 shards per lane keeps two workers off the same mutex without
-    // ballooning fixed per-shard overhead.
-    store = std::make_unique<ExhaustiveStore>(
-        std::min(64u, pool->jobs() * 8));
+    store = std::make_unique<ExhaustiveStore>(shards);
   } else {
     store = std::make_unique<BitstateStore>(options.bitstate_bits, 3,
                                             options.bitstate_seed);
   }
-
-  std::unique_ptr<model::FootprintIndex> footprints;
-  if (options.por && options.scheduling == model::Scheduling::kConcurrent) {
-    footprints = std::make_unique<model::FootprintIndex>(model);
-  }
+  const std::unique_ptr<model::FootprintIndex> footprints =
+      MakeFootprints(model, options);
   std::unique_ptr<CollapseCodec> codec;
   if (options.state_compression) {
-    codec = std::make_unique<CollapseCodec>(model,
-                                            std::min(64u, pool->jobs() * 8));
+    codec = std::make_unique<CollapseCodec>(model, shards);
   }
+  run.store = store.get();
+  run.footprints = footprints.get();
+  run.codec = codec.get();
 
-  model::SystemState initial = model.MakeInitialState();
-  {
-    std::vector<std::uint8_t> key;
-    std::vector<std::uint8_t> scratch;
-    if (codec != nullptr) {
-      codec->Encode(initial, key, scratch);
-    } else {
-      initial.SerializeTo(key);
-    }
-    store->TestAndInsert(key);
-  }
-
-  const std::size_t depth_levels =
-      static_cast<std::size_t>(std::max(options.max_events, 0)) + 1;
-  SharedSearch shared(depth_levels, pool->jobs());
-  shared.store = store.get();
-  shared.pool = pool;
-  shared.footprints = footprints.get();
-  shared.codec = codec.get();
-  shared.start = start;
-  // The initial state is accounted here, not by any branch; it belongs
-  // to the driver's lane so the per-lane counts partition the total.
-  shared.states_explored.store(1);
-  shared.depth_histogram[0].store(1);
-  shared.worker_states[pool->CurrentLane()].store(1);
-
-  // Root branches in deterministic enumeration order — the same order
-  // the serial DFS would visit them, which is also the merge order.
+  // Root branches in deterministic enumeration order — the order the DFS
+  // visits them, which is also the fold order.
+  const model::SystemState initial = model.MakeInitialState();
   struct RootBranch {
     model::ExternalEvent event;
     model::FailureScenario failure;
   };
   std::vector<RootBranch> branches;
   if (options.max_events > 0) {
-    model::CascadeEngine root_engine(model);
     const auto& scenarios = options.model_failures
                                 ? model::FailureScenario::AllScenarios()
                                 : model::FailureScenario::NoFailure();
     for (const model::ExternalEvent& event :
-         root_engine.EnabledEvents(initial)) {
+         model::CascadeEngine(model).EnabledEvents(initial)) {
       for (const model::FailureScenario& failure : scenarios) {
         branches.push_back({event, failure});
       }
@@ -1344,75 +1198,52 @@ CheckResult RunParallel(const model::SystemModel& model,
     }
     branches = std::move(mine);
   }
-  shared.branches_total = branches.size();
+  run.branches_total = branches.size();
 
-  std::vector<CheckResult> branch_results(branches.size());
-  pool->ParallelFor(branches.size(), [&](std::size_t i) {
-    Search search(model, options, nullptr, &shared);
-    branch_results[i] =
-        search.RunBranch(initial, branches[i].event, branches[i].failure);
-  });
-
-  CheckResult result;
-  result.jobs = static_cast<int>(pool->jobs());
-  result.parallel_branches = branches.size();
-  result.depth_histogram.assign(depth_levels, 0);
-  result.states_explored = 1;
-  result.depth_histogram[0] = 1;
-  for (CheckResult& branch : branch_results) {
-    result.states_explored += branch.states_explored;
-    result.states_matched += branch.states_matched;
-    result.transitions += branch.transitions;
-    result.cascade_drains += branch.cascade_drains;
-    result.completed = result.completed && branch.completed;
-    for (std::size_t d = 0; d < branch.depth_histogram.size(); ++d) {
-      result.depth_histogram[d] += branch.depth_histogram[d];
-    }
-    for (Violation& violation : branch.violations) {
-      Violation* existing = nullptr;
-      for (Violation& have : result.violations) {
-        if (have.property_id == violation.property_id) {
-          existing = &have;
-          break;
-        }
-      }
-      if (existing == nullptr) {
-        result.violations.push_back(std::move(violation));
-      } else {
-        MergeViolationInto(*existing, std::move(violation));
-      }
-    }
+  Found total = Search(model, run, current_lane()).Start(initial);
+  std::vector<Found> found(branches.size());
+  auto explore = [&](std::size_t i) {
+    found[i] = Search(model, run, current_lane())
+                   .RunBranch(initial, branches[i].event, branches[i].failure);
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(branches.size(), explore);
+  } else {
+    for (std::size_t i = 0; i < branches.size(); ++i) explore(i);
   }
-  if (shared.stop.load()) result.completed = false;
-  CanonicalizeViolations(result.violations);
+  for (Found& branch : found) Fold(model, total, std::move(branch));
+  if (run.stop.load()) total.result.completed = false;
+  RenderViolations(model, footprints.get(), options.scheduling, total);
 
-  result.seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
+  CheckResult& result = total.result;
+  CanonicalizeViolations(result.violations);
+  result.seconds = run.Elapsed();
   NoteStoreDiagnostics(result, *store, codec.get());
   WarnIfSaturated(result, options);
-  result.worker_states_explored.reserve(shared.worker_states.size());
-  for (const auto& lane : shared.worker_states) {
-    result.worker_states_explored.push_back(lane.load());
-  }
-  // The final snapshot at stop time, exactly like the serial path.
-  if (!result.completed && options.on_progress) {
-    options.on_progress(result.Progress());
-    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
-  }
+  // The final snapshot at stop time: budget-stopped runs still report
+  // where the search stood.
+  if (!result.completed && options.on_progress) run.EmitProgress();
   TickFinishTelemetry(result, options);
-  if (auto* t = telemetry::Active()) {
-    t->parallel.branch_tasks += branches.size();
-    if (owned_pool != nullptr) {
-      const util::ThreadPool::Stats stats = pool->stats();
-      t->parallel.tasks_run += stats.tasks_run;
-      t->parallel.tasks_stolen += stats.tasks_stolen;
-    }
-  }
   span.Attr("states", result.states_explored);
   span.Attr("transitions", result.transitions);
   span.Attr("completed", std::int64_t{result.completed ? 1 : 0});
-  span.Attr("jobs", std::int64_t{result.jobs});
-  return result;
+  if (pool != nullptr) {
+    result.jobs = static_cast<int>(lanes);
+    result.parallel_branches = branches.size();
+    for (const auto& lane : run.worker_states) {
+      result.worker_states_explored.push_back(lane.load());
+    }
+    if (auto* t = telemetry::Active()) {
+      t->parallel.branch_tasks += branches.size();
+      if (owned_pool != nullptr) {
+        const util::ThreadPool::Stats stats = pool->stats();
+        t->parallel.tasks_run += stats.tasks_run;
+        t->parallel.tasks_stolen += stats.tasks_stolen;
+      }
+    }
+    span.Attr("jobs", std::int64_t{result.jobs});
+  }
+  return std::move(result);
 }
 
 /// Re-executes a recorded path against `model` and reports whether
@@ -1422,21 +1253,28 @@ ReplayResult ReplayPath(const model::SystemModel& model,
                         const std::vector<TraceStep>& steps,
                         model::Scheduling scheduling, bool por,
                         const std::string& property_id, int expected_depth) {
-  CheckOptions options;  // exhaustive store, no budgets: exact re-execution
+  CheckOptions options;  // no budgets: exact re-execution
   options.max_events = static_cast<int>(steps.size());
   options.scheduling = scheduling;
   // Replays must enumerate the same (reduced) outcome lists the recording
   // search saw, or the recorded outcome_index points at the wrong drain.
   options.por = por;
-  const std::vector<GuideStep> guide = ResolveSteps(model, steps);
-  Search search(model, options, &guide);
-  CheckResult result = search.Run();
+  const GuidePath guide = ResolveSteps(model, steps);
+  const std::unique_ptr<model::FootprintIndex> footprints =
+      MakeFootprints(model, options);
+  SharedSearch run(options, 1);
+  run.footprints = footprints.get();
+  telemetry::ScopedSpan span("replay");
+  const Found found = Search(model, run, 0).Follow(guide);
+  span.Attr("states", found.result.transitions + 1);
+  span.Attr("transitions", found.result.transitions);
+  span.Attr("completed", std::int64_t{1});
 
   ReplayResult out;
   out.property_id = property_id;
   out.expected_step = expected_depth;
-  out.seconds = result.seconds;
-  const Violation* fired = result.Find(property_id);
+  out.seconds = run.Elapsed();
+  const Violation* fired = found.result.Find(property_id);
   if (fired != nullptr) out.fired_step = fired->depth;
   out.reproduced = fired != nullptr && fired->depth == expected_depth;
   if (out.reproduced) {
@@ -1465,13 +1303,7 @@ ReplayResult ReplayPath(const model::SystemModel& model,
 }  // namespace
 
 CheckResult Checker::Run(const CheckOptions& options) const {
-  const unsigned jobs = util::ResolveJobs(options.jobs);
-  // Branch-sharded runs always go through RunParallel — the serial
-  // Search has no notion of skipping root branches — even with jobs==1
-  // (ParallelFor on a 1-lane pool degenerates to a serial loop).
-  CheckResult result = jobs > 1 || options.branch_modulus > 1
-                           ? RunParallel(model_, options, std::max(jobs, 1u))
-                           : Search(model_, options).Run();
+  CheckResult result = RunSearch(model_, options);
   if (options.reverify_bitstate && options.store == StoreKind::kBitstate &&
       !result.violations.empty()) {
     // Built-in false-positive filter: every violation found under

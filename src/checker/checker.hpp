@@ -81,10 +81,11 @@ struct CheckOptions {
   bool state_compression = false;
   /// Worker threads for the search: root-level (event × failure)
   /// branches are partitioned across workers sharing one visited-state
-  /// store.  1 = serial, 0 = one worker per hardware thread.  Output is
-  /// canonicalized so any jobs value yields byte-identical reports with
-  /// the exhaustive store (see docs/performance.md for the bitstate
-  /// caveat).
+  /// store.  1 = one lane: the branches run in order on the calling
+  /// thread, which is the serial DFS.  0 = one worker per hardware
+  /// thread.  Verdicts and counts are identical for any jobs value with
+  /// the exhaustive store (see docs/performance.md for the
+  /// counter-example and bitstate caveats).
   int jobs = 1;
   /// Run on an existing pool instead of spawning one (the sanitizer and
   /// attribution layers share their pool with nested checks this way).
@@ -180,21 +181,17 @@ struct CheckResult {
   double store_bytes_per_state = 0;
   /// States expanded per external-event depth (index 0 = initial state).
   std::vector<std::uint64_t> depth_histogram;
-  /// Worker lanes the search ran on (1 = serial) and how many root
-  /// (event × failure) branches were partitioned across them.
+  /// Worker lanes the search ran on and how many root (event × failure)
+  /// branches were partitioned across them (1 and 0 on one lane).
   int jobs = 1;
   std::uint64_t parallel_branches = 0;
-  /// States expanded per worker lane (empty for serial runs).  The
+  /// States expanded per worker lane (empty on one lane).  The
   /// per-lane split varies with scheduling; only the total is
   /// deterministic.
   std::vector<std::uint64_t> worker_states_explored;
 
   bool HasViolation(const std::string& property_id) const;
   const Violation* Find(const std::string& property_id) const;
-
-  /// The final telemetry snapshot of the run (also what `on_progress`
-  /// received last when a budget stopped the search).
-  telemetry::ProgressSnapshot Progress() const;
 };
 
 /// Outcome of deterministically re-executing a recorded counter-example
@@ -231,12 +228,13 @@ class Checker {
 
 /// Merges a violation of the same property found elsewhere in the search
 /// into `existing`: occurrences accumulate, charged apps union, and the
-/// canonically smaller counter-example wins.  Shared by the in-process
-/// parallel merge and the cluster coordinator's shard/lane merges.
+/// canonically smaller counter-example wins.  The cluster coordinator's
+/// shard/lane merges use it on rendered steps; the in-process branch
+/// fold applies the same merge to compact paths before rendering.
 void MergeViolationInto(Violation& existing, Violation v);
 
-/// Final report canonicalization, applied identically by the serial,
-/// parallel, and distributed paths: violations ordered by property id,
+/// Final report canonicalization, applied identically by every search
+/// run and the distributed merge: violations ordered by property id,
 /// charged apps ordered lexicographically.
 void CanonicalizeViolations(std::vector<Violation>& violations);
 

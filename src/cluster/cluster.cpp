@@ -202,7 +202,7 @@ checker::CheckResult MergeShardResults(
     }
   }
   if (kind == UnitKind::kBranchShard && !merged.depth_histogram.empty()) {
-    // Every shard's RunParallel accounted the shared initial state once;
+    // Every shard's search accounted the shared initial state once;
     // a single run accounts it exactly once, so drop the duplicates.
     const std::uint64_t extra =
         static_cast<std::uint64_t>(results.size()) - 1;

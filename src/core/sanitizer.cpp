@@ -232,19 +232,30 @@ cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
   return cache::MakeGroupKey(inputs);
 }
 
+unsigned EffectiveJobs(const checker::CheckOptions& check) {
+  return check.pool != nullptr ? check.pool->jobs()
+                               : util::ResolveJobs(check.jobs);
+}
+
+namespace {
+
+/// Whether CheckGroups fans `groups` out over a pool.
+bool FansOut(const SanitizerOptions& options, std::size_t groups) {
+  return util::ResolveJobs(options.check.jobs) > 1 && groups > 1;
+}
+
+}  // namespace
+
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
     const checker::CheckOptions& check, const AppAnalyses* analyses) const {
-  const model::ModelOptions model_options = EffectiveModelOptions(options);
-  const std::vector<props::Property> all_properties =
-      CandidateProperties(options);
-  // Build a sub-deployment with this group's app instances; all devices
-  // stay visible so role-based properties bind identically.
-  config::Deployment sub = deployment_;
-  sub.apps.clear();
-  for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
-
   auto run = [&]() -> checker::CheckResult {
+    const model::ModelOptions model_options = EffectiveModelOptions(options);
+    // Build a sub-deployment with this group's app instances; all devices
+    // stay visible so role-based properties bind identically.
+    config::Deployment sub = deployment_;
+    sub.apps.clear();
+    for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
     AppAnalyses group_apps;
     for (std::size_t i : group) {
       if (analyses != nullptr && (*analyses)[i] != nullptr) {
@@ -262,11 +273,11 @@ checker::CheckResult Sanitizer::CheckGroup(
         build_span.Attr("request_id", check.request_id);
       }
       if (auto* t = telemetry::Active()) ++t->pipeline.models_built;
-      return model::SystemModel(config::Deployment(sub),
-                                std::move(group_apps), model_options);
+      return model::SystemModel(std::move(sub), std::move(group_apps),
+                                model_options);
     }();
     if (!options.extra_properties.empty()) {
-      model.SelectProperties(all_properties);
+      model.SelectProperties(CandidateProperties(options));
     }
     checker::Checker checker(model);
     return checker.Run(check);
@@ -275,47 +286,27 @@ checker::CheckResult Sanitizer::CheckGroup(
   if (options.cache == nullptr) return run();
   // A group's result is a pure function of this key: a hit skips the
   // model build and search above.
-  cache::GroupKeyInputs inputs;
-  inputs.deployment = &sub;
-  for (std::size_t i : group) {
-    inputs.sources.emplace_back(deployment_.apps[i].app,
-                                SourceFor(deployment_.apps[i].app));
-  }
-  inputs.properties = &all_properties;
-  inputs.check = &check;
-  inputs.model = &model_options;
-  inputs.version = options.cache->version();
-  const unsigned effective_jobs =
-      check.pool != nullptr ? static_cast<unsigned>(check.pool->jobs())
-                            : util::ResolveJobs(check.jobs);
-  return options.cache->FetchOrCompute(cache::MakeGroupKey(inputs),
-                                       effective_jobs, run);
+  return options.cache->FetchOrCompute(
+      GroupKeyFor(group, options, options.cache->version()),
+      EffectiveJobs(check), run);
 }
 
-SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
-  telemetry::ScopedSpan pipeline_span("pipeline");
-  pipeline_span.Attr("system", deployment_.name);
-  pipeline_span.Attr("apps",
-                     static_cast<std::int64_t>(deployment_.apps.size()));
-  const std::string& request_id = options.check.request_id;
-  if (!request_id.empty()) pipeline_span.Attr("request_id", request_id);
-  SanitizerReport report;
-  AppAnalyses analyses;
-  const std::vector<std::vector<std::size_t>> groups =
-      PlanGroups(options, report, &analyses);
-
+std::vector<checker::CheckResult> Sanitizer::CheckGroups(
+    const std::vector<std::vector<std::size_t>>& groups,
+    const SanitizerOptions& options, const AppAnalyses* analyses) const {
   // End-to-end group latency (cache hits included — that is what a
   // caller observes) and the search throughput computed groups achieved.
   // The group-progress tallies are shared across pool workers; the
   // callback itself runs under progress_mutex so subscribers see
   // groups_done advance monotonically.
+  std::vector<checker::CheckResult> results(groups.size());
   std::atomic<std::uint64_t> groups_done{0};
   std::atomic<std::uint64_t> group_states{0};
   std::mutex progress_mutex;
-  auto check_group = [&](const std::vector<std::size_t>& group,
-                         const checker::CheckOptions& check) {
+  auto check_group = [&](std::size_t g, const checker::CheckOptions& check) {
     const auto group_start = std::chrono::steady_clock::now();
-    checker::CheckResult result = CheckGroup(group, options, check, &analyses);
+    checker::CheckResult& result = results[g];
+    result = CheckGroup(groups[g], options, check, analyses);
     if (auto* t = telemetry::Active()) {
       t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -339,53 +330,63 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
       std::lock_guard<std::mutex> lock(progress_mutex);
       options.on_group_progress(progress);
     }
-    return result;
   };
 
-  const unsigned jobs = util::ResolveJobs(options.check.jobs);
-  if (jobs > 1 && groups.size() > 1) {
-    // Related sets are independent models, so they fan out across the
-    // pool; each group's checker fans its root branches over the *same*
-    // pool (nested ParallelFor), so one pool serves both layers.
-    std::unique_ptr<util::ThreadPool> owned_pool;
-    util::ThreadPool* pool = options.check.pool;
-    checker::CheckOptions check = options.check;
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<util::ThreadPool>(jobs);
-      pool = owned_pool.get();
-      check.pool = pool;
-      if (auto* t = telemetry::Active()) {
-        ++t->parallel.pools_created;
-        t->parallel.workers_spawned += pool->jobs() - 1;
-      }
+  if (!FansOut(options, groups.size())) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      check_group(g, options.check);
     }
-    const auto wall_start = std::chrono::steady_clock::now();
-    std::vector<checker::CheckResult> results(groups.size());
-    pool->ParallelFor(groups.size(), [&](std::size_t g) {
-      results[g] = check_group(groups[g], check);
-    });
-    // Merge in group order: byte-identical to the serial loop.
-    for (checker::CheckResult& result : results) {
-      MergeGroupResult(report, std::move(result));
-    }
-    // Per-group seconds overlap under concurrency; report wall clock.
-    report.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - wall_start)
-                         .count();
+    return results;
+  }
+  // Related sets are independent models, so they fan out across the
+  // pool; each group's checker fans its root branches over the *same*
+  // pool (nested ParallelFor), so one pool serves both layers.
+  std::unique_ptr<util::ThreadPool> owned_pool;
+  checker::CheckOptions check = options.check;
+  if (check.pool == nullptr) {
+    owned_pool =
+        std::make_unique<util::ThreadPool>(util::ResolveJobs(check.jobs));
+    check.pool = owned_pool.get();
     if (auto* t = telemetry::Active()) {
-      t->parallel.group_tasks += groups.size();
-      if (owned_pool != nullptr) {
-        const util::ThreadPool::Stats stats = pool->stats();
-        t->parallel.tasks_run += stats.tasks_run;
-        t->parallel.tasks_stolen += stats.tasks_stolen;
-      }
-    }
-  } else {
-    for (const std::vector<std::size_t>& group : groups) {
-      MergeGroupResult(report, check_group(group, options.check));
+      ++t->parallel.pools_created;
+      t->parallel.workers_spawned += owned_pool->jobs() - 1;
     }
   }
+  check.pool->ParallelFor(groups.size(),
+                          [&](std::size_t g) { check_group(g, check); });
+  if (auto* t = telemetry::Active()) {
+    t->parallel.group_tasks += groups.size();
+    if (owned_pool != nullptr) {
+      const util::ThreadPool::Stats stats = owned_pool->stats();
+      t->parallel.tasks_run += stats.tasks_run;
+      t->parallel.tasks_stolen += stats.tasks_stolen;
+    }
+  }
+  return results;
+}
 
+SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
+  telemetry::ScopedSpan pipeline_span("pipeline");
+  pipeline_span.Attr("system", deployment_.name);
+  pipeline_span.Attr("apps",
+                     static_cast<std::int64_t>(deployment_.apps.size()));
+  const std::string& request_id = options.check.request_id;
+  if (!request_id.empty()) pipeline_span.Attr("request_id", request_id);
+  SanitizerReport report;
+  AppAnalyses analyses;
+  const std::vector<std::vector<std::size_t>> groups =
+      PlanGroups(options, report, &analyses);
+  const auto start = std::chrono::steady_clock::now();
+  // Merge in group order: byte-identical whether the groups fanned out.
+  for (checker::CheckResult& result : CheckGroups(groups, options, &analyses)) {
+    MergeGroupResult(report, std::move(result));
+  }
+  if (FansOut(options, groups.size())) {
+    // Per-group seconds overlap under concurrency; report wall clock.
+    report.seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  }
   FinalizeReport(report);
   return report;
 }

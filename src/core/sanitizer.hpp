@@ -102,6 +102,11 @@ model::ModelOptions EffectiveModelOptions(const SanitizerOptions& options);
 std::vector<props::Property> CandidateProperties(
     const SanitizerOptions& options);
 
+/// The lanes a group's search may use: the shared pool's width when
+/// `check.pool` is set, the resolved `check.jobs` otherwise.  The result
+/// cache and the fleet registry retain no multi-lane bitstate result.
+unsigned EffectiveJobs(const checker::CheckOptions& check);
+
 /// Folds one related-set group's result into the aggregate report:
 /// counters sum, store diagnostics take the worst run, per-set
 /// violations append, merged violations sum occurrences per property.
@@ -134,7 +139,7 @@ class Sanitizer {
   /// fields exactly as Check does.  Exposed so the fleet registry's
   /// delta re-verification (src/registry) can classify groups without
   /// running them.  When `analyses` is set it receives the accepted
-  /// apps' analyses for CheckGroup.
+  /// apps' analyses for CheckGroups.
   std::vector<std::vector<std::size_t>> PlanGroups(
       const SanitizerOptions& options, SanitizerReport& report,
       AppAnalyses* analyses = nullptr) const;
@@ -145,15 +150,19 @@ class Sanitizer {
                               const SanitizerOptions& options,
                               const std::string& version) const;
 
-  /// Builds, property-selects, and checks one related-set group,
-  /// consulting `options.cache` when set.  `check` is `options.check`,
-  /// possibly rebound to a shared pool by a parallel dispatcher.  The
-  /// group's apps come from `analyses` (PlanGroups') where present and
-  /// are analysed here otherwise.
-  checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
-                                  const SanitizerOptions& options,
-                                  const checker::CheckOptions& check,
-                                  const AppAnalyses* analyses = nullptr) const;
+  /// Builds, property-selects, and checks each of `groups` (index sets
+  /// as PlanGroups returns them), consulting `options.cache` per group,
+  /// and returns the results in group order.  With more than one lane
+  /// and group, the groups fan out over `options.check.pool` (or a pool
+  /// made for the call), and each group's search shares that pool for
+  /// its root branches.  Records each group's latency and throughput
+  /// histograms and reports `options.on_group_progress` after each group
+  /// (groups_total = groups.size()).  The apps come from `analyses`
+  /// (PlanGroups') where present and are analysed here otherwise.
+  std::vector<checker::CheckResult> CheckGroups(
+      const std::vector<std::vector<std::size_t>>& groups,
+      const SanitizerOptions& options,
+      const AppAnalyses* analyses = nullptr) const;
 
   const config::Deployment& deployment() const { return deployment_; }
 
@@ -161,6 +170,12 @@ class Sanitizer {
   config::Deployment deployment_;
   std::map<std::string, std::string> sources_;
 
+  /// One group of CheckGroups; `check` is `options.check`, possibly
+  /// rebound to the fan-out pool.
+  checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
+                                  const SanitizerOptions& options,
+                                  const checker::CheckOptions& check,
+                                  const AppAnalyses* analyses) const;
   std::string SourceFor(const std::string& app_name) const;
   std::vector<ir::AnalyzedApp> AnalyzeInstalledApps(
       SanitizerReport& report, std::vector<bool>& rejected,

@@ -108,8 +108,8 @@ checker::CheckResult RunCheckUnit(const CheckRequest& request,
   }
   SanitizerOptions options = MakeCheckOptions(request.options, env);
   options.extra_properties = request.extra_properties;
-  return sanitizer.CheckGroup(request.options.group_apps, options,
-                              options.check);
+  return std::move(
+      sanitizer.CheckGroups({request.options.group_apps}, options).front());
 }
 
 std::string RenderCheckHeader(const config::Deployment& deployment,

@@ -1,5 +1,6 @@
 #include "dsl/parser.hpp"
 
+#include <string>
 #include <utility>
 
 #include "dsl/lexer.hpp"
@@ -11,8 +12,11 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view source, std::string_view source_name)
-      : tokens_(Tokenize(source, source_name)), source_name_(source_name) {}
+  Parser(std::string_view source, std::string_view source_name,
+         int max_nesting)
+      : tokens_(Tokenize(source, source_name)),
+        source_name_(source_name),
+        max_nesting_(max_nesting) {}
 
   App ParseApp() {
     App app;
@@ -47,6 +51,37 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
   std::string_view source_name_;
+  int max_nesting_;
+  int nesting_ = 0;
+
+  /// Holds nesting levels for the duration of a parse step, bounding
+  /// both the parser's recursion and the depth of the AST every walker
+  /// after it recurses over.  Every recursion of the grammar —
+  /// statements, expressions, closures — passes ParseStatement,
+  /// ParsePrecedence or ParseUnary, which each hold one level.  The
+  /// loops that wrap the tree built so far (`a + b + c`, `a.b[0].c()`)
+  /// take one more level per node they add.
+  class Nested {
+   public:
+    explicit Nested(Parser& parser, bool enter = true) : parser_(parser) {
+      if (enter) Deeper();
+    }
+    ~Nested() { parser_.nesting_ -= levels_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+    void Deeper() {
+      ++levels_;
+      if (++parser_.nesting_ > parser_.max_nesting_) {
+        parser_.Fail("nesting deeper than " +
+                     std::to_string(parser_.max_nesting_) + " levels");
+      }
+    }
+
+   private:
+    Parser& parser_;
+    int levels_ = 0;
+  };
 
   const Token& Peek(std::size_t ahead = 0) const {
     const std::size_t i = index_ + ahead;
@@ -304,6 +339,7 @@ class Parser {
   }
 
   StmtPtr ParseStatement() {
+    const Nested nested(*this);
     while (Match(TokenKind::kSemicolon)) {
     }
     if (Check(TokenKind::kDef)) return ParseVarDecl();
@@ -333,11 +369,7 @@ class Parser {
     Expect(TokenKind::kRightParen, "if condition");
     s->body = ParseBlockOrSingle();
     if (Match(TokenKind::kElse)) {
-      if (Check(TokenKind::kIf)) {
-        s->else_body.push_back(ParseIf());
-      } else {
-        s->else_body = ParseBlockOrSingle();
-      }
+      s->else_body = ParseBlockOrSingle();  // `else if` is a single `if`
     }
     return s;
   }
@@ -438,6 +470,7 @@ class Parser {
   ExprPtr ParseExpr() { return ParsePrecedence(0); }
 
   ExprPtr ParsePrecedence(int level) {
+    const Nested nested(*this);
     switch (level) {
       case 0: return ParseAssignment();
       case 1: return ParseTernary();
@@ -464,7 +497,7 @@ class Parser {
     e->line = target->line;
     e->column = target->column;
     e->a = std::move(target);
-    e->b = ParseAssignment();  // right-associative
+    e->b = ParsePrecedence(0);  // right-associative
     return e;
   }
 
@@ -474,9 +507,9 @@ class Parser {
       ExprPtr e = NewExpr(ExprKind::kTernary);
       e->line = cond->line;
       e->a = std::move(cond);
-      e->b = ParseTernary();
+      e->b = ParsePrecedence(1);
       Expect(TokenKind::kColon, "ternary");
-      e->c = ParseTernary();
+      e->c = ParsePrecedence(1);
       return e;
     }
     if (Match(TokenKind::kElvis)) {
@@ -486,7 +519,7 @@ class Parser {
       e->line = cond->line;
       e->a = std::move(cond);
       e->b = nullptr;  // elvis marker
-      e->c = ParseTernary();
+      e->c = ParsePrecedence(1);
       return e;
     }
     return cond;
@@ -528,6 +561,7 @@ class Parser {
   ExprPtr ParseBinaryLevel(int level) {
     if (level >= 8) return ParseUnary();
     ExprPtr lhs = ParseBinaryLevel(level + 1);
+    Nested chain(*this, /*enter=*/false);
     BinaryOp op;
     while (BinaryOpAt(level, Current().kind, op)) {
       // Groovy statements are newline-terminated, but only operators that
@@ -539,6 +573,7 @@ class Parser {
         break;
       }
       Advance();
+      chain.Deeper();
       ExprPtr e = NewExpr(ExprKind::kBinary);
       e->binary_op = op;
       e->line = lhs->line;
@@ -550,6 +585,7 @@ class Parser {
   }
 
   ExprPtr ParseUnary() {
+    const Nested nested(*this);
     if (Check(TokenKind::kMinus) || Check(TokenKind::kNot)) {
       ExprPtr e = NewExpr(ExprKind::kUnary);
       e->unary_op =
@@ -617,8 +653,10 @@ class Parser {
 
   ExprPtr ParsePostfix() {
     ExprPtr e = ParsePrimary();
+    Nested chain(*this, /*enter=*/false);
     while (true) {
       if (Check(TokenKind::kDot) || Check(TokenKind::kSafeDot)) {
+        chain.Deeper();
         const bool safe = Check(TokenKind::kSafeDot);
         Advance();
         Token name = Expect(TokenKind::kIdentifier, "member access");
@@ -650,6 +688,7 @@ class Parser {
       } else if (Check(TokenKind::kLeftParen) &&
                  e->kind == ExprKind::kIdent) {
         // Free-function call: f(args).
+        chain.Deeper();
         Advance();
         ExprPtr call = std::make_unique<Expr>();
         call->kind = ExprKind::kCall;
@@ -662,6 +701,7 @@ class Parser {
         }
         e = std::move(call);
       } else if (Check(TokenKind::kLeftBracket) && !Current().starts_line) {
+        chain.Deeper();
         Advance();
         ExprPtr index = std::make_unique<Expr>();
         index->kind = ExprKind::kIndex;
@@ -771,13 +811,14 @@ class Parser {
 
 }  // namespace
 
-App ParseApp(std::string_view source, std::string_view source_name) {
-  return Parser(source, source_name).ParseApp();
+App ParseApp(std::string_view source, std::string_view source_name,
+             int max_nesting) {
+  return Parser(source, source_name, max_nesting).ParseApp();
 }
 
 ExprPtr ParseExpression(std::string_view source,
                         std::string_view source_name) {
-  return Parser(source, source_name).ParseSingleExpression();
+  return Parser(source, source_name, kMaxNesting).ParseSingleExpression();
 }
 
 }  // namespace iotsan::dsl

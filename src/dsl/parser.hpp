@@ -7,11 +7,21 @@
 
 namespace iotsan::dsl {
 
+/// How deeply statements, expressions and closures may nest before the
+/// parser rejects the source with a located ParseError.  App source and
+/// property expressions are untrusted input, and the parser and every
+/// AST walker after it (resolver, type inference, evaluator, printer,
+/// Promela emitter) recurse once per level.  Far above the deepest
+/// corpus app, which parser_test pins.
+inline constexpr int kMaxNesting = 256;
+
 /// Parses a complete SmartScript application: a `definition(...)` header,
 /// an optional `preferences { ... }` block, and `def` methods.  Throws
-/// iotsan::ParseError (syntax) or iotsan::SemanticError (structural
-/// problems such as a missing definition block).
-App ParseApp(std::string_view source, std::string_view source_name = "<app>");
+/// iotsan::ParseError (syntax, or nesting past `max_nesting` levels) or
+/// iotsan::SemanticError (structural problems such as a missing
+/// definition block).
+App ParseApp(std::string_view source, std::string_view source_name = "<app>",
+             int max_nesting = kMaxNesting);
 
 /// Parses a single expression (used by the property language and tests).
 ExprPtr ParseExpression(std::string_view source,

@@ -1,16 +1,11 @@
 #include "registry/delta.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string_view>
 
 #include "cache/result_cache.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/build_info.hpp"
-#include "util/thread_pool.hpp"
 
 namespace iotsan::registry {
 
@@ -77,78 +72,17 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
     }
   }
 
-  // Re-run only the dirty + added groups, through the exact group
-  // dispatch Sanitizer::Check uses (telemetry and progress included;
-  // progress counts the groups actually running).
-  std::atomic<std::uint64_t> groups_done{0};
-  std::atomic<std::uint64_t> group_states{0};
-  std::mutex progress_mutex;
-  auto check_group = [&](std::size_t index,
-                         const checker::CheckOptions& check) {
-    const auto group_start = std::chrono::steady_clock::now();
-    checker::CheckResult result =
-        sanitizer.CheckGroup(groups[index], options, check, &analyses);
-    if (auto* t = telemetry::Active()) {
-      t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - group_start)
-              .count()));
-      if (result.seconds > 0) {
-        t->search_hist.group_states_per_second.Record(
-            static_cast<std::uint64_t>(
-                static_cast<double>(result.states_explored) / result.seconds));
-      }
-    }
-    if (options.on_group_progress) {
-      telemetry::GroupProgress progress;
-      progress.groups_total = dirty.size();
-      progress.groups_done = groups_done.fetch_add(1) + 1;
-      progress.states_explored =
-          group_states.fetch_add(result.states_explored) +
-          result.states_explored;
-      progress.store_memory_bytes = result.store_memory_bytes;
-      progress.seconds = result.seconds;
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      options.on_group_progress(progress);
-    }
-    return result;
-  };
-
-  const unsigned jobs = util::ResolveJobs(options.check.jobs);
-  unsigned effective_jobs = jobs;
-  if (jobs > 1 && dirty.size() > 1) {
-    std::unique_ptr<util::ThreadPool> owned_pool;
-    util::ThreadPool* pool = options.check.pool;
-    checker::CheckOptions check = options.check;
-    if (pool == nullptr) {
-      owned_pool = std::make_unique<util::ThreadPool>(jobs);
-      pool = owned_pool.get();
-      check.pool = pool;
-      if (auto* t = telemetry::Active()) {
-        ++t->parallel.pools_created;
-        t->parallel.workers_spawned += pool->jobs() - 1;
-      }
-    }
-    effective_jobs = static_cast<unsigned>(pool->jobs());
-    pool->ParallelFor(dirty.size(), [&](std::size_t d) {
-      slots[dirty[d]].result = check_group(dirty[d], check);
-    });
-    if (auto* t = telemetry::Active()) {
-      t->parallel.group_tasks += dirty.size();
-      if (owned_pool != nullptr) {
-        const util::ThreadPool::Stats stats = pool->stats();
-        t->parallel.tasks_run += stats.tasks_run;
-        t->parallel.tasks_stolen += stats.tasks_stolen;
-      }
-    }
-  } else {
-    if (options.check.pool != nullptr) {
-      effective_jobs = static_cast<unsigned>(options.check.pool->jobs());
-    }
-    for (std::size_t index : dirty) {
-      slots[index].result = check_group(index, options.check);
-    }
+  // Re-run only the dirty + added groups, through the group dispatch
+  // Sanitizer::Check uses (telemetry and progress included; progress
+  // counts the groups actually running).
+  std::vector<std::vector<std::size_t>> dirty_groups;
+  for (std::size_t index : dirty) dirty_groups.push_back(groups[index]);
+  std::vector<checker::CheckResult> fresh =
+      sanitizer.CheckGroups(dirty_groups, options, &analyses);
+  for (std::size_t d = 0; d < dirty.size(); ++d) {
+    slots[dirty[d]].result = std::move(fresh[d]);
   }
+  const unsigned effective_jobs = core::EffectiveJobs(options.check);
 
   // Merge in group order — byte-identical to the serial full check.
   // Seconds stay the per-group sum even after a parallel fan-out (see

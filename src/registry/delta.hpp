@@ -31,7 +31,7 @@ struct RegistryCheckOutcome {
 
 /// Plans the request's related-set groups, classifies each against
 /// `prior`'s fingerprint map (unchanged = key match -> reuse; dirty /
-/// added = no match -> re-run via Sanitizer::CheckGroup; removed =
+/// added = no match -> re-run via Sanitizer::CheckGroups; removed =
 /// prior keys with no current group -> dropped), merges in group order,
 /// and renders through the shared service renderer.
 ///

@@ -8,6 +8,7 @@
 #include "cluster/cluster.hpp"
 #include "config/deployment.hpp"
 #include "corpus/corpus.hpp"
+#include "dsl/parser.hpp"
 #include "props/loader.hpp"
 #include "registry/fleet.hpp"
 #include "telemetry/prometheus.hpp"
@@ -96,6 +97,15 @@ std::map<std::string, std::string> ParseInlineSources(
                          "appSources entry \"" + name + "\" must be the "
                          "source text itself (the service never reads "
                          "files)");
+    }
+    // Untrusted source: a syntax error, or nesting past the parser's
+    // bound, is the client's error, not an app to report as rejected.
+    try {
+      dsl::ParseApp(source.AsString(), name);
+    } catch (const Error& e) {
+      throw RequestError(400, kErrBadRequest,
+                         "appSources entry \"" + name +
+                             "\" does not parse: " + e.what());
     }
     out[name] = source.AsString();
   }

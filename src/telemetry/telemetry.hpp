@@ -562,7 +562,7 @@ struct ProgressSnapshot {
   /// Root-level (event × failure) branches partitioned across workers.
   std::uint64_t branches_total = 0;
   std::uint64_t branches_done = 0;
-  /// States expanded per worker lane (empty for serial runs).
+  /// States expanded per worker lane.
   std::vector<std::uint64_t> worker_states_explored;
 
   // ---- cache.* section (meaningful when an analysis cache is active) ----

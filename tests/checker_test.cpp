@@ -292,6 +292,29 @@ TEST(ParallelCheckerTest, JobsFourMatchesSerialWithFailures) {
   ExpectSameReport(checker.Run(serial_options), checker.Run(parallel_options));
 }
 
+TEST(ParallelCheckerTest, OneLaneTicksNoParallelCounter) {
+  model::SystemModel model = UnlockModel();
+  Checker checker(model);
+  CheckOptions options;
+  options.max_events = 3;
+  CheckOptions shard = options;  // a cluster branch shard on one lane
+  shard.branch_modulus = 2;
+  telemetry::Registry registry;
+  telemetry::SetActive(&registry);
+  const CheckResult result = checker.Run(options);
+  checker.Run(shard);
+  telemetry::SetActive(nullptr);
+
+  EXPECT_GT(registry.search.states_explored.load(), 0u);
+#define IOTSAN_EXPECT_ZERO(name, kind) \
+  EXPECT_EQ(registry.parallel.name.load(), 0u) << "parallel." #name;
+  IOTSAN_PARALLEL_COUNTERS(IOTSAN_EXPECT_ZERO)
+#undef IOTSAN_EXPECT_ZERO
+  EXPECT_EQ(result.jobs, 1);
+  EXPECT_EQ(result.parallel_branches, 0u);
+  EXPECT_TRUE(result.worker_states_explored.empty());
+}
+
 TEST(ParallelCheckerTest, ParallelTraceReplays) {
   model::SystemModel model = UnlockModel();
   Checker checker(model);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "corpus/corpus.hpp"
 #include "dsl/parser.hpp"
 #include "dsl/printer.hpp"
 #include "util/error.hpp"
@@ -247,6 +248,89 @@ preferences {
 }
 )APP");
   ASSERT_EQ(app.inputs.size(), 1u);
+}
+
+// ---- Nesting bound -----------------------------------------------------------
+
+/// `depth` copies of `open`, then `middle`, then `depth` copies of `close`.
+std::string Nest(int depth, std::string_view open, std::string_view middle,
+                 std::string_view close = "") {
+  std::string out;
+  for (int i = 0; i < depth; ++i) out += open;
+  out += middle;
+  for (int i = 0; i < depth; ++i) out += close;
+  return out;
+}
+
+/// The ParseError message of parsing `source` as an app ("" if none).
+std::string AppError(const std::string& source) {
+  try {
+    ParseApp(source, "deep");
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(NestingTest, DeepestCorpusAppNestsThirteenLevels) {
+  // Every corpus app parses within 13 levels and one needs all 13, so
+  // the bound sits more than 16x above real apps.
+  constexpr int kDeepestCorpusApp = 13;
+  bool one_needs_all = false;
+  for (const corpus::CorpusApp& app : corpus::AllApps()) {
+    EXPECT_NO_THROW(ParseApp(app.source, app.name, kDeepestCorpusApp))
+        << app.name;
+    try {
+      ParseApp(app.source, app.name, kDeepestCorpusApp - 1);
+    } catch (const ParseError&) {
+      one_needs_all = true;
+    }
+  }
+  EXPECT_TRUE(one_needs_all);
+  EXPECT_GT(kMaxNesting, 16 * kDeepestCorpusApp);
+}
+
+TEST(NestingTest, HostileNestingIsALocatedParseError) {
+  // 100 000 unary minus signs used to overflow the stack.
+  try {
+    ParseExpression(std::string(100000, '-') + "1");
+    FAIL() << "no ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "<expr>:1:" + std::to_string(kMaxNesting - 1) +
+                  ": nesting deeper than " + std::to_string(kMaxNesting) +
+                  " levels");
+  }
+  EXPECT_THROW(ParseExpression(Nest(100000, "(", "1", ")")), ParseError);
+  EXPECT_THROW(ParseExpression(Nest(100000, "a = ", "1")), ParseError);
+  EXPECT_THROW(ParseExpression(Nest(100000, "a ? b : ", "1")), ParseError);
+  EXPECT_THROW(ParseExpression(Nest(100000, "{ ", "1", " }")), ParseError);
+  EXPECT_THROW(ParseExpression(Nest(100000, "[", "1", "]")), ParseError);
+  // Loops build these left-deep trees without recursing, but every AST
+  // walker (and the destructor) recurses once per node.
+  EXPECT_THROW(ParseExpression(Nest(100000, "1 + ", "1")), ParseError);
+  EXPECT_THROW(ParseExpression("a" + Nest(100000, ".b", "")), ParseError);
+  EXPECT_THROW(ParseExpression("a" + Nest(100000, ".b()", "")), ParseError);
+  EXPECT_THROW(ParseExpression("a" + Nest(100000, "[0]", "")), ParseError);
+
+  const std::string head = "definition(name: \"X\")\ndef f() {\n";
+  for (const std::string& body :
+       {Nest(100000, "if (a) ", "b()"), Nest(100000, "if (a) {", "}", "}"),
+        Nest(100000, "if (a) b() else ", "c()"),
+        Nest(100000, "while (a) ", "b()"),
+        Nest(100000, "f { ", "1", " }")}) {
+    const std::string error = AppError(head + body + "\n}\n");
+    EXPECT_EQ(error.rfind("deep:", 0), 0u) << error;
+    EXPECT_NE(error.find(": nesting deeper than"), std::string::npos)
+        << error;
+  }
+}
+
+TEST(NestingTest, NestingBelowTheBoundParses) {
+  EXPECT_EQ(Parsed(Nest(40, "(", "1", ")")), "1");
+  EXPECT_EQ(Parsed(Nest(40, "-", "1")), Nest(40, "-", "1"));
+  EXPECT_NO_THROW(ParseExpression(Nest(200, "1 + ", "1")));
+  EXPECT_NO_THROW(ParseExpression("a" + Nest(200, ".b", "")));
 }
 
 TEST(AppParserTest, CloneProducesIdenticalPrint) {

@@ -1187,6 +1187,53 @@ TEST_F(ServerTest, DeeplyNestedBodyIsBadJsonAndServerStaysHealthy) {
   EXPECT_EQ(health.status, 200);
 }
 
+TEST_F(ServerTest, DeepSmartScriptIsBadRequestAndServerStaysHealthy) {
+  StartServer();
+  const int port = server_->port();
+  // 100 000 unary minus signs in a property expression, and 100 000
+  // parentheses in an inline app: unbounded recursion in the SmartScript
+  // parser used to overflow the stack and kill the daemon.
+  json::Value deep_property = json::Parse(CheckBody());
+  json::Object property;
+  property["id"] = "P90";
+  property["description"] = "deep";
+  property["expression"] = std::string(100000, '-') + "1";
+  deep_property.MutableObject()["properties"] =
+      json::Array{json::Value(std::move(property))};
+
+  // A 100 000-term sum parses in a loop, but is as deep a tree.
+  json::Value long_property = json::Parse(CheckBody());
+  property = json::Object();
+  property["id"] = "P91";
+  property["description"] = "long";
+  std::string sum = "1";
+  for (int i = 0; i < 100000; ++i) sum += "+1";
+  property["expression"] = sum + " == 0";
+  long_property.MutableObject()["properties"] =
+      json::Array{json::Value(std::move(property))};
+
+  json::Value deep_app = json::Parse(CheckBody());
+  json::Object sources;
+  sources["Unlock Door"] = "definition(name: \"Unlock Door\")\ndef f() {\n" +
+                           std::string(100000, '(') + "1" +
+                           std::string(100000, ')') + "\n}\n";
+  deep_app.MutableObject()["appSources"] = std::move(sources);
+
+  for (const json::Value* body : {&deep_property, &long_property, &deep_app}) {
+    ClientResponse response =
+        Fetch(port, "POST", "/v1/check", body->Dump(0));
+    ASSERT_TRUE(response.complete);
+    EXPECT_EQ(response.status, 400);
+    EXPECT_EQ(ErrorCode(response), "bad_request");
+    EXPECT_NE(response.body.find("nesting deeper than"), std::string::npos)
+        << response.body;
+  }
+
+  ClientResponse health = Fetch(port, "GET", "/v1/health");
+  ASSERT_TRUE(health.complete);
+  EXPECT_EQ(health.status, 200);
+}
+
 /// The climate expert group: 168 related sets but only 118 distinct
 /// cache keys, so parallel group checks race on in-flight keys.
 const corpus::SystemUnderTest& Climate() { return corpus::ExpertGroups()[1]; }

@@ -471,24 +471,29 @@ model::SystemModel UnlockModel() {
 TEST(ProgressTest, CallbackFiresAtTheRequestedCadence) {
   model::SystemModel model = UnlockModel();
   checker::Checker checker(model);
-  checker::CheckOptions options;
-  options.max_events = 2;
-  options.progress_every = 1;
-  std::vector<ProgressSnapshot> seen;
-  options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
-    seen.push_back(snapshot);
-  };
-  checker::CheckResult result = checker.Run(options);
+  // Under --jobs N the initial state is reported like every other one.
+  for (int jobs : {1, 4}) {
+    checker::CheckOptions options;
+    options.max_events = 2;
+    options.progress_every = 1;
+    options.jobs = jobs;
+    std::vector<ProgressSnapshot> seen;
+    options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
+      seen.push_back(snapshot);
+    };
+    checker::CheckResult result = checker.Run(options);
 
-  // Cadence 1 → one report per expanded state.
-  EXPECT_EQ(seen.size(), result.states_explored);
-  ASSERT_FALSE(seen.empty());
-  const ProgressSnapshot& last = seen.back();
-  EXPECT_LE(last.states_explored, result.states_explored);
-  EXPECT_GE(last.elapsed_seconds, 0.0);
-  EXPECT_GE(last.pruning_ratio, 0.0);
-  EXPECT_LE(last.pruning_ratio, 1.0);
-  EXPECT_EQ(last.depth_histogram.size(), result.depth_histogram.size());
+    // Cadence 1 → one report per expanded state.
+    EXPECT_EQ(seen.size(), result.states_explored) << "jobs " << jobs;
+    ASSERT_FALSE(seen.empty());
+    const ProgressSnapshot& last = seen.back();
+    EXPECT_LE(last.states_explored, result.states_explored);
+    EXPECT_GE(last.elapsed_seconds, 0.0);
+    EXPECT_GE(last.pruning_ratio, 0.0);
+    EXPECT_LE(last.pruning_ratio, 1.0);
+    EXPECT_EQ(last.depth_histogram.size(), result.depth_histogram.size());
+    EXPECT_EQ(last.jobs, jobs);
+  }
 }
 
 TEST(ProgressTest, BudgetStopDeliversFinalSnapshot) {
