@@ -12,11 +12,8 @@ namespace {
 
 class Parser {
  public:
-  Parser(std::string_view source, std::string_view source_name,
-         int max_nesting)
-      : tokens_(Tokenize(source, source_name)),
-        source_name_(source_name),
-        max_nesting_(max_nesting) {}
+  Parser(std::string_view source, std::string_view source_name)
+      : tokens_(Tokenize(source, source_name)), source_name_(source_name) {}
 
   App ParseApp() {
     App app;
@@ -51,7 +48,6 @@ class Parser {
   std::vector<Token> tokens_;
   std::size_t index_ = 0;
   std::string_view source_name_;
-  int max_nesting_;
   int nesting_ = 0;
 
   /// Holds nesting levels for the duration of a parse step, bounding
@@ -72,9 +68,9 @@ class Parser {
 
     void Deeper() {
       ++levels_;
-      if (++parser_.nesting_ > parser_.max_nesting_) {
-        parser_.Fail("nesting deeper than " +
-                     std::to_string(parser_.max_nesting_) + " levels");
+      if (++parser_.nesting_ > kMaxNesting) {
+        parser_.Fail<NestingError>("nesting deeper than " +
+                                   std::to_string(kMaxNesting) + " levels");
       }
     }
 
@@ -116,10 +112,11 @@ class Parser {
     return Advance();
   }
 
+  template <typename E = ParseError>
   [[noreturn]] void Fail(const std::string& message) const {
     const Token& t = Current();
-    throw ParseError(std::string(source_name_) + ":" + std::to_string(t.line) +
-                     ":" + std::to_string(t.column) + ": " + message);
+    throw E(std::string(source_name_) + ":" + std::to_string(t.line) + ":" +
+            std::to_string(t.column) + ": " + message);
   }
 
   ExprPtr NewExpr(ExprKind kind) {
@@ -811,14 +808,13 @@ class Parser {
 
 }  // namespace
 
-App ParseApp(std::string_view source, std::string_view source_name,
-             int max_nesting) {
-  return Parser(source, source_name, max_nesting).ParseApp();
+App ParseApp(std::string_view source, std::string_view source_name) {
+  return Parser(source, source_name).ParseApp();
 }
 
 ExprPtr ParseExpression(std::string_view source,
                         std::string_view source_name) {
-  return Parser(source, source_name, kMaxNesting).ParseSingleExpression();
+  return Parser(source, source_name).ParseSingleExpression();
 }
 
 }  // namespace iotsan::dsl

@@ -98,14 +98,15 @@ std::map<std::string, std::string> ParseInlineSources(
                          "source text itself (the service never reads "
                          "files)");
     }
-    // Untrusted source: a syntax error, or nesting past the parser's
-    // bound, is the client's error, not an app to report as rejected.
+    // Nesting past the parser's bound is a limit on untrusted input, so
+    // the request is refused.  The check itself lists any other syntax
+    // error under rejected_apps.
     try {
       dsl::ParseApp(source.AsString(), name);
-    } catch (const Error& e) {
+    } catch (const dsl::NestingError& e) {
       throw RequestError(400, kErrBadRequest,
-                         "appSources entry \"" + name +
-                             "\" does not parse: " + e.what());
+                         "appSources entry \"" + name + "\": " + e.what());
+    } catch (const Error&) {
     }
     out[name] = source.AsString();
   }

@@ -510,6 +510,24 @@ TEST(MergeTest, BranchShardsDropDuplicateInitialStateAccounting) {
   EXPECT_EQ(merged.violations[0].occurrences, 2u);
 }
 
+TEST(ShardTest, OneLaneBranchShardNeedsNoMoreMemoryThanTheWholeGroup) {
+  // On a one-lane worker a branch shard is the one-lane search over a
+  // subset of the root branches, with the 1-shard store and codec of a
+  // whole-group run, so it needs no more store or pool memory.
+  core::CheckRequest request = MakeRequest(/*cold_apps=*/0);
+  request.options.state_compression = true;
+  request.options.group_apps = {0, 1};
+  const checker::CheckResult whole = core::RunCheckUnit(request);
+  request.options.branch_modulus = 2;
+  for (unsigned residue = 0; residue < 2; ++residue) {
+    request.options.branch_residue = residue;
+    const checker::CheckResult shard = core::RunCheckUnit(request);
+    EXPECT_LT(shard.states_explored, whole.states_explored);
+    EXPECT_LE(shard.store_memory_bytes, whole.store_memory_bytes);
+    EXPECT_LE(shard.compress_pool_bytes, whole.compress_pool_bytes);
+  }
+}
+
 // ---- end-to-end cluster ------------------------------------------------------
 
 TEST(ClusterTest, TwoWorkersMatchSingleNodeByteForByte) {

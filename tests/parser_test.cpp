@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "corpus/corpus.hpp"
 #include "dsl/parser.hpp"
 #include "dsl/printer.hpp"
@@ -272,22 +274,50 @@ std::string AppError(const std::string& source) {
   return "";
 }
 
-TEST(NestingTest, DeepestCorpusAppNestsThirteenLevels) {
-  // Every corpus app parses within 13 levels and one needs all 13, so
-  // the bound sits more than 16x above real apps.
-  constexpr int kDeepestCorpusApp = 13;
-  bool one_needs_all = false;
+int AstDepth(const std::vector<StmtPtr>& body);
+
+/// Statement and expression nodes on the longest path down from `e`.
+int AstDepth(const Expr* e) {
+  if (e == nullptr) return 0;
+  int below = std::max({AstDepth(e->a.get()), AstDepth(e->b.get()),
+                        AstDepth(e->c.get()), AstDepth(e->body)});
+  for (const ExprPtr& item : e->items) {
+    below = std::max(below, AstDepth(item.get()));
+  }
+  for (const NamedArg& arg : e->named) {
+    below = std::max(below, AstDepth(arg.value.get()));
+  }
+  return 1 + below;
+}
+
+int AstDepth(const std::vector<StmtPtr>& body) {
+  int deepest = 0;
+  for (const StmtPtr& s : body) {
+    deepest = std::max(deepest, 1 + std::max({AstDepth(s->expr.get()),
+                                              AstDepth(s->body),
+                                              AstDepth(s->else_body)}));
+  }
+  return deepest;
+}
+
+TEST(NestingTest, BoundIsFarAboveTheDeepestCorpusApp) {
+  int deepest = 0;
   for (const corpus::CorpusApp& app : corpus::AllApps()) {
-    EXPECT_NO_THROW(ParseApp(app.source, app.name, kDeepestCorpusApp))
-        << app.name;
-    try {
-      ParseApp(app.source, app.name, kDeepestCorpusApp - 1);
-    } catch (const ParseError&) {
-      one_needs_all = true;
+    const App parsed = ParseApp(app.source, app.name);
+    for (const InputDecl& input : parsed.inputs) {
+      deepest = std::max(deepest, AstDepth(input.default_value.get()));
+    }
+    for (const MethodDecl& method : parsed.methods) {
+      deepest = std::max(deepest, AstDepth(method.body));
     }
   }
-  EXPECT_TRUE(one_needs_all);
-  EXPECT_GT(kMaxNesting, 16 * kDeepestCorpusApp);
+  // The deepest corpus app is 8 statement and expression nodes deep.
+  EXPECT_EQ(deepest, 8);
+  // The parser holds at most three nesting levels per node (a statement,
+  // or an operator, call or member step with the precedence and unary
+  // steps under it), and three per redundant pair of parentheses.  The
+  // bound leaves room for apps four times deeper than any corpus app.
+  EXPECT_GT(kMaxNesting, 4 * 3 * deepest);
 }
 
 TEST(NestingTest, HostileNestingIsALocatedParseError) {

@@ -1234,6 +1234,27 @@ TEST_F(ServerTest, DeepSmartScriptIsBadRequestAndServerStaysHealthy) {
   EXPECT_EQ(health.status, 200);
 }
 
+TEST_F(ServerTest, AppSourceSyntaxErrorIsARejectedApp) {
+  // Only the nesting bound refuses the request.  Any other syntax error
+  // is the check's to report, and the rest of the deployment is checked.
+  StartServer();
+  json::Value body = json::Parse(CheckBody());
+  json::Object sources;
+  sources["Unlock Door"] = "definition(name: \"Unlock Door\")\ndef f() {\n";
+  body.MutableObject()["appSources"] = std::move(sources);
+  ClientResponse response =
+      Fetch(server_->port(), "POST", "/v1/check", body.Dump(0));
+  ASSERT_TRUE(response.complete);
+  EXPECT_EQ(response.status, 200) << response.body;
+  const json::Value doc = json::Parse(response.body);
+  const json::Array& rejected =
+      doc.At("report").At("rejected_apps").AsArray();
+  ASSERT_EQ(rejected.size(), 1u);
+  EXPECT_NE(rejected[0].AsString().find("Unlock Door:3:"), std::string::npos)
+      << rejected[0].AsString();
+  EXPECT_EQ(doc.At("report").At("verdict").AsString(), "clean");
+}
+
 /// The climate expert group: 168 related sets but only 118 distinct
 /// cache keys, so parallel group checks race on in-flight keys.
 const corpus::SystemUnderTest& Climate() { return corpus::ExpertGroups()[1]; }
