@@ -75,7 +75,7 @@ int main() {
     std::printf(" %d handlers)\n", set.handler_count);
   }
 
-  deps::ScaleStats stats = deps::ComputeScaleStats(apps);
+  deps::ScaleStats stats = deps::ComputeScaleStats(apps, sets);
   std::printf("\nscale: %d handlers -> largest related set %d (ratio %.1f)\n",
               stats.original_size, stats.new_size, stats.ratio);
   std::printf("\npaper expectation: final sets {3} {2,4} {0,1} {1,5} "

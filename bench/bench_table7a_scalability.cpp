@@ -81,7 +81,8 @@ int main() {
       }
       apps.push_back(ir::AnalyzeSource(source, instance.app));
     }
-    deps::ScaleStats stats = deps::ComputeScaleStats(apps);
+    deps::ScaleStats stats = deps::ComputeScaleStats(
+        apps, deps::ComputeRelatedSets(deps::DependencyGraph::Build(apps)));
     ratio_sum += stats.ratio;
     if (stats.original_size > largest_size) {
       largest_size = stats.original_size;

@@ -46,7 +46,7 @@ std::set<std::string> ViolationsOf(
   core::SanitizerOptions options;
   options.check = check;
   options.cache = attribution.cache;
-  options.allow_dynamic_discovery = attribution.allow_dynamic_discovery;
+  options.model.dynamic_discovery = attribution.allow_dynamic_discovery;
   // Attribution widens the permutation space with user-initiated mode
   // switches (companion app), so mode-reactive attacks trigger even when
   // the candidate is installed alone.

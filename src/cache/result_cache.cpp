@@ -15,17 +15,13 @@ namespace iotsan::cache {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-/// True when `result` is a pure function of its key: budget-stopped
-/// runs depend on wall clock, and multi-lane bitstate searches race on
-/// bit insertions (the omission set differs run to run) — neither may
-/// be replayed from the cache (docs/caching.md).
-bool Storable(const checker::CheckResult& result, unsigned effective_jobs) {
+bool Replayable(const checker::CheckResult& result) {
   if (!result.completed) return false;
-  if (result.store_fill_ratio > 0 && effective_jobs > 1) return false;
+  if (result.store_fill_ratio > 0 && result.jobs > 1) return false;
   return true;
 }
+
+namespace {
 
 /// Estimated heap bytes one memoized entry holds resident: the key
 /// text, the violation traces (the dominant term for violating
@@ -240,10 +236,9 @@ void ResultCache::StoreDisk(const GroupKey& key,
 }
 
 void ResultCache::Store(const GroupKey& key,
-                        const checker::CheckResult& result,
-                        unsigned effective_jobs) {
+                        const checker::CheckResult& result) {
   auto* t = telemetry::Active();
-  if (!Storable(result, effective_jobs)) {
+  if (!Replayable(result)) {
     if (t != nullptr) ++t->cache.store_skips;
     return;
   }
@@ -253,7 +248,7 @@ void ResultCache::Store(const GroupKey& key,
 }
 
 checker::CheckResult ResultCache::FetchOrCompute(
-    const GroupKey& key, unsigned effective_jobs,
+    const GroupKey& key,
     const std::function<checker::CheckResult()>& compute) {
   for (;;) {
     if (auto hit = Lookup(key)) return *hit;
@@ -305,7 +300,7 @@ checker::CheckResult ResultCache::FetchOrCompute(
       flight->cv.notify_all();
       throw;
     }
-    Store(key, result, effective_jobs);
+    Store(key, result);
     {
       std::lock_guard<std::mutex> lock(flight_mutex_);
       in_flight_.erase(key.digest);

@@ -50,6 +50,13 @@ struct CacheConfig {
   std::string version;
 };
 
+/// True when `result` is a pure function of its group key, so the cache
+/// and the fleet registry may replay it.  Budget-stopped runs depend on
+/// wall clock, and a bitstate search on more than one lane (the
+/// `result.jobs` the search recorded) races on bit insertions, so its
+/// omission set differs run to run (docs/caching.md).
+bool Replayable(const checker::CheckResult& result);
+
 /// Aggregate over a cache directory (the `iotsan cache` subcommand).
 struct DirStats {
   std::uint64_t entries = 0;  // readable entries with the current schema
@@ -68,21 +75,16 @@ class ResultCache {
   /// telemetry.
   std::optional<checker::CheckResult> Lookup(const GroupKey& key);
 
-  /// Memoizes `result` under `key` (memory + disk).  Results that are
-  /// not a pure function of the key are refused and counted as
-  /// cache.store_skips: budget-stopped runs (wall-clock dependent) and
-  /// bitstate searches on multiple lanes (racy bit insertions make the
-  /// omission set nondeterministic).  `effective_jobs` is the resolved
-  /// lane count of the run that produced `result`.
-  void Store(const GroupKey& key, const checker::CheckResult& result,
-             unsigned effective_jobs);
+  /// Memoizes `result` under `key` (memory + disk).  A result that is
+  /// not Replayable is refused and counted as cache.store_skips.
+  void Store(const GroupKey& key, const checker::CheckResult& result);
 
   /// Single-flight memoized call: Lookup, else run `compute` and Store.
   /// Concurrent callers with the same key wait for the first's result
   /// instead of recomputing (cache.singleflight_waits).  If the leader
   /// throws, one waiter takes over the computation.
   checker::CheckResult FetchOrCompute(
-      const GroupKey& key, unsigned effective_jobs,
+      const GroupKey& key,
       const std::function<checker::CheckResult()>& compute);
 
   const CacheConfig& config() const { return config_; }

@@ -30,6 +30,44 @@ const Violation* CheckResult::Find(const std::string& property_id) const {
   return nullptr;
 }
 
+namespace {
+
+void AddBuckets(std::vector<std::uint64_t>& into,
+                const std::vector<std::uint64_t>& part) {
+  if (into.size() < part.size()) into.resize(part.size(), 0);
+  for (std::size_t i = 0; i < part.size(); ++i) into[i] += part[i];
+}
+
+}  // namespace
+
+void Accumulate(CheckResult& into, const CheckResult& part) {
+  into.states_explored += part.states_explored;
+  into.states_matched += part.states_matched;
+  into.transitions += part.transitions;
+  into.cascade_drains += part.cascade_drains;
+  into.completed = into.completed && part.completed;
+  into.seconds += part.seconds;
+  into.store_fill_ratio =
+      std::max(into.store_fill_ratio, part.store_fill_ratio);
+  into.est_omission_probability =
+      std::max(into.est_omission_probability, part.est_omission_probability);
+  into.store_entries += part.store_entries;
+  into.store_memory_bytes =
+      std::max(into.store_memory_bytes, part.store_memory_bytes);
+  into.compress_states_encoded += part.compress_states_encoded;
+  into.compress_pool_entries += part.compress_pool_entries;
+  into.compress_pool_bytes =
+      std::max(into.compress_pool_bytes, part.compress_pool_bytes);
+  into.compress_lookups += part.compress_lookups;
+  into.compress_hits += part.compress_hits;
+  into.store_bytes_per_state =
+      std::max(into.store_bytes_per_state, part.store_bytes_per_state);
+  AddBuckets(into.depth_histogram, part.depth_histogram);
+  into.jobs = std::max(into.jobs, part.jobs);
+  into.parallel_branches += part.parallel_branches;
+  AddBuckets(into.worker_states_explored, part.worker_states_explored);
+}
+
 std::string_view PropertyKindName(props::PropertyKind kind) {
   switch (kind) {
     case props::PropertyKind::kInvariant: return "invariant";
@@ -504,10 +542,10 @@ std::unique_ptr<model::FootprintIndex> MakeFootprints(
 // ---- Shared state of one search run ------------------------------------------
 
 /// Crossbar between the branch workers of one run: the visited-state
-/// store, the stop flag, and the live totals that budgets and progress
-/// reports read.  Everything per-branch (path context, violations, exact
-/// counters) stays worker-local in each branch's Found and is folded
-/// deterministically afterwards.
+/// store, the stop flag, and the run's counters, which budgets and
+/// progress reports read live and RunSearch reads once after the join.
+/// Everything per-branch (path context, violations) stays worker-local
+/// in each branch's Found and is folded deterministically afterwards.
 struct SharedSearch {
   SharedSearch(const CheckOptions& options, unsigned lanes)
       : options(options),
@@ -581,12 +619,12 @@ struct SharedSearch {
   }
 };
 
-/// What one branch of a run found: its exact counters, and its
-/// violations with their canonical paths still compact.  RunSearch
-/// folds every branch's Found before any counter-example is rendered.
+/// What one branch of a run found: its violations with their canonical
+/// paths still compact.  RunSearch folds every branch's Found before
+/// any counter-example is rendered.
 struct Found {
-  CheckResult result;
-  std::vector<GuidePath> paths;  // paths[i] is result.violations[i]'s
+  std::vector<Violation> violations;
+  std::vector<GuidePath> paths;  // paths[i] is violations[i]'s
 };
 
 /// One worker's bounded DFS against a run's shared store, or a guided
@@ -599,7 +637,6 @@ class Search {
         run_(run),
         engine_(model, run.footprints),
         lane_(lane) {
-    found_.result.depth_histogram.assign(run.depth_histogram.size(), 0);
     cancel_ = [this] { return BudgetExceeded(); };
   }
 
@@ -635,7 +672,7 @@ class Search {
       const int index = std::min(g.outcome_index,
                                  static_cast<int>(outcomes.size()) - 1);
       model::StepOutcome& outcome = outcomes[static_cast<std::size_t>(index)];
-      ++found_.result.transitions;
+      run_.transitions.fetch_add(1, std::memory_order_relaxed);
       Observe(g.event, g.failure, outcome, static_cast<int>(depth), index);
       state = std::move(outcome.state);
     }
@@ -683,7 +720,6 @@ class Search {
 
   void Stop() {
     stopped_ = true;
-    found_.result.completed = false;
     run_.stop.store(true, std::memory_order_relaxed);
   }
 
@@ -704,10 +740,8 @@ class Search {
   /// the event bound is reached.
   bool Enter(int depth) {
     if (BudgetExceeded()) return false;
-    const auto d = static_cast<std::size_t>(depth);
-    ++found_.result.states_explored;
-    ++found_.result.depth_histogram[d];
-    run_.depth_histogram[d].fetch_add(1, std::memory_order_relaxed);
+    run_.depth_histogram[static_cast<std::size_t>(depth)].fetch_add(
+        1, std::memory_order_relaxed);
     run_.worker_states[lane_].fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t total =
         run_.states_explored.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -722,7 +756,7 @@ class Search {
                        const model::FailureScenario& failure,
                        const std::string& detail,
                        const std::set<int>& charged_apps) {
-    std::vector<Violation>& violations = found_.result.violations;
+    std::vector<Violation>& violations = found_.violations;
     for (std::size_t v = 0; v < violations.size(); ++v) {
       Violation& existing = violations[v];
       if (existing.property_id == property.id) {
@@ -948,7 +982,6 @@ class Search {
                       const model::FailureScenario& failure,
                       const model::StepOutcome& outcome, int depth,
                       int outcome_index) {
-    ++found_.result.transitions;
     run_.transitions.fetch_add(1, std::memory_order_relaxed);
     const std::size_t actuation_mark = path_actuations_.size();
     const std::size_t mode_mark = path_mode_setters_.size();
@@ -959,7 +992,6 @@ class Search {
       key_scratch_.push_back(static_cast<std::uint8_t>(depth + 1));
     }
     if (run_.store->TestAndInsert(key_scratch_)) {
-      ++found_.result.states_matched;
       run_.states_matched.fetch_add(1, std::memory_order_relaxed);
     } else {
       Explore(outcome.state, depth + 1);
@@ -976,7 +1008,6 @@ class Search {
             const model::FailureScenario& failure, int depth) {
     std::vector<model::StepOutcome> outcomes =
         engine_.Apply(state, event, failure, options_.scheduling, cancel_);
-    found_.result.cascade_drains += outcomes.size();
     run_.cascade_drains.fetch_add(outcomes.size(), std::memory_order_relaxed);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
       if (BudgetExceeded()) return;
@@ -1056,7 +1087,7 @@ void RenderViolations(const model::SystemModel& model,
                                     model::Recording::kTrace);
   for (std::size_t v = 0; v < found.paths.size(); ++v) {
     const GuidePath& path = found.paths[v];
-    std::vector<TraceStep>& steps = found.result.violations[v].steps;
+    std::vector<TraceStep>& steps = found.violations[v].steps;
     model::SystemState state = model.MakeInitialState();
     for (std::size_t d = 0; d < path.size(); ++d) {
       const GuideStep& g = path[d];
@@ -1070,36 +1101,26 @@ void RenderViolations(const model::SystemModel& model,
   }
 }
 
-/// Folds one branch into the run's total: counters add, and each
-/// violation joins its property's entry through MergeInto, comparing
-/// compact paths by their StepCoordinates — the same merge the search
-/// applies on each re-violation.
+/// Folds one branch's violations into the run's total: each joins its
+/// property's entry through MergeInto, comparing compact paths by their
+/// StepCoordinates — the same merge the search applies on each
+/// re-violation.
 void Fold(const model::SystemModel& model, Found& total, Found branch) {
-  CheckResult& into = total.result;
-  CheckResult& from = branch.result;
-  into.states_explored += from.states_explored;
-  into.states_matched += from.states_matched;
-  into.transitions += from.transitions;
-  into.cascade_drains += from.cascade_drains;
-  into.completed = into.completed && from.completed;
-  for (std::size_t d = 0; d < from.depth_histogram.size(); ++d) {
-    into.depth_histogram[d] += from.depth_histogram[d];
-  }
   const auto coordinates = [&model](const GuideStep& s) {
     return StepCoordinates(model, s);
   };
-  for (std::size_t v = 0; v < from.violations.size(); ++v) {
-    Violation& violation = from.violations[v];
+  for (std::size_t v = 0; v < branch.violations.size(); ++v) {
+    Violation& violation = branch.violations[v];
     std::size_t e = 0;
-    while (e < into.violations.size() &&
-           into.violations[e].property_id != violation.property_id) {
+    while (e < total.violations.size() &&
+           total.violations[e].property_id != violation.property_id) {
       ++e;
     }
-    if (e == into.violations.size()) {
-      into.violations.push_back(std::move(violation));
+    if (e == total.violations.size()) {
+      total.violations.push_back(std::move(violation));
       total.paths.push_back(std::move(branch.paths[v]));
     } else {
-      MergeInto(into.violations[e], total.paths[e], violation,
+      MergeInto(total.violations[e], total.paths[e], violation,
                 branch.paths[v], coordinates);
     }
   }
@@ -1117,7 +1138,8 @@ void Fold(const model::SystemModel& model, Found& total, Found branch) {
 // (state, depth) pair is inserted exactly once, so the multiset of
 // explored edges — and with it the violation set, occurrence counts,
 // aggregate counters, and depth histogram — is independent of
-// scheduling.  Branches are folded in enumeration order, then each
+// scheduling.  The counters are read from the shared totals after the
+// join; branches' violations are folded in enumeration order, then each
 // surviving counter-example is rendered once.  (Which counter-example
 // candidates a multi-lane run sees, and bitstate pruning, still depend
 // on scheduling; see docs/performance.md.)
@@ -1212,11 +1234,19 @@ CheckResult RunSearch(const model::SystemModel& model,
     for (std::size_t i = 0; i < branches.size(); ++i) explore(i);
   }
   for (Found& branch : found) Fold(model, total, std::move(branch));
-  if (run.stop.load()) total.result.completed = false;
   RenderViolations(model, footprints.get(), options.scheduling, total);
 
-  CheckResult& result = total.result;
+  CheckResult result;
+  result.violations = std::move(total.violations);
   CanonicalizeViolations(result.violations);
+  result.states_explored = run.states_explored.load();
+  result.states_matched = run.states_matched.load();
+  result.transitions = run.transitions.load();
+  result.cascade_drains = run.cascade_drains.load();
+  result.completed = !run.stop.load();
+  for (const auto& bucket : run.depth_histogram) {
+    result.depth_histogram.push_back(bucket.load());
+  }
   result.seconds = run.Elapsed();
   NoteStoreDiagnostics(result, *store, codec.get());
   WarnIfSaturated(result, options);
@@ -1243,7 +1273,7 @@ CheckResult RunSearch(const model::SystemModel& model,
     }
     span.Attr("jobs", std::int64_t{result.jobs});
   }
-  return std::move(result);
+  return result;
 }
 
 /// Re-executes a recorded path against `model` and reports whether
@@ -1266,15 +1296,19 @@ ReplayResult ReplayPath(const model::SystemModel& model,
   run.footprints = footprints.get();
   telemetry::ScopedSpan span("replay");
   const Found found = Search(model, run, 0).Follow(guide);
-  span.Attr("states", found.result.transitions + 1);
-  span.Attr("transitions", found.result.transitions);
+  const std::uint64_t transitions = run.transitions.load();
+  span.Attr("states", transitions + 1);
+  span.Attr("transitions", transitions);
   span.Attr("completed", std::int64_t{1});
 
   ReplayResult out;
   out.property_id = property_id;
   out.expected_step = expected_depth;
   out.seconds = run.Elapsed();
-  const Violation* fired = found.result.Find(property_id);
+  const Violation* fired = nullptr;  // one entry per property
+  for (const Violation& v : found.violations) {
+    if (v.property_id == property_id) fired = &v;
+  }
   if (fired != nullptr) out.fired_step = fired->depth;
   out.reproduced = fired != nullptr && fired->depth == expected_depth;
   if (out.reproduced) {

@@ -226,6 +226,16 @@ class Checker {
   const model::SystemModel& model_;
 };
 
+/// Folds the counters of `part` (the search of another related set,
+/// branch shard or swarm lane) into `into`; each caller keeps its own
+/// rule for violations.  Counts and seconds add, and `completed` is the
+/// AND of the parts.  The store diagnostics (fill ratio, omission
+/// estimate, memory, pool bytes, bytes per state) keep the largest part,
+/// since the worst store decides whether the whole result's coverage can
+/// be trusted, and so does the lane count.  The depth histogram and the
+/// per-lane states add bucket by bucket.
+void Accumulate(CheckResult& into, const CheckResult& part);
+
 /// Merges a violation of the same property found elsewhere in the search
 /// into `existing`: occurrences accumulate, charged apps union, and the
 /// canonically smaller counter-example wins.  The cluster coordinator's

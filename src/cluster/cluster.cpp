@@ -157,35 +157,8 @@ checker::CheckResult MergeShardResults(
     UnitKind kind, std::vector<checker::CheckResult> results) {
   if (results.size() == 1) return std::move(results[0]);
   checker::CheckResult merged;
-  merged.completed = true;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    checker::CheckResult& shard = results[i];
-    merged.states_explored += shard.states_explored;
-    merged.states_matched += shard.states_matched;
-    merged.transitions += shard.transitions;
-    merged.cascade_drains += shard.cascade_drains;
-    merged.completed = merged.completed && shard.completed;
-    merged.seconds += shard.seconds;
-    merged.store_fill_ratio =
-        std::max(merged.store_fill_ratio, shard.store_fill_ratio);
-    merged.est_omission_probability = std::max(
-        merged.est_omission_probability, shard.est_omission_probability);
-    merged.store_entries += shard.store_entries;
-    merged.store_memory_bytes =
-        std::max(merged.store_memory_bytes, shard.store_memory_bytes);
-    merged.store_bytes_per_state =
-        std::max(merged.store_bytes_per_state, shard.store_bytes_per_state);
-    merged.compress_pool_entries += shard.compress_pool_entries;
-    merged.compress_pool_bytes =
-        std::max(merged.compress_pool_bytes, shard.compress_pool_bytes);
-    merged.compress_lookups += shard.compress_lookups;
-    merged.compress_hits += shard.compress_hits;
-    if (merged.depth_histogram.size() < shard.depth_histogram.size()) {
-      merged.depth_histogram.resize(shard.depth_histogram.size(), 0);
-    }
-    for (std::size_t d = 0; d < shard.depth_histogram.size(); ++d) {
-      merged.depth_histogram[d] += shard.depth_histogram[d];
-    }
+  for (checker::CheckResult& shard : results) {
+    checker::Accumulate(merged, shard);
     for (checker::Violation& violation : shard.violations) {
       checker::Violation* existing = nullptr;
       for (checker::Violation& have : merged.violations) {

@@ -129,8 +129,9 @@ std::vector<WorkUnit> PlanUnits(
     const ClusterOptions& options, const core::RequestOptions& request);
 
 /// Folds the shard/lane results of ONE group back into a single
-/// CheckResult (counters sum — minus the (n-1) duplicate initial-state
-/// accountings for branch shards — violations dedup canonically).
+/// CheckResult (counters through checker::Accumulate, minus the (n-1)
+/// duplicate initial-state accountings for branch shards; violations
+/// dedup canonically).
 /// `results` must be in residue/lane order.  Identity for size 1.
 checker::CheckResult MergeShardResults(UnitKind kind,
                                        std::vector<checker::CheckResult>

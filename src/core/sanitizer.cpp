@@ -17,13 +17,6 @@
 
 namespace iotsan::core {
 
-bool SanitizerReport::HasViolation(const std::string& property_id) const {
-  for (const checker::Violation& v : violations) {
-    if (v.property_id == property_id) return true;
-  }
-  return false;
-}
-
 std::vector<std::string> SanitizerReport::ViolatedPropertyIds() const {
   std::vector<std::string> ids;
   for (const checker::Violation& v : violations) ids.push_back(v.property_id);
@@ -84,8 +77,6 @@ std::vector<ir::AnalyzedApp> Sanitizer::AnalyzeInstalledApps(
 
 model::ModelOptions EffectiveModelOptions(const SanitizerOptions& options) {
   model::ModelOptions model_options = options.model;
-  model_options.dynamic_discovery =
-      model_options.dynamic_discovery || options.allow_dynamic_discovery;
   // Discovery apps can reach every device, so the permutation space must
   // cover every sensor, not just the subscribed ones.
   model_options.all_sensor_events =
@@ -103,32 +94,7 @@ std::vector<props::Property> CandidateProperties(
 }
 
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
-  report.states_explored += result.states_explored;
-  report.states_matched += result.states_matched;
-  report.transitions += result.transitions;
-  report.cascade_drains += result.cascade_drains;
-  report.seconds += result.seconds;
-  report.completed = report.completed && result.completed;
-  report.store_fill_ratio =
-      std::max(report.store_fill_ratio, result.store_fill_ratio);
-  report.est_omission_probability = std::max(
-      report.est_omission_probability, result.est_omission_probability);
-  report.store_memory_bytes =
-      std::max(report.store_memory_bytes, result.store_memory_bytes);
-  report.store_entries += result.store_entries;
-  report.compress_pool_entries += result.compress_pool_entries;
-  report.compress_pool_bytes =
-      std::max(report.compress_pool_bytes, result.compress_pool_bytes);
-  report.compress_lookups += result.compress_lookups;
-  report.compress_hits += result.compress_hits;
-  report.store_bytes_per_state =
-      std::max(report.store_bytes_per_state, result.store_bytes_per_state);
-  if (report.depth_histogram.size() < result.depth_histogram.size()) {
-    report.depth_histogram.resize(result.depth_histogram.size(), 0);
-  }
-  for (std::size_t i = 0; i < result.depth_histogram.size(); ++i) {
-    report.depth_histogram[i] += result.depth_histogram[i];
-  }
+  checker::Accumulate(report, result);
   // Each violation moves to the per-set list; only a property's first
   // is copied into the merged list, later ones add their occurrences.
   for (checker::Violation& violation : result.violations) {
@@ -175,9 +141,9 @@ std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
     telemetry::ScopedSpan deps_span("dependency_analysis");
     if (!request_id.empty()) deps_span.Attr("request_id", request_id);
     // Dependency analysis over accepted instances only.
-    report.scale = deps::ComputeScaleStats(view);
-    deps::DependencyGraph graph = deps::DependencyGraph::Build(view);
-    std::vector<deps::RelatedSet> sets = deps::ComputeRelatedSets(graph);
+    const std::vector<deps::RelatedSet> sets =
+        deps::ComputeRelatedSets(deps::DependencyGraph::Build(view));
+    report.scale = deps::ComputeScaleStats(view, sets);
     report.related_set_count = static_cast<int>(sets.size());
     deps_span.Attr("related_sets",
                    static_cast<std::int64_t>(sets.size()));
@@ -232,11 +198,6 @@ cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
   return cache::MakeGroupKey(inputs);
 }
 
-unsigned EffectiveJobs(const checker::CheckOptions& check) {
-  return check.pool != nullptr ? check.pool->jobs()
-                               : util::ResolveJobs(check.jobs);
-}
-
 namespace {
 
 /// Whether CheckGroups fans `groups` out over a pool.
@@ -287,8 +248,7 @@ checker::CheckResult Sanitizer::CheckGroup(
   // A group's result is a pure function of this key: a hit skips the
   // model build and search above.
   return options.cache->FetchOrCompute(
-      GroupKeyFor(group, options, options.cache->version()),
-      EffectiveJobs(check), run);
+      GroupKeyFor(group, options, options.cache->version()), run);
 }
 
 std::vector<checker::CheckResult> Sanitizer::CheckGroups(

@@ -29,9 +29,6 @@ struct SanitizerOptions {
   /// Split the system into related sets and check each separately (§5).
   /// Disable to check all installed apps in one model.
   bool use_dependency_analysis = true;
-  /// EXTENSION: check dynamic-device-discovery apps instead of rejecting
-  /// them (see model::ModelOptions::dynamic_discovery).
-  bool allow_dynamic_discovery = false;
   /// Additional safety properties beyond the built-ins (user-defined).
   std::vector<props::Property> extra_properties;
   /// Optional result cache (src/cache): per-group verification results
@@ -47,9 +44,10 @@ struct SanitizerOptions {
   telemetry::GroupProgressCallback on_group_progress;
 };
 
-struct SanitizerReport {
-  /// Union of violations across related sets, one entry per property.
-  std::vector<checker::Violation> violations;
+/// The check of a whole deployment: the CheckResult of its related sets
+/// folded together (MergeGroupResult), so `violations` holds one entry
+/// per property across all sets, plus what only the pipeline knows.
+struct SanitizerReport : checker::CheckResult {
   /// Un-merged violations: one entry per (related set, property).  This
   /// is the unit the paper's Table 5/6 count ("147 violations of 20
   /// properties": the same property violated by different app groups
@@ -62,38 +60,13 @@ struct SanitizerReport {
   /// Dependency-analysis statistics (Table 7a).
   deps::ScaleStats scale;
   int related_set_count = 0;
-  std::uint64_t states_explored = 0;
-  std::uint64_t states_matched = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t cascade_drains = 0;
-  double seconds = 0;
-  bool completed = true;
-  /// Store diagnostics aggregated across related-set runs: the worst
-  /// (largest) fill ratio and omission estimate decide whether the whole
-  /// report's coverage can be trusted; memory is the peak single store.
-  double store_fill_ratio = 0;
-  double est_omission_probability = 0;
-  std::uint64_t store_memory_bytes = 0;
-  /// Stored states summed across runs (exhaustive store only).
-  std::uint64_t store_entries = 0;
-  /// COLLAPSE diagnostics (zero unless check.state_compression): summed
-  /// intern-pool traffic, the peak single run's pool footprint, and the
-  /// worst per-state store cost across runs.
-  std::uint64_t compress_pool_entries = 0;
-  std::uint64_t compress_pool_bytes = 0;
-  std::uint64_t compress_lookups = 0;
-  std::uint64_t compress_hits = 0;
-  double store_bytes_per_state = 0;
-  /// Element-wise sum of the per-run depth histograms.
-  std::vector<std::uint64_t> depth_histogram;
 
-  bool HasViolation(const std::string& property_id) const;
   /// Ids of violated properties, sorted.
   std::vector<std::string> ViolatedPropertyIds() const;
 };
 
 /// The model options Check derives from `options`: dynamic discovery
-/// implies covering every sensor's events.
+/// (model.dynamic_discovery) implies covering every sensor's events.
 model::ModelOptions EffectiveModelOptions(const SanitizerOptions& options);
 
 /// The candidate property set (built-ins + user extras).  The model
@@ -102,14 +75,9 @@ model::ModelOptions EffectiveModelOptions(const SanitizerOptions& options);
 std::vector<props::Property> CandidateProperties(
     const SanitizerOptions& options);
 
-/// The lanes a group's search may use: the shared pool's width when
-/// `check.pool` is set, the resolved `check.jobs` otherwise.  The result
-/// cache and the fleet registry retain no multi-lane bitstate result.
-unsigned EffectiveJobs(const checker::CheckOptions& check);
-
 /// Folds one related-set group's result into the aggregate report:
-/// counters sum, store diagnostics take the worst run, per-set
-/// violations append, merged violations sum occurrences per property.
+/// counters through checker::Accumulate, per-set violations append,
+/// merged violations sum occurrences per property.
 void MergeGroupResult(SanitizerReport& report, checker::CheckResult result);
 
 /// Deterministic final ordering: violations sorted by property id.

@@ -62,7 +62,7 @@ SanitizerOptions MakeCheckOptions(const RequestOptions& options,
   out.check.model_failures = options.failures;
   out.check.stop_at_first_violation = options.first;
   out.use_dependency_analysis = !options.mono;
-  out.allow_dynamic_discovery = options.allow_discovery;
+  out.model.dynamic_discovery = options.allow_discovery;
   ApplyCommonCheckOptions(out.check, options, env);
   out.cache = env.cache;
   out.on_group_progress = env.on_group_progress;

@@ -79,6 +79,9 @@ struct ScaleStats {
   double ratio = 0;       // original / new
 };
 
-ScaleStats ComputeScaleStats(std::span<const ir::AnalyzedApp> apps);
+/// The scale of `apps` given their related `sets` (ComputeRelatedSets
+/// over the graph of the same apps).
+ScaleStats ComputeScaleStats(std::span<const ir::AnalyzedApp> apps,
+                             std::span<const RelatedSet> sets);
 
 }  // namespace iotsan::deps

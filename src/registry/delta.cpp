@@ -9,19 +9,6 @@
 
 namespace iotsan::registry {
 
-namespace {
-
-/// Same rule the result cache applies before memoizing: budget-stopped
-/// runs depend on wall clock and multi-lane bitstate searches race on
-/// bit insertions, so neither may be replayed on the next delta.
-bool Retainable(const checker::CheckResult& result, unsigned effective_jobs) {
-  if (!result.completed) return false;
-  if (result.store_fill_ratio > 0 && effective_jobs > 1) return false;
-  return true;
-}
-
-}  // namespace
-
 RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
                                       const core::ServiceEnv& env,
                                       const CheckRecord* prior) {
@@ -82,7 +69,6 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   for (std::size_t d = 0; d < dirty.size(); ++d) {
     slots[dirty[d]].result = std::move(fresh[d]);
   }
-  const unsigned effective_jobs = core::EffectiveJobs(options.check);
 
   // Merge in group order — byte-identical to the serial full check.
   // Seconds stay the per-group sum even after a parallel fan-out (see
@@ -104,8 +90,10 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   out.record.exit_code = out.response.exit_code;
   out.record.groups_total = groups.size();
   out.record.groups_recomputed = dirty.size();
+  // The next delta replays a retained result, so it keeps only what the
+  // result cache would memoize.
   for (Slot& slot : slots) {
-    if (!Retainable(slot.result, effective_jobs)) continue;
+    if (!cache::Replayable(slot.result)) continue;
     out.record.groups.push_back(
         {std::move(slot.key), std::move(slot.result)});
   }

@@ -340,15 +340,17 @@ TEST(CacheTest, RefusesResultsThatAreNotPureFunctionsOfTheKey) {
   key.text = "k";
   checker::CheckResult incomplete;
   incomplete.completed = false;  // budget-stopped: wall-clock dependent
-  cache.Store(key, incomplete, 1);
+  cache.Store(key, incomplete);
   checker::CheckResult racy_bitstate;
   racy_bitstate.store_fill_ratio = 0.25;  // bitstate occupancy
-  cache.Store(key, racy_bitstate, 4);     // multi-lane: racy omission set
+  racy_bitstate.jobs = 4;                 // multi-lane: racy omission set
+  cache.Store(key, racy_bitstate);
   EXPECT_EQ(scoped.registry.cache.store_skips, 2u);
   EXPECT_EQ(scoped.registry.cache.stores, 0u);
   EXPECT_FALSE(cache.Lookup(key).has_value());
   // The same bitstate result computed on one lane is deterministic.
-  cache.Store(key, racy_bitstate, 1);
+  racy_bitstate.jobs = 1;
+  cache.Store(key, racy_bitstate);
   EXPECT_EQ(scoped.registry.cache.stores, 1u);
   EXPECT_TRUE(cache.Lookup(key).has_value());
 }
@@ -364,10 +366,10 @@ TEST(CacheTest, MemoryLruEvictsLeastRecentlyUsed) {
     key.text = "key-" + std::to_string(n);
     return key;
   };
-  cache.Store(key_n(1), {}, 1);
-  cache.Store(key_n(2), {}, 1);
+  cache.Store(key_n(1), {});
+  cache.Store(key_n(2), {});
   EXPECT_TRUE(cache.Lookup(key_n(1)).has_value());  // touch 1; LRU = 2
-  cache.Store(key_n(3), {}, 1);                     // evicts 2
+  cache.Store(key_n(3), {});                        // evicts 2
   EXPECT_EQ(scoped.registry.cache.evictions, 1u);
   EXPECT_TRUE(cache.Lookup(key_n(1)).has_value());
   EXPECT_TRUE(cache.Lookup(key_n(3)).has_value());
@@ -381,7 +383,7 @@ TEST(CacheTest, DigestCollisionDetectedByKeyText) {
   key.text = "group-one";
   checker::CheckResult result;
   result.states_explored = 5;
-  cache.Store(key, result, 1);
+  cache.Store(key, result);
   cache::GroupKey colliding;
   colliding.digest = 99;  // same address
   colliding.text = "group-two";
@@ -407,8 +409,7 @@ TEST(CacheTest, SingleFlightComputesOnce) {
   std::atomic<int> wrong_results{0};
   for (int i = 0; i < 8; ++i) {
     threads.emplace_back([&]() {
-      const checker::CheckResult result =
-          cache.FetchOrCompute(key, 1, compute);
+      const checker::CheckResult result = cache.FetchOrCompute(key, compute);
       if (result.states_explored != 11) ++wrong_results;
     });
   }
@@ -438,7 +439,7 @@ TEST(CacheTest, SingleFlightSurvivesLeaderFailure) {
   for (int i = 0; i < 4; ++i) {
     threads.emplace_back([&]() {
       try {
-        if (cache.FetchOrCompute(key, 1, compute).states_explored == 23) {
+        if (cache.FetchOrCompute(key, compute).states_explored == 23) {
           ++successes;
         }
       } catch (const Error&) {
@@ -470,8 +471,8 @@ TEST(CacheTest, LeaderComputesItsOwnInFlightKeyInsteadOfWaiting) {
   key.text = "reentrant";
   std::uint64_t inner = 0;
   WithinDeadline(std::chrono::seconds(120), [&] {
-    cache.FetchOrCompute(key, 1, [&] {
-      inner = cache.FetchOrCompute(key, 1, [] { return StatesResult(7); })
+    cache.FetchOrCompute(key, [&] {
+      inner = cache.FetchOrCompute(key, [] { return StatesResult(7); })
                   .states_explored;
       return StatesResult(5);
     });
@@ -492,7 +493,7 @@ TEST(CacheTest, PoolTaskComputesAnInFlightKeyInsteadOfWaiting) {
   std::shared_future<void> batch_finished = batch_done.get_future().share();
   std::promise<void> leading;
   std::thread leader([&] {
-    cache.FetchOrCompute(key, 1, [&] {
+    cache.FetchOrCompute(key, [&] {
       leading.set_value();
       batch_finished.wait();
       return StatesResult(5);
@@ -504,7 +505,7 @@ TEST(CacheTest, PoolTaskComputesAnInFlightKeyInsteadOfWaiting) {
   WithinDeadline(std::chrono::seconds(120), [&] {
     pool.ParallelFor(2, [&](std::size_t i) {
       if (i == 0) {
-        seen = cache.FetchOrCompute(key, 1, [] { return StatesResult(7); })
+        seen = cache.FetchOrCompute(key, [] { return StatesResult(7); })
                    .states_explored;
       }
     });
@@ -570,7 +571,7 @@ TEST(CacheTest, ScanAndClearAccountForEveryFile) {
   cache::GroupKey key;
   key.digest = 5;
   key.text = "k";
-  cache.Store(key, {}, 1);
+  cache.Store(key, {});
   std::ofstream(dir + "/deadbeefdeadbeef.json") << "not json";
   cache::DirStats stats = cache::ResultCache::Scan(dir, "v");
   EXPECT_EQ(stats.entries, 1u);

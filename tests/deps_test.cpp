@@ -77,7 +77,8 @@ TEST(DependencyGraphTest, PaperTable3cFinalSets) {
 
 TEST(DependencyGraphTest, ScaleStatsOnPaperExample) {
   auto apps = PaperExampleApps();
-  ScaleStats stats = ComputeScaleStats(apps);
+  ScaleStats stats =
+      ComputeScaleStats(apps, ComputeRelatedSets(DependencyGraph::Build(apps)));
   EXPECT_EQ(stats.original_size, 7);
   EXPECT_EQ(stats.new_size, 3);  // {1, 2, 6}
   EXPECT_NEAR(stats.ratio, 7.0 / 3.0, 1e-9);
@@ -214,7 +215,7 @@ TEST_P(GroupStructureTest, RelatedSetInvariants) {
                                  a.vertices.begin(), a.vertices.end()));
     }
   }
-  ScaleStats stats = ComputeScaleStats(apps);
+  ScaleStats stats = ComputeScaleStats(apps, sets);
   EXPECT_GE(stats.ratio, 1.0);
   EXPECT_LE(stats.new_size, stats.original_size);
 }

@@ -38,7 +38,7 @@ TEST(DiscoveryExtensionTest, CheckableWhenEnabled) {
   home.apps.push_back({"Alarm Manager", "Alarm Manager", {}});
   core::Sanitizer sanitizer(home);
   core::SanitizerOptions options;
-  options.allow_dynamic_discovery = true;
+  options.model.dynamic_discovery = true;
   options.check.max_events = 2;
   core::SanitizerReport report = sanitizer.Check(options);
   EXPECT_TRUE(report.rejected_apps.empty());
@@ -60,7 +60,7 @@ TEST(DiscoveryExtensionTest, MidnightCameraRunsItsSchedule) {
   home.apps.push_back({"Midnight Camera", "Midnight Camera", {}});
   core::Sanitizer sanitizer(home);
   core::SanitizerOptions options;
-  options.allow_dynamic_discovery = true;
+  options.model.dynamic_discovery = true;
   options.check.max_events = 1;
   core::SanitizerReport report = sanitizer.Check(options);
   EXPECT_TRUE(report.rejected_apps.empty());
@@ -109,7 +109,7 @@ TEST(DiscoveryExtensionTest, WildcardOutputsWidenRelatedSets) {
 
   core::Sanitizer sanitizer(home);
   core::SanitizerOptions options;
-  options.allow_dynamic_discovery = true;
+  options.model.dynamic_discovery = true;
   options.check.max_events = 1;
   core::SanitizerReport report = sanitizer.Check(options);
   EXPECT_TRUE(report.rejected_apps.empty());

@@ -1255,21 +1255,26 @@ TEST_F(ServerTest, AppSourceSyntaxErrorIsARejectedApp) {
   EXPECT_EQ(doc.At("report").At("verdict").AsString(), "clean");
 }
 
+/// A check request for an expert group, with `options`.
+std::string GroupBody(const corpus::SystemUnderTest& sut,
+                      json::Object options = {}) {
+  json::Object doc;
+  doc["schema"] = kRequestSchema;
+  doc["deployment"] = config::DeploymentToJson(sut.deployment);
+  json::Object sources;
+  for (const auto& [name, source] : sut.extra_sources) {
+    sources[name] = source;
+  }
+  doc["appSources"] = std::move(sources);
+  if (!options.empty()) doc["options"] = std::move(options);
+  return json::Value(std::move(doc)).Dump(0);
+}
+
 /// The climate expert group: 168 related sets but only 118 distinct
 /// cache keys, so parallel group checks race on in-flight keys.
 const corpus::SystemUnderTest& Climate() { return corpus::ExpertGroups()[1]; }
 
-std::string ClimateBody() {
-  json::Object doc;
-  doc["schema"] = kRequestSchema;
-  doc["deployment"] = config::DeploymentToJson(Climate().deployment);
-  json::Object sources;
-  for (const auto& [name, source] : Climate().extra_sources) {
-    sources[name] = source;
-  }
-  doc["appSources"] = std::move(sources);
-  return json::Value(std::move(doc)).Dump(0);
-}
+std::string ClimateBody() { return GroupBody(Climate()); }
 
 std::string SerialClimateText() {
   core::CheckRequest request;
@@ -1293,6 +1298,36 @@ TEST_F(ServerTest, ParallelCheckWithDuplicateGroupKeysAnswers) {
   ASSERT_EQ(response.status, 200) << response.body;
   EXPECT_EQ(Verdicts(json::Parse(response.body).At("text").AsString()),
             Verdicts(SerialClimateText()));
+}
+
+TEST_F(ServerTest, OneLaneBitstateResultIsCachedOnAMultiLaneServer) {
+  // Only a bitstate search on more than one lane is barred from the
+  // cache.  The lanes are those the search ran on, not the width of the
+  // server's pool, so a one-lane request is stored and then replayed.
+  ServerConfig config;
+  config.jobs = 4;
+  StartServer(std::move(config));
+  json::Object options;
+  options["bitstate"] = true;
+  options["jobs"] = std::int64_t{1};
+  const std::string body = GroupBody(corpus::ExpertGroups()[0], options);
+  const ClientResponse cold =
+      Fetch(server_->port(), "POST", "/v1/check", body);
+  ASSERT_TRUE(cold.complete);
+  ASSERT_EQ(cold.status, 200) << cold.body;
+  const std::uint64_t lookups = registry_.cache.lookups.load();
+  const std::uint64_t hits = registry_.cache.hits.load();
+  const ClientResponse warm =
+      Fetch(server_->port(), "POST", "/v1/check", body);
+  ASSERT_TRUE(warm.complete);
+  ASSERT_EQ(warm.status, 200) << warm.body;
+  EXPECT_EQ(registry_.cache.store_skips.load(), 0u);
+  EXPECT_GT(registry_.cache.lookups.load(), lookups);
+  EXPECT_EQ(registry_.cache.hits.load() - hits,
+            registry_.cache.lookups.load() - lookups)
+      << "every group of the repeat is a cache hit";
+  EXPECT_EQ(json::Parse(warm.body).At("text").AsString(),
+            json::Parse(cold.body).At("text").AsString());
 }
 
 TEST_F(ServerTest, ParallelFleetDeltaCheckAnswers) {

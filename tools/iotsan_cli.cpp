@@ -864,7 +864,8 @@ int CmdDeps(const std::vector<std::string>& args) {
   deps::DependencyGraph graph = deps::DependencyGraph::Build(apps);
   std::printf("%s", graph.ToDot(apps).c_str());
   std::printf("\nrelated sets:\n");
-  for (const deps::RelatedSet& set : deps::ComputeRelatedSets(graph)) {
+  const std::vector<deps::RelatedSet> sets = deps::ComputeRelatedSets(graph);
+  for (const deps::RelatedSet& set : sets) {
     std::printf("  {");
     for (std::size_t i = 0; i < set.vertices.size(); ++i) {
       std::printf("%s%d", i ? ", " : "", set.vertices[i]);
@@ -875,7 +876,7 @@ int CmdDeps(const std::vector<std::string>& args) {
     }
     std::printf("\n");
   }
-  deps::ScaleStats stats = deps::ComputeScaleStats(apps);
+  deps::ScaleStats stats = deps::ComputeScaleStats(apps, sets);
   std::printf("scale: %d handlers -> %d (ratio %.1f)\n",
               stats.original_size, stats.new_size, stats.ratio);
   telemetry_session.PrintStats();
