@@ -333,16 +333,16 @@ GuidePath ResolveSteps(const model::SystemModel& model,
 // interleaving index) participate: they fix the entire step content, so
 // comparing the rest would be redundant.
 
-/// A rendered step's identity, in comparison order.
+/// A step's identity, in comparison order.
 auto StepIdentity(const TraceStep& s) {
   return std::tie(s.kind, s.device, s.attribute, s.value, s.app,
                   s.sensor_offline, s.actuator_offline, s.comm_fail,
                   s.outcome_index);
 }
 
-/// The TraceStep coordinates of a search path's compact step, read from
-/// the model: what the rendered step carries, and what canonical-min
-/// compares before any step is rendered.
+/// The TraceStep coordinates of a search path's step, read from the
+/// model: what the compact step carries, and what canonical-min
+/// compares while the search runs.
 struct StepCoordinates {
   std::string_view kind;
   std::string_view device;     // sensor
@@ -383,7 +383,7 @@ struct StepCoordinates {
                     failure.comm_fail, outcome_index);
   }
 
-  /// Ordered as StepIdentity orders rendered steps.
+  /// Ordered as StepIdentity orders TraceSteps.
   friend auto operator<=>(const StepCoordinates& a,
                           const StepCoordinates& b) {
     return a.Tie() <=> b.Tie();
@@ -414,7 +414,7 @@ void AddApp(std::vector<std::string>& apps, const std::string& label) {
 /// `path`, into `existing`, whose counter-example is `existing_path`:
 /// occurrences add, charged apps union, and the canonically smaller path
 /// wins with its diagnosis, depth and failure.  A path is either the
-/// rendered steps or the compact search path, compared by `identity`.
+/// TraceSteps or the search's own GuidePath, compared by `identity`.
 template <typename Path, typename Identity>
 void MergeInto(Violation& existing, Path& existing_path, Violation& v,
                Path& path, const Identity& identity) {
@@ -620,8 +620,8 @@ struct SharedSearch {
 };
 
 /// What one branch of a run found: its violations with their canonical
-/// paths still compact.  RunSearch folds every branch's Found before
-/// any counter-example is rendered.
+/// paths.  RunSearch folds every branch's Found, then turns each
+/// surviving path into compact TraceSteps.
 struct Found {
   std::vector<Violation> violations;
   std::vector<GuidePath> paths;  // paths[i] is violations[i]'s
@@ -1029,26 +1029,33 @@ class Search {
   }
 };
 
-/// Builds the structured record of one external-event step: the event
-/// coordinates (by stable names, for replay), the failure flags, and
-/// everything observed while the cascade drained.
-TraceStep MakeStep(const model::SystemModel& model,
-                   const model::SystemState& before, const GuideStep& g,
-                   const model::StepOutcome& outcome, int depth) {
+/// The compact form of one search step: the event coordinates by stable
+/// names, the failure flags and the interleaving index — what canonical
+/// selection compares and what Render resolves back to model indices.
+TraceStep CompactStep(const model::SystemModel& model, const GuideStep& g) {
   const StepCoordinates at(model, g);
   TraceStep step;
-  step.index = depth + 1;
-  step.sim_time_ms = (depth + 1) * 1000;
   step.kind = at.kind;
   step.device = at.device;
   step.attribute = at.attribute;
   step.value = at.value;
   step.app = at.app;
-  step.description = g.event.Describe(model);
   step.sensor_offline = g.failure.sensor_offline;
   step.actuator_offline = g.failure.actuator_offline;
   step.comm_fail = g.failure.comm_fail;
   step.outcome_index = g.outcome_index;
+  return step;
+}
+
+/// Builds the structured record of one external-event step: the compact
+/// coordinates plus everything observed while the cascade drained.
+TraceStep MakeStep(const model::SystemModel& model,
+                   const model::SystemState& before, const GuideStep& g,
+                   const model::StepOutcome& outcome, int depth) {
+  TraceStep step = CompactStep(model, g);
+  step.index = depth + 1;
+  step.sim_time_ms = (depth + 1) * 1000;
+  step.description = g.event.Describe(model);
   for (const model::HandlerDispatch& d : outcome.log.dispatches) {
     step.dispatches.push_back({model.apps()[d.app].config.label, d.handler});
   }
@@ -1074,31 +1081,6 @@ TraceStep MakeStep(const model::SystemModel& model,
   step.queue_peak = outcome.log.max_queue_depth;
   step.truncated = outcome.log.truncated;
   return step;
-}
-
-/// Renders each violation's canonical path into its TraceSteps by
-/// re-applying the path's cascades from the initial state with trace
-/// output on (Spin's `-t`).  Runs once per reported violation, after the
-/// branch fold, and ticks no search counter.
-void RenderViolations(const model::SystemModel& model,
-                      const model::FootprintIndex* footprints,
-                      model::Scheduling scheduling, Found& found) {
-  const model::CascadeEngine tracer(model, footprints,
-                                    model::Recording::kTrace);
-  for (std::size_t v = 0; v < found.paths.size(); ++v) {
-    const GuidePath& path = found.paths[v];
-    std::vector<TraceStep>& steps = found.violations[v].steps;
-    model::SystemState state = model.MakeInitialState();
-    for (std::size_t d = 0; d < path.size(); ++d) {
-      const GuideStep& g = path[d];
-      std::vector<model::StepOutcome> outcomes =
-          tracer.Apply(state, g.event, g.failure, scheduling);
-      model::StepOutcome& outcome =
-          outcomes.at(static_cast<std::size_t>(g.outcome_index));
-      steps.push_back(MakeStep(model, state, g, outcome, static_cast<int>(d)));
-      state = std::move(outcome.state);
-    }
-  }
 }
 
 /// Folds one branch's violations into the run's total: each joins its
@@ -1139,8 +1121,9 @@ void Fold(const model::SystemModel& model, Found& total, Found branch) {
 // explored edges — and with it the violation set, occurrence counts,
 // aggregate counters, and depth histogram — is independent of
 // scheduling.  The counters are read from the shared totals after the
-// join; branches' violations are folded in enumeration order, then each
-// surviving counter-example is rendered once.  (Which counter-example
+// join; branches' violations are folded in enumeration order, and each
+// surviving counter-example leaves as its compact path (Checker::Render
+// draws it out).  (Which counter-example
 // candidates a multi-lane run sees, and bitstate pruning, still depend
 // on scheduling; see docs/performance.md.)
 CheckResult RunSearch(const model::SystemModel& model,
@@ -1234,7 +1217,11 @@ CheckResult RunSearch(const model::SystemModel& model,
     for (std::size_t i = 0; i < branches.size(); ++i) explore(i);
   }
   for (Found& branch : found) Fold(model, total, std::move(branch));
-  RenderViolations(model, footprints.get(), options.scheduling, total);
+  for (std::size_t v = 0; v < total.paths.size(); ++v) {
+    for (const GuideStep& g : total.paths[v]) {
+      total.violations[v].steps.push_back(CompactStep(model, g));
+    }
+  }
 
   CheckResult result;
   result.violations = std::move(total.violations);
@@ -1356,6 +1343,26 @@ CheckResult Checker::Run(const CheckOptions& options) const {
     result.violations = std::move(confirmed);
   }
   return result;
+}
+
+void Checker::Render(Violation& violation, const CheckOptions& options) const {
+  const GuidePath path = ResolveSteps(model_, violation.steps);
+  const std::unique_ptr<model::FootprintIndex> footprints =
+      MakeFootprints(model_, options);
+  const model::CascadeEngine tracer(model_, footprints.get(),
+                                    model::Recording::kTrace);
+  violation.steps.clear();
+  model::SystemState state = model_.MakeInitialState();
+  for (std::size_t d = 0; d < path.size(); ++d) {
+    const GuideStep& g = path[d];
+    std::vector<model::StepOutcome> outcomes =
+        tracer.Apply(state, g.event, g.failure, options.scheduling);
+    model::StepOutcome& outcome =
+        outcomes.at(static_cast<std::size_t>(g.outcome_index));
+    violation.steps.push_back(
+        MakeStep(model_, state, g, outcome, static_cast<int>(d)));
+    state = std::move(outcome.state);
+  }
 }
 
 ReplayResult Checker::Replay(const ViolationArtifact& artifact) const {

@@ -5,8 +5,9 @@
 // physical events up to `max_events`, drains each cascade (sequential or
 // concurrent scheduling), evaluates the active safety properties at every
 // stable state, runs the per-cascade monitors, and prunes revisited
-// states through an exhaustive or BITSTATE store.  Counter-example traces
-// are produced in the style of the paper's Fig. 7.
+// states through an exhaustive or BITSTATE store.  A search returns each
+// counter-example as its compact path; Checker::Render replays one into
+// a trace in the style of the paper's Fig. 7.
 #pragma once
 
 #include <atomic>
@@ -125,6 +126,9 @@ struct Violation {
   props::PropertyKind kind = props::PropertyKind::kInvariant;
   /// Structured counter-example: one TraceStep per external event (see
   /// checker/trace.hpp).  Machine-readable, diffable, and replayable.
+  /// A search leaves each step compact — the event coordinates, failure
+  /// flags and interleaving index only; Checker::Render fills in the
+  /// rest.
   std::vector<TraceStep> steps;
   /// Final diagnosis line ("assertion violated: …", "conflicting
   /// commands on …"), rendered after the steps in the Fig. 7 layout.
@@ -212,7 +216,18 @@ class Checker {
  public:
   explicit Checker(const model::SystemModel& model) : model_(model) {}
 
+  /// Searches the model.  Each violation's counter-example comes back
+  /// as its compact path (see Violation::steps).
   CheckResult Run(const CheckOptions& options) const;
+
+  /// Renders a violation of this model's search (Spin's `-t`): resolves
+  /// its compact path, re-applies the path's cascades from the initial
+  /// state with trace output on, and replaces the steps with full ones —
+  /// index, description, dispatches, commands, deltas and notes.
+  /// `options` must carry the search's scheduling and POR setting.
+  /// Ticks no search counter; throws iotsan::Error when the path does
+  /// not resolve against the model.
+  void Render(Violation& violation, const CheckOptions& options) const;
 
   /// Feeds the artifact's recorded external-event permutation back
   /// through the cascade engine (guided search, exhaustive store,
@@ -239,8 +254,8 @@ void Accumulate(CheckResult& into, const CheckResult& part);
 /// Merges a violation of the same property found elsewhere in the search
 /// into `existing`: occurrences accumulate, charged apps union, and the
 /// canonically smaller counter-example wins.  The cluster coordinator's
-/// shard/lane merges use it on rendered steps; the in-process branch
-/// fold applies the same merge to compact paths before rendering.
+/// shard/lane merges use it on compact steps; the in-process branch
+/// fold applies the same merge to the search's own paths.
 void MergeViolationInto(Violation& existing, Violation v);
 
 /// Final report canonicalization, applied identically by every search

@@ -32,14 +32,16 @@ void PutIf(json::Object& obj, const char* key, std::int64_t value) {
 
 json::Value ToJson(const TraceStep& step) {
   json::Object obj;
-  obj["index"] = step.index;
-  obj["sim_time_ms"] = step.sim_time_ms;
+  // A rendered step always has an index, a clock and a description; a
+  // compact one (Violation::steps) carries only its coordinates.
+  PutIf(obj, "index", std::int64_t{step.index});
+  PutIf(obj, "sim_time_ms", std::int64_t{step.sim_time_ms});
   obj["kind"] = step.kind;
   PutIf(obj, "device", step.device);
   PutIf(obj, "attribute", step.attribute);
   PutIf(obj, "value", step.value);
   PutIf(obj, "app", step.app);
-  obj["description"] = step.description;
+  PutIf(obj, "description", step.description);
   PutIf(obj, "sensor_offline", step.sensor_offline);
   PutIf(obj, "actuator_offline", step.actuator_offline);
   PutIf(obj, "comm_fail", step.comm_fail);

@@ -127,7 +127,6 @@ std::vector<FlagSpec> MergeFlagTables() {
   const std::span<const FlagSpec> cli = kCliFlags;
   std::size_t next = 0;
   for (const core::OptionSpec& option : core::RequestOptionTable()) {
-    if (option.flag == nullptr) continue;
     out.push_back({option.flag, option.arg, option.commands, option.help,
                    &option, option.min, option.max});
     if (next < cli.size() && cli[next].after != nullptr &&

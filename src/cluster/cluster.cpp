@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <thread>
 
 #include "config/deployment.hpp"
@@ -78,8 +79,8 @@ std::vector<WorkerSpec> ParseWorkerList(const std::string& list) {
 
 // ---- wire format -------------------------------------------------------------
 
-json::Value UnitRequestJson(const core::CheckRequest& request,
-                            const WorkUnit& unit) {
+json::Value BatchRequestJson(const core::CheckRequest& request,
+                             const std::vector<core::CheckUnit>& units) {
   json::Object doc;
   doc["schema"] = "iotsan.request/1";
   doc["deployment"] = config::DeploymentToJson(request.deployment);
@@ -93,13 +94,6 @@ json::Value UnitRequestJson(const core::CheckRequest& request,
   if (!request.extra_properties.empty()) {
     doc["properties"] = PropertiesJson(request.extra_properties);
   }
-  core::RequestOptions options = request.options;
-  options.group_apps = unit.group_apps;
-  if (unit.branch_modulus > 1) {
-    options.branch_modulus = unit.branch_modulus;
-    options.branch_residue = unit.branch_residue;
-  }
-  options.bitstate_seed = unit.bitstate_seed;
   // The worker must search exactly as a single node would, so every
   // option that differs from its defaults rides along — except `jobs`:
   // the worker's own pool size does not affect the canonicalized result,
@@ -107,10 +101,29 @@ json::Value UnitRequestJson(const core::CheckRequest& request,
   // explicit, so a worker's own default deadline can never cut a unit
   // short when the coordinator runs unbounded.
   core::RequestOptions omitted;
-  omitted.jobs = options.jobs;
+  omitted.jobs = request.options.jobs;
   omitted.deadline_seconds = -1;
-  doc["options"] = core::OptionsToJson(options, omitted);
+  doc["options"] = core::OptionsToJson(request.options, omitted);
+  json::Array list;
+  for (const core::CheckUnit& unit : units) {
+    list.push_back(core::CheckUnitToJson(unit));
+  }
+  doc["units"] = std::move(list);
   return json::Value(std::move(doc));
+}
+
+std::vector<checker::CheckResult> BatchResultsFromJson(
+    const json::Value& reply, std::size_t units) {
+  const json::Array& list = reply.At("units").AsArray();
+  if (list.size() != units) {
+    throw Error("worker replied with " + std::to_string(list.size()) +
+                " results for " + std::to_string(units) + " units");
+  }
+  std::vector<checker::CheckResult> results;
+  for (const json::Value& result : list) {
+    results.push_back(checker::CheckResultFromJson(result));
+  }
+  return results;
 }
 
 // ---- planning ----------------------------------------------------------------
@@ -121,32 +134,28 @@ std::vector<WorkUnit> PlanUnits(
   std::vector<WorkUnit> units;
   const bool lanes = request.bitstate && options.swarm_lanes > 1;
   const bool shards = !lanes && options.branch_split > 1;
+  const std::vector<std::size_t> first = core::FirstOccurrences(groups);
   for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (first[g] != g) continue;
+    WorkUnit unit;
+    unit.group_index = g;
+    unit.group_apps = groups[g];
     if (lanes) {
+      unit.kind = UnitKind::kSwarmLane;
       for (unsigned lane = 0; lane < options.swarm_lanes; ++lane) {
-        WorkUnit unit;
-        unit.kind = UnitKind::kSwarmLane;
-        unit.group_index = g;
-        unit.group_apps = groups[g];
         // Lane 0 keeps the historical family, so a 1-lane degenerate
         // plan is byte-identical to a plain bitstate run.
         unit.bitstate_seed = lane == 0 ? 0 : hash::SplitMix64(lane);
-        units.push_back(std::move(unit));
+        units.push_back(unit);
       }
     } else if (shards) {
+      unit.kind = UnitKind::kBranchShard;
+      unit.branch_modulus = options.branch_split;
       for (unsigned residue = 0; residue < options.branch_split; ++residue) {
-        WorkUnit unit;
-        unit.kind = UnitKind::kBranchShard;
-        unit.group_index = g;
-        unit.group_apps = groups[g];
-        unit.branch_modulus = options.branch_split;
         unit.branch_residue = residue;
-        units.push_back(std::move(unit));
+        units.push_back(unit);
       }
     } else {
-      WorkUnit unit;
-      unit.group_index = g;
-      unit.group_apps = groups[g];
       units.push_back(std::move(unit));
     }
   }
@@ -245,7 +254,8 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
 
   // The coordinator plans with the same decomposition a single node
   // uses; the report picks up rejections, scale stats, and the related
-  // set count here, exactly like Sanitizer::Check would.
+  // set count here, exactly like Sanitizer::Check would.  The analyses
+  // serve the render step.
   core::Sanitizer sanitizer(request.deployment);
   for (const auto& [name, source] : request.extra_sources) {
     sanitizer.AddAppSource(name, source);
@@ -254,8 +264,9 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
       core::MakeCheckOptions(request.options, env);
   plan_options.extra_properties = request.extra_properties;
   core::SanitizerReport report;
+  core::AppAnalyses analyses;
   const std::vector<std::vector<std::size_t>> groups =
-      sanitizer.PlanGroups(plan_options, report);
+      sanitizer.PlanGroups(plan_options, report, &analyses);
 
   ClusterOutcome out;
   const std::size_t healthy = ProbeWorkers();
@@ -291,27 +302,30 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   };
   std::vector<UnitSlot> slots(units.size());
 
-  // Shared dispatch state: a queue of unit indices, drained by one
-  // thread per healthy worker.  A worker that exhausts its transport
-  // retries is declared dead; its unit goes back on the queue for a
-  // survivor (units_redispatched), and its thread exits.  Requests the
-  // workers reject as malformed (4xx) poison the whole check — they
-  // would fail identically everywhere.
+  // Shared dispatch state: a queue of unit indices, drained in batches
+  // by one thread per healthy worker.  A worker that exhausts its
+  // transport retries (or answers with a malformed reply) is declared
+  // dead; its batch goes back to the head of the queue for a survivor
+  // (units_redispatched), and its thread exits.  Requests the workers
+  // reject as malformed (4xx) poison the whole check — they would fail
+  // identically everywhere.
   std::mutex work_mutex;
   std::condition_variable work_cv;
   std::deque<std::size_t> queue;
   for (std::size_t i = 0; i < units.size(); ++i) queue.push_back(i);
   std::size_t done_count = 0;
-  std::size_t inflight = 0;
+  std::size_t inflight = 0;  // requests
   std::size_t redispatched = 0;
   std::size_t live_workers = 0;
   std::string fatal_error;
 
   // Group-completion progress for /v1/status and SSE: emitted once per
-  // group whose units have all finished, with monotonically advancing
-  // groups_done.
+  // planned group whose units have all finished, with monotonically
+  // advancing groups_done.
   std::vector<std::size_t> group_pending(groups.size(), 0);
   for (const WorkUnit& unit : units) ++group_pending[unit.group_index];
+  std::size_t groups_planned = 0;
+  for (std::size_t pending : group_pending) groups_planned += pending > 0;
   std::uint64_t groups_done = 0;
   std::uint64_t progress_states = 0;
 
@@ -326,7 +340,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     progress_states += slots[index].result.states_explored;
     if (--group_pending[g] == 0 && env.on_group_progress) {
       telemetry::GroupProgress progress;
-      progress.groups_total = groups.size();
+      progress.groups_total = groups_planned;
       progress.groups_done = ++groups_done;
       progress.states_explored = progress_states;
       progress.store_memory_bytes = slots[index].result.store_memory_bytes;
@@ -339,8 +353,6 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     WorkerState& worker = workers_[worker_index];
     util::HttpClientConfig config;
     config.connect_timeout_ms = options_.connect_timeout_ms;
-    config.read_timeout_ms = static_cast<int>(
-        std::max(options_.unit_deadline_seconds, 1.0) * 1000.0);
     util::RetryPolicy policy;
     policy.max_attempts = options_.max_attempts;
     policy.base_delay_ms = options_.backoff_base_ms;
@@ -349,7 +361,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
         hash::SplitMix64(options_.jitter_seed ^ (worker_index + 1));
 
     for (;;) {
-      std::size_t index;
+      std::vector<std::size_t> batch;
       {
         std::unique_lock<std::mutex> lock(work_mutex);
         work_cv.wait(lock, [&] {
@@ -363,20 +375,35 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
             env.interrupt->load(std::memory_order_relaxed)) {
           return;  // shutdown: stop pulling; leftovers run locally
         }
-        index = queue.front();
-        queue.pop_front();
-        ++inflight;
-        ++slots[index].dispatches;
-        if (slots[index].dispatches > 1) {
-          ++redispatched;
-          if (auto* t = telemetry::Active()) {
-            ++t->cluster.units_redispatched;
+        // Half the queue's fair share per request: big batches while the
+        // queue is long, one unit at a time near its end, so no worker
+        // sits on the last long batch while the others idle.
+        const std::size_t share = 2 * live_workers;
+        const std::size_t take = (queue.size() + share - 1) / share;
+        while (batch.size() < std::max<std::size_t>(take, 1) &&
+               !queue.empty()) {
+          const std::size_t index = queue.front();
+          queue.pop_front();
+          if (++slots[index].dispatches > 1) {
+            ++redispatched;
+            if (auto* t = telemetry::Active()) {
+              ++t->cluster.units_redispatched;
+            }
           }
+          batch.push_back(index);
         }
+        ++inflight;
       }
 
-      const std::string body =
-          UnitRequestJson(request, units[index]).Dump(0);
+      // The worker answers once the whole batch is done, so each of its
+      // units adds a unit's deadline to the request's.
+      config.read_timeout_ms = static_cast<int>(std::min(
+          std::max(options_.unit_deadline_seconds, 1.0) * 1000.0 *
+              static_cast<double>(batch.size()),
+          static_cast<double>(std::numeric_limits<int>::max())));
+      std::vector<core::CheckUnit> batch_units;
+      for (std::size_t index : batch) batch_units.push_back(units[index]);
+      const std::string body = BatchRequestJson(request, batch_units).Dump(0);
       const Clock::time_point dispatch_start = Clock::now();
       bool ok = false;
       std::string error;
@@ -395,9 +422,8 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
               if (auto* t = telemetry::Active()) ++t->cluster.retries;
             });
         if (response.status == 200) {
-          const json::Value doc = json::Parse(response.body);
-          checker::CheckResult result =
-              checker::CheckResultFromJson(doc.At("unit"));
+          std::vector<checker::CheckResult> results =
+              BatchResultsFromJson(json::Parse(response.body), batch.size());
           const double latency_ms =
               std::chrono::duration<double, std::milli>(Clock::now() -
                                                         dispatch_start)
@@ -408,11 +434,13 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
           }
           {
             std::lock_guard<std::mutex> lock(mutex_);
-            ++worker.status.units_done;
+            worker.status.units_done += batch.size();
             worker.status.last_latency_ms = latency_ms;
           }
           std::lock_guard<std::mutex> lock(work_mutex);
-          note_unit_done(index, std::move(result));
+          for (std::size_t k = 0; k < batch.size(); ++k) {
+            note_unit_done(batch[k], std::move(results[k]));
+          }
           ok = true;
         } else if (response.status >= 400 && response.status < 500) {
           error = "worker rejected unit: HTTP " +
@@ -430,7 +458,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
         {
           std::lock_guard<std::mutex> lock(mutex_);
           worker.status.healthy = false;
-          ++worker.status.units_failed;
+          worker.status.units_failed += batch.size();
           worker.status.last_error = error;
         }
         if (auto* t = telemetry::Active()) ++t->cluster.worker_failures;
@@ -439,7 +467,8 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
         if (request_fault) {
           fatal_error = error;
         } else {
-          queue.push_front(index);  // a survivor picks it up
+          // A survivor picks the batch up, in plan order.
+          queue.insert(queue.begin(), batch.begin(), batch.end());
         }
         --live_workers;
         work_cv.notify_all();
@@ -465,38 +494,47 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   if (!fatal_error.empty()) throw Error("cluster: " + fatal_error);
 
   // Units left behind by dead workers (or an empty fleet mid-check):
-  // run them here so no work is ever lost.
-  std::size_t local_units = 0;
+  // run them here as one batch so no work is ever lost.
+  std::vector<std::size_t> stranded_index;
   for (std::size_t i = 0; i < units.size(); ++i) {
-    if (slots[i].done) continue;
+    if (!slots[i].done) stranded_index.push_back(i);
+  }
+  if (!stranded_index.empty()) {
     if (!options_.allow_local_fallback) {
       throw Error("cluster: every worker died and local fallback is "
                   "disabled (" +
-                  std::to_string(units.size() - done_count) +
+                  std::to_string(stranded_index.size()) +
                   " units stranded)");
     }
-    if (local_units++ == 0) {
-      std::fprintf(stderr,
-                   "cluster: WARNING: running %zu stranded unit(s) "
-                   "locally after worker failures\n",
-                   units.size() - done_count);
+    std::fprintf(stderr,
+                 "cluster: WARNING: running %zu stranded unit(s) "
+                 "locally after worker failures\n",
+                 stranded_index.size());
+    core::CheckRequest stranded = request;
+    for (std::size_t i : stranded_index) stranded.units.push_back(units[i]);
+    std::vector<checker::CheckResult> results =
+        core::RunCheckUnits(stranded, env);
+    if (auto* t = telemetry::Active()) {
+      t->cluster.units_local += stranded_index.size();
     }
-    core::CheckRequest unit_request = request;
-    unit_request.options.group_apps = units[i].group_apps;
-    unit_request.options.branch_modulus = units[i].branch_modulus;
-    unit_request.options.branch_residue = units[i].branch_residue;
-    unit_request.options.bitstate_seed = units[i].bitstate_seed;
-    checker::CheckResult result = core::RunCheckUnit(unit_request, env);
-    if (auto* t = telemetry::Active()) ++t->cluster.units_local;
     std::lock_guard<std::mutex> lock(work_mutex);
-    note_unit_done(i, std::move(result));
+    for (std::size_t k = 0; k < stranded_index.size(); ++k) {
+      note_unit_done(stranded_index[k], std::move(results[k]));
+    }
   }
-  out.units_local = local_units;
-  out.units_remote = units.size() - local_units;
+  out.units_local = stranded_index.size();
+  out.units_remote = units.size() - stranded_index.size();
   out.units_redispatched = redispatched;
 
-  // Merge in plan order — byte-identical to the single-node loop.
+  // One result per plan position: a planned group's shards or lanes
+  // folded together, and a repeated group's copy of its first's.
+  const std::vector<std::size_t> first = core::FirstOccurrences(groups);
+  std::vector<checker::CheckResult> results(groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (first[g] != g) {
+      results[g] = results[first[g]];
+      continue;
+    }
     std::vector<checker::CheckResult> parts;
     UnitKind kind = UnitKind::kGroup;
     for (std::size_t i = 0; i < units.size(); ++i) {
@@ -504,9 +542,13 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
       kind = units[i].kind;
       parts.push_back(std::move(slots[i].result));
     }
-    if (parts.empty()) continue;
-    core::MergeGroupResult(report, MergeShardResults(kind,
-                                                     std::move(parts)));
+    results[g] = MergeShardResults(kind, std::move(parts));
+  }
+  // Render and merge in plan order — byte-identical to the single-node
+  // loop.
+  sanitizer.RenderReported(groups, plan_options, analyses, results);
+  for (checker::CheckResult& result : results) {
+    core::MergeGroupResult(report, std::move(result));
   }
   // Per-unit seconds overlap across workers; report wall clock, like
   // the in-process parallel path.

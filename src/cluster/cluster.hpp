@@ -3,20 +3,23 @@
 //
 // The coordinator reuses the sanitizer's own decomposition as its work
 // partition: `Sanitizer::PlanGroups` yields independent related-set
-// groups, each of which becomes one work unit dispatched to a worker's
-// `POST /v1/check` with the `groupApps` option.  Oversized groups can
-// additionally be split along the checker's deterministic root
-// (event × failure) branch enumeration (`branchModulus`/`branchResidue`
-// units), and bitstate searches can fan out as *swarm lanes* — the same
-// group re-run under diverse hash-family seeds so each lane omits
-// different states.
+// groups, and each distinct one becomes a work unit (a repeated set
+// gets a copy of its first's result, as in Sanitizer::CheckGroups).
+// Oversized groups can additionally be split along the checker's
+// deterministic root (event × failure) branch enumeration
+// (`branchModulus`/`branchResidue` units), and bitstate searches can fan
+// out as *swarm lanes* — the same group re-run under diverse hash-family
+// seeds so each lane omits different states.  Units travel in batches:
+// one `POST /v1/check` carries the deployment once and a `units` list,
+// and the worker replies with one compact CheckResult per unit.
 //
 // Determinism: group units are exactly the computations a single node
-// performs, merged in plan order through core::MergeGroupResult /
-// FinalizeReport, so a cluster run's verdicts, violation ordering, and
-// counter-example traces are byte-identical to a single-node run on
-// exhaustive stores — regardless of worker count, dispatch order, or
-// mid-run worker death.  Branch shards and swarm lanes merge through
+// performs, rendered and merged in plan order through
+// Sanitizer::RenderReported / core::MergeGroupResult / FinalizeReport, so
+// a cluster run's verdicts, violation ordering, and counter-example
+// traces are byte-identical to a single-node run on exhaustive stores —
+// regardless of worker count, batching, dispatch order, or mid-run worker
+// death.  Branch shards and swarm lanes merge through
 // checker::MergeViolationInto / CanonicalizeViolations (the same
 // canonical-min dedup the in-process parallel search uses), which keeps
 // verdicts and traces identical while summed state counters reflect
@@ -55,7 +58,8 @@ struct ClusterOptions {
   std::vector<WorkerSpec> workers;
   /// Per-unit dispatch deadline in seconds: the HTTP inactivity budget
   /// one unit gets on one worker before the coordinator abandons the
-  /// attempt (and retries / re-dispatches).
+  /// attempt (and retries / re-dispatches); a batch request gets this
+  /// times its unit count.
   double unit_deadline_seconds = 600;
   int connect_timeout_ms = 2000;
   /// Transport attempts per unit on one worker before it is declared
@@ -79,25 +83,21 @@ struct ClusterOptions {
 
 enum class UnitKind { kGroup, kBranchShard, kSwarmLane };
 
-/// One schedulable piece of a verification.
-struct WorkUnit {
+/// One schedulable piece of a verification: what a worker checks, plus
+/// where its result goes.
+struct WorkUnit : core::CheckUnit {
   UnitKind kind = UnitKind::kGroup;
-  /// Index of the related-set group in the coordinator's plan (merge
+  /// Position of the related-set group in the coordinator's plan (merge
   /// happens in this order).
   std::size_t group_index = 0;
-  /// App indices (into deployment.apps) of the group.
-  std::vector<std::size_t> group_apps;
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  std::uint64_t bitstate_seed = 0;
 };
 
 /// Per-worker health and accounting, surfaced as /v1/status rows.
 struct WorkerStatus {
   std::string endpoint;
   bool healthy = false;
-  std::uint64_t units_done = 0;
-  std::uint64_t units_failed = 0;
+  std::uint64_t units_done = 0;    // units, not requests
+  std::uint64_t units_failed = 0;  // units of failed requests
   std::uint64_t retries = 0;
   double last_latency_ms = 0;
   std::string last_error;
@@ -105,6 +105,7 @@ struct WorkerStatus {
 
 struct ClusterOutcome {
   core::CheckResponse response;
+  /// Units planned: one per distinct related set (times shards or lanes).
   std::size_t units_total = 0;
   std::size_t units_remote = 0;
   std::size_t units_local = 0;
@@ -115,15 +116,23 @@ struct ClusterOutcome {
 
 // ---- wire format (exposed for tests) -----------------------------------------
 
-/// The iotsan.request/1 envelope dispatching `unit` of `request` to a
-/// worker's POST /v1/check.
-json::Value UnitRequestJson(const core::CheckRequest& request,
-                            const WorkUnit& unit);
+/// The iotsan.request/1 envelope dispatching a batch of `units` of
+/// `request` to a worker's POST /v1/check: the deployment, inline
+/// sources, properties and options once, then the units.
+json::Value BatchRequestJson(const core::CheckRequest& request,
+                             const std::vector<core::CheckUnit>& units);
 
-/// Plans the unit list for `groups` (PlanGroups output, in plan order):
-/// one kGroup unit per group by default; kBranchShard × branch_split
-/// units per group when branch splitting is on; kSwarmLane units when
-/// swarm lanes are on and the request uses a bitstate store.
+/// The results of a worker's batch reply, in request order.  Throws
+/// iotsan::Error unless the reply's "units" list holds exactly `units`
+/// well-formed results.
+std::vector<checker::CheckResult> BatchResultsFromJson(
+    const json::Value& reply, std::size_t units);
+
+/// Plans the unit list for `groups` (PlanGroups output, in plan order),
+/// skipping repeated groups (core::FirstOccurrences): one kGroup unit per
+/// distinct group by default; kBranchShard × branch_split units per group
+/// when branch splitting is on; kSwarmLane units when swarm lanes are on
+/// and the request uses a bitstate store.
 std::vector<WorkUnit> PlanUnits(
     const std::vector<std::vector<std::size_t>>& groups,
     const ClusterOptions& options, const core::RequestOptions& request);

@@ -1,6 +1,5 @@
 #include "core/options.hpp"
 
-#include <limits>
 #include <string>
 #include <type_traits>
 
@@ -61,15 +60,6 @@ constexpr OptionSpec kOptionTable[] = {
      "default wall-clock budget per request, seconds (0 = none); "
      "requests may override via options.deadlineSeconds",
      &R::deadline_seconds, 0, 86400},
-    // Cluster work units (src/cluster): set by the coordinator per unit,
-    // never on a command line.
-    {"groupApps", nullptr, nullptr, 0, nullptr, &R::group_apps, 0, 1 << 20},
-    {"branchModulus", nullptr, nullptr, 0, nullptr, &R::branch_modulus, 1,
-     1 << 16},
-    {"branchResidue", nullptr, nullptr, 0, nullptr, &R::branch_residue, 0,
-     1 << 16},
-    {"bitstateSeed", nullptr, nullptr, 0, nullptr, &R::bitstate_seed, 0,
-     std::numeric_limits<long long>::max()},
 };
 
 const OptionSpec* FindKey(const std::string& key) {
@@ -88,12 +78,7 @@ void SetOption(RequestOptions& options, const OptionSpec& spec,
   std::visit(
       [&](auto member) {
         auto& field = options.*member;
-        using T = std::remove_reference_t<decltype(field)>;
-        if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
-          field.push_back(static_cast<std::size_t>(value));
-        } else {
-          field = static_cast<T>(value);
-        }
+        field = static_cast<std::remove_reference_t<decltype(field)>>(value);
       },
       spec.field);
   if (spec.implies != nullptr) options.*spec.implies = true;
@@ -110,21 +95,10 @@ void ParseOptionsJson(const json::Value& doc, RequestOptions& options) {
       SetOption(options, *spec, value.AsBool());
       continue;
     }
-    auto read = [&](const json::Value& item) {
-      try {
-        SetOption(options, *spec, item.AsInteger(spec->min, spec->max));
-      } catch (const Error& e) {
-        throw Error(name + e.what());
-      }
-    };
-    if (std::holds_alternative<std::vector<std::size_t> R::*>(spec->field)) {
-      if (!value.is_array() || value.AsArray().empty()) {
-        throw Error("\"" + key +
-                    "\" must be a non-empty array of app indices");
-      }
-      for (const json::Value& item : value.AsArray()) read(item);
-    } else {
-      read(value);
+    try {
+      SetOption(options, *spec, value.AsInteger(spec->min, spec->max));
+    } catch (const Error& e) {
+      throw Error(name + e.what());
     }
   }
 }
@@ -138,14 +112,8 @@ json::Object OptionsToJson(const RequestOptions& options,
           const auto& value = options.*member;
           if (value == base.*member) return;
           using T = std::remove_cvref_t<decltype(value)>;
-          if constexpr (std::is_same_v<T, std::vector<std::size_t>>) {
-            json::Array items;
-            for (std::size_t item : value) {
-              items.push_back(static_cast<std::int64_t>(item));
-            }
-            out[spec.key] = std::move(items);
-          } else if constexpr (std::is_same_v<T, bool> ||
-                               std::is_same_v<T, double>) {
+          if constexpr (std::is_same_v<T, bool> ||
+                        std::is_same_v<T, double>) {
             out[spec.key] = value;
           } else {
             out[spec.key] = static_cast<std::int64_t>(value);

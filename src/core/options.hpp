@@ -10,11 +10,8 @@
 // so the CLI's flag layer can include it.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <span>
 #include <variant>
-#include <vector>
 
 #include "util/json.hpp"
 
@@ -51,31 +48,18 @@ struct RequestOptions {
   /// checker's existing CancelFn budget plumbing; a hit run reports
   /// `completed = false` ("budget hit") and is never cached.
   double deadline_seconds = 0;
-  /// Cluster work-unit subset (src/cluster).  Non-empty `group_apps`
-  /// switches the request from "check the whole deployment" to "check
-  /// exactly this related-set group": indices into deployment.apps, as
-  /// planned by the coordinator's PlanGroups.  Served by RunCheckUnit.
-  std::vector<std::size_t> group_apps;
-  /// Root-branch shard of the group (0/1 = whole group); see
-  /// checker::CheckOptions::branch_modulus.
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  /// Bitstate swarm-lane hash seed (0 = default family).
-  std::uint64_t bitstate_seed = 0;
 };
 
 /// The RequestOptions member a row sets.  Its type fixes the value's
 /// form: a boolean, or an integer in the row's [min, max] (stored in the
-/// member's type); group_apps takes a non-empty array of such integers.
-using OptionField =
-    std::variant<bool RequestOptions::*, int RequestOptions::*,
-                 unsigned RequestOptions::*, std::uint64_t RequestOptions::*,
-                 double RequestOptions::*,
-                 std::vector<std::size_t> RequestOptions::*>;
+/// member's type).
+using OptionField = std::variant<bool RequestOptions::*,
+                                 int RequestOptions::*,
+                                 double RequestOptions::*>;
 
 struct OptionSpec {
   const char* key;     // JSON key in a request's "options" object
-  const char* flag;    // CLI flag; nullptr for keys only a coordinator sends
+  const char* flag;    // CLI flag
   const char* arg;     // CLI metavar; nullptr for boolean flags
   unsigned commands;   // CLI commands accepting the flag
   const char* help;
@@ -89,9 +73,9 @@ struct OptionSpec {
 /// Every request option, in help order.
 std::span<const OptionSpec> RequestOptionTable();
 
-/// Stores `value` in the row's member (any non-zero value for booleans;
-/// appended for group_apps) and applies the row's implication.  The
-/// caller has checked `value` against the row's range.
+/// Stores `value` in the row's member (any non-zero value for booleans)
+/// and applies the row's implication.  The caller has checked `value`
+/// against the row's range.
 void SetOption(RequestOptions& options, const OptionSpec& spec,
                long long value);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -111,6 +112,17 @@ void MergeGroupResult(SanitizerReport& report, checker::CheckResult result) {
   }
 }
 
+std::vector<std::size_t> FirstOccurrences(
+    const std::vector<std::vector<std::size_t>>& groups) {
+  std::map<std::vector<std::size_t>, std::size_t> seen;
+  std::vector<std::size_t> first;
+  first.reserve(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    first.push_back(seen.emplace(groups[g], g).first->second);
+  }
+  return first;
+}
+
 void FinalizeReport(SanitizerReport& report) {
   std::sort(report.violations.begin(), report.violations.end(),
             [](const checker::Violation& a, const checker::Violation& b) {
@@ -176,15 +188,26 @@ std::vector<std::vector<std::size_t>> Sanitizer::PlanGroups(
   return groups;
 }
 
+config::Deployment Sanitizer::GroupDeployment(
+    const std::vector<std::size_t>& group) const {
+  // All devices stay visible so role-based properties bind identically.
+  config::Deployment sub;
+  sub.name = deployment_.name;
+  sub.devices = deployment_.devices;
+  sub.modes = deployment_.modes;
+  sub.contact_phone = deployment_.contact_phone;
+  sub.allow_network_interfaces = deployment_.allow_network_interfaces;
+  for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
+  return sub;
+}
+
 cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
                                        const SanitizerOptions& options,
                                        const std::string& version) const {
   const model::ModelOptions model_options = EffectiveModelOptions(options);
   const std::vector<props::Property> all_properties =
       CandidateProperties(options);
-  config::Deployment sub = deployment_;
-  sub.apps.clear();
-  for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
+  const config::Deployment sub = GroupDeployment(group);
   cache::GroupKeyInputs inputs;
   inputs.deployment = &sub;
   for (std::size_t i : group) {
@@ -207,41 +230,47 @@ bool FansOut(const SanitizerOptions& options, std::size_t groups) {
 
 }  // namespace
 
+AppAnalyses Sanitizer::AnalyzeGroupApps(
+    const std::vector<std::vector<std::size_t>>& groups) const {
+  AppAnalyses analyses(deployment_.apps.size());
+  for (const std::vector<std::size_t>& group : groups) {
+    for (std::size_t i : group) {
+      if (analyses[i] != nullptr) continue;
+      const std::string& app = deployment_.apps[i].app;
+      analyses[i] = std::make_shared<const ir::AnalyzedApp>(
+          ir::AnalyzeSource(SourceFor(app), app));
+    }
+  }
+  return analyses;
+}
+
+model::SystemModel Sanitizer::GroupModel(const std::vector<std::size_t>& group,
+                                         const SanitizerOptions& options,
+                                         const AppAnalyses& analyses) const {
+  AppAnalyses group_apps;
+  for (std::size_t i : group) group_apps.push_back(analyses[i]);
+  model::SystemModel model(GroupDeployment(group), std::move(group_apps),
+                           EffectiveModelOptions(options));
+  if (!options.extra_properties.empty()) {
+    model.SelectProperties(CandidateProperties(options));
+  }
+  return model;
+}
+
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
-    const checker::CheckOptions& check, const AppAnalyses* analyses) const {
+    const checker::CheckOptions& check, const AppAnalyses& analyses) const {
   auto run = [&]() -> checker::CheckResult {
-    const model::ModelOptions model_options = EffectiveModelOptions(options);
-    // Build a sub-deployment with this group's app instances; all devices
-    // stay visible so role-based properties bind identically.
-    config::Deployment sub = deployment_;
-    sub.apps.clear();
-    for (std::size_t i : group) sub.apps.push_back(deployment_.apps[i]);
-    AppAnalyses group_apps;
-    for (std::size_t i : group) {
-      if (analyses != nullptr && (*analyses)[i] != nullptr) {
-        group_apps.push_back((*analyses)[i]);
-        continue;
-      }
-      const std::string& app = deployment_.apps[i].app;
-      group_apps.push_back(std::make_shared<const ir::AnalyzedApp>(
-          ir::AnalyzeSource(SourceFor(app), app)));
-    }
-    model::SystemModel model = [&] {
+    const model::SystemModel model = [&] {
       telemetry::ScopedSpan build_span("model_build");
       build_span.Attr("apps", static_cast<std::int64_t>(group.size()));
       if (!check.request_id.empty()) {
         build_span.Attr("request_id", check.request_id);
       }
       if (auto* t = telemetry::Active()) ++t->pipeline.models_built;
-      return model::SystemModel(std::move(sub), std::move(group_apps),
-                                model_options);
+      return GroupModel(group, options, analyses);
     }();
-    if (!options.extra_properties.empty()) {
-      model.SelectProperties(CandidateProperties(options));
-    }
-    checker::Checker checker(model);
-    return checker.Run(check);
+    return checker::Checker(model).Run(check);
   };
 
   if (options.cache == nullptr) return run();
@@ -253,7 +282,13 @@ checker::CheckResult Sanitizer::CheckGroup(
 
 std::vector<checker::CheckResult> Sanitizer::CheckGroups(
     const std::vector<std::vector<std::size_t>>& groups,
-    const SanitizerOptions& options, const AppAnalyses* analyses) const {
+    const SanitizerOptions& options, const AppAnalyses& analyses) const {
+  // Only the first occurrence of each app-index list is searched.
+  const std::vector<std::size_t> first = FirstOccurrences(groups);
+  std::vector<std::size_t> distinct;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (first[g] == g) distinct.push_back(g);
+  }
   // End-to-end group latency (cache hits included — that is what a
   // caller observes) and the search throughput computed groups achieved.
   // The group-progress tallies are shared across pool workers; the
@@ -280,7 +315,7 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
     }
     if (options.on_group_progress) {
       telemetry::GroupProgress progress;
-      progress.groups_total = groups.size();
+      progress.groups_total = distinct.size();
       progress.groups_done = groups_done.fetch_add(1) + 1;
       progress.states_explored =
           group_states.fetch_add(result.states_explored) +
@@ -292,37 +327,67 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
     }
   };
 
-  if (!FansOut(options, groups.size())) {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      check_group(g, options.check);
+  if (!FansOut(options, distinct.size())) {
+    for (std::size_t g : distinct) check_group(g, options.check);
+  } else {
+    // Related sets are independent models, so they fan out across the
+    // pool; each group's checker fans its root branches over the *same*
+    // pool (nested ParallelFor), so one pool serves both layers.
+    std::unique_ptr<util::ThreadPool> owned_pool;
+    checker::CheckOptions check = options.check;
+    if (check.pool == nullptr) {
+      owned_pool =
+          std::make_unique<util::ThreadPool>(util::ResolveJobs(check.jobs));
+      check.pool = owned_pool.get();
+      if (auto* t = telemetry::Active()) {
+        ++t->parallel.pools_created;
+        t->parallel.workers_spawned += owned_pool->jobs() - 1;
+      }
     }
-    return results;
-  }
-  // Related sets are independent models, so they fan out across the
-  // pool; each group's checker fans its root branches over the *same*
-  // pool (nested ParallelFor), so one pool serves both layers.
-  std::unique_ptr<util::ThreadPool> owned_pool;
-  checker::CheckOptions check = options.check;
-  if (check.pool == nullptr) {
-    owned_pool =
-        std::make_unique<util::ThreadPool>(util::ResolveJobs(check.jobs));
-    check.pool = owned_pool.get();
+    check.pool->ParallelFor(distinct.size(), [&](std::size_t k) {
+      check_group(distinct[k], check);
+    });
     if (auto* t = telemetry::Active()) {
-      ++t->parallel.pools_created;
-      t->parallel.workers_spawned += owned_pool->jobs() - 1;
+      t->parallel.group_tasks += distinct.size();
+      if (owned_pool != nullptr) {
+        const util::ThreadPool::Stats stats = owned_pool->stats();
+        t->parallel.tasks_run += stats.tasks_run;
+        t->parallel.tasks_stolen += stats.tasks_stolen;
+      }
     }
   }
-  check.pool->ParallelFor(groups.size(),
-                          [&](std::size_t g) { check_group(g, check); });
-  if (auto* t = telemetry::Active()) {
-    t->parallel.group_tasks += groups.size();
-    if (owned_pool != nullptr) {
-      const util::ThreadPool::Stats stats = owned_pool->stats();
-      t->parallel.tasks_run += stats.tasks_run;
-      t->parallel.tasks_stolen += stats.tasks_stolen;
-    }
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (first[g] != g) results[g] = results[first[g]];
   }
   return results;
+}
+
+void Sanitizer::RenderReported(
+    const std::vector<std::vector<std::size_t>>& groups,
+    const SanitizerOptions& options, const AppAnalyses& analyses,
+    std::vector<checker::CheckResult>& results) const {
+  telemetry::ScopedSpan span("render");
+  if (!options.check.request_id.empty()) {
+    span.Attr("request_id", options.check.request_id);
+  }
+  std::set<std::string> reported;
+  std::int64_t rendered = 0;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::vector<checker::Violation*> firsts;
+    for (checker::Violation& violation : results[g].violations) {
+      if (reported.insert(violation.property_id).second) {
+        firsts.push_back(&violation);
+      }
+    }
+    if (firsts.empty()) continue;
+    const model::SystemModel model = GroupModel(groups[g], options, analyses);
+    const checker::Checker checker(model);
+    for (checker::Violation* violation : firsts) {
+      checker.Render(*violation, options.check);
+    }
+    rendered += static_cast<std::int64_t>(firsts.size());
+  }
+  span.Attr("violations", rendered);
 }
 
 SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
@@ -337,8 +402,11 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
   const std::vector<std::vector<std::size_t>> groups =
       PlanGroups(options, report, &analyses);
   const auto start = std::chrono::steady_clock::now();
+  std::vector<checker::CheckResult> results =
+      CheckGroups(groups, options, analyses);
+  RenderReported(groups, options, analyses, results);
   // Merge in group order: byte-identical whether the groups fanned out.
-  for (checker::CheckResult& result : CheckGroups(groups, options, &analyses)) {
+  for (checker::CheckResult& result : results) {
     MergeGroupResult(report, std::move(result));
   }
   if (FansOut(options, groups.size())) {

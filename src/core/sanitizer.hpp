@@ -51,7 +51,8 @@ struct SanitizerReport : checker::CheckResult {
   /// Un-merged violations: one entry per (related set, property).  This
   /// is the unit the paper's Table 5/6 count ("147 violations of 20
   /// properties": the same property violated by different app groups
-  /// counts once per group).
+  /// counts once per group).  Counter-examples stay compact except the
+  /// ones `violations` copies (see Sanitizer::RenderReported).
   std::vector<checker::Violation> per_set_violations;
   /// Apps rejected up-front (dynamic device discovery, parse failures).
   std::vector<std::string> rejected_apps;
@@ -83,6 +84,13 @@ void MergeGroupResult(SanitizerReport& report, checker::CheckResult result);
 /// Deterministic final ordering: violations sorted by property id.
 /// Call once after the last MergeGroupResult.
 void FinalizeReport(SanitizerReport& report);
+
+/// For each position of `groups`, the position of the first group with
+/// the same app-index list (its own position for a first occurrence).
+/// Two handlers of one app instance often fall into the same related set,
+/// so a plan repeats sets; a repeat's result is a copy of its first's.
+std::vector<std::size_t> FirstOccurrences(
+    const std::vector<std::vector<std::size_t>>& groups);
 
 /// The analysed apps of one check, by deployment app index (null: not
 /// analysed or rejected).  Immutable, so every related-set model of the
@@ -118,19 +126,41 @@ class Sanitizer {
                               const SanitizerOptions& options,
                               const std::string& version) const;
 
+  /// Analyses every app the groups name, once each.
+  AppAnalyses AnalyzeGroupApps(
+      const std::vector<std::vector<std::size_t>>& groups) const;
+
   /// Builds, property-selects, and checks each of `groups` (index sets
   /// as PlanGroups returns them), consulting `options.cache` per group,
-  /// and returns the results in group order.  With more than one lane
+  /// and returns the results in group order.  Each distinct app-index
+  /// list is searched once; a repeat gets a copy of its first
+  /// occurrence's result, as a cache hit would.  With more than one lane
   /// and group, the groups fan out over `options.check.pool` (or a pool
   /// made for the call), and each group's search shares that pool for
-  /// its root branches.  Records each group's latency and throughput
-  /// histograms and reports `options.on_group_progress` after each group
-  /// (groups_total = groups.size()).  The apps come from `analyses`
-  /// (PlanGroups') where present and are analysed here otherwise.
+  /// its root branches.  Records each search's latency and throughput
+  /// histograms and reports `options.on_group_progress` after each
+  /// (groups_total = the distinct groups).  `analyses` must hold every
+  /// app of the groups.  Counter-examples stay compact.
   std::vector<checker::CheckResult> CheckGroups(
       const std::vector<std::vector<std::size_t>>& groups,
-      const SanitizerOptions& options,
-      const AppAnalyses* analyses = nullptr) const;
+      const SanitizerOptions& options, const AppAnalyses& analyses) const;
+
+  /// The model of one group exactly as CheckGroups searches it: the
+  /// group's sub-deployment over `analyses`, with the candidate
+  /// properties selected.
+  model::SystemModel GroupModel(const std::vector<std::size_t>& group,
+                                const SanitizerOptions& options,
+                                const AppAnalyses& analyses) const;
+
+  /// Renders the counter-examples a report prints, in place: for each
+  /// property, the violation of the first group in plan order that has
+  /// one — the one MergeGroupResult copies into the merged list — in that
+  /// group's model.  Every other violation keeps its compact path.  Call
+  /// between CheckGroups and the merge loop.
+  void RenderReported(const std::vector<std::vector<std::size_t>>& groups,
+                      const SanitizerOptions& options,
+                      const AppAnalyses& analyses,
+                      std::vector<checker::CheckResult>& results) const;
 
   const config::Deployment& deployment() const { return deployment_; }
 
@@ -143,7 +173,11 @@ class Sanitizer {
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
                                   const checker::CheckOptions& check,
-                                  const AppAnalyses* analyses) const;
+                                  const AppAnalyses& analyses) const;
+  /// The deployment's devices, modes and settings with only the group's
+  /// apps: what a group's model and its cache key see.
+  config::Deployment GroupDeployment(
+      const std::vector<std::size_t>& group) const;
   std::string SourceFor(const std::string& app_name) const;
   std::vector<ir::AnalyzedApp> AnalyzeInstalledApps(
       SanitizerReport& report, std::vector<bool>& rejected,

@@ -4,6 +4,7 @@
 
 #include "cache/result_cache.hpp"
 #include "dsl/parser.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace iotsan::core {
@@ -42,9 +43,6 @@ void ApplyCommonCheckOptions(checker::CheckOptions& check,
     }
   }
   check.time_budget_seconds = options.deadline_seconds;
-  check.branch_modulus = options.branch_modulus;
-  check.branch_residue = options.branch_residue;
-  check.bitstate_seed = options.bitstate_seed;
   check.interrupt = env.interrupt;
   check.request_id = env.request_id;
   if (env.progress_every > 0) {
@@ -93,14 +91,78 @@ CheckResponse RunCheck(const CheckRequest& request, const ServiceEnv& env) {
   return MakeCheckResponse(request.deployment, RunCheckReport(request, env));
 }
 
-checker::CheckResult RunCheckUnit(const CheckRequest& request,
-                                  const ServiceEnv& env) {
-  for (std::size_t index : request.options.group_apps) {
-    if (index >= request.deployment.apps.size()) {
-      throw Error("check unit: app index " + std::to_string(index) +
-                  " out of range (deployment has " +
-                  std::to_string(request.deployment.apps.size()) + " apps)");
+json::Value CheckUnitToJson(const CheckUnit& unit) {
+  json::Object doc;
+  json::Array apps;
+  for (std::size_t app : unit.group_apps) {
+    apps.push_back(static_cast<std::int64_t>(app));
+  }
+  doc["groupApps"] = std::move(apps);
+  if (unit.branch_modulus > 1) {
+    doc["branchModulus"] = static_cast<std::int64_t>(unit.branch_modulus);
+    doc["branchResidue"] = static_cast<std::int64_t>(unit.branch_residue);
+  }
+  // Seeds use all 64 bits, past what a JSON integer here holds.
+  if (unit.bitstate_seed != 0) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(unit.bitstate_seed));
+    doc["bitstateSeed"] = std::string(hex);
+  }
+  return json::Value(std::move(doc));
+}
+
+CheckUnit CheckUnitFromJson(const json::Value& doc) {
+  if (!doc.is_object()) throw Error("a unit must be a JSON object");
+  CheckUnit unit;
+  for (const auto& [key, value] : doc.AsObject()) {
+    try {
+      if (key == "groupApps") {
+        if (!value.is_array() || value.AsArray().empty()) {
+          throw Error("must be a non-empty array of app indices");
+        }
+        for (const json::Value& app : value.AsArray()) {
+          unit.group_apps.push_back(app.AsInteger<std::size_t>(0, 1 << 20));
+        }
+      } else if (key == "branchModulus") {
+        unit.branch_modulus = value.AsInteger<unsigned>(1, 1 << 16);
+      } else if (key == "branchResidue") {
+        unit.branch_residue = value.AsInteger<unsigned>(0, 1 << 16);
+      } else if (key == "bitstateSeed") {
+        const std::string hex = value.is_string() ? value.AsString() : "";
+        if (hex.empty() || hex.size() > 16 ||
+            hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+          throw Error("must be 1 to 16 lowercase hex digits");
+        }
+        unit.bitstate_seed = std::stoull(hex, nullptr, 16);
+      } else {
+        throw Error("is not a unit key");
+      }
+    } catch (const Error& e) {
+      throw Error("unit \"" + key + "\" " + e.what());
     }
+  }
+  if (unit.group_apps.empty()) throw Error("a unit needs \"groupApps\"");
+  return unit;
+}
+
+std::vector<checker::CheckResult> RunCheckUnits(const CheckRequest& request,
+                                                const ServiceEnv& env) {
+  telemetry::ScopedSpan span("pipeline");
+  span.Attr("system", request.deployment.name);
+  span.Attr("units", static_cast<std::int64_t>(request.units.size()));
+  if (!env.request_id.empty()) span.Attr("request_id", env.request_id);
+  std::vector<std::vector<std::size_t>> groups;
+  for (const CheckUnit& unit : request.units) {
+    for (std::size_t index : unit.group_apps) {
+      if (index >= request.deployment.apps.size()) {
+        throw Error("check unit: app index " + std::to_string(index) +
+                    " out of range (deployment has " +
+                    std::to_string(request.deployment.apps.size()) +
+                    " apps)");
+      }
+    }
+    groups.push_back(unit.group_apps);
   }
   Sanitizer sanitizer(request.deployment);
   for (const auto& [name, source] : request.extra_sources) {
@@ -108,8 +170,31 @@ checker::CheckResult RunCheckUnit(const CheckRequest& request,
   }
   SanitizerOptions options = MakeCheckOptions(request.options, env);
   options.extra_properties = request.extra_properties;
-  return std::move(
-      sanitizer.CheckGroups({request.options.group_apps}, options).front());
+  const AppAnalyses analyses = sanitizer.AnalyzeGroupApps(groups);
+
+  std::vector<checker::CheckResult> results;
+  for (std::size_t begin = 0; begin < groups.size();) {
+    const CheckUnit& unit = request.units[begin];
+    std::size_t end = begin + 1;
+    while (end < groups.size() &&
+           request.units[end].branch_modulus == unit.branch_modulus &&
+           request.units[end].branch_residue == unit.branch_residue &&
+           request.units[end].bitstate_seed == unit.bitstate_seed) {
+      ++end;
+    }
+    options.check.branch_modulus = unit.branch_modulus;
+    options.check.branch_residue = unit.branch_residue;
+    options.check.bitstate_seed = unit.bitstate_seed;
+    const std::vector<std::vector<std::size_t>> run(
+        groups.begin() + static_cast<std::ptrdiff_t>(begin),
+        groups.begin() + static_cast<std::ptrdiff_t>(end));
+    for (checker::CheckResult& result :
+         sanitizer.CheckGroups(run, options, analyses)) {
+      results.push_back(std::move(result));
+    }
+    begin = end;
+  }
+  return results;
 }
 
 std::string RenderCheckHeader(const config::Deployment& deployment,

@@ -50,12 +50,36 @@ struct ServiceEnv {
 
 // ---- check -------------------------------------------------------------------
 
+/// One cluster work unit (src/cluster): a related-set group of the
+/// request's deployment, as the coordinator's PlanGroups planned it,
+/// possibly one root-branch shard or bitstate swarm lane of it.
+struct CheckUnit {
+  /// App indices (into deployment.apps) of the group.
+  std::vector<std::size_t> group_apps;
+  /// Root-branch shard (0/1 = the whole group); see
+  /// checker::CheckOptions::branch_modulus.
+  unsigned branch_modulus = 0;
+  unsigned branch_residue = 0;
+  /// Bitstate swarm-lane hash seed (0 = the default family).
+  std::uint64_t bitstate_seed = 0;
+};
+
+/// A unit's wire form inside a worker request's "units" list:
+/// {"groupApps": [..], "branchModulus": N, "branchResidue": N,
+/// "bitstateSeed": "16 hex digits"}, the last three only where set.
+/// FromJson throws iotsan::Error naming the bad key.
+json::Value CheckUnitToJson(const CheckUnit& unit);
+CheckUnit CheckUnitFromJson(const json::Value& doc);
+
 struct CheckRequest {
   config::Deployment deployment;
   /// App sources by definition name (overrides/extends the corpus).
   std::map<std::string, std::string> extra_sources;
   std::vector<props::Property> extra_properties;
   RequestOptions options;
+  /// Non-empty on a cluster worker request: check exactly these units
+  /// (RunCheckUnits) instead of the whole deployment.
+  std::vector<CheckUnit> units;
 };
 
 struct CheckResponse {
@@ -90,15 +114,16 @@ inline int CheckExitCode(const SanitizerReport& report) {
   return report.violations.empty() ? 0 : 1;
 }
 
-/// Runs one cluster work unit: checks exactly the related-set group
-/// named by `request.options.group_apps` (optionally one branch shard /
-/// bitstate lane of it) and returns the raw CheckResult.  The
-/// coordinator — which planned the group from the same deployment —
-/// merges unit results through MergeGroupResult/FinalizeReport, so a
-/// sharded run reproduces a single-node report byte for byte.  Throws
-/// iotsan::Error on out-of-range app indices.
-checker::CheckResult RunCheckUnit(const CheckRequest& request,
-                                  const ServiceEnv& env = {});
+/// Runs a worker request's units, one result per unit in request
+/// order: each app is analysed once for the whole batch, and units with
+/// the same shard coordinates go through one Sanitizer::CheckGroups
+/// call, so they fan out over `env.pool`.  The coordinator — which
+/// planned the groups from the same deployment — merges and renders the
+/// compact results through the single-node steps, so a sharded run
+/// reproduces a single-node report byte for byte.  Throws iotsan::Error
+/// on an out-of-range app index.
+std::vector<checker::CheckResult> RunCheckUnits(const CheckRequest& request,
+                                                const ServiceEnv& env = {});
 
 /// "system: ..." through the "explored ... in ...s" line (plus any
 /// REJECTED lines) — everything `iotsan check` prints before the

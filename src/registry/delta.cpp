@@ -65,16 +65,20 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   std::vector<std::vector<std::size_t>> dirty_groups;
   for (std::size_t index : dirty) dirty_groups.push_back(groups[index]);
   std::vector<checker::CheckResult> fresh =
-      sanitizer.CheckGroups(dirty_groups, options, &analyses);
+      sanitizer.CheckGroups(dirty_groups, options, analyses);
   for (std::size_t d = 0; d < dirty.size(); ++d) {
     slots[dirty[d]].result = std::move(fresh[d]);
   }
 
-  // Merge in group order — byte-identical to the serial full check.
-  // Seconds stay the per-group sum even after a parallel fan-out (see
-  // the determinism note in the header).
-  for (const Slot& slot : slots) {
-    core::MergeGroupResult(report, checker::CheckResult(slot.result));
+  // Render and merge copies, so the record keeps compact results.  Merge
+  // in group order — byte-identical to the serial full check.  Seconds
+  // stay the per-group sum even after a parallel fan-out (see the
+  // determinism note in the header).
+  std::vector<checker::CheckResult> results;
+  for (const Slot& slot : slots) results.push_back(slot.result);
+  sanitizer.RenderReported(groups, options, analyses, results);
+  for (checker::CheckResult& result : results) {
+    core::MergeGroupResult(report, std::move(result));
   }
   core::FinalizeReport(report);
 

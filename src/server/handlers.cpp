@@ -129,6 +129,26 @@ std::vector<props::Property> ParseInlineProperties(const json::Value& doc) {
   }
 }
 
+/// A worker request's "units" (docs/cluster.md): absent, or a non-empty
+/// array of unit objects.
+std::vector<core::CheckUnit> ParseUnits(const json::Value& doc) {
+  if (!doc.Has("units")) return {};
+  const json::Value& units = doc.At("units");
+  if (!units.is_array() || units.AsArray().empty()) {
+    throw RequestError(400, kErrBadRequest,
+                       "\"units\" must be a non-empty array of work units");
+  }
+  std::vector<core::CheckUnit> out;
+  try {
+    for (const json::Value& unit : units.AsArray()) {
+      out.push_back(core::CheckUnitFromJson(unit));
+    }
+  } catch (const Error& e) {
+    throw RequestError(400, kErrBadRequest, e.what());
+  }
+  return out;
+}
+
 /// The request defaults a resident server owns: worker lanes come from
 /// the shared pool and the deadline from the server config, unless the
 /// request sets its own.
@@ -410,21 +430,25 @@ HttpResponse HandleCheck(const HttpRequest& request,
   core::ServiceEnv env = state.env;
   env.request_id = request_id;
 
-  // Cluster work unit (options.groupApps): a coordinator planned this
-  // related-set group — possibly one branch shard or swarm lane of it —
-  // and wants the raw CheckResult back, not a rendered report.  This is
-  // the worker half of the protocol, so it never re-enters the
-  // coordinator even when this node is one.
-  if (!check.options.group_apps.empty()) {
-    checker::CheckResult unit;
+  // Cluster work units ("units"): a coordinator planned these
+  // related-set groups — possibly branch shards or swarm lanes of them —
+  // and wants their compact CheckResults back, in request order, not a
+  // rendered report.  This is the worker half of the protocol, so it
+  // never re-enters the coordinator even when this node is one.
+  if (!check.units.empty()) {
+    std::vector<checker::CheckResult> results;
     try {
-      unit = core::RunCheckUnit(check, env);
+      results = core::RunCheckUnits(check, env);
     } catch (const Error& e) {
       throw RequestError(400, kErrBadRequest, e.what());
     }
     if (auto* t = telemetry::Active()) ++t->server.checks;
     json::Object doc = ResponseEnvelope();
-    doc["unit"] = checker::CheckResultToJson(unit);
+    json::Array units;
+    for (const checker::CheckResult& result : results) {
+      units.push_back(checker::CheckResultToJson(result));
+    }
+    doc["units"] = std::move(units);
     doc["request_id"] = request_id;
     return JsonResponse(200, std::move(doc));
   }
@@ -799,6 +823,7 @@ core::CheckRequest ParseCheckRequest(const std::string& body,
   out.extra_sources = ParseInlineSources(doc);
   out.extra_properties = ParseInlineProperties(doc);
   out.options = ParseOptions(doc, defaults);
+  out.units = ParseUnits(doc);
   return out;
 }
 

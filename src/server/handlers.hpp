@@ -102,7 +102,7 @@ struct ServiceState {
   /// Cluster coordinator (`iotsan serve --coordinator --workers ...`):
   /// when set, whole-deployment /v1/check requests are planned into work
   /// units and dispatched to the worker fleet instead of running
-  /// locally.  Unit requests (options.groupApps) always run locally —
+  /// locally.  Unit requests (a "units" list) always run locally —
   /// they ARE the worker side of the protocol.  Null = standalone node.
   cluster::Coordinator* coordinator = nullptr;
 };

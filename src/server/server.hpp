@@ -216,6 +216,9 @@ class Server {
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::deque<QueuedConnection> queue_;
+  /// Set (under queue_mutex_) once the acceptor has exited: only then is
+  /// an empty queue final, so sessions drain until it is set.
+  bool acceptor_done_ = false;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};

@@ -197,7 +197,7 @@ struct FleetRegistryCounters { IOTSAN_REGISTRY_COUNTERS(IOTSAN_COUNTER_FIELD) };
 #define IOTSAN_CLUSTER_COUNTERS(X)                                            \
   X(checks, kCounter)              /* coordinated checks run */               \
   X(units_planned, kCounter)       /* work units produced by the planner */   \
-  X(units_dispatched, kCounter)    /* dispatch attempts (retries included) */ \
+  X(units_dispatched, kCounter)    /* batch requests sent, one per batch */   \
   X(units_completed, kCounter)     /* units merged into a report */           \
   X(units_redispatched, kCounter)  /* units re-queued off a failed worker */  \
   X(units_local, kCounter)         /* units run locally as a fallback */      \

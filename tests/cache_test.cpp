@@ -621,12 +621,9 @@ TEST(CacheKeyTest, EveryRequestOptionKeysTheCacheOrLeavesTheResult) {
   // For each request option at its smallest non-default value, a warm
   // run served from a cache the defaults filled must report exactly
   // what a cold run does: an option that changes the result must key
-  // the cache.  groupApps selects a work unit's apps, not an option of
-  // a whole-deployment check.
+  // the cache.
   const config::Deployment deployment = AliceHome();
   for (const core::OptionSpec& spec : core::RequestOptionTable()) {
-    using Apps = std::vector<std::size_t> core::RequestOptions::*;
-    if (std::holds_alternative<Apps>(spec.field)) continue;
     SCOPED_TRACE(spec.key);
     core::CheckRequest request;
     request.deployment = deployment;

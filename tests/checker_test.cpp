@@ -115,6 +115,13 @@ model::SystemModel UnlockModel() {
   return model::SystemModel(b.Build(), std::move(apps));
 }
 
+/// `result` with every counter-example rendered, as a report prints it.
+CheckResult Rendered(const Checker& checker, const CheckOptions& options,
+                     CheckResult result) {
+  for (Violation& v : result.violations) checker.Render(v, options);
+  return result;
+}
+
 TEST(CheckerTest, FindsInvariantViolationWithTrace) {
   model::SystemModel model = UnlockModel();
   Checker checker(model);
@@ -123,11 +130,25 @@ TEST(CheckerTest, FindsInvariantViolationWithTrace) {
   CheckResult result = checker.Run(options);
 
   ASSERT_TRUE(result.HasViolation("P06"));
+  // The search leaves the path compact: event coordinates only.
+  ASSERT_EQ(result.Find("P06")->steps.size(), 1u);
+  const TraceStep& compact = result.Find("P06")->steps.front();
+  EXPECT_EQ(compact.kind, "sensor");
+  EXPECT_EQ(compact.device, "p1");
+  EXPECT_EQ(compact.value, "notpresent");
+  EXPECT_EQ(compact.index, 0);
+  EXPECT_TRUE(compact.description.empty());
+  EXPECT_TRUE(compact.dispatches.empty());
+  EXPECT_TRUE(compact.notes.empty());
+
+  result = Rendered(checker, options, std::move(result));
   const Violation& v = *result.Find("P06");
   EXPECT_EQ(v.kind, props::PropertyKind::kInvariant);
   EXPECT_EQ(v.depth, 1);
   EXPECT_EQ(v.apps, (std::vector<std::string>{"UnlockOnAway"}));
-  ASSERT_FALSE(v.steps.empty());
+  ASSERT_EQ(v.steps.size(), 1u);
+  EXPECT_EQ(v.steps.front().index, 1);
+  EXPECT_FALSE(v.steps.front().dispatches.empty());
   const std::vector<std::string> trace = v.TraceLines();
   ASSERT_FALSE(trace.empty());
   EXPECT_NE(trace.front().find("notpresent"), std::string::npos);
@@ -217,7 +238,7 @@ TEST(CheckerTest, FormatViolationIsReadable) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = Rendered(checker, options, checker.Run(options));
   std::string report = FormatViolation(*result.Find("P06"));
   EXPECT_NE(report.find("violated property P06"), std::string::npos);
   EXPECT_NE(report.find("UnlockOnAway"), std::string::npos);
@@ -240,8 +261,14 @@ TEST(CheckerTest, MonitorViolationsCarryFailureLabels) {
 
 /// Every caller-visible field of the report must match between a serial
 /// and a parallel run: the parallel search is canonicalized to be
-/// indistinguishable from jobs=1 (docs/performance.md).
-void ExpectSameReport(const CheckResult& serial, const CheckResult& parallel) {
+/// indistinguishable from jobs=1 (docs/performance.md).  Both run on
+/// `checker`; the counter-examples are compared rendered.
+void ExpectSameReport(const Checker& checker, const CheckOptions& serial_options,
+                      const CheckOptions& parallel_options) {
+  const CheckResult serial =
+      Rendered(checker, serial_options, checker.Run(serial_options));
+  const CheckResult parallel =
+      Rendered(checker, parallel_options, checker.Run(parallel_options));
   EXPECT_EQ(serial.states_explored, parallel.states_explored);
   EXPECT_EQ(serial.states_matched, parallel.states_matched);
   EXPECT_EQ(serial.transitions, parallel.transitions);
@@ -270,11 +297,10 @@ TEST(ParallelCheckerTest, JobsFourMatchesSerial) {
   serial_options.max_events = 3;
   CheckOptions parallel_options = serial_options;
   parallel_options.jobs = 4;
-  CheckResult serial = checker.Run(serial_options);
   CheckResult parallel = checker.Run(parallel_options);
   EXPECT_EQ(parallel.jobs, 4);
   EXPECT_GT(parallel.parallel_branches, 0u);
-  ExpectSameReport(serial, parallel);
+  ExpectSameReport(checker, serial_options, parallel_options);
   // Per-lane state counts partition the total.
   std::uint64_t lane_total = 0;
   for (std::uint64_t n : parallel.worker_states_explored) lane_total += n;
@@ -289,7 +315,7 @@ TEST(ParallelCheckerTest, JobsFourMatchesSerialWithFailures) {
   serial_options.model_failures = true;
   CheckOptions parallel_options = serial_options;
   parallel_options.jobs = 4;
-  ExpectSameReport(checker.Run(serial_options), checker.Run(parallel_options));
+  ExpectSameReport(checker, serial_options, parallel_options);
 }
 
 TEST(ParallelCheckerTest, OneLaneTicksNoParallelCounter) {

@@ -1,7 +1,7 @@
 // Cluster coordinator tests (src/cluster): a real 2-worker loopback
 // cluster must produce reports byte-identical to a single-node run —
 // including when a worker fails mid-check and its units are
-// re-dispatched — plus unit tests for the wire format, the work
+// re-dispatched — plus unit tests for the batch wire format, the work
 // planner, the shard merge, and the HTTP client's backoff/deadline
 // machinery.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,8 +22,10 @@
 #include "cluster/cluster.hpp"
 #include "config/deployment.hpp"
 #include "core/service.hpp"
+#include "server/handlers.hpp"
 #include "server/server.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/hash.hpp"
 #include "util/http_client.hpp"
 #include "util/json.hpp"
 
@@ -129,10 +132,12 @@ Determinism Facts(const core::CheckResponse& response) {
 
 /// A worker that answers /v1/health but abandons every /v1/check
 /// connection (closes without responding) — the shape of a process that
-/// dies mid-dispatch.  Used to drive the re-dispatch path.
+/// dies mid-dispatch.  Used to drive the re-dispatch path.  Given a
+/// `check_reply`, it answers every /v1/check with that 200 body instead.
 class BrokenCheckWorker {
  public:
-  BrokenCheckWorker() {
+  explicit BrokenCheckWorker(std::string check_reply = "")
+      : check_reply_(std::move(check_reply)) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     const int one = 1;
     ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -168,17 +173,25 @@ class BrokenCheckWorker {
         if (n <= 0) break;
         head.append(chunk, static_cast<std::size_t>(n));
       }
+      std::string body;
       if (head.rfind("GET /v1/health", 0) == 0) {
-        const char response[] =
-            "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
-            "Connection: close\r\n\r\n{}";
-        ::send(client, response, sizeof response - 1, MSG_NOSIGNAL);
+        body = "{}";
+      } else if (!check_reply_.empty()) {
+        body = check_reply_;
       }
-      // Anything else — including every /v1/check — is abandoned.
+      // Anything else — by default every /v1/check — is abandoned.
+      if (!body.empty()) {
+        const std::string response =
+            "HTTP/1.1 200 OK\r\nContent-Length: " +
+            std::to_string(body.size()) + "\r\nConnection: close\r\n\r\n" +
+            body;
+        ::send(client, response.data(), response.size(), MSG_NOSIGNAL);
+      }
       ::close(client);
     }
   }
 
+  std::string check_reply_;
   int fd_ = -1;
   int port_ = 0;
   std::thread thread_;
@@ -212,6 +225,16 @@ class WorkerFleet {
  private:
   std::vector<std::unique_ptr<server::Server>> servers_;
 };
+
+/// How many units a plain plan of `request` has: its distinct related
+/// sets.
+std::size_t DistinctSets(const core::CheckRequest& request) {
+  core::SanitizerReport report;
+  const std::vector<std::vector<std::size_t>> groups =
+      core::Sanitizer(request.deployment)
+          .PlanGroups(core::MakeCheckOptions(request.options, {}), report);
+  return PlanUnits(groups, ClusterOptions{}, request.options).size();
+}
 
 ClusterOptions FastRetryOptions(std::vector<WorkerSpec> workers) {
   ClusterOptions options;
@@ -419,30 +442,78 @@ TEST(WireTest, UnitReplyWithMalformedCountThrows) {
                Error);
 }
 
-TEST(WireTest, UnitRequestCarriesEnvelopeAndUnitOptions) {
-  core::CheckRequest request = MakeRequest(/*cold_apps=*/0);
+TEST(WireTest, BatchRequestRoundTripsThroughTheWorkerParser) {
+  core::CheckRequest request = MakeRequest(/*cold_apps=*/1);
   request.options.events = 4;
   request.options.failures = true;
   request.options.deadline_seconds = 30;
-  WorkUnit unit;
-  unit.group_apps = {0, 1};
-  unit.branch_modulus = 4;
-  unit.branch_residue = 2;
-  unit.bitstate_seed = 99;
+  core::CheckUnit whole;
+  whole.group_apps = {0, 1};
+  core::CheckUnit shard;
+  shard.group_apps = {2};
+  shard.branch_modulus = 4;
+  shard.branch_residue = 2;
+  core::CheckUnit lane;
+  lane.group_apps = {2};
+  lane.bitstate_seed = hash::SplitMix64(1);  // past INT64_MAX
+  ASSERT_GT(lane.bitstate_seed,
+            static_cast<std::uint64_t>(
+                std::numeric_limits<std::int64_t>::max()));
 
-  const json::Value doc = UnitRequestJson(request, unit);
+  const json::Value doc = BatchRequestJson(request, {whole, shard, lane});
   EXPECT_EQ(doc.At("schema").AsString(), "iotsan.request/1");
   EXPECT_TRUE(doc.Has("deployment"));
   const json::Value& options = doc.At("options");
   EXPECT_EQ(options.At("events").AsInt(), 4);
   EXPECT_TRUE(options.At("failures").AsBool());
   EXPECT_EQ(options.At("deadlineSeconds").AsInt(), 30);
-  EXPECT_EQ(options.At("groupApps").AsArray().size(), 2u);
-  EXPECT_EQ(options.At("branchModulus").AsInt(), 4);
-  EXPECT_EQ(options.At("branchResidue").AsInt(), 2);
-  EXPECT_EQ(options.At("bitstateSeed").AsInt(), 99);
   // The worker's own pool must size the search: jobs never forwarded.
   EXPECT_FALSE(options.Has("jobs"));
+  ASSERT_EQ(doc.At("units").AsArray().size(), 3u);
+  EXPECT_FALSE(doc.At("units").AsArray()[0].Has("branchModulus"));
+  EXPECT_FALSE(doc.At("units").AsArray()[0].Has("bitstateSeed"));
+
+  const core::CheckRequest back =
+      server::ParseCheckRequest(doc.Dump(0), core::RequestOptions{});
+  EXPECT_EQ(back.options.events, 4);
+  EXPECT_TRUE(back.options.failures);
+  EXPECT_EQ(back.deployment.apps.size(), request.deployment.apps.size());
+  ASSERT_EQ(back.units.size(), 3u);
+  EXPECT_EQ(back.units[0].group_apps, whole.group_apps);
+  EXPECT_EQ(back.units[0].branch_modulus, 0u);
+  EXPECT_EQ(back.units[1].group_apps, shard.group_apps);
+  EXPECT_EQ(back.units[1].branch_modulus, 4u);
+  EXPECT_EQ(back.units[1].branch_residue, 2u);
+  EXPECT_EQ(back.units[2].bitstate_seed, lane.bitstate_seed);
+
+  // The reply: one compact result per unit, in request order.
+  const std::vector<checker::CheckResult> results =
+      core::RunCheckUnits(back);
+  ASSERT_EQ(results.size(), 3u);
+  json::Array list;
+  for (const checker::CheckResult& result : results) {
+    list.push_back(checker::CheckResultToJson(result));
+  }
+  json::Object reply;
+  reply["units"] = std::move(list);
+  const std::vector<checker::CheckResult> decoded =
+      BatchResultsFromJson(json::Value(std::move(reply)), 3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(decoded[i].states_explored, results[i].states_explored);
+    EXPECT_EQ(checker::CheckResultToJson(decoded[i]).Dump(),
+              checker::CheckResultToJson(results[i]).Dump());
+  }
+}
+
+TEST(WireTest, BatchReplyWithTheWrongUnitCountThrows) {
+  const json::Value one = json::Parse(
+      R"({"units": [{"violations": [], "states_explored": 1}]})");
+  EXPECT_EQ(BatchResultsFromJson(one, 1).size(), 1u);
+  EXPECT_THROW(BatchResultsFromJson(one, 2), Error);
+  EXPECT_THROW(BatchResultsFromJson(json::Parse(R"({"units": []})"), 1),
+               Error);
+  EXPECT_THROW(BatchResultsFromJson(json::Parse(R"({"unit": {}})"), 1),
+               Error);
 }
 
 // ---- planner / shard merge ---------------------------------------------------
@@ -455,6 +526,24 @@ TEST(PlanTest, OneGroupUnitPerGroupByDefault) {
   EXPECT_EQ(units[0].kind, UnitKind::kGroup);
   EXPECT_EQ(units[0].group_apps, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(units[1].group_index, 1u);
+}
+
+TEST(PlanTest, OneUnitPerDistinctSet) {
+  // A repeated app-index list is planned once, at its first position;
+  // the merge copies that result to the repeats.
+  const std::vector<std::vector<std::size_t>> groups = {
+      {0, 1}, {2}, {0, 1}, {3}, {2}};
+  const std::vector<WorkUnit> units =
+      PlanUnits(groups, ClusterOptions{}, core::RequestOptions{});
+  ASSERT_EQ(units.size(), 3u);
+  EXPECT_EQ(units[0].group_index, 0u);
+  EXPECT_EQ(units[1].group_index, 1u);
+  EXPECT_EQ(units[2].group_index, 3u);
+  EXPECT_EQ(core::FirstOccurrences(groups),
+            (std::vector<std::size_t>{0, 1, 0, 3, 1}));
+  ClusterOptions split;
+  split.branch_split = 2;
+  EXPECT_EQ(PlanUnits(groups, split, core::RequestOptions{}).size(), 6u);
 }
 
 TEST(PlanTest, BranchSplitYieldsResidueShards) {
@@ -570,15 +659,19 @@ TEST(ShardTest, OneLaneBranchShardNeedsNoMoreMemoryThanTheWholeGroup) {
   // whole-group run, so it needs no more store or pool memory.
   core::CheckRequest request = MakeRequest(/*cold_apps=*/0);
   request.options.state_compression = true;
-  request.options.group_apps = {0, 1};
-  const checker::CheckResult whole = core::RunCheckUnit(request);
-  request.options.branch_modulus = 2;
+  request.units.resize(3);
   for (unsigned residue = 0; residue < 2; ++residue) {
-    request.options.branch_residue = residue;
-    const checker::CheckResult shard = core::RunCheckUnit(request);
-    EXPECT_LT(shard.states_explored, whole.states_explored);
-    EXPECT_LE(shard.store_memory_bytes, whole.store_memory_bytes);
-    EXPECT_LE(shard.compress_pool_bytes, whole.compress_pool_bytes);
+    request.units[residue + 1].branch_modulus = 2;
+    request.units[residue + 1].branch_residue = residue;
+  }
+  for (core::CheckUnit& unit : request.units) unit.group_apps = {0, 1};
+  const std::vector<checker::CheckResult> results =
+      core::RunCheckUnits(request);
+  const checker::CheckResult& whole = results[0];
+  for (std::size_t shard = 1; shard < 3; ++shard) {
+    EXPECT_LT(results[shard].states_explored, whole.states_explored);
+    EXPECT_LE(results[shard].store_memory_bytes, whole.store_memory_bytes);
+    EXPECT_LE(results[shard].compress_pool_bytes, whole.compress_pool_bytes);
   }
 }
 
@@ -595,9 +688,9 @@ TEST(ClusterTest, TwoWorkersMatchSingleNodeByteForByte) {
   EXPECT_EQ(Facts(outcome.response), Facts(local));
   EXPECT_EQ(outcome.response.report.related_set_count,
             local.report.related_set_count);
-  // One kGroup unit per related set, all of them dispatched remotely.
-  EXPECT_EQ(outcome.units_total,
-            static_cast<std::size_t>(local.report.related_set_count));
+  // One kGroup unit per distinct related set, all of them dispatched
+  // remotely.
+  EXPECT_EQ(outcome.units_total, DistinctSets(request));
   EXPECT_EQ(outcome.units_remote, outcome.units_total);
   EXPECT_EQ(outcome.units_local, 0u);
   EXPECT_EQ(outcome.units_redispatched, 0u);
@@ -639,8 +732,7 @@ TEST(ClusterTest, BranchShardsPreserveVerdicts) {
     }
     return text;
   };
-  EXPECT_EQ(outcome.units_total,
-            static_cast<std::size_t>(local.report.related_set_count) * 3);
+  EXPECT_EQ(outcome.units_total, DistinctSets(request) * 3);
   EXPECT_EQ(scrub(core::RenderViolations(outcome.response.report)),
             scrub(core::RenderViolations(local.report)));
   EXPECT_EQ(core::RenderResultLine(outcome.response.report),
@@ -721,31 +813,58 @@ TEST(ClusterTest, NoLocalFallbackFailsFastWhenFleetIsDown) {
   EXPECT_THROW(coordinator.Check(MakeRequest(/*cold_apps=*/0)), Error);
 }
 
-TEST(ClusterTest, WorkerUnitEndpointReturnsRawResult) {
-  // The worker half of the protocol: POST /v1/check with groupApps
-  // returns a "unit" CheckResult, not a rendered report.
+TEST(ClusterTest, WrongLengthReplyIsAWorkerFailure) {
+  // A worker that answers 200 with the wrong number of results is
+  // declared dead like one that drops the connection: its units run
+  // elsewhere and the report is unchanged.
+  BrokenCheckWorker short_replies(R"({"units": []})");
+  Coordinator coordinator(
+      FastRetryOptions({{"127.0.0.1", short_replies.port()}}));
+
+  const core::CheckRequest request = MakeRequest(/*cold_apps=*/2);
+  const ClusterOutcome outcome = coordinator.Check(request);
+  EXPECT_EQ(Facts(outcome.response), Facts(core::RunCheck(request)));
+  EXPECT_FALSE(outcome.degraded_local);
+  EXPECT_EQ(outcome.units_local, outcome.units_total);
+  const std::vector<WorkerStatus> rows = coordinator.WorkerRows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_FALSE(rows[0].healthy);
+  EXPECT_NE(rows[0].last_error.find("results for"), std::string::npos)
+      << rows[0].last_error;
+}
+
+TEST(ClusterTest, WorkerBatchEndpointReturnsRawResults) {
+  // The worker half of the protocol: POST /v1/check with a "units" list
+  // returns one compact CheckResult per unit, not a rendered report.
   WorkerFleet fleet(1);
   const WorkerSpec spec = fleet.Specs()[0];
-  core::CheckRequest request = MakeRequest(/*cold_apps=*/0);
-  WorkUnit unit;
-  unit.group_apps = {0, 1};
+  const core::CheckRequest request = MakeRequest(/*cold_apps=*/1);
+  core::CheckUnit pair;
+  pair.group_apps = {0, 1};
+  core::CheckUnit cold;
+  cold.group_apps = {2};
   const util::HttpResponse response =
       util::HttpCall(spec.host, spec.port, "POST", "/v1/check",
-                     UnitRequestJson(request, unit).Dump(0));
+                     BatchRequestJson(request, {pair, cold}).Dump(0));
   ASSERT_EQ(response.status, 200);
-  const json::Value doc = json::Parse(response.body);
-  ASSERT_TRUE(doc.Has("unit"));
-  const checker::CheckResult result =
-      checker::CheckResultFromJson(doc.At("unit"));
-  EXPECT_GT(result.states_explored, 0u);
-  EXPECT_FALSE(result.violations.empty());
+  const std::vector<checker::CheckResult> results =
+      BatchResultsFromJson(json::Parse(response.body), 2);
+  EXPECT_GT(results[0].states_explored, 0u);
+  ASSERT_FALSE(results[0].violations.empty());
+  // Compact: coordinates only, nothing observed along the path.
+  for (const checker::TraceStep& step : results[0].violations[0].steps) {
+    EXPECT_EQ(step.index, 0);
+    EXPECT_TRUE(step.description.empty());
+    EXPECT_TRUE(step.notes.empty());
+  }
+  EXPECT_GT(results[1].states_explored, 0u);
 
   // Out-of-range app indices are a client error, not a crash.
-  WorkUnit bad;
+  core::CheckUnit bad;
   bad.group_apps = {99};
   const util::HttpResponse rejected =
       util::HttpCall(spec.host, spec.port, "POST", "/v1/check",
-                     UnitRequestJson(request, bad).Dump(0));
+                     BatchRequestJson(request, {pair, bad}).Dump(0));
   EXPECT_EQ(rejected.status, 400);
 }
 

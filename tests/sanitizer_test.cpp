@@ -6,6 +6,8 @@
 
 #include "config/builder.hpp"
 #include "core/sanitizer.hpp"
+#include "corpus/groups.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace iotsan::core {
@@ -103,6 +105,42 @@ TEST(SanitizerTest, PerSetViolationsKeepDuplicates) {
   }
   EXPECT_EQ(merged, 1);
   EXPECT_GE(report.per_set_violations.size(), report.violations.size());
+}
+
+TEST(SanitizerTest, EachDistinctRelatedSetIsSearchedOnce) {
+  // The climate group (Table 5 group 2) falls into 168 related sets, 118
+  // of them distinct app-index lists: two handlers of one app instance
+  // often land in the same set.  A repeat gets its first's result, so
+  // the report still sums all 168 while only 118 searches run.
+  const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[1];
+  Sanitizer sanitizer(sut.deployment);
+  for (const auto& [name, source] : sut.extra_sources) {
+    sanitizer.AddAppSource(name, source);
+  }
+  SanitizerOptions options;
+  options.check.max_events = 1;
+  telemetry::Registry registry;
+  telemetry::SetActive(&registry);
+  const SanitizerReport report = sanitizer.Check(options);
+  telemetry::SetActive(nullptr);
+
+  EXPECT_EQ(report.related_set_count, 168);
+  EXPECT_EQ(registry.pipeline.checks_run.load(), 118u);
+  EXPECT_LT(registry.search.states_explored.load(), report.states_explored);
+  // Only the counter-examples the report prints are rendered; every
+  // other per-set violation keeps its compact path.
+  ASSERT_FALSE(report.violations.empty());
+  for (const checker::Violation& v : report.violations) {
+    ASSERT_FALSE(v.steps.empty()) << v.property_id;
+    EXPECT_EQ(v.steps.front().index, 1) << v.property_id;
+    EXPECT_FALSE(v.steps.front().notes.empty()) << v.property_id;
+  }
+  std::size_t compact = 0;
+  for (const checker::Violation& v : report.per_set_violations) {
+    if (v.steps.front().index == 0) ++compact;
+  }
+  EXPECT_EQ(compact,
+            report.per_set_violations.size() - report.violations.size());
 }
 
 TEST(SanitizerTest, ScaleStatsPopulated) {

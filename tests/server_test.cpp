@@ -396,11 +396,8 @@ TEST(RequestParseTest, IntegerOptionsMustBeIntegralAndInRange) {
       {R"({"jobs": 0.4})", R"(option "jobs" wants an integer, got 0.4)"},
       {R"({"events": 1e300})",
        R"(option "events" wants a value in [1, 64], got 1e+300)"},
-      {R"({"bitstateSeed": -1})",
-       R"(option "bitstateSeed" wants a value in [0, 9223372036854775807], )"
-       R"(got -1)"},
-      {R"({"groupApps": [0, 0.5]})",
-       R"(option "groupApps" wants an integer, got 0.5)"},
+      // Work units travel in "units", not as options.
+      {R"({"groupApps": [0]})", R"(unknown option "groupApps")"},
   };
   for (const auto& [options, message] : cases) {
     json::Value body = json::Parse(CheckBody());
@@ -422,6 +419,47 @@ TEST(RequestParseTest, IntegerOptionsMustBeIntegralAndInRange) {
   EXPECT_EQ(request.options.jobs, 0);
   EXPECT_EQ(request.options.bitstate_bits_pow, 40);
   EXPECT_TRUE(request.options.bitstate);
+}
+
+TEST_F(ServerTest, UnitWithABadAppIndexIsBadRequest) {
+  // A worker request's app indices are outside input: a fractional,
+  // negative or out-of-range index, or a malformed unit, is a 400 with
+  // the reason, never a crash; the deployment here has 2 apps.
+  StartServer();
+  const int port = server_->port();
+  const std::pair<const char*, const char*> cases[] = {
+      {R"([{"groupApps": [0, 0.5]}])",
+       R"(unit "groupApps" wants an integer, got 0.5)"},
+      {R"([{"groupApps": [-1]}])",
+       R"(unit "groupApps" wants a value in [0, 1048576], got -1)"},
+      {R"([{"groupApps": [0, 2]}])",
+       "check unit: app index 2 out of range (deployment has 2 apps)"},
+      {R"([{"groupApps": []}])",
+       R"(unit "groupApps" must be a non-empty array of app indices)"},
+      {R"([{"groupApps": [0], "bitstateSeed": -1}])",
+       R"(unit "bitstateSeed" must be 1 to 16 lowercase hex digits)"},
+      {R"([{"groupApps": [0], "jobs": 2}])", R"(unit "jobs" is not a unit key)"},
+      {R"([])", R"("units" must be a non-empty array of work units)"},
+  };
+  for (const auto& [units, message] : cases) {
+    json::Value body = json::Parse(CheckBody());
+    body.MutableObject()["units"] = json::Parse(units);
+    const ClientResponse response =
+        Fetch(port, "POST", "/v1/check", body.Dump(0));
+    ASSERT_TRUE(response.complete) << units;
+    EXPECT_EQ(response.status, 400) << units;
+    EXPECT_EQ(ErrorCode(response), "bad_request") << units;
+    EXPECT_EQ(json::Parse(response.body).At("error").GetString("message"),
+              message)
+        << units;
+  }
+  // The server still answers a well-formed unit.
+  json::Value body = json::Parse(CheckBody());
+  body.MutableObject()["units"] = json::Parse(R"([{"groupApps": [0, 1]}])");
+  const ClientResponse ok = Fetch(port, "POST", "/v1/check", body.Dump(0));
+  ASSERT_TRUE(ok.complete);
+  EXPECT_EQ(ok.status, 200);
+  EXPECT_EQ(json::Parse(ok.body).At("units").AsArray().size(), 1u);
 }
 
 TEST_F(ServerTest, OversizedBodyIsShedWith413) {

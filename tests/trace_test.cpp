@@ -43,6 +43,14 @@ model::SystemModel UnlockModel() {
   return model::SystemModel(b.Build(), std::move(apps));
 }
 
+/// A search of `checker` with every counter-example rendered, as a
+/// report prints them.
+CheckResult RunRendered(const Checker& checker, const CheckOptions& options) {
+  CheckResult result = checker.Run(options);
+  for (Violation& v : result.violations) checker.Render(v, options);
+  return result;
+}
+
 json::Value StepsJson(const std::vector<TraceStep>& steps) {
   json::Array out;
   for (const TraceStep& step : steps) out.push_back(ToJson(step));
@@ -56,7 +64,7 @@ TEST(TraceTest, StepRecordsEventCascadeAndDeltas) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
 
   ASSERT_TRUE(result.HasViolation("P06"));
   const Violation& v = *result.Find("P06");
@@ -98,7 +106,7 @@ TEST(TraceTest, FlattenedTraceKeepsFig7Layout) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   const Violation& v = *result.Find("P06");
 
   const std::vector<std::string> lines = v.TraceLines();
@@ -117,8 +125,8 @@ TEST(TraceDeterminismTest, ExhaustiveAndBitstateProduceIdenticalTraces) {
   CheckOptions bitstate = exhaustive;
   bitstate.store = StoreKind::kBitstate;
 
-  CheckResult a = checker.Run(exhaustive);
-  CheckResult b = checker.Run(bitstate);
+  CheckResult a = RunRendered(checker, exhaustive);
+  CheckResult b = RunRendered(checker, bitstate);
   ASSERT_EQ(a.violations.size(), b.violations.size());
   for (std::size_t i = 0; i < a.violations.size(); ++i) {
     EXPECT_EQ(a.violations[i].property_id, b.violations[i].property_id);
@@ -134,8 +142,8 @@ TEST(TraceDeterminismTest, RepeatedRunsSerializeIdentically) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 2;
-  CheckResult a = checker.Run(options);
-  CheckResult b = checker.Run(options);
+  CheckResult a = RunRendered(checker, options);
+  CheckResult b = RunRendered(checker, options);
   ASSERT_FALSE(a.violations.empty());
   ASSERT_EQ(a.violations.size(), b.violations.size());
   for (std::size_t i = 0; i < a.violations.size(); ++i) {
@@ -151,7 +159,7 @@ TEST(ArtifactTest, SerializeParseRoundTripIsByteStable) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   const Violation& v = *result.Find("P06");
 
   ViolationArtifact artifact =
@@ -182,7 +190,7 @@ TEST(ArtifactTest, ManifestRequestIdRoundTrips) {
   CheckOptions options;
   options.max_events = 1;
   options.request_id = "req-abc.1";
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   const Violation& v = *result.Find("P06");
 
   const ViolationArtifact artifact =
@@ -198,7 +206,7 @@ TEST(ArtifactTest, ReplayReproducesParsedArtifact) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   const Violation& v = *result.Find("P06");
 
   ViolationArtifact artifact = MakeArtifact(v, options, "home", "hash");
@@ -217,7 +225,7 @@ TEST(ArtifactTest, ReplayRefutesTamperedArtifact) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   const Violation& v = *result.Find("P06");
 
   ViolationArtifact artifact = MakeArtifact(v, options, "home", "hash");
@@ -235,7 +243,7 @@ TEST(ArtifactTest, ReplayRejectsUnknownCoordinates) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
 
   ViolationArtifact artifact =
       MakeArtifact(*result.Find("P06"), options, "home", "hash");
@@ -250,7 +258,7 @@ TEST(ArtifactTest, MalformedStepNumbersAreRejected) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 1;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   const json::Value good =
       ToJson(MakeArtifact(*result.Find("P06"), options, "home", "hash"));
   for (const double bad : {1e300, -1e300, 0.5}) {
@@ -332,13 +340,14 @@ TEST(SaturationTest, SaturatedBitstateTicksCounterOncePerCheck) {
 // ---- Counter-example building ------------------------------------------------
 //
 // The search keeps each violation's canonical path as compact (event,
-// failure, interleaving) steps and renders TraceSteps once, when it ends.
-// These pin the rendered violations — steps, notes, deltas, apps,
-// occurrences — under every option that shapes which path is kept.  The
-// golden (tests/data/trace_build.json) holds, per scenario, a
-// Sanitizer::Check's merged violations; for concurrent scheduling also
-// the per-related-set violations whose path follows a later
-// interleaving (outcome_index > 0).
+// failure, interleaving) steps; Checker::Render draws out the ones a
+// report prints.  These pin the rendered violations — steps, notes,
+// deltas, apps, occurrences — under every option that shapes which path
+// is kept.  The golden (tests/data/trace_build.json) holds, per
+// scenario, a Sanitizer::Check's merged violations; for concurrent
+// scheduling also the per-related-set violations whose path follows a
+// later interleaving (outcome_index > 0), each rendered in its set's
+// model through the same call.
 
 json::Value ScenarioViolations(std::size_t group, const CheckOptions& check,
                                bool later_interleavings) {
@@ -359,13 +368,26 @@ json::Value ScenarioViolations(std::size_t group, const CheckOptions& check,
   }
   out["violations"] = std::move(violations);
   if (later_interleavings) {
+    // The per-set violations in plan order, each set's own search.
+    core::SanitizerReport plan;
+    core::AppAnalyses analyses;
+    const std::vector<std::vector<std::size_t>> groups =
+        sanitizer.PlanGroups(options, plan, &analyses);
+    std::vector<CheckResult> results =
+        sanitizer.CheckGroups(groups, options, analyses);
     json::Array per_set;
-    for (const Violation& v : report.per_set_violations) {
-      bool later = false;
-      for (const TraceStep& step : v.steps) {
-        later = later || step.outcome_index > 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (Violation& v : results[g].violations) {
+        bool later = false;
+        for (const TraceStep& step : v.steps) {
+          later = later || step.outcome_index > 0;
+        }
+        if (!later) continue;
+        const model::SystemModel model =
+            sanitizer.GroupModel(groups[g], options, analyses);
+        Checker(model).Render(v, check);
+        per_set.push_back(ViolationToJson(v));
       }
-      if (later) per_set.push_back(ViolationToJson(v));
     }
     out["per_set_violations"] = std::move(per_set);
   }
@@ -445,11 +467,11 @@ TEST(TraceBuildTest, BuildingStepsTicksNoSearchCounter) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 3;
-  CheckResult result = checker.Run(options);
+  CheckResult result = RunRendered(checker, options);
   telemetry::SetActive(nullptr);
 
   ASSERT_TRUE(result.HasViolation("P06"));
-  EXPECT_FALSE(result.Find("P06")->steps.empty());
+  EXPECT_FALSE(result.Find("P06")->steps.front().notes.empty());
   EXPECT_EQ(registry.search.events_injected.load(), result.transitions);
   EXPECT_EQ(registry.search.transitions.load(), result.transitions);
 }
