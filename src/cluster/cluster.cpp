@@ -293,8 +293,6 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   }
   out.units_total = units.size();
 
-  const Clock::time_point wall_start = Clock::now();
-
   struct UnitSlot {
     checker::CheckResult result;
     bool done = false;
@@ -545,15 +543,11 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     results[g] = MergeShardResults(kind, std::move(parts));
   }
   // Render and merge in plan order — byte-identical to the single-node
-  // loop.
+  // loop, `seconds` (the sum of the units' search seconds) included.
   sanitizer.RenderReported(groups, plan_options, analyses, results);
   for (checker::CheckResult& result : results) {
     core::MergeGroupResult(report, std::move(result));
   }
-  // Per-unit seconds overlap across workers; report wall clock, like
-  // the in-process parallel path.
-  report.seconds = std::chrono::duration<double>(Clock::now() - wall_start)
-                       .count();
   core::FinalizeReport(report);
 
   out.response = core::MakeCheckResponse(request.deployment, std::move(report));

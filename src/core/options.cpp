@@ -18,8 +18,9 @@ constexpr OptionSpec kOptionTable[] = {
      &R::events, 1, 64},
     {"jobs", "--jobs", "N",
      kCmdCheck | kCmdAttribute | kCmdServe | kCmdCluster,
-     "worker threads for the search (0 = all hardware threads; default 1, "
-     "serve: 0); verdicts and counts are identical for any N",
+     "worker threads (default 0 = all hardware threads); checks of "
+     "several related sets print the same report at any N, single-set "
+     "checks the same verdicts and counts",
      &R::jobs, 0, 1024},
     {"failures", "--failures", nullptr, kCmdCheck | kCmdCluster,
      "enumerate device/communication failure scenarios per event (paper §8)",

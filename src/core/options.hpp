@@ -34,7 +34,7 @@ enum Command : unsigned {
 /// the CLI.
 struct RequestOptions {
   int events = -1;  // -1 = the command's default (check: 3, attribute: 2)
-  int jobs = 1;     // worker threads (0 = hardware concurrency)
+  int jobs = 0;     // worker lanes (0 = every CPU the process may use)
   bool failures = false;
   bool mono = false;
   bool bitstate = false;

@@ -221,15 +221,6 @@ cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
   return cache::MakeGroupKey(inputs);
 }
 
-namespace {
-
-/// Whether CheckGroups fans `groups` out over a pool.
-bool FansOut(const SanitizerOptions& options, std::size_t groups) {
-  return util::ResolveJobs(options.check.jobs) > 1 && groups > 1;
-}
-
-}  // namespace
-
 AppAnalyses Sanitizer::AnalyzeGroupApps(
     const std::vector<std::vector<std::size_t>>& groups) const {
   AppAnalyses analyses(deployment_.apps.size());
@@ -327,24 +318,28 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
     }
   };
 
-  if (!FansOut(options, distinct.size())) {
+  const unsigned lanes = util::ResolveJobs(options.check.jobs);
+  if (lanes == 1 || distinct.size() < 2) {
+    // A lone set's search spreads its root branches over the lanes: the
+    // one case where the lane count can change a counter-example.
     for (std::size_t g : distinct) check_group(g, options.check);
   } else {
-    // Related sets are independent models, so they fan out across the
-    // pool; each group's checker fans its root branches over the *same*
-    // pool (nested ParallelFor), so one pool serves both layers.
+    // Related sets are independent models: they fan out over the pool
+    // and each is searched on one lane, so every per-set result is the
+    // serial search's and the report does not depend on the lane count.
     std::unique_ptr<util::ThreadPool> owned_pool;
-    checker::CheckOptions check = options.check;
-    if (check.pool == nullptr) {
-      owned_pool =
-          std::make_unique<util::ThreadPool>(util::ResolveJobs(check.jobs));
-      check.pool = owned_pool.get();
+    util::ThreadPool* pool = options.check.pool;
+    if (pool == nullptr) {
+      owned_pool = std::make_unique<util::ThreadPool>(lanes);
+      pool = owned_pool.get();
       if (auto* t = telemetry::Active()) {
         ++t->parallel.pools_created;
         t->parallel.workers_spawned += owned_pool->jobs() - 1;
       }
     }
-    check.pool->ParallelFor(distinct.size(), [&](std::size_t k) {
+    checker::CheckOptions check = options.check;
+    check.jobs = 1;
+    pool->ParallelFor(distinct.size(), [&](std::size_t k) {
       check_group(distinct[k], check);
     });
     if (auto* t = telemetry::Active()) {
@@ -401,19 +396,13 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
   AppAnalyses analyses;
   const std::vector<std::vector<std::size_t>> groups =
       PlanGroups(options, report, &analyses);
-  const auto start = std::chrono::steady_clock::now();
   std::vector<checker::CheckResult> results =
       CheckGroups(groups, options, analyses);
   RenderReported(groups, options, analyses, results);
   // Merge in group order: byte-identical whether the groups fanned out.
+  // `seconds` is the sum of the positions' search seconds in every mode.
   for (checker::CheckResult& result : results) {
     MergeGroupResult(report, std::move(result));
-  }
-  if (FansOut(options, groups.size())) {
-    // Per-group seconds overlap under concurrency; report wall clock.
-    report.seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
   }
   FinalizeReport(report);
   return report;

@@ -135,12 +135,14 @@ class Sanitizer {
   /// and returns the results in group order.  Each distinct app-index
   /// list is searched once; a repeat gets a copy of its first
   /// occurrence's result, as a cache hit would.  With more than one lane
-  /// and group, the groups fan out over `options.check.pool` (or a pool
-  /// made for the call), and each group's search shares that pool for
-  /// its root branches.  Records each search's latency and throughput
-  /// histograms and reports `options.on_group_progress` after each
-  /// (groups_total = the distinct groups).  `analyses` must hold every
-  /// app of the groups.  Counter-examples stay compact.
+  /// and distinct set, the sets fan out over `options.check.pool` (or a
+  /// pool made for the call) and each is searched on one lane, so every
+  /// result equals the serial search's; a lone distinct set spreads its
+  /// root branches over the lanes instead.  Records each search's
+  /// latency and throughput histograms and reports
+  /// `options.on_group_progress` after each (groups_total = the distinct
+  /// groups).  `analyses` must hold every app of the groups.
+  /// Counter-examples stay compact.
   std::vector<checker::CheckResult> CheckGroups(
       const std::vector<std::vector<std::size_t>>& groups,
       const SanitizerOptions& options, const AppAnalyses& analyses) const;
@@ -168,8 +170,8 @@ class Sanitizer {
   config::Deployment deployment_;
   std::map<std::string, std::string> sources_;
 
-  /// One group of CheckGroups; `check` is `options.check`, possibly
-  /// rebound to the fan-out pool.
+  /// One group of CheckGroups; `check` is `options.check`, narrowed to
+  /// one lane under the fan-out.
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
                                   const checker::CheckOptions& check,

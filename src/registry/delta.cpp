@@ -71,9 +71,7 @@ RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
   }
 
   // Render and merge copies, so the record keeps compact results.  Merge
-  // in group order — byte-identical to the serial full check.  Seconds
-  // stay the per-group sum even after a parallel fan-out (see the
-  // determinism note in the header).
+  // in group order — byte-identical to the full check.
   std::vector<checker::CheckResult> results;
   for (const Slot& slot : slots) results.push_back(slot.result);
   sanitizer.RenderReported(groups, options, analyses, results);

@@ -35,12 +35,10 @@ struct RegistryCheckOutcome {
 /// prior keys with no current group -> dropped), merges in group order,
 /// and renders through the shared service renderer.
 ///
-/// Determinism note: unlike Sanitizer::Check, the report's `seconds`
-/// is always the sum of per-group seconds — even when groups fan out
-/// over a pool — so registry reports are reproducible and a delta
-/// response can be byte-compared against a cold full check.  Wall-clock
-/// latency lives in the registry.*_check_duration_us histograms
-/// instead.  `prior` may be nullptr (a full check).
+/// The report's `seconds` is the sum of per-group seconds, as in every
+/// check, so a delta response can be byte-compared against a cold full
+/// check.  Wall-clock latency lives in the registry.*_check_duration_us
+/// histograms instead.  `prior` may be nullptr (a full check).
 RegistryCheckOutcome RunRegistryCheck(const core::CheckRequest& request,
                                       const core::ServiceEnv& env,
                                       const CheckRecord* prior);

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <chrono>
 #include <exception>
 
@@ -50,11 +52,18 @@ void SetPoolTimingHooks(PoolTimingHook on_task_run,
 
 unsigned ResolveJobs(int jobs) {
   if (jobs < 0) return 1;
-  if (jobs == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+  if (jobs > 0) return static_cast<unsigned>(jobs);
+  // The CPUs this thread may run on, as `nproc` counts them: under
+  // `taskset -c 0` or a CPU-limited container that is fewer than the
+  // host has.
+  cpu_set_t mask;
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    if (const int cpus = CPU_COUNT(&mask); cpus > 0) {
+      return static_cast<unsigned>(cpus);
+    }
   }
-  return static_cast<unsigned>(jobs);
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
 }
 
 ThreadPool::ThreadPool(unsigned jobs) : jobs_(jobs == 0 ? 1 : jobs) {

@@ -2,12 +2,12 @@
 //
 // Design goals, in order:
 //   * Nestable fork/join — Sanitizer::Check fans related sets across the
-//     pool, each group's checker fans its root (event × failure)
-//     branches across the *same* pool, and attribution fans
-//     configurations one level above both.  ParallelFor may therefore be
-//     called from inside a pool task; the caller always helps execute
-//     tasks while it waits, so composing the three layers over one pool
-//     never oversubscribes or deadlocks.
+//     pool (a lone set's checker fans its root (event × failure)
+//     branches instead), and attribution fans configurations one level
+//     above, over the *same* pool.  ParallelFor may therefore be called
+//     from inside a pool task; the caller always helps execute tasks
+//     while it waits, so composing the layers over one pool never
+//     oversubscribes or deadlocks.
 //   * Determinism support, not determinism itself — the pool makes no
 //     ordering promises.  Callers that need deterministic output (the
 //     checker does) index their results by task id and merge in task
@@ -37,8 +37,10 @@
 
 namespace iotsan::util {
 
-/// Resolves a user-facing `--jobs` value: 0 = one lane per hardware
-/// thread, negative or 1 = serial, otherwise the value itself.
+/// Resolves a user-facing `--jobs` value: 0 = one lane per CPU in the
+/// calling thread's affinity mask (std::thread::hardware_concurrency()
+/// where that cannot be read), negative or 1 = serial, otherwise the
+/// value itself.
 unsigned ResolveJobs(int jobs);
 
 /// Observer for pool timing distributions, called with a duration in

@@ -143,6 +143,52 @@ TEST(SanitizerTest, EachDistinctRelatedSetIsSearchedOnce) {
             report.per_set_violations.size() - report.violations.size());
 }
 
+/// CheckGroups of expert group 3 on four lanes, with its telemetry.
+struct FourLaneRun {
+  telemetry::Registry registry;
+  std::vector<checker::CheckResult> results;
+
+  explicit FourLaneRun(bool mono) {
+    const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[2];
+    Sanitizer sanitizer(sut.deployment);
+    for (const auto& [name, source] : sut.extra_sources) {
+      sanitizer.AddAppSource(name, source);
+    }
+    SanitizerOptions options;
+    options.check.max_events = 2;
+    options.check.jobs = 4;
+    options.use_dependency_analysis = !mono;
+    SanitizerReport plan;
+    AppAnalyses analyses;
+    const auto groups = sanitizer.PlanGroups(options, plan, &analyses);
+    telemetry::SetActive(&registry);
+    results = sanitizer.CheckGroups(groups, options, analyses);
+    telemetry::SetActive(nullptr);
+  }
+};
+
+TEST(SanitizerTest, SeveralSetsFanOutOneLaneEach) {
+  // Group 3 has several distinct related sets: they fan out over the
+  // lanes and each is searched serially, root branches in order.
+  const FourLaneRun run(/*mono=*/false);
+  ASSERT_GT(run.results.size(), 1u);
+  EXPECT_GT(run.registry.parallel.group_tasks.load(), 1u);
+  EXPECT_EQ(run.registry.parallel.branch_tasks.load(), 0u);
+  for (const checker::CheckResult& result : run.results) {
+    EXPECT_EQ(result.jobs, 1);
+  }
+}
+
+TEST(SanitizerTest, OneSetSpreadsItsRootBranches) {
+  // A monolithic model is one set: nothing to fan out, so its search
+  // spreads its root branches over the lanes instead.
+  const FourLaneRun run(/*mono=*/true);
+  ASSERT_EQ(run.results.size(), 1u);
+  EXPECT_EQ(run.registry.parallel.group_tasks.load(), 0u);
+  EXPECT_GT(run.registry.parallel.branch_tasks.load(), 0u);
+  EXPECT_EQ(run.results.front().jobs, 4);
+}
+
 TEST(SanitizerTest, ScaleStatsPopulated) {
   config::DeploymentBuilder b("h");
   b.Device("p1", "presenceSensor", {"presence"});

@@ -1,6 +1,6 @@
 // Helpers shared by tests that run whole checks: a watchdog for
-// regressions that used to hang, and the schedule-independent part of a
-// check report.
+// regressions that used to hang, and a check report with its time
+// masked.
 #pragma once
 
 #include <chrono>
@@ -9,7 +9,6 @@
 #include <functional>
 #include <future>
 #include <regex>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -34,23 +33,11 @@ inline void WithinDeadline(std::chrono::seconds limit,
   runner.join();
 }
 
-/// `iotsan check` text without what may legitimately vary between runs:
-/// the search time, and — because under --jobs > 1 they depend on which
-/// worker reaches a state first — the counter-example bodies (lines
-/// indented four spaces) and the apps charged along them.  Verdicts,
-/// counts, depths and occurrence counts remain (docs/performance.md,
-/// "Determinism guarantee").
-inline std::string Verdicts(const std::string& text) {
+/// `iotsan check` text without the one field that varies between runs:
+/// the measured search time.
+inline std::string MaskTime(const std::string& text) {
   static const std::regex kSeconds(" in [0-9]+\\.[0-9]+s");
-  std::istringstream in(std::regex_replace(text, kSeconds, " in <t>s"));
-  std::string out;
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("    ", 0) == 0 || line.rfind("  involved apps:", 0) == 0) {
-      continue;
-    }
-    out += line + "\n";
-  }
-  return out;
+  return std::regex_replace(text, kSeconds, " in <t>s");
 }
 
 }  // namespace iotsan::testing_support

@@ -1,6 +1,8 @@
 // Hashing, bit array, and RNG tests — the primitives the BITSTATE store
-// and the deterministic workload generators rest on.
+// and the deterministic workload generators rest on — and the default
+// lane count.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <map>
 #include <set>
@@ -9,6 +11,7 @@
 #include "util/error.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace iotsan {
 namespace {
@@ -163,6 +166,24 @@ TEST(BitArrayTest, BloomFalsePositiveRateIsLowWhenSparse) {
     if (insert(hash::SplitMix64(k))) ++false_positives;
   }
   EXPECT_LT(false_positives, 5);
+}
+
+TEST(ResolveJobsTest, AllLanesAreTheCpusOfTheAffinityMask) {
+  // `--jobs 0` runs one lane per CPU this thread may use, as `nproc`
+  // counts them: pinned to one CPU (`taskset -c 0`), one lane.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(util::ResolveJobs(0), static_cast<unsigned>(CPU_COUNT(&saved)));
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const unsigned pinned = util::ResolveJobs(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(util::ResolveJobs(3), 3u);
 }
 
 }  // namespace

@@ -399,7 +399,6 @@ int CmdAttribute(const std::vector<std::string>& args) {
 
 int CmdServe(const std::vector<std::string>& args) {
   CliFlags flags;
-  flags.request.jobs = 0;  // serve default: size the pool to the hardware
   std::vector<std::string> positionals = ParseFlags(kCmdServe, args, flags);
   if (flags.help) {
     PrintHelp(stdout);
