@@ -52,8 +52,9 @@ constexpr FlagSpec kCliFlags[] = {
      "queue wait, cache delta) to FILE",
      &CliFlags::access_log},
     {"--registry-dir", "DIR", kCmdServe,
-     "persist fleet deployments (/v1/deployments) in DIR; without it "
-     "the registry is memory-only (docs/fleet.md)",
+     "persist fleet deployments (/v1/deployments) in DIR, and the "
+     "result cache in DIR/.cache unless --cache-dir names another; "
+     "without it the registry is memory-only (docs/fleet.md)",
      &CliFlags::registry_dir},
     {"--if-match", "REVISION", kCmdFleet,
      "fleet check: only run against this deployment revision (the ETag "

@@ -250,8 +250,10 @@ model::SystemModel Sanitizer::GroupModel(const std::vector<std::size_t>& group,
 
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
-    const checker::CheckOptions& check, const AppAnalyses& analyses) const {
+    const checker::CheckOptions& check, const AppAnalyses& analyses,
+    bool& searched) const {
   auto run = [&]() -> checker::CheckResult {
+    searched = true;
     const model::SystemModel model = [&] {
       telemetry::ScopedSpan build_span("model_build");
       build_span.Attr("apps", static_cast<std::int64_t>(group.size()));
@@ -273,7 +275,8 @@ checker::CheckResult Sanitizer::CheckGroup(
 
 std::vector<checker::CheckResult> Sanitizer::CheckGroups(
     const std::vector<std::vector<std::size_t>>& groups,
-    const SanitizerOptions& options, const AppAnalyses& analyses) const {
+    const SanitizerOptions& options, const AppAnalyses& analyses,
+    std::uint64_t* searched) const {
   // Only the first occurrence of each app-index list is searched.
   const std::vector<std::size_t> first = FirstOccurrences(groups);
   std::vector<std::size_t> distinct;
@@ -286,13 +289,16 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   // callback itself runs under progress_mutex so subscribers see
   // groups_done advance monotonically.
   std::vector<checker::CheckResult> results(groups.size());
+  std::vector<char> ran(groups.size(), 0);  // one writer per position
   std::atomic<std::uint64_t> groups_done{0};
   std::atomic<std::uint64_t> group_states{0};
   std::mutex progress_mutex;
   auto check_group = [&](std::size_t g, const checker::CheckOptions& check) {
     const auto group_start = std::chrono::steady_clock::now();
     checker::CheckResult& result = results[g];
-    result = CheckGroup(groups[g], options, check, analyses);
+    bool group_searched = false;
+    result = CheckGroup(groups[g], options, check, analyses, group_searched);
+    ran[g] = group_searched;
     if (auto* t = telemetry::Active()) {
       t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -319,10 +325,20 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   };
 
   const unsigned lanes = util::ResolveJobs(options.check.jobs);
+  checker::CheckOptions one_lane = options.check;
+  one_lane.jobs = 1;
   if (lanes == 1 || distinct.size() < 2) {
-    // A lone set's search spreads its root branches over the lanes: the
-    // one case where the lane count can change a counter-example.
-    for (std::size_t g : distinct) check_group(g, options.check);
+    // A lone set of every app (`--mono`, a one-set deployment) has
+    // nothing to fan out with, so its search spreads its root branches
+    // over the lanes: the one case where the lane count can change a
+    // counter-example.  Any other lone set (a cluster batch of one unit)
+    // is searched on one lane, as the fan-out searches it.
+    const bool whole = distinct.size() == 1 &&
+                       groups[distinct.front()].size() ==
+                           deployment_.apps.size();
+    for (std::size_t g : distinct) {
+      check_group(g, whole ? options.check : one_lane);
+    }
   } else {
     // Related sets are independent models: they fan out over the pool
     // and each is searched on one lane, so every per-set result is the
@@ -337,10 +353,8 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
         t->parallel.workers_spawned += owned_pool->jobs() - 1;
       }
     }
-    checker::CheckOptions check = options.check;
-    check.jobs = 1;
     pool->ParallelFor(distinct.size(), [&](std::size_t k) {
-      check_group(distinct[k], check);
+      check_group(distinct[k], one_lane);
     });
     if (auto* t = telemetry::Active()) {
       t->parallel.group_tasks += distinct.size();
@@ -351,8 +365,10 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
       }
     }
   }
+  if (searched != nullptr) *searched = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (first[g] != g) results[g] = results[first[g]];
+    if (searched != nullptr) *searched += ran[first[g]];
   }
   return results;
 }
@@ -396,8 +412,9 @@ SanitizerReport Sanitizer::Check(const SanitizerOptions& options) const {
   AppAnalyses analyses;
   const std::vector<std::vector<std::size_t>> groups =
       PlanGroups(options, report, &analyses);
+  report.groups_planned = groups.size();
   std::vector<checker::CheckResult> results =
-      CheckGroups(groups, options, analyses);
+      CheckGroups(groups, options, analyses, &report.groups_searched);
   RenderReported(groups, options, analyses, results);
   // Merge in group order: byte-identical whether the groups fanned out.
   // `seconds` is the sum of the positions' search seconds in every mode.

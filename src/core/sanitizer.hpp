@@ -61,6 +61,13 @@ struct SanitizerReport : checker::CheckResult {
   /// Dependency-analysis statistics (Table 7a).
   deps::ScaleStats scale;
   int related_set_count = 0;
+  /// Plan positions the report folds (repeats included), and how many
+  /// of them this check searched rather than took from
+  /// `SanitizerOptions::cache` (a repeat counts as its first occurrence
+  /// does).  Not rendered: the fleet registry reports them as its group
+  /// counts.
+  std::uint64_t groups_planned = 0;
+  std::uint64_t groups_searched = 0;
 
   /// Ids of violated properties, sorted.
   std::vector<std::string> ViolatedPropertyIds() const;
@@ -112,10 +119,10 @@ class Sanitizer {
   /// Analyzes the installed apps and computes the related-set groups
   /// Check dispatches (each a vector of indices into
   /// deployment().apps), filling the report's rejection/analysis/scale
-  /// fields exactly as Check does.  Exposed so the fleet registry's
-  /// delta re-verification (src/registry) can classify groups without
-  /// running them.  When `analyses` is set it receives the accepted
-  /// apps' analyses for CheckGroups.
+  /// fields exactly as Check does.  Exposed so the cluster coordinator
+  /// (src/cluster) can plan units without running them.  When
+  /// `analyses` is set it receives the accepted apps' analyses for
+  /// CheckGroups.
   std::vector<std::vector<std::size_t>> PlanGroups(
       const SanitizerOptions& options, SanitizerReport& report,
       AppAnalyses* analyses = nullptr) const;
@@ -137,15 +144,21 @@ class Sanitizer {
   /// occurrence's result, as a cache hit would.  With more than one lane
   /// and distinct set, the sets fan out over `options.check.pool` (or a
   /// pool made for the call) and each is searched on one lane, so every
-  /// result equals the serial search's; a lone distinct set spreads its
-  /// root branches over the lanes instead.  Records each search's
-  /// latency and throughput histograms and reports
-  /// `options.on_group_progress` after each (groups_total = the distinct
-  /// groups).  `analyses` must hold every app of the groups.
+  /// result equals the serial search's.  A lone distinct set spreads its
+  /// root branches over the lanes only when it holds every app of the
+  /// deployment (`--mono`, or a deployment that is one related set); any
+  /// other lone set is searched on the calling thread at one lane.  The
+  /// rule reads only the call's inputs, so a cluster worker and a single
+  /// node decide alike.  Records each search's latency and throughput
+  /// histograms and reports `options.on_group_progress` after each
+  /// (groups_total = the distinct groups).  `analyses` must hold every
+  /// app of the groups.  When `searched` is set it receives how many
+  /// positions were searched rather than taken from `options.cache`.
   /// Counter-examples stay compact.
   std::vector<checker::CheckResult> CheckGroups(
       const std::vector<std::vector<std::size_t>>& groups,
-      const SanitizerOptions& options, const AppAnalyses& analyses) const;
+      const SanitizerOptions& options, const AppAnalyses& analyses,
+      std::uint64_t* searched = nullptr) const;
 
   /// The model of one group exactly as CheckGroups searches it: the
   /// group's sub-deployment over `analyses`, with the candidate
@@ -171,11 +184,13 @@ class Sanitizer {
   std::map<std::string, std::string> sources_;
 
   /// One group of CheckGroups; `check` is `options.check`, narrowed to
-  /// one lane under the fan-out.
+  /// one lane unless the group spreads.  Sets `searched` when the group
+  /// was searched rather than taken from `options.cache`.
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
                                   const checker::CheckOptions& check,
-                                  const AppAnalyses& analyses) const;
+                                  const AppAnalyses& analyses,
+                                  bool& searched) const;
   /// The deployment's devices, modes and settings with only the group's
   /// apps: what a group's model and its cache key see.
   config::Deployment GroupDeployment(

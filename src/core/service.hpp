@@ -117,7 +117,8 @@ inline int CheckExitCode(const SanitizerReport& report) {
 /// Runs a worker request's units, one result per unit in request
 /// order: each app is analysed once for the whole batch, and units with
 /// the same shard coordinates go through one Sanitizer::CheckGroups
-/// call, so they fan out over `env.pool`.  The coordinator — which
+/// call, so they fan out over `env.pool` (a lone unit is searched on one
+/// lane unless it holds every app).  The coordinator — which
 /// planned the groups from the same deployment — merges and renders the
 /// compact results through the single-node steps, so a sharded run
 /// reproduces a single-node report byte for byte.  Throws iotsan::Error

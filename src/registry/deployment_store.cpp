@@ -8,7 +8,6 @@
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
-#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace iotsan::registry {
@@ -77,21 +76,12 @@ json::Value CheckRecordToJson(const CheckRecord& record) {
   json::Object doc;
   doc["schema"] = kRecordSchema;
   doc["revision"] = static_cast<std::int64_t>(record.revision);
-  doc["cache_version"] = record.cache_version;
   doc["verdict"] = record.verdict;
   doc["exit_code"] = record.exit_code;
   doc["check_seconds"] = record.check_seconds;
   doc["groups_total"] = static_cast<std::int64_t>(record.groups_total);
   doc["groups_recomputed"] =
       static_cast<std::int64_t>(record.groups_recomputed);
-  json::Array groups;
-  for (const CheckRecord::Group& group : record.groups) {
-    // Reuse the result cache's entry serialization: key + key_text +
-    // the replayable result fields, one object per group.
-    groups.push_back(
-        cache::EntryToJson(group.key, record.cache_version, group.result));
-  }
-  doc["groups"] = std::move(groups);
   return json::Value(std::move(doc));
 }
 
@@ -102,22 +92,11 @@ CheckRecord CheckRecordFromJson(const json::Value& doc) {
   }
   CheckRecord out;
   out.revision = doc.GetInteger<std::uint64_t>("revision");
-  out.cache_version = doc.GetString("cache_version");
   out.verdict = doc.GetString("verdict");
   out.exit_code = doc.GetInteger<int>("exit_code");
   out.check_seconds = doc.GetNumber("check_seconds");
   out.groups_total = doc.GetInteger<std::uint64_t>("groups_total");
   out.groups_recomputed = doc.GetInteger<std::uint64_t>("groups_recomputed");
-  for (const json::Value& entry : doc.At("groups").AsArray()) {
-    CheckRecord::Group group;
-    group.key.text = entry.GetString("key_text");
-    group.key.digest = hash::Fnv1a64(group.key.text);
-    if (entry.GetString("key") != group.key.Hex()) {
-      throw Error("check record: group key/digest mismatch");
-    }
-    group.result = cache::EntryFromJson(entry, group.key, out.cache_version);
-    out.groups.push_back(std::move(group));
-  }
   return out;
 }
 
@@ -193,9 +172,8 @@ std::uint64_t DeploymentStore::Put(StoredDeployment deployment) {
   }
   const std::uint64_t revision = deployment.revision;
   if (entry != nullptr) {
-    // The prior check record stays: its per-group results are
-    // content-addressed, so the delta engine can still reuse the
-    // groups the edit left untouched.
+    // The prior check record stays: the status list shows it as the
+    // verdict of an older revision until the next check.
     entry->deployment = std::move(deployment);
   } else {
     Entry fresh;
@@ -268,7 +246,8 @@ std::optional<CheckRecord> DeploymentStore::GetRecord(const std::string& id) {
       try {
         entry->record = CheckRecordFromJson(json::Parse(text));
       } catch (const Error& e) {
-        // A corrupt record only costs reuse: the next check runs full.
+        // A corrupt record only costs the status row until the next
+        // check writes a good one.
         if (auto* t = telemetry::Active()) ++t->registry.corrupt_entries;
         util::LogDebug("registry", "unreadable check record ignored",
                        {{"path", path}, {"reason", e.what()}});

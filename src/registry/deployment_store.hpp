@@ -3,7 +3,7 @@
 //
 // Layout: one directory per deployment id under the registry dir —
 //   <dir>/<id>/deployment.json   schema iotsan.deployment/1
-//   <dir>/<id>/record.json       retained results of the last check
+//   <dir>/<id>/record.json       status row of the last check
 // Writes are atomic tmp+rename (util::AtomicWriteFile), so readers and
 // crashed writers never surface a half-written entry; anything
 // unreadable or schema-mismatched is treated as not_found, never an
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/result_cache.hpp"
 #include "config/deployment.hpp"
 #include "props/property.hpp"
 
@@ -51,27 +50,15 @@ struct StoredDeployment {
   std::vector<props::Property> ExtraProperties() const;
 };
 
-/// The retained outcome of a deployment's last check: every group's
-/// result keyed by its GroupKey fingerprint — the reuse map the delta
-/// engine classifies the next revision against — plus the summary the
-/// status list serves.
+/// The outcome of a deployment's last check: the row the status list
+/// serves.  The group results themselves live in the result cache.
 struct CheckRecord {
   std::uint64_t revision = 0;   // deployment revision that was checked
-  std::string cache_version;    // fingerprint version the keys used
   std::string verdict;          // "clean" | "violations"
   int exit_code = 0;
   double check_seconds = 0;     // wall-clock duration of that check
   std::uint64_t groups_total = 0;
-  std::uint64_t groups_recomputed = 0;  // dirty + added groups re-run
-
-  struct Group {
-    cache::GroupKey key;
-    checker::CheckResult result;
-  };
-  /// Retained per-group results in dispatch order.  Only replayable
-  /// results are kept (same rule as the result cache), so a missing
-  /// group simply recomputes.
-  std::vector<Group> groups;
+  std::uint64_t groups_recomputed = 0;  // groups searched, not cache hits
 };
 
 json::Value StoredDeploymentToJson(const StoredDeployment& deployment);
@@ -79,6 +66,8 @@ json::Value StoredDeploymentToJson(const StoredDeployment& deployment);
 /// not_found).
 StoredDeployment StoredDeploymentFromJson(const json::Value& doc);
 json::Value CheckRecordToJson(const CheckRecord& record);
+/// Ignores keys it does not read, so a record that also retains group
+/// results (the earlier format) loads as its status row.
 CheckRecord CheckRecordFromJson(const json::Value& doc);
 
 struct StoreConfig {
@@ -109,7 +98,7 @@ class DeploymentStore {
 
   std::optional<CheckRecord> GetRecord(const std::string& id);
 
-  /// Stores the retained results of a finished check.  A no-op when the
+  /// Stores the record of a finished check.  A no-op when the
   /// deployment was deleted mid-check.
   void PutRecord(const std::string& id, const CheckRecord& record);
 

@@ -35,7 +35,6 @@ std::optional<Fleet::CheckOutcome> Fleet::Check(
     if (auto* t = telemetry::Active()) ++t->registry.revision_conflicts;
     throw RevisionConflict(*if_match, deployment->revision);
   }
-  auto prior = store_.GetRecord(id);
 
   // Per-tenant attribution: the span carries the deployment id next to
   // the request id, so `iotsan_trace summary` can split fleet traffic.
@@ -45,43 +44,48 @@ std::optional<Fleet::CheckOutcome> Fleet::Check(
   if (!env.request_id.empty()) span.Attr("request_id", env.request_id);
 
   core::CheckRequest request;
-  request.deployment = deployment->deployment;
-  request.extra_sources = deployment->app_sources;
+  request.deployment = std::move(deployment->deployment);
+  request.extra_sources = std::move(deployment->app_sources);
   request.extra_properties = deployment->ExtraProperties();
   request.options = options;
 
   const auto wall_start = std::chrono::steady_clock::now();
-  RegistryCheckOutcome outcome =
-      RunRegistryCheck(request, env, prior ? &*prior : nullptr);
-  const double wall_seconds = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() -
-                                  wall_start)
-                                  .count();
-  span.Attr("groups_reused",
-            static_cast<std::int64_t>(outcome.groups_reused));
+  CheckOutcome out;
+  out.response = core::RunCheck(request, env);
+  out.check_seconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - wall_start)
+                          .count();
+  out.revision = deployment->revision;
+  out.groups_total = out.response.report.groups_planned;
+  out.groups_recomputed = out.response.report.groups_searched;
+  out.groups_reused = out.groups_total - out.groups_recomputed;
+  span.Attr("groups_reused", static_cast<std::int64_t>(out.groups_reused));
   span.Attr("groups_recomputed",
-            static_cast<std::int64_t>(outcome.groups_recomputed));
+            static_cast<std::int64_t>(out.groups_recomputed));
 
-  outcome.record.revision = deployment->revision;
-  outcome.record.check_seconds = wall_seconds;
-  store_.PutRecord(id, outcome.record);
+  CheckRecord record;
+  record.revision = out.revision;
+  record.verdict =
+      out.response.report.violations.empty() ? "clean" : "violations";
+  record.exit_code = out.response.exit_code;
+  record.check_seconds = out.check_seconds;
+  record.groups_total = out.groups_total;
+  record.groups_recomputed = out.groups_recomputed;
+  store_.PutRecord(id, record);
 
   if (auto* t = telemetry::Active()) {
-    const auto us = static_cast<std::uint64_t>(wall_seconds * 1e6);
-    if (outcome.groups_reused > 0) {
+    t->registry.groups_total += out.groups_total;
+    t->registry.groups_reused += out.groups_reused;
+    t->registry.groups_recomputed += out.groups_recomputed;
+    const auto us = static_cast<std::uint64_t>(out.check_seconds * 1e6);
+    if (out.groups_reused > 0) {
+      ++t->registry.checks_delta;
       t->registry_hist.delta_check_duration_us.Record(us);
     } else {
+      ++t->registry.checks_full;
       t->registry_hist.full_check_duration_us.Record(us);
     }
   }
-
-  CheckOutcome out;
-  out.response = std::move(outcome.response);
-  out.revision = deployment->revision;
-  out.groups_total = outcome.groups_total;
-  out.groups_reused = outcome.groups_reused;
-  out.groups_recomputed = outcome.groups_recomputed;
-  out.check_seconds = wall_seconds;
   return out;
 }
 

@@ -1,7 +1,8 @@
 // Fleet facade: the thread-safe orchestration layer the REST surface
 // and the tests drive — deployment lifecycle (put/get/remove/list),
-// the If-Match revision guard, and check dispatch through the delta
-// engine with retained-result bookkeeping (docs/fleet.md).
+// the If-Match revision guard, and checks of the stored revision
+// through the one check pipeline, whose result cache is what a delta
+// reuses (docs/fleet.md).
 #pragma once
 
 #include <cstdint>
@@ -10,7 +11,6 @@
 #include <vector>
 
 #include "core/service.hpp"
-#include "registry/delta.hpp"
 #include "registry/deployment_store.hpp"
 #include "util/error.hpp"
 
@@ -49,8 +49,8 @@ class Fleet {
   struct Status {
     std::string id;
     std::uint64_t revision = 0;
-    /// Revision the retained record checked (0 = never checked; less
-    /// than `revision` = the last verdict is stale).
+    /// Revision the last check verified (0 = never checked; less than
+    /// `revision` = the last verdict is stale).
     std::uint64_t checked_revision = 0;
     std::string verdict = "unchecked";
     std::uint64_t groups_total = 0;
@@ -62,6 +62,8 @@ class Fleet {
   struct CheckOutcome {
     core::CheckResponse response;
     std::uint64_t revision = 0;
+    /// Plan positions, and how many came from the result cache or were
+    /// searched (SanitizerReport::groups_planned / groups_searched).
     std::uint64_t groups_total = 0;
     std::uint64_t groups_reused = 0;
     std::uint64_t groups_recomputed = 0;
@@ -69,9 +71,11 @@ class Fleet {
     /// response's `seconds` stays the deterministic per-group sum).
     double check_seconds = 0;
   };
-  /// Checks the deployment's current revision, reusing the retained
-  /// prior where fingerprints match.  nullopt when `id` is unknown;
-  /// throws RevisionConflict when `if_match` names a stale revision.
+  /// Checks the deployment's current revision through core::RunCheck:
+  /// related sets `env.cache` holds are hits, the rest are searched as
+  /// a cold check searches them, so the response equals a cold check of
+  /// the same config.  nullopt when `id` is unknown; throws
+  /// RevisionConflict when `if_match` names a stale revision.
   std::optional<CheckOutcome> Check(const std::string& id,
                                     std::optional<std::uint64_t> if_match,
                                     const core::RequestOptions& options,

@@ -644,10 +644,10 @@ HttpResponse HandleDeploymentDelete(const ServiceState& state,
   return JsonResponse(200, std::move(doc));
 }
 
-/// `POST /v1/deployments/{id}/check`: delta re-verification against the
-/// retained prior.  The body may be empty (server defaults) or carry an
-/// iotsan.request/1 "options" object; If-Match pins a revision (409
-/// when stale).
+/// `POST /v1/deployments/{id}/check`: checks the stored revision; the
+/// related sets the server's result cache holds are reused.  The body
+/// may be empty (server defaults) or carry an iotsan.request/1
+/// "options" object; If-Match pins a revision (409 when stale).
 HttpResponse HandleDeploymentCheck(const HttpRequest& request,
                                    const ServiceState& state,
                                    const std::string& request_id,

@@ -28,9 +28,10 @@
 //   PUT    /v1/deployments/{id}     upsert a versioned deployment; the
 //                                   response's ETag is the new revision
 //   GET    /v1/deployments/{id}     the stored deployment (+ ETag)
-//   DELETE /v1/deployments/{id}     remove deployment and retained record
-//   POST   /v1/deployments/{id}/check  delta re-verification; If-Match
-//                                   pins a revision (409 when stale)
+//   DELETE /v1/deployments/{id}     remove deployment and its record
+//   POST   /v1/deployments/{id}/check  check the stored revision, reusing
+//                                   the result cache; If-Match pins a
+//                                   revision (409 when stale)
 //
 // Correlation: every request gets a request id (taken from an
 // X-Request-Id header when well-formed, generated otherwise), echoed in

@@ -116,8 +116,12 @@ void Server::Start() {
   if (!config_.access_log_path.empty()) {
     access_log_ = std::make_unique<AccessLog>(config_.access_log_path);
   }
+  // The cache is also what a fleet delta reuses, so a disk-backed
+  // registry keeps it on disk too (no deployment id starts with a dot).
   cache::CacheConfig cache_config;
-  cache_config.dir = config_.cache_dir;
+  cache_config.dir = config_.cache_dir.empty() && !config_.registry_dir.empty()
+                         ? config_.registry_dir + "/.cache"
+                         : config_.cache_dir;
   cache_ = std::make_unique<cache::ResultCache>(cache_config);
   registry::StoreConfig store_config;
   store_config.dir = config_.registry_dir;

@@ -54,7 +54,8 @@ struct ServerConfig {
   int jobs = 0;
   /// HTTP session threads draining the accept queue.
   int http_workers = 4;
-  /// Result-cache disk directory ("" = in-memory cache only).
+  /// Result-cache disk directory ("" = `<registry_dir>/.cache` when
+  /// `registry_dir` is set, else in-memory cache only).
   std::string cache_dir;
   /// Bound on accepted-but-unserved connections; beyond it the acceptor
   /// sheds with 503 instead of buffering without limit.

@@ -176,17 +176,18 @@ struct CacheCounters { IOTSAN_CACHE_COUNTERS(IOTSAN_COUNTER_FIELD) };
 struct ServerCounters { IOTSAN_SERVER_COUNTERS(IOTSAN_COUNTER_FIELD) };
 
 /// Fleet-registry counters (src/registry): deployment lifecycle plus
-/// the delta re-verification's group classification.  The reused /
-/// recomputed split is the incrementality headline — the CI fleet
-/// smoke asserts `registry.groups_reused > 0` after a 1-app edit.
+/// the plan positions of fleet checks, split into result-cache hits
+/// (reused) and searches (recomputed).  The split is the incrementality
+/// headline — the fleet smoke test asserts `registry.groups_reused > 0`
+/// after a 1-app edit.
 #define IOTSAN_REGISTRY_COUNTERS(X)                                           \
   X(deployments_put, kCounter)     /* PUT upserts accepted */                 \
   X(deployments_deleted, kCounter) /* DELETE removals */                      \
-  X(checks_full, kCounter)         /* checks with no reusable prior groups */ \
-  X(checks_delta, kCounter)        /* checks that reused >=1 retained group */ \
-  X(groups_total, kCounter)        /* groups classified across all checks */  \
-  X(groups_reused, kCounter)       /* unchanged groups from the prior rev */  \
-  X(groups_recomputed, kCounter)   /* dirty + added groups re-run */          \
+  X(checks_full, kCounter)         /* checks with no cached group */         \
+  X(checks_delta, kCounter)        /* checks that reused >=1 cached group */  \
+  X(groups_total, kCounter)        /* plan positions across all checks */     \
+  X(groups_reused, kCounter)       /* positions taken from the cache */       \
+  X(groups_recomputed, kCounter)   /* positions searched */                   \
   X(revision_conflicts, kCounter)  /* If-Match guard rejections (409) */      \
   X(corrupt_entries, kCounter)     /* unreadable entries (= not_found) */     \
   X(evictions, kCounter)           /* in-memory LRU layer evictions */

@@ -22,9 +22,11 @@
 #include "cluster/cluster.hpp"
 #include "config/deployment.hpp"
 #include "core/service.hpp"
+#include "corpus/groups.hpp"
 #include "server/handlers.hpp"
 #include "server/server.hpp"
 #include "telemetry/telemetry.hpp"
+#include "test_support.hpp"
 #include "util/hash.hpp"
 #include "util/http_client.hpp"
 #include "util/json.hpp"
@@ -197,14 +199,15 @@ class BrokenCheckWorker {
   std::thread thread_;
 };
 
-/// Starts `count` real worker servers on ephemeral loopback ports.
+/// Starts `count` real worker servers of `jobs` lanes each on ephemeral
+/// loopback ports.
 class WorkerFleet {
  public:
-  explicit WorkerFleet(int count) {
+  explicit WorkerFleet(int count, int jobs = 1) {
     for (int i = 0; i < count; ++i) {
       server::ServerConfig config;
       config.port = 0;
-      config.jobs = 1;
+      config.jobs = jobs;
       config.http_workers = 2;
       auto server = std::make_unique<server::Server>(std::move(config));
       server->Start();
@@ -706,6 +709,28 @@ TEST(ClusterTest, ParallelRequestStillMatchesSingleNode) {
   const ClusterOutcome outcome = coordinator.Check(request);
   const core::CheckResponse local = core::RunCheck(request);
   EXPECT_EQ(Facts(outcome.response), Facts(local));
+}
+
+TEST(ClusterTest, MultiLaneWorkersPrintTheSingleNodeText) {
+  // Expert group 6's last batch holds one unit.  A worker searches a
+  // lone unit on one lane, as it searches every unit of a larger batch,
+  // so four-lane workers print what one node prints at one lane.  Each
+  // run is a fresh pair of workers with empty caches.
+  const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[5];
+  core::CheckRequest request;
+  request.deployment = sut.deployment;
+  request.extra_sources = sut.extra_sources;
+  request.options.jobs = 1;
+  const std::string local =
+      testing_support::MaskTime(core::RunCheck(request).text);
+  for (int run = 0; run < 5; ++run) {
+    WorkerFleet fleet(2, /*jobs=*/4);
+    Coordinator coordinator(FastRetryOptions(fleet.Specs()));
+    const ClusterOutcome outcome = coordinator.Check(request);
+    EXPECT_EQ(outcome.units_remote, outcome.units_total);
+    EXPECT_EQ(testing_support::MaskTime(outcome.response.text), local)
+        << "run " << run;
+  }
 }
 
 TEST(ClusterTest, BranchShardsPreserveVerdicts) {

@@ -1,15 +1,16 @@
 // Fleet-registry tests (src/registry + the /v1/deployments surface):
 //
-//   * delta re-verification is byte-identical to a cold full check of
-//     the same revision — serial and with --jobs 4 (the registry path
-//     reports deterministic summed seconds; see docs/fleet.md)
-//   * only the groups a revision touched are recomputed; added and
-//     removed apps reclassify correctly
-//   * the If-Match revision guard (409), corrupt-entry recovery, and
-//     revision persistence across store restarts
+//   * a delta check is byte-identical to a cold full check of the same
+//     revision — serial and with --jobs 4, and on a four-lane server
+//     whose delta searches one related set (see docs/fleet.md)
+//   * with a result cache, only the groups a revision touched are
+//     searched; added and removed apps reuse what the cache holds
+//   * the If-Match revision guard (409), corrupt-entry recovery,
+//     revision persistence across store restarts, and records in the
+//     earlier format that retained group results
 //   * concurrent PUT + check on the same id stays clean under TSan
 //   * the REST surface end to end: PUT/GET/DELETE/check, ETag headers,
-//     405 with Allow
+//     405 with Allow, reuse across a server restart
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -27,11 +28,13 @@
 #include "cache/result_cache.hpp"
 #include "config/deployment.hpp"
 #include "core/service.hpp"
+#include "corpus/groups.hpp"
 #include "registry/deployment_store.hpp"
 #include "registry/fleet.hpp"
 #include "server/handlers.hpp"
 #include "server/server.hpp"
 #include "telemetry/telemetry.hpp"
+#include "test_support.hpp"
 #include "util/json.hpp"
 
 namespace iotsan::registry {
@@ -127,8 +130,8 @@ std::string TempDir(const char* tag) {
   return dir.string();
 }
 
-/// Installs a telemetry registry for the test body (the delta engine
-/// ticks registry.* counters only when one is active).
+/// Installs a telemetry registry for the test body (Fleet::Check ticks
+/// registry.* counters only when one is active).
 class RegistryTest : public ::testing::Test {
  protected:
   void SetUp() override { telemetry::SetActive(&registry_); }
@@ -141,7 +144,8 @@ class RegistryTest : public ::testing::Test {
 TEST_F(RegistryTest, DeltaIsByteIdenticalToColdFullCheckSerial) {
   // One shared result cache makes the comparison exact: the cold full
   // check replays the per-group entries the registry checks recorded,
-  // so the reported per-group seconds agree byte for byte.
+  // so the reported per-group seconds agree byte for byte.  The delta's
+  // reuse is the same cache's hits.
   cache::ResultCache cache(cache::CacheConfig{});
   core::ServiceEnv env;
   env.cache = &cache;
@@ -199,31 +203,38 @@ TEST_F(RegistryTest, DeltaIsByteIdenticalToColdFullCheckWithJobs4) {
   ASSERT_TRUE(delta.has_value());
   EXPECT_EQ(delta->groups_recomputed, 1u);
 
-  // A fresh registry has no prior record, so this is a cold full check
-  // through the same deterministic dispatch (summed seconds), sharing
-  // the cache for exact seconds replay.
+  // A fresh registry over a fresh cache searches every group: a cold
+  // full check through the same dispatch.  Its searches time apart from
+  // the delta's, so only the time is masked; the serial test above
+  // compares the seconds too.
+  cache::ResultCache cold_cache(cache::CacheConfig{});
+  core::ServiceEnv cold_env;
+  cold_env.cache = &cold_cache;
   Fleet cold_fleet(StoreConfig{});
   cold_fleet.Put(MakeStored("home", 4, 35));
-  auto cold = cold_fleet.Check("home", std::nullopt, options, env);
+  auto cold = cold_fleet.Check("home", std::nullopt, options, cold_env);
   ASSERT_TRUE(cold.has_value());
   EXPECT_EQ(cold->groups_reused, 0u);
-  EXPECT_EQ(delta->response.text, cold->response.text);
+  EXPECT_EQ(testing_support::MaskTime(delta->response.text),
+            testing_support::MaskTime(cold->response.text));
   EXPECT_EQ(delta->response.exit_code, cold->response.exit_code);
-  EXPECT_EQ(delta->response.report.seconds, cold->response.report.seconds);
 }
 
 TEST_F(RegistryTest, ChecksWithCompressionOrPorReuseNoPlainGroup) {
   // Groups a plain check recorded cannot answer a check with COLLAPSE or
   // POR on: the store footprint and counters may differ.
+  cache::ResultCache cache(cache::CacheConfig{});
+  core::ServiceEnv env;
+  env.cache = &cache;
   Fleet fleet(StoreConfig{});
   ASSERT_EQ(fleet.Put(MakeStored("home", 2, 40)), 1u);
-  ASSERT_TRUE(fleet.Check("home", std::nullopt, {}, {}).has_value());
+  ASSERT_TRUE(fleet.Check("home", std::nullopt, {}, env).has_value());
   for (bool core::RequestOptions::*option :
        {&core::RequestOptions::state_compression,
         &core::RequestOptions::por}) {
     core::RequestOptions options;
     options.*option = true;
-    auto check = fleet.Check("home", std::nullopt, options, {});
+    auto check = fleet.Check("home", std::nullopt, options, env);
     ASSERT_TRUE(check.has_value());
     EXPECT_EQ(check->groups_reused, 0u);
     EXPECT_EQ(check->groups_recomputed, check->groups_total);
@@ -231,7 +242,9 @@ TEST_F(RegistryTest, ChecksWithCompressionOrPorReuseNoPlainGroup) {
 }
 
 TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
+  cache::ResultCache cache(cache::CacheConfig{});
   core::ServiceEnv env;
+  env.cache = &cache;
   core::RequestOptions options;
   options.jobs = 1;
 
@@ -249,8 +262,8 @@ TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
   EXPECT_EQ(grown->groups_reused, base_groups);
   EXPECT_EQ(grown->groups_recomputed, grown->groups_total - base_groups);
 
-  // Shrinking back re-runs nothing: every surviving group was retained,
-  // removed groups simply drop out of the record.
+  // Shrinking back re-runs nothing: every surviving group is in the
+  // cache, and removed groups are simply not planned.
   fleet.Put(MakeStored("home", 4, 40, 3));
   auto shrunk = fleet.Check("home", std::nullopt, options, env);
   ASSERT_TRUE(shrunk.has_value());
@@ -320,6 +333,31 @@ TEST_F(RegistryTest, RevisionsPersistAcrossStoreRestarts) {
   EXPECT_EQ(deployment->revision, 2u);
   EXPECT_EQ(reopened.Put(MakeStored("home", 1, 45)), 3u);
   EXPECT_EQ(reopened.List(), std::vector<std::string>{"home"});
+}
+
+TEST_F(RegistryTest, EarlierRecordFormatLoadsAsItsStatusRow) {
+  // tests/data/record_with_groups.json is a record.json as the registry
+  // wrote it when it also retained each group's cache entry (here of a
+  // two-group presence/lock home).  It still loads: the status row is
+  // read and the retained groups are ignored.
+  const std::string dir = TempDir("earlier_record");
+  {
+    DeploymentStore store(StoreConfig{dir, 64});
+    EXPECT_EQ(store.Put(MakeStored("home", 1, 40)), 1u);
+  }
+  std::filesystem::copy_file(
+      std::string(IOTSAN_TEST_DATA_DIR) + "/record_with_groups.json",
+      dir + "/home/record.json");
+  DeploymentStore reopened(StoreConfig{dir, 64});
+  const std::optional<CheckRecord> record = reopened.GetRecord("home");
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->revision, 1u);
+  EXPECT_EQ(record->verdict, "violations");
+  EXPECT_EQ(record->exit_code, 1);
+  EXPECT_GT(record->check_seconds, 0);
+  EXPECT_EQ(record->groups_total, 2u);
+  EXPECT_EQ(record->groups_recomputed, 2u);
+  EXPECT_EQ(registry_.registry.corrupt_entries.load(), 0u);
 }
 
 TEST_F(RegistryTest, ConcurrentPutAndCheckStayCoherent) {
@@ -484,7 +522,7 @@ TEST_F(RegistryTest, RestSurfaceRoundTrip) {
   ASSERT_TRUE(pinned.complete);
   EXPECT_EQ(pinned.status, 200);
 
-  // The status list reflects the retained record.
+  // The status list reflects the last check.
   ClientResponse list = Fetch(port, "GET", "/v1/deployments");
   ASSERT_TRUE(list.complete);
   json::Value list_doc = json::Parse(list.body);
@@ -509,7 +547,9 @@ TEST_F(RegistryTest, RestSurfaceRoundTrip) {
   ASSERT_TRUE(bad_id.complete);
   EXPECT_EQ(bad_id.status, 400);
 
-  // Deployments survive a server restart (disk-backed registry).
+  // Deployments survive a server restart (disk-backed registry), and so
+  // does reuse: with no cache dir of its own, the server keeps its
+  // result cache in <registry-dir>/.cache, which is not a deployment.
   server.Stop();
   server::Server reopened(config);
   reopened.Start();
@@ -518,6 +558,16 @@ TEST_F(RegistryTest, RestSurfaceRoundTrip) {
   ASSERT_TRUE(after.complete);
   EXPECT_EQ(after.status, 200);
   EXPECT_EQ(HeaderValue(after, "ETag"), "\"2\"");
+  ClientResponse warm =
+      Fetch(reopened.port(), "POST", "/v1/deployments/home/check");
+  ASSERT_TRUE(warm.complete);
+  ASSERT_EQ(warm.status, 200);
+  json::Value warm_doc = json::Parse(warm.body);
+  EXPECT_EQ(warm_doc.At("delta").At("groups_recomputed").AsInt(), 0);
+  EXPECT_EQ(warm_doc.At("text").AsString(), check_doc.At("text").AsString());
+  ClientResponse relisted = Fetch(reopened.port(), "GET", "/v1/deployments");
+  ASSERT_TRUE(relisted.complete);
+  EXPECT_EQ(json::Parse(relisted.body).At("deployments").AsArray().size(), 1u);
 
   // DELETE removes the deployment and its record.
   ClientResponse removed =
@@ -529,6 +579,71 @@ TEST_F(RegistryTest, RestSurfaceRoundTrip) {
   ASSERT_TRUE(gone.complete);
   EXPECT_EQ(gone.status, 404);
   reopened.Stop();
+}
+
+/// An iotsan.request/1 envelope of a corpus group: its deployment and
+/// the variant app sources it references.
+std::string GroupBody(const corpus::SystemUnderTest& sut) {
+  json::Object doc;
+  doc["schema"] = server::kRequestSchema;
+  doc["deployment"] = config::DeploymentToJson(sut.deployment);
+  json::Object sources;
+  for (const auto& [name, source] : sut.extra_sources) {
+    sources[name] = source;
+  }
+  doc["appSources"] = std::move(sources);
+  return json::Value(std::move(doc)).Dump(0);
+}
+
+TEST_F(RegistryTest, OneSetDeltaOnAFourLaneServerPrintsTheSerialText) {
+  // Group 4 with app 0's first numeric input raised by one: the delta
+  // searches one related set and takes the rest from the cache.  That
+  // set is searched as a cold check searches it, on one lane, so the
+  // delta text and the cached result a later /v1/check replays both
+  // equal an uncached one-lane check.  Each round is a fresh server.
+  const corpus::SystemUnderTest& base = corpus::ExpertGroups()[3];
+  corpus::SystemUnderTest edited = base;
+  for (auto& [name, binding] : edited.deployment.apps[0].inputs) {
+    if (binding.number) {
+      *binding.number += 1;
+      break;
+    }
+  }
+  core::CheckRequest request;
+  request.deployment = edited.deployment;
+  request.extra_sources = edited.extra_sources;
+  request.options.jobs = 1;
+  const std::string serial =
+      testing_support::MaskTime(core::RunCheck(request).text);
+
+  for (int round = 0; round < 5; ++round) {
+    server::ServerConfig config;
+    config.port = 0;
+    config.jobs = 4;
+    server::Server server(config);
+    server.Start();
+    const int port = server.port();
+    ASSERT_EQ(Fetch(port, "PUT", "/v1/deployments/g4", GroupBody(base)).status,
+              201);
+    ASSERT_EQ(Fetch(port, "POST", "/v1/deployments/g4/check").status, 200);
+    ASSERT_EQ(
+        Fetch(port, "PUT", "/v1/deployments/g4", GroupBody(edited)).status,
+        200);
+    ClientResponse delta = Fetch(port, "POST", "/v1/deployments/g4/check");
+    ASSERT_EQ(delta.status, 200) << delta.body;
+    const json::Value delta_doc = json::Parse(delta.body);
+    EXPECT_EQ(delta_doc.At("delta").At("groups_recomputed").AsInt(), 1);
+    EXPECT_EQ(testing_support::MaskTime(delta_doc.At("text").AsString()),
+              serial)
+        << "round " << round;
+    ClientResponse check = Fetch(port, "POST", "/v1/check", GroupBody(edited));
+    ASSERT_EQ(check.status, 200) << check.body;
+    EXPECT_EQ(
+        testing_support::MaskTime(json::Parse(check.body).At("text").AsString()),
+        serial)
+        << "round " << round;
+    server.Stop();
+  }
 }
 
 }  // namespace

@@ -461,9 +461,9 @@ int CmdServe(const std::vector<std::string>& args) {
     std::printf("iotsan serve: coordinating %zu worker(s): %s\n",
                 config.cluster.workers.size(), flags.workers.c_str());
   }
-  if (!config.cache_dir.empty()) {
-    std::printf("iotsan serve: result cache in %s\n",
-                config.cache_dir.c_str());
+  if (const std::string& dir = server.result_cache().config().dir;
+      !dir.empty()) {
+    std::printf("iotsan serve: result cache in %s\n", dir.c_str());
   }
   if (!config.registry_dir.empty()) {
     std::printf("iotsan serve: fleet registry in %s\n",
