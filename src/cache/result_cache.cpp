@@ -126,7 +126,13 @@ std::optional<checker::CheckResult> ResultCache::LookupMemory(
     const GroupKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key.digest);
-  if (it == index_.end()) return std::nullopt;
+  if (it == index_.end()) {
+    auto held = held_.find(key.digest);
+    if (held == held_.end() || held->second.key_text != key.text) {
+      return std::nullopt;
+    }
+    return held->second.result;
+  }
   if (it->second->key_text != key.text) return std::nullopt;  // collision
   lru_.splice(lru_.begin(), lru_, it->second);  // touch
   return it->second->result;
@@ -217,6 +223,52 @@ void ResultCache::StoreMemory(const GroupKey& key,
     if (auto* t = telemetry::Active()) ++t->cache.evictions;
   }
   PublishResidentBytes(resident_bytes_);
+}
+
+void ResultCache::Hold(
+    const std::string& holder,
+    std::vector<std::pair<GroupKey, checker::CheckResult>> entries) {
+  if (!config_.dir.empty()) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::uint64_t> digests;
+  for (auto& [key, result] : entries) {
+    if (!Replayable(result)) continue;
+    digests.push_back(key.digest);
+    HeldEntry& entry = held_[key.digest];
+    if (entry.holders++ > 0) continue;
+    auto it = index_.find(key.digest);
+    if (it != index_.end()) {  // move out of the LRU
+      resident_bytes_ -= ApproxEntryBytes(it->second->key_text,
+                                          it->second->result);
+      lru_.erase(it->second);
+      index_.erase(it);
+    }
+    entry.key_text = std::move(key.text);
+    entry.result = std::move(result);
+    resident_bytes_ += ApproxEntryBytes(entry.key_text, entry.result);
+  }
+  std::swap(holders_[holder], digests);
+  UnholdLocked(digests);  // what the holder held before
+  PublishResidentBytes(resident_bytes_);
+}
+
+void ResultCache::Release(const std::string& holder) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = holders_.find(holder);
+  if (it == holders_.end()) return;
+  UnholdLocked(it->second);
+  holders_.erase(it);
+  PublishResidentBytes(resident_bytes_);
+}
+
+void ResultCache::UnholdLocked(const std::vector<std::uint64_t>& digests) {
+  for (std::uint64_t digest : digests) {
+    auto it = held_.find(digest);
+    if (--it->second.holders > 0) continue;
+    resident_bytes_ -= ApproxEntryBytes(it->second.key_text,
+                                        it->second.result);
+    held_.erase(it);
+  }
 }
 
 std::uint64_t ResultCache::resident_bytes() const {

@@ -11,7 +11,9 @@
 // Two layers, both keyed by the group fingerprint:
 //   * an in-memory LRU (bounded entry count) serving repeats within a
 //     process — attribution probes re-enumerate the same app-alone
-//     groups across configurations, which this layer absorbs;
+//     groups across configurations, which this layer absorbs — beside
+//     the entries named holders keep outside that bound (Hold: a fleet
+//     deployment's last check on a cache with no disk store);
 //   * an optional disk store (`CacheConfig::dir`): one JSON file per
 //     entry named <digest-hex>.json, schema "iotsan.cache/1", written
 //     via temp-file + atomic rename.  Corrupt, truncated, stale-version,
@@ -31,6 +33,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cache/fingerprint.hpp"
 #include "checker/checker.hpp"
@@ -51,10 +55,10 @@ struct CacheConfig {
 };
 
 /// True when `result` is a pure function of its group key, so the cache
-/// and the fleet registry may replay it.  Budget-stopped runs depend on
-/// wall clock, and a bitstate search on more than one lane (the
-/// `result.jobs` the search recorded) races on bit insertions, so its
-/// omission set differs run to run (docs/caching.md).
+/// may replay it.  Budget-stopped runs depend on wall clock, and a
+/// bitstate search on more than one lane (the `result.jobs` the search
+/// recorded) races on bit insertions, so its omission set differs run
+/// to run (docs/caching.md).
 bool Replayable(const checker::CheckResult& result);
 
 /// Aggregate over a cache directory (the `iotsan cache` subcommand).
@@ -87,11 +91,22 @@ class ResultCache {
       const GroupKey& key,
       const std::function<checker::CheckResult()>& compute);
 
+  /// Keeps the replayable `entries` in memory for `holder`, outside the
+  /// LRU bound, in place of what `holder` held before: the fleet
+  /// registry holds each deployment's last check, so no other traffic
+  /// evicts the sets its next check reuses.  A no-op with a disk store,
+  /// where an evicted entry is still a disk hit.
+  void Hold(const std::string& holder,
+            std::vector<std::pair<GroupKey, checker::CheckResult>> entries);
+  /// Drops what `holder` holds (a deleted deployment).
+  void Release(const std::string& holder);
+
   const CacheConfig& config() const { return config_; }
 
-  /// Estimated heap footprint of the in-memory LRU layer, in bytes —
-  /// the value published to the memory.cache_resident_bytes gauge on
-  /// every store/eviction.
+  /// Estimated heap footprint of the in-memory LRU layer and the held
+  /// entries, in bytes — the value published to the
+  /// memory.cache_resident_bytes gauge on every store, eviction, hold and
+  /// release.
   std::uint64_t resident_bytes() const;
 
   /// The version string keys are minted with (config override or the
@@ -115,6 +130,8 @@ class ResultCache {
   void StoreMemory(const GroupKey& key, const checker::CheckResult& result);
   void StoreDisk(const GroupKey& key, const checker::CheckResult& result);
   std::string EntryPath(const GroupKey& key) const;
+  /// Drops one hold on each of `digests`; mutex_ held.
+  void UnholdLocked(const std::vector<std::uint64_t>& digests);
 
   CacheConfig config_;
   std::string version_;
@@ -129,7 +146,17 @@ class ResultCache {
   mutable std::mutex mutex_;
   std::list<MemoryEntry> lru_;  // front = most recent
   std::map<std::uint64_t, std::list<MemoryEntry>::iterator> index_;
-  std::uint64_t resident_bytes_ = 0;  // estimated LRU heap footprint
+  std::uint64_t resident_bytes_ = 0;  // estimated LRU + held footprint
+  // Held entries (digest -> entry and its holder count) and each
+  // holder's digests; an entry lives here or in the LRU, not both.
+  // Guarded by mutex_.
+  struct HeldEntry {
+    std::string key_text;
+    checker::CheckResult result;
+    int holders = 0;
+  };
+  std::map<std::uint64_t, HeldEntry> held_;
+  std::map<std::string, std::vector<std::uint64_t>> holders_;
 
   // Single-flight table: digest -> in-flight computation.
   std::mutex flight_mutex_;

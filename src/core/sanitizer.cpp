@@ -251,7 +251,7 @@ model::SystemModel Sanitizer::GroupModel(const std::vector<std::size_t>& group,
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
     const checker::CheckOptions& check, const AppAnalyses& analyses,
-    bool& searched) const {
+    bool& searched, cache::GroupKey* key) const {
   auto run = [&]() -> checker::CheckResult {
     searched = true;
     const model::SystemModel model = [&] {
@@ -269,8 +269,11 @@ checker::CheckResult Sanitizer::CheckGroup(
   if (options.cache == nullptr) return run();
   // A group's result is a pure function of this key: a hit skips the
   // model build and search above.
-  return options.cache->FetchOrCompute(
-      GroupKeyFor(group, options, options.cache->version()), run);
+  cache::GroupKey group_key =
+      GroupKeyFor(group, options, options.cache->version());
+  checker::CheckResult result = options.cache->FetchOrCompute(group_key, run);
+  if (key != nullptr) *key = std::move(group_key);
+  return result;
 }
 
 std::vector<checker::CheckResult> Sanitizer::CheckGroups(
@@ -290,6 +293,8 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   // groups_done advance monotonically.
   std::vector<checker::CheckResult> results(groups.size());
   std::vector<char> ran(groups.size(), 0);  // one writer per position
+  const bool hold = options.cache != nullptr && !options.cache_holder.empty();
+  std::vector<cache::GroupKey> keys(hold ? groups.size() : 0);
   std::atomic<std::uint64_t> groups_done{0};
   std::atomic<std::uint64_t> group_states{0};
   std::mutex progress_mutex;
@@ -297,7 +302,8 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
     const auto group_start = std::chrono::steady_clock::now();
     checker::CheckResult& result = results[g];
     bool group_searched = false;
-    result = CheckGroup(groups[g], options, check, analyses, group_searched);
+    result = CheckGroup(groups[g], options, check, analyses, group_searched,
+                        hold ? &keys[g] : nullptr);
     ran[g] = group_searched;
     if (auto* t = telemetry::Active()) {
       t->search_hist.group_check_duration_us.Record(static_cast<std::uint64_t>(
@@ -328,14 +334,16 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   checker::CheckOptions one_lane = options.check;
   one_lane.jobs = 1;
   if (lanes == 1 || distinct.size() < 2) {
-    // A lone set of every app (`--mono`, a one-set deployment) has
-    // nothing to fan out with, so its search spreads its root branches
-    // over the lanes: the one case where the lane count can change a
-    // counter-example.  Any other lone set (a cluster batch of one unit)
-    // is searched on one lane, as the fan-out searches it.
-    const bool whole = distinct.size() == 1 &&
-                       groups[distinct.front()].size() ==
-                           deployment_.apps.size();
+    // A lone `--mono` set, or a lone set of every app (a one-set
+    // deployment), has nothing to fan out with, so its search spreads
+    // its root branches over the lanes: the one case where the lane
+    // count can change a counter-example.  Any other lone set (a cluster
+    // batch of one unit) is searched on one lane, as the fan-out
+    // searches it.
+    const bool whole =
+        distinct.size() == 1 &&
+        (!options.use_dependency_analysis ||
+         groups[distinct.front()].size() == deployment_.apps.size());
     for (std::size_t g : distinct) {
       check_group(g, whole ? options.check : one_lane);
     }
@@ -364,6 +372,13 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
         t->parallel.tasks_stolen += stats.tasks_stolen;
       }
     }
+  }
+  if (hold) {
+    std::vector<std::pair<cache::GroupKey, checker::CheckResult>> held;
+    for (std::size_t g : distinct) {
+      held.emplace_back(std::move(keys[g]), results[g]);
+    }
+    options.cache->Hold(options.cache_holder, std::move(held));
   }
   if (searched != nullptr) *searched = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {

@@ -36,6 +36,10 @@ struct SanitizerOptions {
   /// re-checks of unchanged (source, config, options) groups skip the
   /// model build and search entirely.  Not owned; nullptr disables.
   cache::ResultCache* cache = nullptr;
+  /// Non-empty: `cache` holds this check's related-set results under
+  /// this name (ResultCache::Hold) in place of the holder's earlier
+  /// check.  The fleet registry passes the deployment id.
+  std::string cache_holder;
   /// Coarse progress: invoked once per finished related-set group (from
   /// whichever pool thread ran it; invocations are serialized).  This is
   /// a separate stream from `check.on_progress` — the per-state progress
@@ -145,15 +149,16 @@ class Sanitizer {
   /// and distinct set, the sets fan out over `options.check.pool` (or a
   /// pool made for the call) and each is searched on one lane, so every
   /// result equals the serial search's.  A lone distinct set spreads its
-  /// root branches over the lanes only when it holds every app of the
-  /// deployment (`--mono`, or a deployment that is one related set); any
-  /// other lone set is searched on the calling thread at one lane.  The
-  /// rule reads only the call's inputs, so a cluster worker and a single
-  /// node decide alike.  Records each search's latency and throughput
+  /// root branches over the lanes only when it is the `--mono` model or
+  /// holds every app of the deployment (a deployment that is one related
+  /// set); any other lone set is searched on the calling thread at one
+  /// lane.  The rule reads only the call's inputs, so a cluster worker
+  /// and a single node decide alike.  Records each search's latency and throughput
   /// histograms and reports `options.on_group_progress` after each
   /// (groups_total = the distinct groups).  `analyses` must hold every
   /// app of the groups.  When `searched` is set it receives how many
   /// positions were searched rather than taken from `options.cache`.
+  /// With `options.cache_holder` set, the cache then holds the results.
   /// Counter-examples stay compact.
   std::vector<checker::CheckResult> CheckGroups(
       const std::vector<std::vector<std::size_t>>& groups,
@@ -185,12 +190,13 @@ class Sanitizer {
 
   /// One group of CheckGroups; `check` is `options.check`, narrowed to
   /// one lane unless the group spreads.  Sets `searched` when the group
-  /// was searched rather than taken from `options.cache`.
+  /// was searched rather than taken from `options.cache`, and `key` (if
+  /// set) to the cache key it was fetched under.
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
                                   const checker::CheckOptions& check,
-                                  const AppAnalyses& analyses,
-                                  bool& searched) const;
+                                  const AppAnalyses& analyses, bool& searched,
+                                  cache::GroupKey* key) const;
   /// The deployment's devices, modes and settings with only the group's
   /// apps: what a group's model and its cache key see.
   config::Deployment GroupDeployment(

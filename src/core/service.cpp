@@ -63,6 +63,7 @@ SanitizerOptions MakeCheckOptions(const RequestOptions& options,
   out.model.dynamic_discovery = options.allow_discovery;
   ApplyCommonCheckOptions(out.check, options, env);
   out.cache = env.cache;
+  out.cache_holder = env.cache_holder;
   out.on_group_progress = env.on_group_progress;
   return out;
 }

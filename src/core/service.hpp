@@ -46,6 +46,9 @@ struct ServiceEnv {
   /// server request).  The server copies the shared env per request and
   /// fills this in; it flows into CheckOptions::request_id from there.
   std::string request_id;
+  /// Name the result cache holds this run's related sets under
+  /// (SanitizerOptions::cache_holder); the fleet registry sets it.
+  std::string cache_holder;
 };
 
 // ---- check -------------------------------------------------------------------
@@ -118,11 +121,11 @@ inline int CheckExitCode(const SanitizerReport& report) {
 /// order: each app is analysed once for the whole batch, and units with
 /// the same shard coordinates go through one Sanitizer::CheckGroups
 /// call, so they fan out over `env.pool` (a lone unit is searched on one
-/// lane unless it holds every app).  The coordinator — which
-/// planned the groups from the same deployment — merges and renders the
-/// compact results through the single-node steps, so a sharded run
-/// reproduces a single-node report byte for byte.  Throws iotsan::Error
-/// on an out-of-range app index.
+/// lane unless it is `--mono` or holds every app).  The coordinator —
+/// which planned the groups from the same deployment — merges and
+/// renders the compact results through the single-node steps, so a
+/// sharded run reproduces a single-node report byte for byte.  Throws
+/// iotsan::Error on an out-of-range app index.
 std::vector<checker::CheckResult> RunCheckUnits(const CheckRequest& request,
                                                 const ServiceEnv& env = {});
 

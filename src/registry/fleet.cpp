@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "cache/result_cache.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace iotsan::registry {
@@ -24,6 +25,12 @@ std::vector<Fleet::Status> Fleet::List() {
     out.push_back(std::move(status));
   }
   return out;
+}
+
+bool Fleet::Remove(const std::string& id, const core::ServiceEnv& env) {
+  if (!store_.Remove(id)) return false;
+  if (env.cache != nullptr) env.cache->Release(id);
+  return true;
 }
 
 std::optional<Fleet::CheckOutcome> Fleet::Check(
@@ -49,9 +56,11 @@ std::optional<Fleet::CheckOutcome> Fleet::Check(
   request.extra_properties = deployment->ExtraProperties();
   request.options = options;
 
+  core::ServiceEnv held_env = env;
+  held_env.cache_holder = id;
   const auto wall_start = std::chrono::steady_clock::now();
   CheckOutcome out;
-  out.response = core::RunCheck(request, env);
+  out.response = core::RunCheck(request, held_env);
   out.check_seconds = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - wall_start)
                           .count();

@@ -43,7 +43,8 @@ class Fleet {
     return store_.Get(id);
   }
 
-  bool Remove(const std::string& id) { return store_.Remove(id); }
+  /// Deletes the deployment and what `env.cache` holds for it.
+  bool Remove(const std::string& id, const core::ServiceEnv& env);
 
   /// One row of GET /v1/deployments.
   struct Status {
@@ -74,8 +75,10 @@ class Fleet {
   /// Checks the deployment's current revision through core::RunCheck:
   /// related sets `env.cache` holds are hits, the rest are searched as
   /// a cold check searches them, so the response equals a cold check of
-  /// the same config.  nullopt when `id` is unknown; throws
-  /// RevisionConflict when `if_match` names a stale revision.
+  /// the same config.  The cache then holds this check's sets under the
+  /// deployment id until its next check or removal.  nullopt when `id`
+  /// is unknown; throws RevisionConflict when `if_match` names a stale
+  /// revision.
   std::optional<CheckOutcome> Check(const std::string& id,
                                     std::optional<std::uint64_t> if_match,
                                     const core::RequestOptions& options,

@@ -634,7 +634,7 @@ HttpResponse HandleDeploymentGet(const ServiceState& state,
 HttpResponse HandleDeploymentDelete(const ServiceState& state,
                                     const std::string& request_id,
                                     const std::string& id) {
-  if (!state.registry->Remove(id)) {
+  if (!state.registry->Remove(id, state.env)) {
     throw RequestError(404, kErrNotFound, "no such deployment: " + id);
   }
   json::Object doc = ResponseEnvelope();

@@ -398,6 +398,45 @@ TEST(CacheTest, MemoryLruEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(cache.Lookup(key_n(2)).has_value());
 }
 
+TEST(CacheTest, HeldEntriesOutliveTheLruBoundUntilReleased) {
+  cache::CacheConfig config;
+  config.memory_entries = 1;
+  cache::ResultCache cache(config);
+  auto key_n = [](std::uint64_t n) {
+    cache::GroupKey key;
+    key.digest = n;
+    key.text = "key-" + std::to_string(n);
+    return key;
+  };
+  checker::CheckResult incomplete;
+  incomplete.completed = false;
+  cache.Store(key_n(1), {});
+  cache.Hold("a", {{key_n(1), {}}, {key_n(2), {}}, {key_n(5), incomplete}});
+  cache.Hold("b", {{key_n(2), {}}});
+  cache.Store(key_n(3), {});
+  cache.Store(key_n(4), {});  // the LRU keeps 4 only
+  EXPECT_FALSE(cache.Lookup(key_n(3)).has_value());
+  EXPECT_TRUE(cache.Lookup(key_n(1)).has_value());
+  EXPECT_TRUE(cache.Lookup(key_n(2)).has_value());
+  EXPECT_FALSE(cache.Lookup(key_n(5)).has_value());  // not replayable
+  // A holder's next Hold replaces what it held; 2 is still b's.
+  cache.Hold("a", {{key_n(4), {}}});
+  EXPECT_FALSE(cache.Lookup(key_n(1)).has_value());
+  EXPECT_TRUE(cache.Lookup(key_n(2)).has_value());
+  cache.Release("b");
+  EXPECT_FALSE(cache.Lookup(key_n(2)).has_value());
+  EXPECT_TRUE(cache.Lookup(key_n(4)).has_value());
+  cache.Release("a");
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+
+  // With a disk store an evicted entry is a disk hit: nothing is held.
+  config.dir = FreshDir("hold");
+  cache::ResultCache disk(config);
+  disk.Hold("a", {{key_n(1), {}}});
+  EXPECT_EQ(disk.resident_bytes(), 0u);
+  fs::remove_all(config.dir);
+}
+
 TEST(CacheTest, DigestCollisionDetectedByKeyText) {
   cache::ResultCache cache(cache::CacheConfig{});
   cache::GroupKey key;

@@ -4,7 +4,9 @@
 //     revision — serial and with --jobs 4, and on a four-lane server
 //     whose delta searches one related set (see docs/fleet.md)
 //   * with a result cache, only the groups a revision touched are
-//     searched; added and removed apps reuse what the cache holds
+//     searched; added and removed apps reuse what the cache holds, and
+//     a memory-only cache holds each deployment's last check whatever
+//     else it evicts
 //   * the If-Match revision guard (409), corrupt-entry recovery,
 //     revision persistence across store restarts, and records in the
 //     earlier format that retained group results
@@ -279,6 +281,47 @@ TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
 
 // ---- revision guard and lifecycle --------------------------------------------
 
+TEST_F(RegistryTest, MemoryOnlyCacheKeepsEachDeploymentsLastCheck) {
+  // Far fewer LRU entries than either deployment has sets: what the
+  // deployments' next checks reuse is what the cache holds for them.
+  cache::CacheConfig config;
+  config.memory_entries = 1;
+  cache::ResultCache cache(config);
+  core::ServiceEnv env;
+  env.cache = &cache;
+  core::RequestOptions options;
+  options.jobs = 1;
+  Fleet fleet(StoreConfig{});
+  fleet.Put(MakeStored("a", 4, 40));
+  fleet.Put(MakeStored("b", 5, 40));  // another device table: no shared set
+  for (const char* id : {"a", "b"}) {
+    auto full = fleet.Check(id, std::nullopt, options, env);
+    ASSERT_TRUE(full.has_value());
+    EXPECT_GT(full->groups_total, 2u);
+    EXPECT_EQ(full->groups_reused, 0u);
+  }
+  // Other traffic through the same cache evicts every LRU entry.
+  core::CheckRequest other;
+  other.deployment = MakeStored("c", 6, 40).deployment;
+  other.options = options;
+  core::RunCheck(other, env);
+
+  fleet.Put(MakeStored("a", 4, 35));
+  auto edited = fleet.Check("a", std::nullopt, options, env);
+  ASSERT_TRUE(edited.has_value());
+  EXPECT_EQ(edited->groups_recomputed, 1u);
+  auto unchanged = fleet.Check("b", std::nullopt, options, env);
+  ASSERT_TRUE(unchanged.has_value());
+  EXPECT_EQ(unchanged->groups_recomputed, 0u);
+
+  // Removing a deployment drops what the cache held for it.
+  ASSERT_TRUE(fleet.Remove("a", env));
+  fleet.Put(MakeStored("a", 4, 35));
+  auto again = fleet.Check("a", std::nullopt, options, env);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->groups_reused, 0u);
+}
+
 TEST_F(RegistryTest, StaleIfMatchThrowsRevisionConflict) {
   core::ServiceEnv env;
   core::RequestOptions options;
@@ -361,7 +404,9 @@ TEST_F(RegistryTest, EarlierRecordFormatLoadsAsItsStatusRow) {
 }
 
 TEST_F(RegistryTest, ConcurrentPutAndCheckStayCoherent) {
+  cache::ResultCache cache(cache::CacheConfig{});
   core::ServiceEnv env;
+  env.cache = &cache;
   core::RequestOptions options;
   options.jobs = 1;
   Fleet fleet(StoreConfig{});
@@ -377,6 +422,11 @@ TEST_F(RegistryTest, ConcurrentPutAndCheckStayCoherent) {
       auto outcome = fleet.Check("home", std::nullopt, options, env);
       ASSERT_TRUE(outcome.has_value());
       EXPECT_GT(outcome->groups_total, 0u);
+      // Every revision keeps the presence/lock set: a hit after the
+      // first check.
+      if (i > 0) {
+        EXPECT_GT(outcome->groups_reused, 0u);
+      }
     }
   });
   writer.join();

@@ -146,11 +146,17 @@ TEST(SanitizerTest, EachDistinctRelatedSetIsSearchedOnce) {
 /// CheckGroups of expert group 3 on four lanes, with its telemetry.
 struct FourLaneRun {
   telemetry::Registry registry;
+  SanitizerReport plan;
   std::vector<checker::CheckResult> results;
 
-  explicit FourLaneRun(bool mono) {
+  explicit FourLaneRun(bool mono, bool rejected_app = false) {
     const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[2];
-    Sanitizer sanitizer(sut.deployment);
+    config::Deployment deployment = sut.deployment;
+    if (rejected_app) {
+      deployment.apps.push_back(deployment.apps.front());
+      deployment.apps.back().app = "No Such App";  // no source: rejected
+    }
+    Sanitizer sanitizer(deployment);
     for (const auto& [name, source] : sut.extra_sources) {
       sanitizer.AddAppSource(name, source);
     }
@@ -158,7 +164,6 @@ struct FourLaneRun {
     options.check.max_events = 2;
     options.check.jobs = 4;
     options.use_dependency_analysis = !mono;
-    SanitizerReport plan;
     AppAnalyses analyses;
     const auto groups = sanitizer.PlanGroups(options, plan, &analyses);
     telemetry::SetActive(&registry);
@@ -185,6 +190,16 @@ TEST(SanitizerTest, OneSetSpreadsItsRootBranches) {
   const FourLaneRun run(/*mono=*/true);
   ASSERT_EQ(run.results.size(), 1u);
   EXPECT_EQ(run.registry.parallel.group_tasks.load(), 0u);
+  EXPECT_GT(run.registry.parallel.branch_tasks.load(), 0u);
+  EXPECT_EQ(run.results.front().jobs, 4);
+}
+
+TEST(SanitizerTest, MonoSetWithARejectedAppStillSpreads) {
+  // The --mono model leaves the rejected app out but is still the whole
+  // check, so its search spreads as a set of every app does.
+  const FourLaneRun run(/*mono=*/true, /*rejected_app=*/true);
+  ASSERT_EQ(run.plan.rejected_apps.size(), 1u);
+  ASSERT_EQ(run.results.size(), 1u);
   EXPECT_GT(run.registry.parallel.branch_tasks.load(), 0u);
   EXPECT_EQ(run.results.front().jobs, 4);
 }
