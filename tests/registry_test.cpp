@@ -279,8 +279,6 @@ TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
   EXPECT_EQ(idle->groups_recomputed, 0u);
 }
 
-// ---- revision guard and lifecycle --------------------------------------------
-
 TEST_F(RegistryTest, MemoryOnlyCacheKeepsEachDeploymentsLastCheck) {
   // Far fewer LRU entries than either deployment has sets: what the
   // deployments' next checks reuse is what the cache holds for them.
@@ -321,6 +319,8 @@ TEST_F(RegistryTest, MemoryOnlyCacheKeepsEachDeploymentsLastCheck) {
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->groups_reused, 0u);
 }
+
+// ---- revision guard and lifecycle --------------------------------------------
 
 TEST_F(RegistryTest, StaleIfMatchThrowsRevisionConflict) {
   core::ServiceEnv env;
