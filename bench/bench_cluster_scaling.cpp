@@ -1,14 +1,15 @@
 // Cluster scaling: one coordinator over 1..N local iotsan workers.
 //
-// Measures the distributed-swarm subsystem (src/cluster) on the Table 5
-// violating-pair corpus scaled to many independent related-set groups:
-// wall time, states/s, speedup vs a 1-worker cluster, and the dispatch
-// overhead a 1-worker cluster pays over a plain in-process run (HTTP
-// round trips + JSON round trips + merge).  Every configuration's
-// verdicts must match the single-node report — the determinism claim —
-// and, on machines with at least 2 hardware threads, the 2-worker
-// configuration must reach a 1.6x speedup over 1 worker or the bench
-// fails (the acceptance gate for the subsystem's reason to exist).
+// Measures the cluster coordinator (src/cluster) on the Table 5
+// violating-pair corpus scaled to many independent related sets, one
+// work unit each: wall time, states/s, speedup vs a 1-worker cluster,
+// and the dispatch overhead a 1-worker cluster pays over a plain
+// in-process run (HTTP round trips + JSON round trips + merge).  Every
+// configuration's verdicts must match the single-node report — the
+// determinism claim — and, on machines with at least 2 hardware
+// threads, the 2-worker configuration must reach a 1.6x speedup over 1
+// worker or the bench fails (the acceptance gate for the subsystem's
+// reason to exist).
 //
 //   BENCH_STATS {"bench":"cluster_scaling","label":"single-node",...}
 //   BENCH_STATS {"bench":"cluster_scaling","label":"workers=2",
@@ -34,7 +35,7 @@ namespace {
 /// (presence sensor + smart lock + Auto Mode Change + Unlock Door):
 /// 2 related-set groups per pair, each a meaty exhaustive search, no
 /// cross-group edges — the embarrassingly parallel shape the
-/// coordinator shards.
+/// coordinator spreads over its workers.
 config::Deployment Home(int pairs) {
   json::Array devices;
   json::Array apps;

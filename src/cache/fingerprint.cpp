@@ -69,8 +69,8 @@ std::string GroupKeyText(const GroupKeyInputs& inputs) {
   properties["fnv"] = Hex(PropertySetFingerprint(*inputs.properties));
   doc["properties"] = std::move(properties);
   // CheckOptions that influence the result.  `jobs`, `pool`, and the
-  // progress callback are deliberately absent: output is canonicalized
-  // across lane counts, so warm runs hit regardless of --jobs.
+  // progress callback are deliberately absent: a search on one lane is
+  // the same at any --jobs, so its warm runs hit regardless of it.
   const checker::CheckOptions& check = *inputs.check;
   json::Object check_obj;
   check_obj["max_events"] = check.max_events;
@@ -86,20 +86,12 @@ std::string GroupKeyText(const GroupKeyInputs& inputs) {
   check_obj["reverify_bitstate"] = check.reverify_bitstate;
   // Options added after the key format froze key the cache only when
   // active, so historical keys stay stable.  POR changes transitions and
-  // the por.* counters, COLLAPSE the store footprint, and cluster
-  // sharding the counts.
+  // the por.* counters, COLLAPSE the store footprint, and a search that
+  // spreads its root branches over several lanes may find other
+  // counter-examples than a one-lane search.
   if (check.por) check_obj["por"] = true;
   if (check.state_compression) check_obj["state_compression"] = true;
-  if (check.branch_modulus > 1) {
-    check_obj["branch_modulus"] =
-        static_cast<std::int64_t>(check.branch_modulus);
-    check_obj["branch_residue"] =
-        static_cast<std::int64_t>(check.branch_residue);
-  }
-  if (check.store == checker::StoreKind::kBitstate &&
-      check.bitstate_seed != 0) {
-    check_obj["bitstate_seed"] = Hex(check.bitstate_seed);
-  }
+  if (inputs.lanes > 1) check_obj["lanes"] = inputs.lanes;
   doc["check"] = std::move(check_obj);
   const model::ModelOptions& model = *inputs.model;
   json::Object model_obj;

@@ -8,7 +8,9 @@
 //     bindings, the location modes, contact phone, and network policy,
 //   * the active safety-property set (built-ins + user-defined),
 //   * the CheckOptions that influence the result (NOT `jobs`/`pool`/
-//     `on_progress`: the search canonicalizes output across lane counts),
+//     `on_progress`: a search on one lane prints the same at any
+//     --jobs), plus the lane count of a search that spreads its root
+//     branches over several lanes, whose counter-examples may differ,
 //   * the model-generation options, and
 //   * the iotsan version (a new build may change semantics).
 //
@@ -43,6 +45,9 @@ struct GroupKeyInputs {
   /// The full active property set (built-ins + extras), in order.
   const std::vector<props::Property>* properties = nullptr;
   const checker::CheckOptions* check = nullptr;
+  /// Lanes the search spreads its root branches over; 1 = one lane,
+  /// which the key leaves out.
+  int lanes = 1;
   const model::ModelOptions* model = nullptr;
   /// Tool version baked into the key; empty = util/build_info version.
   std::string version;

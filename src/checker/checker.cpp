@@ -333,13 +333,6 @@ GuidePath ResolveSteps(const model::SystemModel& model,
 // interleaving index) participate: they fix the entire step content, so
 // comparing the rest would be redundant.
 
-/// A step's identity, in comparison order.
-auto StepIdentity(const TraceStep& s) {
-  return std::tie(s.kind, s.device, s.attribute, s.value, s.app,
-                  s.sensor_offline, s.actuator_offline, s.comm_fail,
-                  s.outcome_index);
-}
-
 /// The TraceStep coordinates of a search path's step, read from the
 /// model: what the compact step carries, and what canonical-min
 /// compares while the search runs.
@@ -383,21 +376,21 @@ struct StepCoordinates {
                     failure.comm_fail, outcome_index);
   }
 
-  /// Ordered as StepIdentity orders TraceSteps.
   friend auto operator<=>(const StepCoordinates& a,
                           const StepCoordinates& b) {
     return a.Tie() <=> b.Tie();
   }
 };
 
-/// Fewest events first, then step identities, then the diagnosis.
-template <typename Step, typename Identity>
-bool PathLess(const std::vector<Step>& a, const std::string& a_detail,
-              const std::vector<Step>& b, const std::string& b_detail,
-              const Identity& identity) {
+/// Fewest events first, then the steps' StepCoordinates in `model`, then
+/// the diagnosis.
+bool PathLess(const model::SystemModel& model, const GuidePath& a,
+              const std::string& a_detail, const GuidePath& b,
+              const std::string& b_detail) {
   if (a.size() != b.size()) return a.size() < b.size();
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto order = identity(a[i]) <=> identity(b[i]);
+    const auto order =
+        StepCoordinates(model, a[i]) <=> StepCoordinates(model, b[i]);
     if (order != 0) return order < 0;
   }
   return a_detail < b_detail;
@@ -413,14 +406,12 @@ void AddApp(std::vector<std::string>& apps, const std::string& label) {
 /// Merges violation `v` of the same property, whose counter-example is
 /// `path`, into `existing`, whose counter-example is `existing_path`:
 /// occurrences add, charged apps union, and the canonically smaller path
-/// wins with its diagnosis, depth and failure.  A path is either the
-/// TraceSteps or the search's own GuidePath, compared by `identity`.
-template <typename Path, typename Identity>
-void MergeInto(Violation& existing, Path& existing_path, Violation& v,
-               Path& path, const Identity& identity) {
+/// wins with its diagnosis, depth and failure.
+void MergeInto(const model::SystemModel& model, Violation& existing,
+               GuidePath& existing_path, Violation& v, GuidePath& path) {
   existing.occurrences += v.occurrences;
   for (const std::string& app : v.apps) AddApp(existing.apps, app);
-  if (PathLess(path, v.detail, existing_path, existing.detail, identity)) {
+  if (PathLess(model, path, v.detail, existing_path, existing.detail)) {
     existing_path = std::move(path);
     existing.detail = std::move(v.detail);
     existing.depth = v.depth;
@@ -428,15 +419,8 @@ void MergeInto(Violation& existing, Path& existing_path, Violation& v,
   }
 }
 
-}  // namespace
-
-// Public (checker.hpp): the cluster coordinator merges branch-shard and
-// swarm-lane results from remote workers through these, so distributed
-// merges canonicalize exactly like the in-process branch fold.
-void MergeViolationInto(Violation& existing, Violation v) {
-  MergeInto(existing, existing.steps, v, v.steps, StepIdentity);
-}
-
+/// Final report canonicalization of a search run: violations ordered by
+/// property id, charged apps ordered lexicographically.
 void CanonicalizeViolations(std::vector<Violation>& violations) {
   for (Violation& v : violations) std::sort(v.apps.begin(), v.apps.end());
   std::sort(violations.begin(), violations.end(),
@@ -444,8 +428,6 @@ void CanonicalizeViolations(std::vector<Violation>& violations) {
               return a.property_id < b.property_id;
             });
 }
-
-namespace {
 
 // ---- Run-finalization helpers ------------------------------------------------
 
@@ -770,10 +752,8 @@ class Search {
         for (int app : charged_apps) {
           AddApp(existing.apps, model_.apps()[app].config.label);
         }
-        if (PathLess(path_, detail, found_.paths[v], existing.detail,
-                     [this](const GuideStep& s) {
-                       return StepCoordinates(model_, s);
-                     })) {
+        if (PathLess(model_, path_, detail, found_.paths[v],
+                     existing.detail)) {
           found_.paths[v] = path_;
           existing.detail = detail;
           existing.depth = depth;
@@ -1088,9 +1068,6 @@ TraceStep MakeStep(const model::SystemModel& model,
 /// StepCoordinates — the same merge the search applies on each
 /// re-violation.
 void Fold(const model::SystemModel& model, Found& total, Found branch) {
-  const auto coordinates = [&model](const GuideStep& s) {
-    return StepCoordinates(model, s);
-  };
   for (std::size_t v = 0; v < branch.violations.size(); ++v) {
     Violation& violation = branch.violations[v];
     std::size_t e = 0;
@@ -1102,8 +1079,8 @@ void Fold(const model::SystemModel& model, Found& total, Found branch) {
       total.violations.push_back(std::move(violation));
       total.paths.push_back(std::move(branch.paths[v]));
     } else {
-      MergeInto(total.violations[e], total.paths[e], violation,
-                branch.paths[v], coordinates);
+      MergeInto(model, total.violations[e], total.paths[e], violation,
+                branch.paths[v]);
     }
   }
 }
@@ -1158,8 +1135,7 @@ CheckResult RunSearch(const model::SystemModel& model,
   if (options.store == StoreKind::kExhaustive) {
     store = std::make_unique<ExhaustiveStore>(shards);
   } else {
-    store = std::make_unique<BitstateStore>(options.bitstate_bits, 3,
-                                            options.bitstate_seed);
+    store = std::make_unique<BitstateStore>(options.bitstate_bits);
   }
   const std::unique_ptr<model::FootprintIndex> footprints =
       MakeFootprints(model, options);
@@ -1189,19 +1165,6 @@ CheckResult RunSearch(const model::SystemModel& model,
         branches.push_back({event, failure});
       }
     }
-  }
-  if (options.branch_modulus > 1) {
-    // Branch-shard mode (cluster work units): keep only this shard's
-    // residue class.  Enumeration order is deterministic, so shards with
-    // residues 0..modulus-1 partition the branch set exactly.
-    std::vector<RootBranch> mine;
-    for (std::size_t i = 0; i < branches.size(); ++i) {
-      if (i % options.branch_modulus ==
-          options.branch_residue % options.branch_modulus) {
-        mine.push_back(std::move(branches[i]));
-      }
-    }
-    branches = std::move(mine);
   }
   run.branches_total = branches.size();
 

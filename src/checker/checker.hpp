@@ -104,18 +104,6 @@ struct CheckOptions {
   /// violation artifact's manifest so traces, access-log lines, and
   /// artifacts join on one key.
   std::string request_id;
-  /// Root-branch sharding for distributed runs (src/cluster): when
-  /// `branch_modulus > 1`, only the root (event × failure) branches with
-  /// `index % branch_modulus == branch_residue` are explored — the
-  /// branch enumeration order is deterministic, so a modulus-complete
-  /// set of shards covers exactly the branches a single run would.
-  /// Each shard owns its own visited-state store, so summed state
-  /// counts can exceed a single run's (shards re-visit states another
-  /// shard pruned); verdicts are unaffected.  0/1 = no sharding.
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  /// Bitstate hash-family seed (swarm lanes): 0 = historical family.
-  std::uint64_t bitstate_seed = 0;
 };
 
 /// One detected property violation with its counter-example.
@@ -241,27 +229,15 @@ class Checker {
   const model::SystemModel& model_;
 };
 
-/// Folds the counters of `part` (the search of another related set,
-/// branch shard or swarm lane) into `into`; each caller keeps its own
-/// rule for violations.  Counts and seconds add, and `completed` is the
-/// AND of the parts.  The store diagnostics (fill ratio, omission
-/// estimate, memory, pool bytes, bytes per state) keep the largest part,
-/// since the worst store decides whether the whole result's coverage can
-/// be trusted, and so does the lane count.  The depth histogram and the
-/// per-lane states add bucket by bucket.
+/// Folds the counters of `part` (the search of another related set)
+/// into `into`; each caller keeps its own rule for violations.  Counts
+/// and seconds add, and `completed` is the AND of the parts.  The store
+/// diagnostics (fill ratio, omission estimate, memory, pool bytes, bytes
+/// per state) keep the largest part, since the worst store decides
+/// whether the whole result's coverage can be trusted, and so does the
+/// lane count.  The depth histogram and the per-lane states add bucket
+/// by bucket.
 void Accumulate(CheckResult& into, const CheckResult& part);
-
-/// Merges a violation of the same property found elsewhere in the search
-/// into `existing`: occurrences accumulate, charged apps union, and the
-/// canonically smaller counter-example wins.  The cluster coordinator's
-/// shard/lane merges use it on compact steps; the in-process branch
-/// fold applies the same merge to the search's own paths.
-void MergeViolationInto(Violation& existing, Violation v);
-
-/// Final report canonicalization, applied identically by every search
-/// run and the distributed merge: violations ordered by property id,
-/// charged apps ordered lexicographically.
-void CanonicalizeViolations(std::vector<Violation>& violations);
 
 /// Renders a violation report (description, involved apps, trace).
 std::string FormatViolation(const Violation& violation);

@@ -114,20 +114,14 @@ std::uint64_t InternPool::memory_bytes() const {
   return total;
 }
 
-BitstateStore::BitstateStore(std::size_t bit_count, unsigned hash_count,
-                             std::uint64_t seed)
-    : bits_(bit_count), hash_count_(hash_count == 0 ? 1 : hash_count),
-      seed_(seed) {}
+BitstateStore::BitstateStore(std::size_t bit_count, unsigned hash_count)
+    : bits_(bit_count), hash_count_(hash_count == 0 ? 1 : hash_count) {}
 
 bool BitstateStore::TestAndInsert(std::span<const std::uint8_t> bytes) {
   // One pass over the state bytes yields the base hash; the k probe
   // positions are h1 + i*h2 (Kirsch-Mitzenmacher), with the two derived
-  // hashes hoisted out of the probe loop.  A swarm-lane seed remixes the
-  // base hash so each lane probes an independent bit pattern; seed 0
-  // skips the remix and matches the historical store exactly.
-  std::uint64_t base = hash::Fnv1a64(bytes);
-  if (seed_ != 0) base = hash::SplitMix64(base ^ seed_);
-  const hash::DoubleHash dh = hash::MakeDoubleHash(base);
+  // hashes hoisted out of the probe loop.
+  const hash::DoubleHash dh = hash::MakeDoubleHash(hash::Fnv1a64(bytes));
   bool seen = true;
   std::uint64_t probe = dh.h1;
   for (unsigned i = 0; i < hash_count_; ++i, probe += dh.h2) {

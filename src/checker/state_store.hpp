@@ -164,13 +164,8 @@ class InternPool {
 class BitstateStore final : public StateStore {
  public:
   /// `bit_count` is the size of the bit field (Spin's -w); `hash_count`
-  /// the number of hash functions (Spin's default is 3).  A non-zero
-  /// `seed` perturbs the hash family (Holzmann-swarm lane diversity:
-  /// lanes with different seeds omit *different* states, so the union of
-  /// their findings covers more of the space).  seed == 0 is the
-  /// historical hash family, bit-for-bit.
-  explicit BitstateStore(std::size_t bit_count, unsigned hash_count = 3,
-                         std::uint64_t seed = 0);
+  /// the number of hash functions (Spin's default is 3).
+  explicit BitstateStore(std::size_t bit_count, unsigned hash_count = 3);
 
   bool TestAndInsert(std::span<const std::uint8_t> bytes) override;
   std::uint64_t size() const override {
@@ -194,7 +189,6 @@ class BitstateStore final : public StateStore {
  private:
   BitArray bits_;
   unsigned hash_count_;
-  std::uint64_t seed_;
   std::atomic<std::uint64_t> inserted_{0};
 };
 

@@ -102,14 +102,6 @@ constexpr FlagSpec kCliFlags[] = {
      "per-work-unit dispatch deadline before the coordinator retries or "
      "re-dispatches (default 600)",
      &CliFlags::unit_deadline_seconds, 1, 86400},
-    {"--branch-split", "N", kCmdServe | kCmdCluster,
-     "split each related-set group into N root-branch shards (verdicts "
-     "unchanged; summed state counts reflect the aggregate work)",
-     &CliFlags::branch_split, 0, 4096},
-    {"--swarm-lanes", "N", kCmdServe | kCmdCluster,
-     "bitstate swarm: re-run each group under N diverse hash seeds and "
-     "union the violations (needs --bitstate)",
-     &CliFlags::swarm_lanes, 0, 4096},
     {"--no-local-fallback", nullptr,
      kCmdServe | kCmdCluster,
      "fail the check when no worker is reachable instead of degrading "

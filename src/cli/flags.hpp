@@ -52,8 +52,6 @@ struct CliFlags {
   std::string workers;        // "host:port,host:port,..." worker fleet
   bool coordinator = false;   // serve: dispatch /v1/check across workers
   int unit_deadline_seconds = 600;  // per-unit dispatch deadline
-  int branch_split = 0;       // root-branch shards per group (0/1 = off)
-  int swarm_lanes = 0;        // bitstate swarm lanes per group (0/1 = off)
   bool no_local_fallback = false;  // fail instead of degrading to local
 };
 

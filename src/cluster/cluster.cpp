@@ -129,71 +129,17 @@ std::vector<checker::CheckResult> BatchResultsFromJson(
 // ---- planning ----------------------------------------------------------------
 
 std::vector<WorkUnit> PlanUnits(
-    const std::vector<std::vector<std::size_t>>& groups,
-    const ClusterOptions& options, const core::RequestOptions& request) {
+    const std::vector<std::vector<std::size_t>>& groups) {
   std::vector<WorkUnit> units;
-  const bool lanes = request.bitstate && options.swarm_lanes > 1;
-  const bool shards = !lanes && options.branch_split > 1;
   const std::vector<std::size_t> first = core::FirstOccurrences(groups);
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (first[g] != g) continue;
     WorkUnit unit;
-    unit.group_index = g;
     unit.group_apps = groups[g];
-    if (lanes) {
-      unit.kind = UnitKind::kSwarmLane;
-      for (unsigned lane = 0; lane < options.swarm_lanes; ++lane) {
-        // Lane 0 keeps the historical family, so a 1-lane degenerate
-        // plan is byte-identical to a plain bitstate run.
-        unit.bitstate_seed = lane == 0 ? 0 : hash::SplitMix64(lane);
-        units.push_back(unit);
-      }
-    } else if (shards) {
-      unit.kind = UnitKind::kBranchShard;
-      unit.branch_modulus = options.branch_split;
-      for (unsigned residue = 0; residue < options.branch_split; ++residue) {
-        unit.branch_residue = residue;
-        units.push_back(unit);
-      }
-    } else {
-      units.push_back(std::move(unit));
-    }
+    unit.group_index = g;
+    units.push_back(std::move(unit));
   }
   return units;
-}
-
-checker::CheckResult MergeShardResults(
-    UnitKind kind, std::vector<checker::CheckResult> results) {
-  if (results.size() == 1) return std::move(results[0]);
-  checker::CheckResult merged;
-  for (checker::CheckResult& shard : results) {
-    checker::Accumulate(merged, shard);
-    for (checker::Violation& violation : shard.violations) {
-      checker::Violation* existing = nullptr;
-      for (checker::Violation& have : merged.violations) {
-        if (have.property_id == violation.property_id) {
-          existing = &have;
-          break;
-        }
-      }
-      if (existing == nullptr) {
-        merged.violations.push_back(std::move(violation));
-      } else {
-        checker::MergeViolationInto(*existing, std::move(violation));
-      }
-    }
-  }
-  if (kind == UnitKind::kBranchShard && !merged.depth_histogram.empty()) {
-    // Every shard's search accounted the shared initial state once;
-    // a single run accounts it exactly once, so drop the duplicates.
-    const std::uint64_t extra =
-        static_cast<std::uint64_t>(results.size()) - 1;
-    merged.states_explored -= std::min(merged.states_explored, extra);
-    merged.depth_histogram[0] -=
-        std::min(merged.depth_histogram[0], extra);
-  }
-  checker::CanonicalizeViolations(merged.violations);
-  return merged;
 }
 
 // ---- coordinator -------------------------------------------------------------
@@ -286,8 +232,7 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     return out;
   }
 
-  std::vector<WorkUnit> units =
-      PlanUnits(groups, options_, request.options);
+  const std::vector<WorkUnit> units = PlanUnits(groups);
   if (auto* t = telemetry::Active()) {
     t->cluster.units_planned += units.size();
   }
@@ -317,14 +262,8 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   std::size_t live_workers = 0;
   std::string fatal_error;
 
-  // Group-completion progress for /v1/status and SSE: emitted once per
-  // planned group whose units have all finished, with monotonically
-  // advancing groups_done.
-  std::vector<std::size_t> group_pending(groups.size(), 0);
-  for (const WorkUnit& unit : units) ++group_pending[unit.group_index];
-  std::size_t groups_planned = 0;
-  for (std::size_t pending : group_pending) groups_planned += pending > 0;
-  std::uint64_t groups_done = 0;
+  // Set-completion progress for /v1/status and SSE: one per finished
+  // unit, with monotonically advancing groups_done.
   std::uint64_t progress_states = 0;
 
   auto note_unit_done = [&](std::size_t index,
@@ -334,12 +273,11 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     slots[index].done = true;
     ++done_count;
     if (auto* t = telemetry::Active()) ++t->cluster.units_completed;
-    const std::size_t g = units[index].group_index;
     progress_states += slots[index].result.states_explored;
-    if (--group_pending[g] == 0 && env.on_group_progress) {
+    if (env.on_group_progress) {
       telemetry::GroupProgress progress;
-      progress.groups_total = groups_planned;
-      progress.groups_done = ++groups_done;
+      progress.groups_total = units.size();
+      progress.groups_done = done_count;
       progress.states_explored = progress_states;
       progress.store_memory_bytes = slots[index].result.store_memory_bytes;
       progress.seconds = slots[index].result.seconds;
@@ -524,23 +462,15 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   out.units_remote = units.size() - stranded_index.size();
   out.units_redispatched = redispatched;
 
-  // One result per plan position: a planned group's shards or lanes
-  // folded together, and a repeated group's copy of its first's.
-  const std::vector<std::size_t> first = core::FirstOccurrences(groups);
+  // One result per plan position: a unit's at its set's first position,
+  // and a repeated set's copy of its first's.
   std::vector<checker::CheckResult> results(groups.size());
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    results[units[i].group_index] = std::move(slots[i].result);
+  }
+  const std::vector<std::size_t> first = core::FirstOccurrences(groups);
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (first[g] != g) {
-      results[g] = results[first[g]];
-      continue;
-    }
-    std::vector<checker::CheckResult> parts;
-    UnitKind kind = UnitKind::kGroup;
-    for (std::size_t i = 0; i < units.size(); ++i) {
-      if (units[i].group_index != g) continue;
-      kind = units[i].kind;
-      parts.push_back(std::move(slots[i].result));
-    }
-    results[g] = MergeShardResults(kind, std::move(parts));
+    if (first[g] != g) results[g] = results[first[g]];
   }
   // Render and merge in plan order — byte-identical to the single-node
   // loop, `seconds` (the sum of the units' search seconds) included.

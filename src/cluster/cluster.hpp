@@ -1,29 +1,18 @@
-// Distributed swarm verification: a cluster coordinator over N iotsan
-// workers (Holzmann swarm over HTTP).
+// Distributed verification: a cluster coordinator over N iotsan workers.
 //
 // The coordinator reuses the sanitizer's own decomposition as its work
-// partition: `Sanitizer::PlanGroups` yields independent related-set
-// groups, and each distinct one becomes a work unit (a repeated set
+// partition: `Sanitizer::PlanGroups` yields independent related sets
+// (paper §5), and each distinct one becomes a work unit (a repeated set
 // gets a copy of its first's result, as in Sanitizer::CheckGroups).
-// Oversized groups can additionally be split along the checker's
-// deterministic root (event × failure) branch enumeration
-// (`branchModulus`/`branchResidue` units), and bitstate searches can fan
-// out as *swarm lanes* — the same group re-run under diverse hash-family
-// seeds so each lane omits different states.  Units travel in batches:
-// one `POST /v1/check` carries the deployment once and a `units` list,
-// and the worker replies with one compact CheckResult per unit.
+// Units travel in batches: one `POST /v1/check` carries the deployment
+// once and a `units` list, and the worker replies with one compact
+// CheckResult per unit.
 //
-// Determinism: group units are exactly the computations a single node
-// performs, rendered and merged in plan order through
+// Determinism: a unit is exactly the computation a single node performs
+// for that set, rendered and merged in plan order through
 // Sanitizer::RenderReported / core::MergeGroupResult / FinalizeReport, so
-// a cluster run's verdicts, violation ordering, and counter-example
-// traces are byte-identical to a single-node run on exhaustive stores —
-// regardless of worker count, batching, dispatch order, or mid-run worker
-// death.  Branch shards and swarm lanes merge through
-// checker::MergeViolationInto / CanonicalizeViolations (the same
-// canonical-min dedup the in-process parallel search uses), which keeps
-// verdicts and traces identical while summed state counters reflect
-// aggregate work (each shard owns a store).
+// a cluster run prints what a single-node run prints — regardless of
+// worker count, batching, dispatch order, or mid-run worker death.
 //
 // Robustness: workers are probed against /v1/health, every dispatch is
 // bounded by a deadline and retried with jittered exponential backoff,
@@ -69,25 +58,15 @@ struct ClusterOptions {
   int backoff_max_ms = 2000;
   /// Jitter PRNG seed (decorrelate retries; tests pin it).
   std::uint64_t jitter_seed = 1;
-  /// Split each group's root branches into this many shard units
-  /// (0/1 = off).  Opt-in: shards own separate stores, so summed state
-  /// counts exceed a single run's; verdicts are unaffected.
-  unsigned branch_split = 0;
-  /// Bitstate swarm lanes per group (0/1 = off): lane i re-runs the
-  /// group with hash seed SplitMix64(i), violations union.
-  unsigned swarm_lanes = 0;
   /// Run remaining units locally when every worker is unreachable
   /// (false = fail the check instead).
   bool allow_local_fallback = true;
 };
 
-enum class UnitKind { kGroup, kBranchShard, kSwarmLane };
-
 /// One schedulable piece of a verification: what a worker checks, plus
 /// where its result goes.
 struct WorkUnit : core::CheckUnit {
-  UnitKind kind = UnitKind::kGroup;
-  /// Position of the related-set group in the coordinator's plan (merge
+  /// Position of the related set in the coordinator's plan (merge
   /// happens in this order).
   std::size_t group_index = 0;
 };
@@ -105,7 +84,7 @@ struct WorkerStatus {
 
 struct ClusterOutcome {
   core::CheckResponse response;
-  /// Units planned: one per distinct related set (times shards or lanes).
+  /// Units planned: one per distinct related set.
   std::size_t units_total = 0;
   std::size_t units_remote = 0;
   std::size_t units_local = 0;
@@ -128,23 +107,11 @@ json::Value BatchRequestJson(const core::CheckRequest& request,
 std::vector<checker::CheckResult> BatchResultsFromJson(
     const json::Value& reply, std::size_t units);
 
-/// Plans the unit list for `groups` (PlanGroups output, in plan order),
-/// skipping repeated groups (core::FirstOccurrences): one kGroup unit per
-/// distinct group by default; kBranchShard × branch_split units per group
-/// when branch splitting is on; kSwarmLane units when swarm lanes are on
-/// and the request uses a bitstate store.
+/// Plans the unit list for `groups` (PlanGroups output, in plan order):
+/// one unit per distinct set, at its first position
+/// (core::FirstOccurrences).
 std::vector<WorkUnit> PlanUnits(
-    const std::vector<std::vector<std::size_t>>& groups,
-    const ClusterOptions& options, const core::RequestOptions& request);
-
-/// Folds the shard/lane results of ONE group back into a single
-/// CheckResult (counters through checker::Accumulate, minus the (n-1)
-/// duplicate initial-state accountings for branch shards; violations
-/// dedup canonically).
-/// `results` must be in residue/lane order.  Identity for size 1.
-checker::CheckResult MergeShardResults(UnitKind kind,
-                                       std::vector<checker::CheckResult>
-                                           results);
+    const std::vector<std::vector<std::size_t>>& groups);
 
 // ---- coordinator -------------------------------------------------------------
 

@@ -216,6 +216,7 @@ cache::GroupKey Sanitizer::GroupKeyFor(const std::vector<std::size_t>& group,
   }
   inputs.properties = &all_properties;
   inputs.check = &options.check;
+  inputs.lanes = static_cast<int>(util::ResolveJobs(options.check.jobs));
   inputs.model = &model_options;
   inputs.version = version;
   return cache::MakeGroupKey(inputs);
@@ -250,20 +251,19 @@ model::SystemModel Sanitizer::GroupModel(const std::vector<std::size_t>& group,
 
 checker::CheckResult Sanitizer::CheckGroup(
     const std::vector<std::size_t>& group, const SanitizerOptions& options,
-    const checker::CheckOptions& check, const AppAnalyses& analyses,
-    bool& searched, cache::GroupKey* key) const {
+    const AppAnalyses& analyses, bool& searched, cache::GroupKey* key) const {
   auto run = [&]() -> checker::CheckResult {
     searched = true;
     const model::SystemModel model = [&] {
       telemetry::ScopedSpan build_span("model_build");
       build_span.Attr("apps", static_cast<std::int64_t>(group.size()));
-      if (!check.request_id.empty()) {
-        build_span.Attr("request_id", check.request_id);
+      if (!options.check.request_id.empty()) {
+        build_span.Attr("request_id", options.check.request_id);
       }
       if (auto* t = telemetry::Active()) ++t->pipeline.models_built;
       return GroupModel(group, options, analyses);
     }();
-    return checker::Checker(model).Run(check);
+    return checker::Checker(model).Run(options.check);
   };
 
   if (options.cache == nullptr) return run();
@@ -298,11 +298,11 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   std::atomic<std::uint64_t> groups_done{0};
   std::atomic<std::uint64_t> group_states{0};
   std::mutex progress_mutex;
-  auto check_group = [&](std::size_t g, const checker::CheckOptions& check) {
+  auto check_group = [&](std::size_t g, const SanitizerOptions& searched_as) {
     const auto group_start = std::chrono::steady_clock::now();
     checker::CheckResult& result = results[g];
     bool group_searched = false;
-    result = CheckGroup(groups[g], options, check, analyses, group_searched,
+    result = CheckGroup(groups[g], searched_as, analyses, group_searched,
                         hold ? &keys[g] : nullptr);
     ran[g] = group_searched;
     if (auto* t = telemetry::Active()) {
@@ -331,21 +331,21 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   };
 
   const unsigned lanes = util::ResolveJobs(options.check.jobs);
-  checker::CheckOptions one_lane = options.check;
-  one_lane.jobs = 1;
+  SanitizerOptions one_lane = options;
+  one_lane.check.jobs = 1;
   if (lanes == 1 || distinct.size() < 2) {
     // A lone `--mono` set, or a lone set of every app (a one-set
     // deployment), has nothing to fan out with, so its search spreads
     // its root branches over the lanes: the one case where the lane
-    // count can change a counter-example.  Any other lone set (a cluster
-    // batch of one unit) is searched on one lane, as the fan-out
-    // searches it.
+    // count can change a counter-example, and so the one search whose
+    // cache key names it.  Any other lone set (a cluster batch of one
+    // unit) is searched on one lane, as the fan-out searches it.
     const bool whole =
         distinct.size() == 1 &&
         (!options.use_dependency_analysis ||
          groups[distinct.front()].size() == deployment_.apps.size());
     for (std::size_t g : distinct) {
-      check_group(g, whole ? options.check : one_lane);
+      check_group(g, whole ? options : one_lane);
     }
   } else {
     // Related sets are independent models: they fan out over the pool

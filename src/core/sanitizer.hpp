@@ -131,8 +131,11 @@ class Sanitizer {
       const SanitizerOptions& options, SanitizerReport& report,
       AppAnalyses* analyses = nullptr) const;
 
-  /// The content-addressed fingerprint of one group under `options` —
-  /// the exact key the result cache memoizes the group's result under.
+  /// The content-addressed fingerprint of one group searched with
+  /// `options` — the exact key the result cache memoizes the group's
+  /// result under.  It names `options.check`'s lane count when that is
+  /// more than one, so pass the options CheckGroups searches the group
+  /// with: `jobs` 1 unless the group spreads its root branches.
   cache::GroupKey GroupKeyFor(const std::vector<std::size_t>& group,
                               const SanitizerOptions& options,
                               const std::string& version) const;
@@ -153,10 +156,10 @@ class Sanitizer {
   /// holds every app of the deployment (a deployment that is one related
   /// set); any other lone set is searched on the calling thread at one
   /// lane.  The rule reads only the call's inputs, so a cluster worker
-  /// and a single node decide alike.  Records each search's latency and throughput
-  /// histograms and reports `options.on_group_progress` after each
-  /// (groups_total = the distinct groups).  `analyses` must hold every
-  /// app of the groups.  When `searched` is set it receives how many
+  /// and a single node decide alike.  Records each search's latency and
+  /// throughput histograms and reports `options.on_group_progress` after
+  /// each (groups_total = the distinct groups).  `analyses` must hold
+  /// every app of the groups.  When `searched` is set it receives how many
   /// positions were searched rather than taken from `options.cache`.
   /// With `options.cache_holder` set, the cache then holds the results.
   /// Counter-examples stay compact.
@@ -188,13 +191,13 @@ class Sanitizer {
   config::Deployment deployment_;
   std::map<std::string, std::string> sources_;
 
-  /// One group of CheckGroups; `check` is `options.check`, narrowed to
-  /// one lane unless the group spreads.  Sets `searched` when the group
-  /// was searched rather than taken from `options.cache`, and `key` (if
-  /// set) to the cache key it was fetched under.
+  /// One group of CheckGroups, searched with `options` (CheckGroups'
+  /// options, narrowed to one lane unless the group spreads).  Sets
+  /// `searched` when the group was searched rather than taken from
+  /// `options.cache`, and `key` (if set) to the cache key it was fetched
+  /// under.
   checker::CheckResult CheckGroup(const std::vector<std::size_t>& group,
                                   const SanitizerOptions& options,
-                                  const checker::CheckOptions& check,
                                   const AppAnalyses& analyses, bool& searched,
                                   cache::GroupKey* key) const;
   /// The deployment's devices, modes and settings with only the group's

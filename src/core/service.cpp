@@ -99,17 +99,6 @@ json::Value CheckUnitToJson(const CheckUnit& unit) {
     apps.push_back(static_cast<std::int64_t>(app));
   }
   doc["groupApps"] = std::move(apps);
-  if (unit.branch_modulus > 1) {
-    doc["branchModulus"] = static_cast<std::int64_t>(unit.branch_modulus);
-    doc["branchResidue"] = static_cast<std::int64_t>(unit.branch_residue);
-  }
-  // Seeds use all 64 bits, past what a JSON integer here holds.
-  if (unit.bitstate_seed != 0) {
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(unit.bitstate_seed));
-    doc["bitstateSeed"] = std::string(hex);
-  }
   return json::Value(std::move(doc));
 }
 
@@ -125,17 +114,6 @@ CheckUnit CheckUnitFromJson(const json::Value& doc) {
         for (const json::Value& app : value.AsArray()) {
           unit.group_apps.push_back(app.AsInteger<std::size_t>(0, 1 << 20));
         }
-      } else if (key == "branchModulus") {
-        unit.branch_modulus = value.AsInteger<unsigned>(1, 1 << 16);
-      } else if (key == "branchResidue") {
-        unit.branch_residue = value.AsInteger<unsigned>(0, 1 << 16);
-      } else if (key == "bitstateSeed") {
-        const std::string hex = value.is_string() ? value.AsString() : "";
-        if (hex.empty() || hex.size() > 16 ||
-            hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
-          throw Error("must be 1 to 16 lowercase hex digits");
-        }
-        unit.bitstate_seed = std::stoull(hex, nullptr, 16);
       } else {
         throw Error("is not a unit key");
       }
@@ -171,31 +149,8 @@ std::vector<checker::CheckResult> RunCheckUnits(const CheckRequest& request,
   }
   SanitizerOptions options = MakeCheckOptions(request.options, env);
   options.extra_properties = request.extra_properties;
-  const AppAnalyses analyses = sanitizer.AnalyzeGroupApps(groups);
-
-  std::vector<checker::CheckResult> results;
-  for (std::size_t begin = 0; begin < groups.size();) {
-    const CheckUnit& unit = request.units[begin];
-    std::size_t end = begin + 1;
-    while (end < groups.size() &&
-           request.units[end].branch_modulus == unit.branch_modulus &&
-           request.units[end].branch_residue == unit.branch_residue &&
-           request.units[end].bitstate_seed == unit.bitstate_seed) {
-      ++end;
-    }
-    options.check.branch_modulus = unit.branch_modulus;
-    options.check.branch_residue = unit.branch_residue;
-    options.check.bitstate_seed = unit.bitstate_seed;
-    const std::vector<std::vector<std::size_t>> run(
-        groups.begin() + static_cast<std::ptrdiff_t>(begin),
-        groups.begin() + static_cast<std::ptrdiff_t>(end));
-    for (checker::CheckResult& result :
-         sanitizer.CheckGroups(run, options, analyses)) {
-      results.push_back(std::move(result));
-    }
-    begin = end;
-  }
-  return results;
+  return sanitizer.CheckGroups(groups, options,
+                               sanitizer.AnalyzeGroupApps(groups));
 }
 
 std::string RenderCheckHeader(const config::Deployment& deployment,

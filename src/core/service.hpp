@@ -53,24 +53,16 @@ struct ServiceEnv {
 
 // ---- check -------------------------------------------------------------------
 
-/// One cluster work unit (src/cluster): a related-set group of the
-/// request's deployment, as the coordinator's PlanGroups planned it,
-/// possibly one root-branch shard or bitstate swarm lane of it.
+/// One cluster work unit (src/cluster): a related set of the request's
+/// deployment, as the coordinator's PlanGroups planned it.
 struct CheckUnit {
-  /// App indices (into deployment.apps) of the group.
+  /// App indices (into deployment.apps) of the set.
   std::vector<std::size_t> group_apps;
-  /// Root-branch shard (0/1 = the whole group); see
-  /// checker::CheckOptions::branch_modulus.
-  unsigned branch_modulus = 0;
-  unsigned branch_residue = 0;
-  /// Bitstate swarm-lane hash seed (0 = the default family).
-  std::uint64_t bitstate_seed = 0;
 };
 
 /// A unit's wire form inside a worker request's "units" list:
-/// {"groupApps": [..], "branchModulus": N, "branchResidue": N,
-/// "bitstateSeed": "16 hex digits"}, the last three only where set.
-/// FromJson throws iotsan::Error naming the bad key.
+/// {"groupApps": [..]}.  FromJson throws iotsan::Error naming the bad
+/// key.
 json::Value CheckUnitToJson(const CheckUnit& unit);
 CheckUnit CheckUnitFromJson(const json::Value& doc);
 
@@ -118,14 +110,14 @@ inline int CheckExitCode(const SanitizerReport& report) {
 }
 
 /// Runs a worker request's units, one result per unit in request
-/// order: each app is analysed once for the whole batch, and units with
-/// the same shard coordinates go through one Sanitizer::CheckGroups
-/// call, so they fan out over `env.pool` (a lone unit is searched on one
-/// lane unless it is `--mono` or holds every app).  The coordinator —
-/// which planned the groups from the same deployment — merges and
-/// renders the compact results through the single-node steps, so a
-/// sharded run reproduces a single-node report byte for byte.  Throws
-/// iotsan::Error on an out-of-range app index.
+/// order: each app is analysed once for the whole batch, and the units
+/// go through one Sanitizer::CheckGroups call, so they fan out over
+/// `env.pool` (a lone unit is searched on one lane unless it is `--mono`
+/// or holds every app).  The coordinator — which planned the sets from
+/// the same deployment — merges and renders the compact results through
+/// the single-node steps, so a cluster run reproduces a single-node
+/// report byte for byte.  Throws iotsan::Error on an out-of-range app
+/// index.
 std::vector<checker::CheckResult> RunCheckUnits(const CheckRequest& request,
                                                 const ServiceEnv& env = {});
 

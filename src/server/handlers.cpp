@@ -430,10 +430,9 @@ HttpResponse HandleCheck(const HttpRequest& request,
   core::ServiceEnv env = state.env;
   env.request_id = request_id;
 
-  // Cluster work units ("units"): a coordinator planned these
-  // related-set groups — possibly branch shards or swarm lanes of them —
-  // and wants their compact CheckResults back, in request order, not a
-  // rendered report.  This is the worker half of the protocol, so it
+  // Cluster work units ("units"): a coordinator planned these related
+  // sets and wants their compact CheckResults back, in request order,
+  // not a rendered report.  This is the worker half of the protocol, so it
   // never re-enters the coordinator even when this node is one.
   if (!check.units.empty()) {
     std::vector<checker::CheckResult> results;

@@ -237,6 +237,36 @@ TEST(CacheTest, WarmParallelCheckPrintsTheColdTextByteForByte) {
   fs::remove_all(dir);
 }
 
+TEST(CacheTest, OneLaneCheckNeverReplaysASpreadSearch) {
+  // A `--mono` set spreads its root branches over the lanes, so its
+  // counter-examples may differ from a one-lane search's.  Its key names
+  // the lane count: a one-lane check through a cache a four-lane check
+  // filled searches the set itself and prints the one-lane text, and a
+  // second four-lane check still hits.
+  for (const std::size_t group : {0, 5}) {
+    const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[group];
+    core::CheckRequest request;
+    request.deployment = sut.deployment;
+    request.extra_sources = sut.extra_sources;
+    request.options.mono = true;
+    request.options.jobs = 1;
+    const std::string serial = MaskTime(core::RunCheck(request).text);
+
+    cache::ResultCache cache(cache::CacheConfig{});
+    core::ServiceEnv env;
+    env.cache = &cache;
+    request.options.jobs = 4;
+    EXPECT_EQ(core::RunCheck(request, env).report.groups_searched, 1u);
+    request.options.jobs = 1;
+    const core::CheckResponse warm = core::RunCheck(request, env);
+    EXPECT_EQ(warm.report.groups_searched, 1u) << "group " << group + 1;
+    EXPECT_EQ(MaskTime(warm.text), serial) << "group " << group + 1;
+    request.options.jobs = 4;
+    EXPECT_EQ(core::RunCheck(request, env).report.groups_searched, 0u)
+        << "group " << group + 1;
+  }
+}
+
 TEST(CacheTest, DiskLayerServesAFreshProcess) {
   const std::string dir = FreshDir("disk");
   cache::CacheConfig config;
@@ -706,19 +736,36 @@ TEST(CacheKeyTest, EveryRequestOptionKeysTheCacheOrLeavesTheResult) {
 
 TEST(CacheKeyTest, DefaultOptionKeysMatchGolden) {
   // Existing caches stay warm only while the key text at default
-  // options is byte-stable (tests/data/group_key_default.txt).
+  // options is byte-stable (tests/data/group_key_default.txt).  A check
+  // of two sets searches each on one lane, so that is what it keys.
   const core::Sanitizer sanitizer = TwoGroupSanitizer();
-  const core::SanitizerOptions options = core::MakeCheckOptions({}, {});
+  core::SanitizerOptions options = core::MakeCheckOptions({}, {});
+  options.check.jobs = 1;
   std::string keys;
+  std::vector<std::string> files;
   for (const std::vector<std::size_t>& group :
        std::vector<std::vector<std::size_t>>{{0}, {1}}) {
     const cache::GroupKey key = sanitizer.GroupKeyFor(group, options, "golden");
     keys += key.Hex() + " " + key.text + "\n";
+    files.push_back(key.Hex() + ".json");
   }
   std::ifstream in(IOTSAN_TEST_DATA_DIR "/group_key_default.txt");
   std::stringstream golden;
   golden << in.rdbuf();
   EXPECT_EQ(keys, golden.str());
+
+  // A check at the default lane count stores its sets under these keys.
+  cache::CacheConfig config;
+  config.dir = FreshDir("golden_keys");
+  config.version = "golden";
+  cache::ResultCache cache(config);
+  options = core::MakeCheckOptions({}, {});
+  options.cache = &cache;
+  sanitizer.Check(options);
+  for (const std::string& file : files) {
+    EXPECT_TRUE(fs::exists(config.dir + "/" + file)) << file;
+  }
+  fs::remove_all(config.dir);
 }
 
 }  // namespace

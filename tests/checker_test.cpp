@@ -323,12 +323,9 @@ TEST(ParallelCheckerTest, OneLaneTicksNoParallelCounter) {
   Checker checker(model);
   CheckOptions options;
   options.max_events = 3;
-  CheckOptions shard = options;  // a cluster branch shard on one lane
-  shard.branch_modulus = 2;
   telemetry::Registry registry;
   telemetry::SetActive(&registry);
   const CheckResult result = checker.Run(options);
-  checker.Run(shard);
   telemetry::SetActive(nullptr);
 
   EXPECT_GT(registry.search.states_explored.load(), 0u);
@@ -339,6 +336,82 @@ TEST(ParallelCheckerTest, OneLaneTicksNoParallelCounter) {
   EXPECT_EQ(result.jobs, 1);
   EXPECT_EQ(result.parallel_branches, 0u);
   EXPECT_TRUE(result.worker_states_explored.empty());
+}
+
+TEST(AccumulateTest, EachFieldFoldsByItsRule) {
+  // Each field's fold rule in one place: counts and seconds add,
+  // `completed` ANDs, and the store's worst case keeps the larger part's
+  // value — taken once from each part below, so a sum or a first-wins
+  // rule would fail.  Violations are the caller's to merge.
+  CheckResult a;
+  a.states_explored = 5;
+  a.states_matched = 2;
+  a.transitions = 4;
+  a.cascade_drains = 5;
+  a.seconds = 0.5;
+  a.depth_histogram = {1, 4};
+  a.store_fill_ratio = 0.25;
+  a.est_omission_probability = 0.01;
+  a.store_entries = 6;
+  a.store_memory_bytes = 4096;
+  a.compress_states_encoded = 7;
+  a.compress_pool_entries = 3;
+  a.compress_pool_bytes = 200;
+  a.compress_lookups = 21;
+  a.compress_hits = 18;
+  a.store_bytes_per_state = 716.0;
+  a.jobs = 4;
+  a.parallel_branches = 2;
+  a.worker_states_explored = {2, 1, 1, 1};
+  CheckResult b;
+  b.states_explored = 7;
+  b.states_matched = 3;
+  b.transitions = 6;
+  b.cascade_drains = 8;
+  b.completed = false;
+  b.seconds = 0.25;
+  b.depth_histogram = {1, 6};
+  b.store_fill_ratio = 0.125;
+  b.est_omission_probability = 0.02;
+  b.store_entries = 8;
+  b.store_memory_bytes = 2048;
+  b.compress_states_encoded = 9;
+  b.compress_pool_entries = 4;
+  b.compress_pool_bytes = 300;
+  b.compress_lookups = 27;
+  b.compress_hits = 23;
+  b.store_bytes_per_state = 293.5;
+  b.parallel_branches = 3;
+  b.worker_states_explored = {7};
+  Violation v;
+  v.property_id = "P01";
+  b.violations.push_back(v);
+
+  CheckResult merged;
+  Accumulate(merged, a);
+  Accumulate(merged, b);
+  EXPECT_EQ(merged.states_explored, 12u);
+  EXPECT_EQ(merged.depth_histogram, (std::vector<std::uint64_t>{2, 10}));
+  EXPECT_EQ(merged.states_matched, 5u);
+  EXPECT_EQ(merged.transitions, 10u);
+  EXPECT_EQ(merged.cascade_drains, 13u);
+  EXPECT_FALSE(merged.completed);
+  EXPECT_DOUBLE_EQ(merged.seconds, 0.75);
+  EXPECT_DOUBLE_EQ(merged.store_fill_ratio, 0.25);
+  EXPECT_DOUBLE_EQ(merged.est_omission_probability, 0.02);
+  EXPECT_EQ(merged.store_entries, 14u);
+  EXPECT_EQ(merged.store_memory_bytes, 4096u);
+  EXPECT_EQ(merged.compress_states_encoded, 16u);
+  EXPECT_EQ(merged.compress_pool_entries, 7u);
+  EXPECT_EQ(merged.compress_pool_bytes, 300u);
+  EXPECT_EQ(merged.compress_lookups, 48u);
+  EXPECT_EQ(merged.compress_hits, 41u);
+  EXPECT_DOUBLE_EQ(merged.store_bytes_per_state, 716.0);
+  EXPECT_EQ(merged.jobs, 4);
+  EXPECT_EQ(merged.parallel_branches, 5u);
+  EXPECT_EQ(merged.worker_states_explored,
+            (std::vector<std::uint64_t>{9, 1, 1, 1}));
+  EXPECT_TRUE(merged.violations.empty());
 }
 
 TEST(ParallelCheckerTest, ParallelTraceReplays) {

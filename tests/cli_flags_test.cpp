@@ -152,7 +152,7 @@ TEST(CliFlagsTest, RequestOptionFlagsKeepTheirHelpPlaces) {
             "[--host ADDR] [--port N] [--http-workers N] [--max-queue N] "
             "[--deadline SECONDS] [--log-level LEVEL] [--log-json] "
             "[--workers LIST] [--coordinator] [--unit-deadline SECONDS] "
-            "[--branch-split N] [--swarm-lanes N] [--no-local-fallback]");
+            "[--no-local-fallback]");
 }
 
 TEST(CliFlagsTest, DeadlineFlagSetsTheRequestDeadline) {

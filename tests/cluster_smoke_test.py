@@ -12,19 +12,14 @@ surviving worker drain cleanly on SIGTERM.  Every server listens on a
 port the kernel picks (`serve --port 0`), so the test runs beside others
 under `ctest -j`.  Python 3 standard library only.
 """
-import http.client
 import json
-import re
-import select
-import signal
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-TIMEOUT_S = 120
-TIME = re.compile(r" in [0-9]+\.[0-9]+s$", re.M)
+from smoke_support import TIMEOUT_S, Server, mask_time
 
 
 def home(name, pairs, cold):
@@ -48,53 +43,6 @@ def home(name, pairs, cold):
                                 "temperature1": 40,
                                 "switch1": [f"heater{i}"]}})
     return {"name": name, "devices": devices, "apps": apps}
-
-
-def scrub(text):
-    """Output without the wall-clock time of the "explored" line."""
-    return TIME.sub("", text)
-
-
-class Server:
-    """One `iotsan serve --port 0` process and the port it bound."""
-
-    def __init__(self, iotsan, *flags):
-        self.proc = subprocess.Popen([iotsan, "serve", "--port", "0", *flags],
-                                     stdout=subprocess.PIPE,
-                                     stderr=subprocess.DEVNULL, text=True)
-        ready, _, _ = select.select([self.proc.stdout], [], [], TIMEOUT_S)
-        line = self.proc.stdout.readline() if ready else ""
-        match = re.search(r"http://[^:/]+:(\d+)/", line)
-        if match is None:
-            self.kill()
-            raise AssertionError("server did not start: %r" % line)
-        self.port = int(match.group(1))
-        self.endpoint = "127.0.0.1:%d" % self.port
-
-    def call(self, method, path, body=None):
-        conn = http.client.HTTPConnection("127.0.0.1", self.port,
-                                          timeout=TIMEOUT_S)
-        try:
-            conn.request(method, path, body=body)
-            response = conn.getresponse()
-            return response.status, response.read().decode()
-        finally:
-            conn.close()
-
-    def get_json(self, path):
-        status, body = self.call("GET", path)
-        assert status == 200, (path, status, body)
-        return json.loads(body)
-
-    def terminate(self):
-        """SIGTERM and wait: the graceful drain must exit 0."""
-        self.proc.send_signal(signal.SIGTERM)
-        assert self.proc.wait(TIMEOUT_S) == 0, self.proc.returncode
-
-    def kill(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(TIMEOUT_S)
 
 
 def run(cmd):
@@ -125,7 +73,7 @@ def main(iotsan, work):
         cluster_code, clustered, summary = run(
             [iotsan, "cluster", "check", str(small), "--workers", endpoints])
         assert single_code == cluster_code == 1
-        assert scrub(single) == scrub(clustered), (single, clustered)
+        assert mask_time(single) == mask_time(clustered), (single, clustered)
         assert "re-dispatched" in summary, summary
 
         # Coordinator serve: a healthy fleet completes every unit
@@ -145,10 +93,10 @@ def main(iotsan, work):
         assert not cluster["degraded_local"], cluster
         assert cluster["units_remote"] == cluster["units_total"] >= 7, cluster
         assert result["text"].splitlines()[-1] == single.splitlines()[-1]
-        rows = coord.get_json("/v1/status")["cluster"]["workers"]
+        rows = coord.call_json("GET", "/v1/status")["cluster"]["workers"]
         assert len(rows) == 2 and all(r["healthy"] for r in rows), rows
         assert sum(r["units_done"] for r in rows) == cluster["units_total"]
-        counters = coord.get_json("/v1/metrics")["counters"]["cluster"]
+        counters = coord.call_json("GET", "/v1/metrics")["counters"]["cluster"]
         assert counters["units_redispatched"] == 0, counters
         assert counters["units_completed"] >= cluster["units_total"]
 
@@ -163,14 +111,14 @@ def main(iotsan, work):
         victim = workers[1]
         deadline = time.monotonic() + TIMEOUT_S
         # The poll itself is one connection; a second one is a batch.
-        while victim.get_json("/v1/health")["active_connections"] < 2:
+        while victim.call_json("GET", "/v1/health")["active_connections"] < 2:
             assert time.monotonic() < deadline, "no batch reached the worker"
             assert check.poll() is None, "the check ended before the kill"
             time.sleep(0.005)
         victim.kill()
         big_clustered, big_summary = check.communicate(timeout=TIMEOUT_S)
         assert check.returncode == 1, (check.returncode, big_summary)
-        assert scrub(big_single) == scrub(big_clustered)
+        assert mask_time(big_single) == mask_time(big_clustered)
         print(big_summary, end="")
 
         # Clean SIGTERM drain of the coordinator and surviving worker.

@@ -2,8 +2,7 @@
 // cluster must produce reports byte-identical to a single-node run —
 // including when a worker fails mid-check and its units are
 // re-dispatched — plus unit tests for the batch wire format, the work
-// planner, the shard merge, and the HTTP client's backoff/deadline
-// machinery.
+// planner, and the HTTP client's backoff/deadline machinery.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,9 +11,7 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cctype>
 #include <chrono>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +24,6 @@
 #include "server/server.hpp"
 #include "telemetry/telemetry.hpp"
 #include "test_support.hpp"
-#include "util/hash.hpp"
 #include "util/http_client.hpp"
 #include "util/json.hpp"
 
@@ -229,14 +225,13 @@ class WorkerFleet {
   std::vector<std::unique_ptr<server::Server>> servers_;
 };
 
-/// How many units a plain plan of `request` has: its distinct related
-/// sets.
+/// How many units a plan of `request` has: its distinct related sets.
 std::size_t DistinctSets(const core::CheckRequest& request) {
   core::SanitizerReport report;
   const std::vector<std::vector<std::size_t>> groups =
       core::Sanitizer(request.deployment)
           .PlanGroups(core::MakeCheckOptions(request.options, {}), report);
-  return PlanUnits(groups, ClusterOptions{}, request.options).size();
+  return PlanUnits(groups).size();
 }
 
 ClusterOptions FastRetryOptions(std::vector<WorkerSpec> workers) {
@@ -450,20 +445,12 @@ TEST(WireTest, BatchRequestRoundTripsThroughTheWorkerParser) {
   request.options.events = 4;
   request.options.failures = true;
   request.options.deadline_seconds = 30;
-  core::CheckUnit whole;
-  whole.group_apps = {0, 1};
-  core::CheckUnit shard;
-  shard.group_apps = {2};
-  shard.branch_modulus = 4;
-  shard.branch_residue = 2;
-  core::CheckUnit lane;
-  lane.group_apps = {2};
-  lane.bitstate_seed = hash::SplitMix64(1);  // past INT64_MAX
-  ASSERT_GT(lane.bitstate_seed,
-            static_cast<std::uint64_t>(
-                std::numeric_limits<std::int64_t>::max()));
+  core::CheckUnit pair;
+  pair.group_apps = {0, 1};
+  core::CheckUnit cold;
+  cold.group_apps = {2};
 
-  const json::Value doc = BatchRequestJson(request, {whole, shard, lane});
+  const json::Value doc = BatchRequestJson(request, {pair, cold});
   EXPECT_EQ(doc.At("schema").AsString(), "iotsan.request/1");
   EXPECT_TRUE(doc.Has("deployment"));
   const json::Value& options = doc.At("options");
@@ -472,27 +459,21 @@ TEST(WireTest, BatchRequestRoundTripsThroughTheWorkerParser) {
   EXPECT_EQ(options.At("deadlineSeconds").AsInt(), 30);
   // The worker's own pool must size the search: jobs never forwarded.
   EXPECT_FALSE(options.Has("jobs"));
-  ASSERT_EQ(doc.At("units").AsArray().size(), 3u);
-  EXPECT_FALSE(doc.At("units").AsArray()[0].Has("branchModulus"));
-  EXPECT_FALSE(doc.At("units").AsArray()[0].Has("bitstateSeed"));
+  ASSERT_EQ(doc.At("units").AsArray().size(), 2u);
 
   const core::CheckRequest back =
       server::ParseCheckRequest(doc.Dump(0), core::RequestOptions{});
   EXPECT_EQ(back.options.events, 4);
   EXPECT_TRUE(back.options.failures);
   EXPECT_EQ(back.deployment.apps.size(), request.deployment.apps.size());
-  ASSERT_EQ(back.units.size(), 3u);
-  EXPECT_EQ(back.units[0].group_apps, whole.group_apps);
-  EXPECT_EQ(back.units[0].branch_modulus, 0u);
-  EXPECT_EQ(back.units[1].group_apps, shard.group_apps);
-  EXPECT_EQ(back.units[1].branch_modulus, 4u);
-  EXPECT_EQ(back.units[1].branch_residue, 2u);
-  EXPECT_EQ(back.units[2].bitstate_seed, lane.bitstate_seed);
+  ASSERT_EQ(back.units.size(), 2u);
+  EXPECT_EQ(back.units[0].group_apps, pair.group_apps);
+  EXPECT_EQ(back.units[1].group_apps, cold.group_apps);
 
   // The reply: one compact result per unit, in request order.
   const std::vector<checker::CheckResult> results =
       core::RunCheckUnits(back);
-  ASSERT_EQ(results.size(), 3u);
+  ASSERT_EQ(results.size(), 2u);
   json::Array list;
   for (const checker::CheckResult& result : results) {
     list.push_back(checker::CheckResultToJson(result));
@@ -500,8 +481,8 @@ TEST(WireTest, BatchRequestRoundTripsThroughTheWorkerParser) {
   json::Object reply;
   reply["units"] = std::move(list);
   const std::vector<checker::CheckResult> decoded =
-      BatchResultsFromJson(json::Value(std::move(reply)), 3);
-  for (std::size_t i = 0; i < 3; ++i) {
+      BatchResultsFromJson(json::Value(std::move(reply)), 2);
+  for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(decoded[i].states_explored, results[i].states_explored);
     EXPECT_EQ(checker::CheckResultToJson(decoded[i]).Dump(),
               checker::CheckResultToJson(results[i]).Dump());
@@ -519,14 +500,12 @@ TEST(WireTest, BatchReplyWithTheWrongUnitCountThrows) {
                Error);
 }
 
-// ---- planner / shard merge ---------------------------------------------------
+// ---- planner -----------------------------------------------------------------
 
-TEST(PlanTest, OneGroupUnitPerGroupByDefault) {
+TEST(PlanTest, OneUnitPerSet) {
   const std::vector<std::vector<std::size_t>> groups = {{0, 1}, {2}};
-  const std::vector<WorkUnit> units =
-      PlanUnits(groups, ClusterOptions{}, core::RequestOptions{});
+  const std::vector<WorkUnit> units = PlanUnits(groups);
   ASSERT_EQ(units.size(), 2u);
-  EXPECT_EQ(units[0].kind, UnitKind::kGroup);
   EXPECT_EQ(units[0].group_apps, (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(units[1].group_index, 1u);
 }
@@ -536,146 +515,13 @@ TEST(PlanTest, OneUnitPerDistinctSet) {
   // the merge copies that result to the repeats.
   const std::vector<std::vector<std::size_t>> groups = {
       {0, 1}, {2}, {0, 1}, {3}, {2}};
-  const std::vector<WorkUnit> units =
-      PlanUnits(groups, ClusterOptions{}, core::RequestOptions{});
+  const std::vector<WorkUnit> units = PlanUnits(groups);
   ASSERT_EQ(units.size(), 3u);
   EXPECT_EQ(units[0].group_index, 0u);
   EXPECT_EQ(units[1].group_index, 1u);
   EXPECT_EQ(units[2].group_index, 3u);
   EXPECT_EQ(core::FirstOccurrences(groups),
             (std::vector<std::size_t>{0, 1, 0, 3, 1}));
-  ClusterOptions split;
-  split.branch_split = 2;
-  EXPECT_EQ(PlanUnits(groups, split, core::RequestOptions{}).size(), 6u);
-}
-
-TEST(PlanTest, BranchSplitYieldsResidueShards) {
-  ClusterOptions options;
-  options.branch_split = 3;
-  const std::vector<WorkUnit> units =
-      PlanUnits({{0, 1}}, options, core::RequestOptions{});
-  ASSERT_EQ(units.size(), 3u);
-  for (unsigned i = 0; i < 3; ++i) {
-    EXPECT_EQ(units[i].kind, UnitKind::kBranchShard);
-    EXPECT_EQ(units[i].branch_modulus, 3u);
-    EXPECT_EQ(units[i].branch_residue, i);
-  }
-}
-
-TEST(PlanTest, SwarmLanesNeedBitstateAndDiversifySeeds) {
-  ClusterOptions options;
-  options.swarm_lanes = 3;
-  // Without bitstate, lanes are meaningless: plain group units.
-  EXPECT_EQ(PlanUnits({{0}}, options, core::RequestOptions{}).size(), 1u);
-  core::RequestOptions bitstate;
-  bitstate.bitstate = true;
-  const std::vector<WorkUnit> units = PlanUnits({{0}}, options, bitstate);
-  ASSERT_EQ(units.size(), 3u);
-  EXPECT_EQ(units[0].bitstate_seed, 0u);  // lane 0 = historical family
-  EXPECT_NE(units[1].bitstate_seed, 0u);
-  EXPECT_NE(units[1].bitstate_seed, units[2].bitstate_seed);
-}
-
-TEST(MergeTest, BranchShardsDropDuplicateInitialStateAccounting) {
-  // Each field's merge rule (checker::Accumulate) in one place: counts
-  // and seconds add, `completed` ANDs, and the store's worst case keeps
-  // the larger shard's value — taken once from each shard below, so a
-  // sum or a first-wins rule would fail.
-  checker::CheckResult a;
-  a.states_explored = 5;
-  a.states_matched = 2;
-  a.transitions = 4;
-  a.cascade_drains = 5;
-  a.seconds = 0.5;
-  a.depth_histogram = {1, 4};
-  a.store_fill_ratio = 0.25;
-  a.est_omission_probability = 0.01;
-  a.store_entries = 6;
-  a.store_memory_bytes = 4096;
-  a.compress_states_encoded = 7;
-  a.compress_pool_entries = 3;
-  a.compress_pool_bytes = 200;
-  a.compress_lookups = 21;
-  a.compress_hits = 18;
-  a.store_bytes_per_state = 716.0;
-  a.jobs = 4;
-  a.parallel_branches = 2;
-  a.worker_states_explored = {2, 1, 1, 1};
-  checker::CheckResult b;
-  b.states_explored = 7;
-  b.states_matched = 3;
-  b.transitions = 6;
-  b.cascade_drains = 8;
-  b.completed = false;
-  b.seconds = 0.25;
-  b.depth_histogram = {1, 6};
-  b.store_fill_ratio = 0.125;
-  b.est_omission_probability = 0.02;
-  b.store_entries = 8;
-  b.store_memory_bytes = 2048;
-  b.compress_states_encoded = 9;
-  b.compress_pool_entries = 4;
-  b.compress_pool_bytes = 300;
-  b.compress_lookups = 27;
-  b.compress_hits = 23;
-  b.store_bytes_per_state = 293.5;
-  b.parallel_branches = 3;
-  b.worker_states_explored = {7};
-  checker::Violation v;
-  v.property_id = "P01";
-  v.occurrences = 2;
-  b.violations.push_back(v);
-
-  const checker::CheckResult merged =
-      MergeShardResults(UnitKind::kBranchShard, {a, b});
-  // Both shards accounted the shared initial state; a single run counts
-  // it once.
-  EXPECT_EQ(merged.states_explored, 11u);
-  EXPECT_EQ(merged.depth_histogram,
-            (std::vector<std::uint64_t>{1, 10}));
-  EXPECT_EQ(merged.states_matched, 5u);
-  EXPECT_EQ(merged.transitions, 10u);
-  EXPECT_EQ(merged.cascade_drains, 13u);
-  EXPECT_FALSE(merged.completed);
-  EXPECT_DOUBLE_EQ(merged.seconds, 0.75);
-  EXPECT_DOUBLE_EQ(merged.store_fill_ratio, 0.25);
-  EXPECT_DOUBLE_EQ(merged.est_omission_probability, 0.02);
-  EXPECT_EQ(merged.store_entries, 14u);
-  EXPECT_EQ(merged.store_memory_bytes, 4096u);
-  EXPECT_EQ(merged.compress_states_encoded, 16u);
-  EXPECT_EQ(merged.compress_pool_entries, 7u);
-  EXPECT_EQ(merged.compress_pool_bytes, 300u);
-  EXPECT_EQ(merged.compress_lookups, 48u);
-  EXPECT_EQ(merged.compress_hits, 41u);
-  EXPECT_DOUBLE_EQ(merged.store_bytes_per_state, 716.0);
-  EXPECT_EQ(merged.jobs, 4);
-  EXPECT_EQ(merged.parallel_branches, 5u);
-  EXPECT_EQ(merged.worker_states_explored,
-            (std::vector<std::uint64_t>{9, 1, 1, 1}));
-  ASSERT_EQ(merged.violations.size(), 1u);
-  EXPECT_EQ(merged.violations[0].occurrences, 2u);
-}
-
-TEST(ShardTest, OneLaneBranchShardNeedsNoMoreMemoryThanTheWholeGroup) {
-  // On a one-lane worker a branch shard is the one-lane search over a
-  // subset of the root branches, with the 1-shard store and codec of a
-  // whole-group run, so it needs no more store or pool memory.
-  core::CheckRequest request = MakeRequest(/*cold_apps=*/0);
-  request.options.state_compression = true;
-  request.units.resize(3);
-  for (unsigned residue = 0; residue < 2; ++residue) {
-    request.units[residue + 1].branch_modulus = 2;
-    request.units[residue + 1].branch_residue = residue;
-  }
-  for (core::CheckUnit& unit : request.units) unit.group_apps = {0, 1};
-  const std::vector<checker::CheckResult> results =
-      core::RunCheckUnits(request);
-  const checker::CheckResult& whole = results[0];
-  for (std::size_t shard = 1; shard < 3; ++shard) {
-    EXPECT_LT(results[shard].states_explored, whole.states_explored);
-    EXPECT_LE(results[shard].store_memory_bytes, whole.store_memory_bytes);
-    EXPECT_LE(results[shard].compress_pool_bytes, whole.compress_pool_bytes);
-  }
 }
 
 // ---- end-to-end cluster ------------------------------------------------------
@@ -691,8 +537,7 @@ TEST(ClusterTest, TwoWorkersMatchSingleNodeByteForByte) {
   EXPECT_EQ(Facts(outcome.response), Facts(local));
   EXPECT_EQ(outcome.response.report.related_set_count,
             local.report.related_set_count);
-  // One kGroup unit per distinct related set, all of them dispatched
-  // remotely.
+  // One unit per distinct related set, all of them dispatched remotely.
   EXPECT_EQ(outcome.units_total, DistinctSets(request));
   EXPECT_EQ(outcome.units_remote, outcome.units_total);
   EXPECT_EQ(outcome.units_local, 0u);
@@ -731,40 +576,6 @@ TEST(ClusterTest, MultiLaneWorkersPrintTheSingleNodeText) {
     EXPECT_EQ(testing_support::MaskTime(outcome.response.text), local)
         << "run " << run;
   }
-}
-
-TEST(ClusterTest, BranchShardsPreserveVerdicts) {
-  WorkerFleet fleet(2);
-  ClusterOptions options = FastRetryOptions(fleet.Specs());
-  options.branch_split = 3;
-  Coordinator coordinator(std::move(options));
-
-  const core::CheckRequest request = MakeRequest(/*cold_apps=*/1);
-  const ClusterOutcome outcome = coordinator.Check(request);
-  const core::CheckResponse local = core::RunCheck(request);
-
-  // Shards re-explore shared prefixes, so counters — including the
-  // per-violation "seen Nx" occurrence tallies — exceed a single run's;
-  // the verdicts, ordering, and counter-example traces must be
-  // identical.  Scrub the occurrence counts before comparing.
-  const auto scrub = [](std::string text) {
-    for (std::size_t at = text.find("seen "); at != std::string::npos;
-         at = text.find("seen ", at + 1)) {
-      std::size_t digits = at + 5;
-      while (digits < text.size() && std::isdigit(text[digits]) != 0) {
-        text.erase(digits, 1);
-      }
-    }
-    return text;
-  };
-  EXPECT_EQ(outcome.units_total, DistinctSets(request) * 3);
-  EXPECT_EQ(scrub(core::RenderViolations(outcome.response.report)),
-            scrub(core::RenderViolations(local.report)));
-  EXPECT_EQ(core::RenderResultLine(outcome.response.report),
-            core::RenderResultLine(local.report));
-  EXPECT_EQ(outcome.response.exit_code, local.exit_code);
-  EXPECT_GE(outcome.response.report.states_explored,
-            local.report.states_explored);
 }
 
 TEST(ClusterTest, DeadWorkerUnitsAreRedispatchedToSurvivors) {

@@ -17,18 +17,13 @@ SIGTERM with exit code 0.  The server listens on a port the kernel picks
 (`serve --port 0`), so the test runs beside others under `ctest -j`.
 Python 3 standard library only.
 """
-import http.client
 import json
-import re
-import select
-import signal
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-TIMEOUT_S = 120
-TIME = re.compile(r" in [0-9]+\.[0-9]+s$", re.M)
+from smoke_support import TIMEOUT_S, Server, mask_time
 
 
 def deployment(threshold):
@@ -53,47 +48,6 @@ def deployment(threshold):
     return json.dumps({"schema": "iotsan.request/1",
                        "deployment": {"name": "fleet smoke home",
                                       "devices": devices, "apps": apps}})
-
-
-class Server:
-    """One `iotsan serve --port 0` process and the port it bound."""
-
-    def __init__(self, iotsan, *flags):
-        self.proc = subprocess.Popen([iotsan, "serve", "--port", "0", *flags],
-                                     stdout=subprocess.PIPE,
-                                     stderr=subprocess.DEVNULL, text=True)
-        ready, _, _ = select.select([self.proc.stdout], [], [], TIMEOUT_S)
-        line = self.proc.stdout.readline() if ready else ""
-        match = re.search(r"http://[^:/]+:(\d+)/", line)
-        if match is None:
-            self.kill()
-            raise AssertionError("server did not start: %r" % line)
-        self.port = int(match.group(1))
-
-    def call(self, method, path, body=None, headers=None):
-        conn = http.client.HTTPConnection("127.0.0.1", self.port,
-                                          timeout=TIMEOUT_S)
-        try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            return response.status, response.read().decode()
-        finally:
-            conn.close()
-
-    def call_json(self, method, path, body=None):
-        status, text = self.call(method, path, body)
-        assert status == 200, (method, path, status, text)
-        return json.loads(text)
-
-    def terminate(self):
-        """SIGTERM and wait: the graceful drain must exit 0."""
-        self.proc.send_signal(signal.SIGTERM)
-        assert self.proc.wait(TIMEOUT_S) == 0, self.proc.returncode
-
-    def kill(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait(TIMEOUT_S)
 
 
 def main(iotsan, work):
@@ -126,7 +80,7 @@ def main(iotsan, work):
         scratch = server.call_json("POST", "/v1/check", deployment(35))
         assert delta["verdict"] == scratch["verdict"] == "violations"
         assert delta["exit_code"] == scratch["exit_code"] == 1
-        assert TIME.sub("", delta["text"]) == TIME.sub("", scratch["text"]), \
+        assert mask_time(delta["text"]) == mask_time(scratch["text"]), \
             (delta["text"], scratch["text"])
 
         # A check pinned to the superseded revision is refused.

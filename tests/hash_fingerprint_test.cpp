@@ -126,6 +126,20 @@ TEST(GroupKeyTest, JobsDoNotAffectKey) {
   EXPECT_EQ(a.digest, b.digest) << "the key must be --jobs independent";
 }
 
+TEST(GroupKeyTest, LanesOfASpreadSearchChangeKey) {
+  const config::Deployment deployment = TinyDeployment();
+  const std::vector<props::Property> props = props::BuiltinProperties();
+  const checker::CheckOptions check;
+  const model::ModelOptions model;
+  cache::GroupKeyInputs inputs = TinyInputs(deployment, props, check, model);
+  const cache::GroupKey one_lane = cache::MakeGroupKey(inputs);
+  EXPECT_EQ(one_lane.text.find("lanes"), std::string::npos);
+  inputs.lanes = 4;
+  const cache::GroupKey spread = cache::MakeGroupKey(inputs);
+  EXPECT_NE(spread.digest, one_lane.digest);
+  EXPECT_NE(spread.text.find("\"lanes\":4"), std::string::npos);
+}
+
 TEST(GroupKeyTest, CheckOptionsThatMatterChangeKey) {
   const config::Deployment deployment = TinyDeployment();
   const std::vector<props::Property> props = props::BuiltinProperties();

@@ -21,9 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-TIMEOUT_S = 120
-TIME = re.compile(r" in [0-9]+\.[0-9]+s$", re.M)
-ROOT = Path(__file__).resolve().parent.parent
+from smoke_support import ROOT, TIMEOUT_S, climate_group, mask_time
 
 
 def check(iotsan, deployment, *flags):
@@ -44,18 +42,14 @@ def store_line(stats):
 def main(iotsan, work):
     alice = ROOT / "configs" / "alice_home.json"
     climate = work / "climate.json"
-    groups = json.loads((ROOT / "perfbench" / "data" /
-                         "market_groups.json").read_text())
-    group = groups[1]
-    group.pop("expect")
-    climate.write_text(json.dumps(group))
+    climate.write_text(json.dumps(climate_group()))
 
     for deployment in (alice, climate):
         # Several related sets, each searched on one lane: only the
         # measured time may differ between lane counts.
-        serial = TIME.sub("", check(iotsan, deployment, "--jobs", "1"))
+        serial = mask_time(check(iotsan, deployment, "--jobs", "1"))
         for jobs in ([], ["--jobs", "4"]):
-            report = TIME.sub("", check(iotsan, deployment, *jobs))
+            report = mask_time(check(iotsan, deployment, *jobs))
             assert report == serial, (deployment, jobs, serial, report)
 
         # A warm re-check replays each set's search seconds, so even the

@@ -436,9 +436,14 @@ TEST_F(ServerTest, UnitWithABadAppIndexIsBadRequest) {
        "check unit: app index 2 out of range (deployment has 2 apps)"},
       {R"([{"groupApps": []}])",
        R"(unit "groupApps" must be a non-empty array of app indices)"},
-      {R"([{"groupApps": [0], "bitstateSeed": -1}])",
-       R"(unit "bitstateSeed" must be 1 to 16 lowercase hex digits)"},
       {R"([{"groupApps": [0], "jobs": 2}])", R"(unit "jobs" is not a unit key)"},
+      // Shard and lane keys that earlier coordinators sent.
+      {R"([{"groupApps": [0], "branchModulus": 2}])",
+       R"(unit "branchModulus" is not a unit key)"},
+      {R"([{"groupApps": [0], "branchResidue": 1}])",
+       R"(unit "branchResidue" is not a unit key)"},
+      {R"([{"groupApps": [0], "bitstateSeed": "0000000000000001"}])",
+       R"(unit "bitstateSeed" is not a unit key)"},
       {R"([])", R"("units" must be a non-empty array of work units)"},
   };
   for (const auto& [units, message] : cases) {

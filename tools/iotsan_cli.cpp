@@ -445,9 +445,6 @@ int CmdServe(const std::vector<std::string>& args) {
     config.coordinator = true;
     config.cluster.workers = cluster::ParseWorkerList(flags.workers);
     config.cluster.unit_deadline_seconds = flags.unit_deadline_seconds;
-    config.cluster.branch_split =
-        static_cast<unsigned>(flags.branch_split);
-    config.cluster.swarm_lanes = static_cast<unsigned>(flags.swarm_lanes);
     config.cluster.allow_local_fallback = !flags.no_local_fallback;
   }
 
@@ -488,25 +485,11 @@ int CmdServe(const std::vector<std::string>& args) {
   return 0;
 }
 
-// ---- HTTP client (iotsan top / iotsan fleet) ---------------------------------
-
-// The blocking client itself lives in util/http_client (shared with the
-// cluster coordinator): hostname resolution, connect/read timeouts, and
-// a response-size cap, so a stalled server can no longer hang the CLI.
-using HttpResult = util::HttpResponse;
-
-HttpResult HttpCall(const std::string& host, int port,
-                    const std::string& method, const std::string& path,
-                    const std::string& body = "",
-                    const std::vector<std::string>& headers = {}) {
-  return util::HttpCall(host, port, method, path, body, headers);
-}
-
 // ---- iotsan top --------------------------------------------------------------
 
 std::string HttpGetBody(const std::string& host, int port,
                         const std::string& path) {
-  HttpResult result = HttpCall(host, port, "GET", path);
+  util::HttpResponse result = util::HttpCall(host, port, "GET", path);
   if (result.status != 200) {
     throw Error("top: HTTP " + std::to_string(result.status) + " from " +
                 path);
@@ -624,7 +607,8 @@ int CmdTop(const std::vector<std::string>& args) {
 
 /// Prints the server's structured error ({"error": {code, message}})
 /// and returns the command's failure status.
-int FleetHttpError(const std::string& action, const HttpResult& result) {
+int FleetHttpError(const std::string& action,
+                   const util::HttpResponse& result) {
   std::string message = result.body;
   try {
     const json::Value doc = json::Parse(result.body);
@@ -673,8 +657,8 @@ int CmdFleet(const std::vector<std::string>& args) {
       std::fprintf(stderr, "usage: iotsan fleet list\n");
       return 2;
     }
-    HttpResult result =
-        HttpCall(flags.host, flags.port, "GET", "/v1/deployments");
+    util::HttpResponse result =
+        util::HttpCall(flags.host, flags.port, "GET", "/v1/deployments");
     if (result.status != 200) return FleetHttpError(action, result);
     const json::Value doc = json::Parse(result.body);
     std::printf("%-24s %8s %8s %-12s %14s %9s\n", "DEPLOYMENT", "REV",
@@ -698,10 +682,10 @@ int CmdFleet(const std::vector<std::string>& args) {
       std::fprintf(stderr, "usage: iotsan fleet put <id> <deployment.json>\n");
       return 2;
     }
-    HttpResult result =
-        HttpCall(flags.host, flags.port, "PUT",
-                 "/v1/deployments/" + positionals[1],
-                 FleetPutBody(positionals[2]));
+    util::HttpResponse result =
+        util::HttpCall(flags.host, flags.port, "PUT",
+                       "/v1/deployments/" + positionals[1],
+                       FleetPutBody(positionals[2]));
     if (result.status != 200 && result.status != 201) {
       return FleetHttpError(action, result);
     }
@@ -718,8 +702,9 @@ int CmdFleet(const std::vector<std::string>& args) {
       std::fprintf(stderr, "usage: iotsan fleet get <id>\n");
       return 2;
     }
-    HttpResult result = HttpCall(flags.host, flags.port, "GET",
-                                 "/v1/deployments/" + positionals[1]);
+    util::HttpResponse result =
+        util::HttpCall(flags.host, flags.port, "GET",
+                       "/v1/deployments/" + positionals[1]);
     if (result.status != 200) return FleetHttpError(action, result);
     std::fputs(result.body.c_str(), stdout);
     return 0;
@@ -730,8 +715,9 @@ int CmdFleet(const std::vector<std::string>& args) {
       std::fprintf(stderr, "usage: iotsan fleet rm <id>\n");
       return 2;
     }
-    HttpResult result = HttpCall(flags.host, flags.port, "DELETE",
-                                 "/v1/deployments/" + positionals[1]);
+    util::HttpResponse result =
+        util::HttpCall(flags.host, flags.port, "DELETE",
+                       "/v1/deployments/" + positionals[1]);
     if (result.status != 200) return FleetHttpError(action, result);
     std::printf("fleet rm: %s deleted\n", positionals[1].c_str());
     return 0;
@@ -752,12 +738,13 @@ int CmdFleet(const std::vector<std::string>& args) {
     // pipe mid-drain) are retried with jittered exponential backoff
     // instead of failing the whole invocation.
     util::RetryPolicy policy;
-    HttpResult result = util::HttpCallWithRetry(
+    util::HttpResponse result = util::HttpCallWithRetry(
         policy,
         [&] {
-          return HttpCall(flags.host, flags.port, "POST",
-                          "/v1/deployments/" + positionals[1] + "/check",
-                          "{}", headers);
+          return util::HttpCall(flags.host, flags.port, "POST",
+                                "/v1/deployments/" + positionals[1] +
+                                    "/check",
+                                "{}", headers);
         },
         [](int attempt, int delay_ms, const std::string& error) {
           std::fprintf(stderr,
@@ -824,8 +811,6 @@ int CmdCluster(const std::vector<std::string>& args) {
   cluster::ClusterOptions options;
   options.workers = cluster::ParseWorkerList(flags.workers);
   options.unit_deadline_seconds = flags.unit_deadline_seconds;
-  options.branch_split = static_cast<unsigned>(flags.branch_split);
-  options.swarm_lanes = static_cast<unsigned>(flags.swarm_lanes);
   options.allow_local_fallback = !flags.no_local_fallback;
   cluster::Coordinator coordinator(std::move(options));
   cluster::ClusterOutcome outcome = coordinator.Check(request, cli.env);
