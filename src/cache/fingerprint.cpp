@@ -69,7 +69,7 @@ std::string GroupKeyText(const GroupKeyInputs& inputs) {
   properties["fnv"] = Hex(PropertySetFingerprint(*inputs.properties));
   doc["properties"] = std::move(properties);
   // CheckOptions that influence the result.  `jobs`, `pool`, and the
-  // progress callback are deliberately absent: a search on one lane is
+  // progress counter are deliberately absent: a search on one lane is
   // the same at any --jobs, so its warm runs hit regardless of it.
   const checker::CheckOptions& check = *inputs.check;
   json::Object check_obj;

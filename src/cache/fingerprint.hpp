@@ -8,7 +8,7 @@
 //     bindings, the location modes, contact phone, and network policy,
 //   * the active safety-property set (built-ins + user-defined),
 //   * the CheckOptions that influence the result (NOT `jobs`/`pool`/
-//     `on_progress`: a search on one lane prints the same at any
+//     `progress`: a search on one lane prints the same at any
 //     --jobs), plus the lane count of a search that spreads its root
 //     branches over several lanes, whose counter-examples may differ,
 //   * the model-generation options, and

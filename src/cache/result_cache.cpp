@@ -32,7 +32,6 @@ std::uint64_t ApproxEntryBytes(const std::string& key_text,
                                const checker::CheckResult& result) {
   std::uint64_t bytes = sizeof(checker::CheckResult) + key_text.size();
   bytes += result.depth_histogram.size() * sizeof(std::uint64_t);
-  bytes += result.worker_states_explored.size() * sizeof(std::uint64_t);
   for (const checker::Violation& v : result.violations) {
     bytes += sizeof(checker::Violation);
     bytes += v.property_id.size() + v.category.size() +

@@ -1,10 +1,10 @@
 #include "checker/checker.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string_view>
 #include <tuple>
@@ -64,8 +64,6 @@ void Accumulate(CheckResult& into, const CheckResult& part) {
       std::max(into.store_bytes_per_state, part.store_bytes_per_state);
   AddBuckets(into.depth_histogram, part.depth_histogram);
   into.jobs = std::max(into.jobs, part.jobs);
-  into.parallel_branches += part.parallel_branches;
-  AddBuckets(into.worker_states_explored, part.worker_states_explored);
 }
 
 std::string_view PropertyKindName(props::PropertyKind kind) {
@@ -523,19 +521,46 @@ std::unique_ptr<model::FootprintIndex> MakeFootprints(
 
 // ---- Shared state of one search run ------------------------------------------
 
+/// The first active property of each kind, null when none is active:
+/// what each monitor records its violations against.  Built once per
+/// run.
+class MonitorTable {
+ public:
+  explicit MonitorTable(const model::SystemModel& model) {
+    for (const props::Property& property : model.active_properties()) {
+      const props::Property*& slot = by_kind_[Index(property.kind)];
+      if (slot == nullptr) slot = &property;
+    }
+  }
+
+  const props::Property* operator[](props::PropertyKind kind) const {
+    return by_kind_[Index(kind)];
+  }
+
+ private:
+  static std::size_t Index(props::PropertyKind kind) {
+    return static_cast<std::size_t>(kind);
+  }
+
+  std::array<const props::Property*,
+             static_cast<std::size_t>(props::PropertyKind::kRobustness) + 1>
+      by_kind_{};
+};
+
 /// Crossbar between the branch workers of one run: the visited-state
-/// store, the stop flag, and the run's counters, which budgets and
-/// progress reports read live and RunSearch reads once after the join.
-/// Everything per-branch (path context, violations) stays worker-local
-/// in each branch's Found and is folded deterministically afterwards.
+/// store, the stop flag, and the run's counters, which budgets read live
+/// and RunSearch reads once after the join.  Everything per-branch (path
+/// context, violations) stays worker-local in each branch's Found and is
+/// folded deterministically afterwards.
 struct SharedSearch {
-  SharedSearch(const CheckOptions& options, unsigned lanes)
+  SharedSearch(const model::SystemModel& model, const CheckOptions& options)
       : options(options),
+        monitors(model),
         depth_histogram(
-            static_cast<std::size_t>(std::max(options.max_events, 0)) + 1),
-        worker_states(lanes) {}
+            static_cast<std::size_t>(std::max(options.max_events, 0)) + 1) {}
 
   const CheckOptions& options;
+  const MonitorTable monitors;
   StateStore* store = nullptr;
   /// POR oracle / COLLAPSE codec (null when the feature is off); both are
   /// thread-safe, so every branch worker uses the same instance.
@@ -548,56 +573,9 @@ struct SharedSearch {
   std::atomic<std::uint64_t> transitions{0};
   std::atomic<std::uint64_t> cascade_drains{0};
   std::vector<std::atomic<std::uint64_t>> depth_histogram;
-  std::vector<std::atomic<std::uint64_t>> worker_states;
-  std::uint64_t branches_total = 0;
-  std::atomic<std::uint64_t> branches_done{0};
-  // Serializes on_progress invocations (the callback is user code).
-  std::mutex progress_mutex;
 
   double Elapsed() const {
     return std::chrono::duration<double>(Clock::now() - start).count();
-  }
-
-  /// Delivers a snapshot of the shared totals to `on_progress`: from
-  /// whichever worker's expansion crossed a progress_every boundary, and
-  /// once more from RunSearch when a budget stopped the run.
-  void EmitProgress() {
-    telemetry::ProgressSnapshot snapshot;
-    snapshot.jobs = static_cast<int>(worker_states.size());
-    snapshot.branches_total = branches_total;
-    snapshot.branches_done = branches_done.load(std::memory_order_relaxed);
-    snapshot.states_explored = states_explored.load(std::memory_order_relaxed);
-    snapshot.states_matched = states_matched.load(std::memory_order_relaxed);
-    snapshot.transitions = transitions.load(std::memory_order_relaxed);
-    snapshot.cascade_drains = cascade_drains.load(std::memory_order_relaxed);
-    snapshot.elapsed_seconds = Elapsed();
-    snapshot.states_per_second =
-        snapshot.elapsed_seconds > 0
-            ? static_cast<double>(snapshot.states_explored) /
-                  snapshot.elapsed_seconds
-            : 0;
-    const double considered = static_cast<double>(snapshot.states_explored +
-                                                  snapshot.states_matched);
-    snapshot.pruning_ratio =
-        considered > 0
-            ? static_cast<double>(snapshot.states_matched) / considered
-            : 0;
-    snapshot.store_fill_ratio = store->FillRatio();
-    for (const auto& bucket : depth_histogram) {
-      snapshot.depth_histogram.push_back(
-          bucket.load(std::memory_order_relaxed));
-    }
-    for (const auto& lane : worker_states) {
-      snapshot.worker_states_explored.push_back(
-          lane.load(std::memory_order_relaxed));
-    }
-    if (auto* t = telemetry::Active()) {
-      snapshot.cache_hits = t->cache.hits;
-      snapshot.cache_misses = t->cache.misses;
-    }
-    std::lock_guard<std::mutex> lock(progress_mutex);
-    options.on_progress(snapshot);
-    if (auto* t = telemetry::Active()) ++t->search.progress_reports;
   }
 };
 
@@ -613,12 +591,11 @@ struct Found {
 /// replay of one recorded path (Follow).
 class Search {
  public:
-  Search(const model::SystemModel& model, SharedSearch& run, unsigned lane)
+  Search(const model::SystemModel& model, SharedSearch& run)
       : model_(model),
         options_(run.options),
         run_(run),
-        engine_(model, run.footprints),
-        lane_(lane) {
+        engine_(model, run.footprints) {
     cancel_ = [this] { return BudgetExceeded(); };
   }
 
@@ -636,7 +613,6 @@ class Search {
                   const model::ExternalEvent& event,
                   const model::FailureScenario& failure) {
     if (!BudgetExceeded()) Step(initial, event, failure, 0);
-    run_.branches_done.fetch_add(1, std::memory_order_relaxed);
     return std::move(found_);
   }
 
@@ -670,7 +646,6 @@ class Search {
   // loop performs no per-state allocations once capacity settles.
   std::vector<std::uint8_t> key_scratch_;
   std::vector<std::uint8_t> component_scratch_;
-  unsigned lane_;  // pool lane, for per-worker accounting
   Found found_;
   bool stopped_ = false;
   // Handed to the cascade engine so budgets are honored between drains.
@@ -717,20 +692,15 @@ class Search {
     }
   }
 
-  /// Counts a state expanded at `depth`, reporting progress on the
-  /// progress_every cadence.  False when a budget stopped the run or
-  /// the event bound is reached.
+  /// Counts a state expanded at `depth`, on the run and on the check's
+  /// progress counter.  False when a budget stopped the run or the event
+  /// bound is reached.
   bool Enter(int depth) {
     if (BudgetExceeded()) return false;
     run_.depth_histogram[static_cast<std::size_t>(depth)].fetch_add(
         1, std::memory_order_relaxed);
-    run_.worker_states[lane_].fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t total =
-        run_.states_explored.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options_.progress_every != 0 && options_.on_progress &&
-        total % options_.progress_every == 0) {
-      run_.EmitProgress();
-    }
+    run_.states_explored.fetch_add(1, std::memory_order_relaxed);
+    if (options_.progress != nullptr) options_.progress->CountState();
     return depth < options_.max_events;
   }
 
@@ -808,23 +778,10 @@ class Search {
     }
   }
 
-  bool MonitorActive(props::PropertyKind kind) const {
-    for (const props::Property& property : model_.active_properties()) {
-      if (property.kind == kind) return true;
-    }
-    return false;
-  }
-
-  const props::Property& MonitorProperty(props::PropertyKind kind) const {
-    for (const props::Property& property : model_.active_properties()) {
-      if (property.kind == kind) return property;
-    }
-    throw Error("monitor property not active");
-  }
-
   void RunMonitors(const model::CascadeLog& log, int depth,
                    const model::FailureScenario& failure) {
     if (stopped_) return;
+    const MonitorTable& monitors = run_.monitors;
 
     // Conflicting / repeated commands (Algorithm 1, line 16).  Each
     // cascade records at most one violation per monitor kind (the first
@@ -832,7 +789,8 @@ class Search {
     // records — unlike a whole-run short-circuit, this keeps occurrence
     // counts a pure function of the explored-edge set, and therefore
     // identical across serial and parallel schedules.
-    if (MonitorActive(props::PropertyKind::kNoConflict)) {
+    if (const props::Property* property =
+            monitors[props::PropertyKind::kNoConflict]) {
       bool recorded = false;
       for (std::size_t i = 0; i < log.commands.size() && !recorded; ++i) {
         for (std::size_t j = i + 1; j < log.commands.size(); ++j) {
@@ -844,8 +802,7 @@ class Search {
                         a.spec->conflicts_with.end(),
                         b.spec->name) != a.spec->conflicts_with.end();
           if (!conflicting) continue;
-          RecordViolation(MonitorProperty(props::PropertyKind::kNoConflict),
-                          depth, failure,
+          RecordViolation(*property, depth, failure,
                           "conflicting commands on " +
                               model_.devices()[a.device].id() + ": " +
                               a.spec->name + " vs " + b.spec->name,
@@ -855,7 +812,8 @@ class Search {
         }
       }
     }
-    if (MonitorActive(props::PropertyKind::kNoRepeat)) {
+    if (const props::Property* property =
+            monitors[props::PropertyKind::kNoRepeat]) {
       bool recorded = false;
       for (std::size_t i = 0; i < log.commands.size() && !recorded; ++i) {
         for (std::size_t j = i + 1; j < log.commands.size(); ++j) {
@@ -865,8 +823,7 @@ class Search {
               a.value_index != b.value_index) {
             continue;
           }
-          RecordViolation(MonitorProperty(props::PropertyKind::kNoRepeat),
-                          depth, failure,
+          RecordViolation(*property, depth, failure,
                           "repeated command on " +
                               model_.devices()[a.device].id() + ": " +
                               a.spec->name + " received twice",
@@ -881,39 +838,38 @@ class Search {
       if (stopped_) return;
       switch (api.kind) {
         case model::ApiCallRecord::Kind::kHttp:
-          if (!model_.deployment().allow_network_interfaces &&
-              MonitorActive(props::PropertyKind::kNoNetworkLeak)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kNoNetworkLeak), depth,
-                failure, "network interface used: " + api.detail,
-                {api.app});
+          if (const props::Property* property =
+                  monitors[props::PropertyKind::kNoNetworkLeak];
+              property != nullptr &&
+              !model_.deployment().allow_network_interfaces) {
+            RecordViolation(*property, depth, failure,
+                            "network interface used: " + api.detail,
+                            {api.app});
           }
           break;
         case model::ApiCallRecord::Kind::kSms:
-          if (api.recipient_mismatch &&
-              MonitorActive(props::PropertyKind::kSmsRecipient)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kSmsRecipient), depth,
-                failure,
-                "SMS recipient '" + api.detail +
-                    "' does not match the configured contact",
-                {api.app});
+          if (const props::Property* property =
+                  monitors[props::PropertyKind::kSmsRecipient];
+              property != nullptr && api.recipient_mismatch) {
+            RecordViolation(*property, depth, failure,
+                            "SMS recipient '" + api.detail +
+                                "' does not match the configured contact",
+                            {api.app});
           }
           break;
         case model::ApiCallRecord::Kind::kUnsubscribe:
-          if (MonitorActive(props::PropertyKind::kNoSensitiveCmd)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kNoSensitiveCmd), depth,
-                failure,
-                "security-sensitive command: unsubscribe()", {api.app});
+          if (const props::Property* property =
+                  monitors[props::PropertyKind::kNoSensitiveCmd]) {
+            RecordViolation(*property, depth, failure,
+                            "security-sensitive command: unsubscribe()",
+                            {api.app});
           }
           break;
         case model::ApiCallRecord::Kind::kFakeEvent:
-          if (MonitorActive(props::PropertyKind::kNoFakeEvent)) {
-            RecordViolation(
-                MonitorProperty(props::PropertyKind::kNoFakeEvent), depth,
-                failure, "fake event injected: " + api.detail,
-                {api.app});
+          if (const props::Property* property =
+                  monitors[props::PropertyKind::kNoFakeEvent]) {
+            RecordViolation(*property, depth, failure,
+                            "fake event injected: " + api.detail, {api.app});
           }
           break;
         case model::ApiCallRecord::Kind::kPush:
@@ -923,14 +879,15 @@ class Search {
 
     // Robustness: a command was lost to a failure and the user was never
     // notified (§8's robustness property).
-    if (failure.Any() && log.failed_deliveries > 0 && !log.user_notified &&
-        MonitorActive(props::PropertyKind::kRobustness)) {
+    const props::Property* robustness =
+        monitors[props::PropertyKind::kRobustness];
+    if (robustness != nullptr && failure.Any() &&
+        log.failed_deliveries > 0 && !log.user_notified) {
       std::set<int> losers;
       for (const model::CommandRecord& cmd : log.commands) {
         if (!cmd.delivered) losers.insert(cmd.app);
       }
-      RecordViolation(MonitorProperty(props::PropertyKind::kRobustness),
-                      depth, failure,
+      RecordViolation(*robustness, depth, failure,
                       std::to_string(log.failed_deliveries) +
                           " command(s) lost to " + failure.Label() +
                           " with no user notification",
@@ -1123,10 +1080,7 @@ CheckResult RunSearch(const model::SystemModel& model,
     }
   }
   const unsigned lanes = pool != nullptr ? pool->jobs() : 1;
-  auto current_lane = [pool]() -> unsigned {
-    return pool != nullptr ? pool->CurrentLane() : 0;
-  };
-  SharedSearch run(options, lanes);
+  SharedSearch run(model, options);
 
   // ~8 shards per lane keeps two workers off the same mutex without
   // ballooning fixed per-shard overhead; one lane needs one shard.
@@ -1166,13 +1120,12 @@ CheckResult RunSearch(const model::SystemModel& model,
       }
     }
   }
-  run.branches_total = branches.size();
 
-  Found total = Search(model, run, current_lane()).Start(initial);
+  Found total = Search(model, run).Start(initial);
   std::vector<Found> found(branches.size());
   auto explore = [&](std::size_t i) {
-    found[i] = Search(model, run, current_lane())
-                   .RunBranch(initial, branches[i].event, branches[i].failure);
+    found[i] = Search(model, run).RunBranch(initial, branches[i].event,
+                                            branches[i].failure);
   };
   if (pool != nullptr) {
     pool->ParallelFor(branches.size(), explore);
@@ -1200,19 +1153,12 @@ CheckResult RunSearch(const model::SystemModel& model,
   result.seconds = run.Elapsed();
   NoteStoreDiagnostics(result, *store, codec.get());
   WarnIfSaturated(result, options);
-  // The final snapshot at stop time: budget-stopped runs still report
-  // where the search stood.
-  if (!result.completed && options.on_progress) run.EmitProgress();
   TickFinishTelemetry(result, options);
   span.Attr("states", result.states_explored);
   span.Attr("transitions", result.transitions);
   span.Attr("completed", std::int64_t{result.completed ? 1 : 0});
   if (pool != nullptr) {
     result.jobs = static_cast<int>(lanes);
-    result.parallel_branches = branches.size();
-    for (const auto& lane : run.worker_states) {
-      result.worker_states_explored.push_back(lane.load());
-    }
     if (auto* t = telemetry::Active()) {
       t->parallel.branch_tasks += branches.size();
       if (owned_pool != nullptr) {
@@ -1242,10 +1188,10 @@ ReplayResult ReplayPath(const model::SystemModel& model,
   const GuidePath guide = ResolveSteps(model, steps);
   const std::unique_ptr<model::FootprintIndex> footprints =
       MakeFootprints(model, options);
-  SharedSearch run(options, 1);
+  SharedSearch run(model, options);
   run.footprints = footprints.get();
   telemetry::ScopedSpan span("replay");
-  const Found found = Search(model, run, 0).Follow(guide);
+  const Found found = Search(model, run).Follow(guide);
   const std::uint64_t transitions = run.transitions.load();
   span.Attr("states", transitions + 1);
   span.Attr("transitions", transitions);

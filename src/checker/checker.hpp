@@ -55,11 +55,9 @@ struct CheckOptions {
   /// cascade drains too, so a single event fanning out into a large
   /// interleaving space cannot overshoot the budget.
   double time_budget_seconds = 0;
-  /// Invoke `on_progress` after every `progress_every` expanded states
-  /// (0 disables).  A final snapshot is also delivered when a budget
-  /// stops the run, so the caller always sees the state at stop time.
-  std::uint64_t progress_every = 0;
-  telemetry::ProgressCallback on_progress;
+  /// The progress counter of the check this search belongs to: every
+  /// expanded state counts on it.  Not owned; null = none.
+  telemetry::ProgressCounter* progress = nullptr;
   /// Re-execute every BITSTATE violation's recorded event permutation
   /// deterministically (exhaustive store, guided path) before reporting
   /// it; violations that do not reproduce are dropped.  Bitstate hashing
@@ -173,14 +171,8 @@ struct CheckResult {
   double store_bytes_per_state = 0;
   /// States expanded per external-event depth (index 0 = initial state).
   std::vector<std::uint64_t> depth_histogram;
-  /// Worker lanes the search ran on and how many root (event × failure)
-  /// branches were partitioned across them (1 and 0 on one lane).
+  /// Worker lanes the search ran on (1 = one lane).
   int jobs = 1;
-  std::uint64_t parallel_branches = 0;
-  /// States expanded per worker lane (empty on one lane).  The
-  /// per-lane split varies with scheduling; only the total is
-  /// deterministic.
-  std::vector<std::uint64_t> worker_states_explored;
 
   bool HasViolation(const std::string& property_id) const;
   const Violation* Find(const std::string& property_id) const;
@@ -235,8 +227,7 @@ class Checker {
 /// diagnostics (fill ratio, omission estimate, memory, pool bytes, bytes
 /// per state) keep the largest part, since the worst store decides
 /// whether the whole result's coverage can be trusted, and so does the
-/// lane count.  The depth histogram and the per-lane states add bucket
-/// by bucket.
+/// lane count.  The depth histogram adds bucket by bucket.
 void Accumulate(CheckResult& into, const CheckResult& part);
 
 /// Renders a violation report (description, involved apps, trace).

@@ -27,7 +27,8 @@ constexpr FlagSpec kCliFlags[] = {
      "write a JSONL span trace (one JSON object per line) to FILE",
      &CliFlags::trace_out},
     {"--progress-every", "N", kCmdCheck,
-     "report search progress to stderr every N expanded states",
+     "report the check's progress to stderr after each related set and "
+     "every N explored states",
      &CliFlags::progress_every, 0, 1000000000000000000LL},
     {"--artifacts-dir", "DIR",
      kCmdCheck | kCmdAttribute,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
+#include <optional>
 #include <thread>
 
 #include "config/deployment.hpp"
@@ -262,9 +263,12 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
   std::size_t live_workers = 0;
   std::string fatal_error;
 
-  // Set-completion progress for /v1/status and SSE: one per finished
-  // unit, with monotonically advancing groups_done.
-  std::uint64_t progress_states = 0;
+  // The check's progress: each unit counts once, when its result
+  // arrives.
+  std::optional<telemetry::ProgressCounter> progress;
+  if (env.on_progress) {
+    progress.emplace(units.size(), env.progress_every, env.on_progress);
+  }
 
   auto note_unit_done = [&](std::size_t index,
                             checker::CheckResult result) {
@@ -273,15 +277,10 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
     slots[index].done = true;
     ++done_count;
     if (auto* t = telemetry::Active()) ++t->cluster.units_completed;
-    progress_states += slots[index].result.states_explored;
-    if (env.on_group_progress) {
-      telemetry::GroupProgress progress;
-      progress.groups_total = units.size();
-      progress.groups_done = done_count;
-      progress.states_explored = progress_states;
-      progress.store_memory_bytes = slots[index].result.store_memory_bytes;
-      progress.seconds = slots[index].result.seconds;
-      env.on_group_progress(progress);
+    if (progress) {
+      const checker::CheckResult& done = slots[index].result;
+      progress->FinishSet(done.states_explored, done.store_memory_bytes,
+                          done.seconds);
     }
   };
 
@@ -448,8 +447,11 @@ ClusterOutcome Coordinator::Check(const core::CheckRequest& request,
                  stranded_index.size());
     core::CheckRequest stranded = request;
     for (std::size_t i : stranded_index) stranded.units.push_back(units[i]);
+    // Their results report below, like a worker's.
+    core::ServiceEnv local_env = env;
+    local_env.on_progress = nullptr;
     std::vector<checker::CheckResult> results =
-        core::RunCheckUnits(stranded, env);
+        core::RunCheckUnits(stranded, local_env);
     if (auto* t = telemetry::Active()) {
       t->cluster.units_local += stranded_index.size();
     }

@@ -37,10 +37,6 @@ constexpr OptionSpec kOptionTable[] = {
      "BITSTATE bit-field size as a power of two (Spin -w; default 27 = "
      "16 MiB)",
      &R::bitstate_bits_pow, 10, 40, &R::bitstate},
-    {"por", "--por", nullptr, kCmdCheck | kCmdAttribute | kCmdCluster,
-     "ample-set partial-order reduction: expand a single pending dispatch "
-     "when it provably commutes with the rest (concurrent scheduling only)",
-     &R::por},
     {"stateCompression", "--state-compression", nullptr,
      kCmdCheck | kCmdAttribute | kCmdCluster,
      "Spin-style COLLAPSE store keys: intern per-device/app-state/timer "

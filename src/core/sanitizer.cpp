@@ -1,11 +1,10 @@
 #include "core/sanitizer.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <set>
 
 #include "cache/result_cache.hpp"
@@ -286,18 +285,19 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (first[g] == g) distinct.push_back(g);
   }
+  // The check's progress: a search counts its states as it expands
+  // them, and a cache hit counts its states when it arrives.
+  std::optional<telemetry::ProgressCounter> progress;
+  if (options.on_progress) {
+    progress.emplace(distinct.size(), options.progress_every,
+                     options.on_progress);
+  }
   // End-to-end group latency (cache hits included — that is what a
   // caller observes) and the search throughput computed groups achieved.
-  // The group-progress tallies are shared across pool workers; the
-  // callback itself runs under progress_mutex so subscribers see
-  // groups_done advance monotonically.
   std::vector<checker::CheckResult> results(groups.size());
   std::vector<char> ran(groups.size(), 0);  // one writer per position
   const bool hold = options.cache != nullptr && !options.cache_holder.empty();
   std::vector<cache::GroupKey> keys(hold ? groups.size() : 0);
-  std::atomic<std::uint64_t> groups_done{0};
-  std::atomic<std::uint64_t> group_states{0};
-  std::mutex progress_mutex;
   auto check_group = [&](std::size_t g, const SanitizerOptions& searched_as) {
     const auto group_start = std::chrono::steady_clock::now();
     checker::CheckResult& result = results[g];
@@ -316,22 +316,16 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
                 static_cast<double>(result.states_explored) / result.seconds));
       }
     }
-    if (options.on_group_progress) {
-      telemetry::GroupProgress progress;
-      progress.groups_total = distinct.size();
-      progress.groups_done = groups_done.fetch_add(1) + 1;
-      progress.states_explored =
-          group_states.fetch_add(result.states_explored) +
-          result.states_explored;
-      progress.store_memory_bytes = result.store_memory_bytes;
-      progress.seconds = result.seconds;
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      options.on_group_progress(progress);
+    if (progress) {
+      progress->FinishSet(group_searched ? 0 : result.states_explored,
+                          result.store_memory_bytes, result.seconds);
     }
   };
 
   const unsigned lanes = util::ResolveJobs(options.check.jobs);
-  SanitizerOptions one_lane = options;
+  SanitizerOptions counted = options;
+  counted.check.progress = progress ? &*progress : nullptr;
+  SanitizerOptions one_lane = counted;
   one_lane.check.jobs = 1;
   if (lanes == 1 || distinct.size() < 2) {
     // A lone `--mono` set, or a lone set of every app (a one-set
@@ -345,7 +339,7 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
         (!options.use_dependency_analysis ||
          groups[distinct.front()].size() == deployment_.apps.size());
     for (std::size_t g : distinct) {
-      check_group(g, whole ? options : one_lane);
+      check_group(g, whole ? counted : one_lane);
     }
   } else {
     // Related sets are independent models: they fan out over the pool

@@ -40,12 +40,14 @@ struct SanitizerOptions {
   /// this name (ResultCache::Hold) in place of the holder's earlier
   /// check.  The fleet registry passes the deployment id.
   std::string cache_holder;
-  /// Coarse progress: invoked once per finished related-set group (from
-  /// whichever pool thread ran it; invocations are serialized).  This is
-  /// a separate stream from `check.on_progress` — the per-state progress
-  /// the CLI prints — so wiring it never perturbs CLI output.  Feeds the
-  /// server's in-flight table and SSE events (docs/server.md).
-  telemetry::GroupProgressCallback on_group_progress;
+  /// The check's progress stream (telemetry::ProgressCounter): a report
+  /// after each finished distinct related set, and with `progress_every`
+  /// set, one each time the check's explored states cross a multiple of
+  /// it.  Calls come one at a time, from whichever pool thread finished
+  /// the set or crossed the multiple.  Feeds the CLI's progress line and
+  /// the server's in-flight table and SSE events (docs/observability.md).
+  std::uint64_t progress_every = 0;
+  telemetry::ProgressCallback on_progress;
 };
 
 /// The check of a whole deployment: the CheckResult of its related sets
@@ -157,8 +159,10 @@ class Sanitizer {
   /// set); any other lone set is searched on the calling thread at one
   /// lane.  The rule reads only the call's inputs, so a cluster worker
   /// and a single node decide alike.  Records each search's latency and
-  /// throughput histograms and reports `options.on_group_progress` after
-  /// each (groups_total = the distinct groups).  `analyses` must hold
+  /// throughput histograms.  With `options.on_progress` set, the call
+  /// owns the check's progress counter (groups_total = the distinct
+  /// groups), which each search counts its states on and each finished
+  /// group reports through.  `analyses` must hold
   /// every app of the groups.  When `searched` is set it receives how many
   /// positions were searched rather than taken from `options.cache`.
   /// With `options.cache_holder` set, the cache then holds the results.

@@ -34,7 +34,6 @@ void ApplyCommonCheckOptions(checker::CheckOptions& check,
   check.jobs = options.jobs;
   check.pool = env.pool;
   check.reverify_bitstate = options.reverify_bitstate;
-  check.por = options.por;
   check.state_compression = options.state_compression;
   if (options.bitstate) {
     check.store = checker::StoreKind::kBitstate;
@@ -45,10 +44,6 @@ void ApplyCommonCheckOptions(checker::CheckOptions& check,
   check.time_budget_seconds = options.deadline_seconds;
   check.interrupt = env.interrupt;
   check.request_id = env.request_id;
-  if (env.progress_every > 0) {
-    check.progress_every = env.progress_every;
-    check.on_progress = env.on_progress;
-  }
 }
 
 }  // namespace
@@ -64,7 +59,8 @@ SanitizerOptions MakeCheckOptions(const RequestOptions& options,
   ApplyCommonCheckOptions(out.check, options, env);
   out.cache = env.cache;
   out.cache_holder = env.cache_holder;
-  out.on_group_progress = env.on_group_progress;
+  out.progress_every = env.progress_every;
+  out.on_progress = env.on_progress;
   return out;
 }
 

@@ -35,13 +35,11 @@ struct ServiceEnv {
   cache::ResultCache* cache = nullptr;
   util::ThreadPool* pool = nullptr;
   const std::atomic<bool>* interrupt = nullptr;
+  /// The check's progress stream (SanitizerOptions::on_progress): the
+  /// CLI prints it under --progress-every, and the server feeds its
+  /// in-flight table and SSE events with it.
   std::uint64_t progress_every = 0;
   telemetry::ProgressCallback on_progress;
-  /// Coarse per-group progress (one call per finished related-set
-  /// group), independent of the per-state stream above — the server
-  /// wires this into its in-flight table and SSE events; the CLI leaves
-  /// it empty.
-  telemetry::GroupProgressCallback on_group_progress;
   /// Correlation id of the request this run serves ("" outside a
   /// server request).  The server copies the shared env per request and
   /// fills this in; it flows into CheckOptions::request_id from there.

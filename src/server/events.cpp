@@ -10,7 +10,7 @@ void InflightTable::Register(const InflightEntry& entry) {
 }
 
 void InflightTable::Update(const std::string& request_id,
-                           const telemetry::GroupProgress& progress) {
+                           const telemetry::Progress& progress) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(request_id);
   if (it == entries_.end()) return;

@@ -3,8 +3,8 @@
 // behind the `GET /v1/events` SSE stream.
 //
 // Both structures are deliberately tiny and lock-based — a check runs
-// for seconds while a progress tick happens once per finished related-set
-// group, so contention is negligible next to the search itself.
+// for seconds while a server check reports progress once per finished
+// related set, so contention is negligible next to the search itself.
 //
 // Delivery model: subscribers each own a bounded queue.  A slow or
 // stalled SSE client never blocks the checker — when its queue is full,
@@ -31,7 +31,7 @@ namespace iotsan::server {
 /// One in-flight verification request, as `GET /v1/status` reports it.
 struct InflightEntry {
   std::string request_id;
-  std::string endpoint;     // "check" | "attribute"
+  std::string endpoint;     // "check" | "fleet_check"
   std::string deployment;   // deployment name from the request
   std::string fingerprint;  // deployment fingerprint (hex)
   std::uint64_t groups_total = 0;
@@ -47,10 +47,10 @@ struct InflightEntry {
 class InflightTable {
  public:
   void Register(const InflightEntry& entry);
-  /// Applies one group-progress tick; no-op when the id is gone (the
-  /// request finished while the tick was in flight).
+  /// Applies one progress report; no-op when the id is gone (the
+  /// request finished while the report was in flight).
   void Update(const std::string& request_id,
-              const telemetry::GroupProgress& progress);
+              const telemetry::Progress& progress);
   void Finish(const std::string& request_id);
 
   std::size_t size() const;

@@ -373,51 +373,72 @@ HttpResponse HandleVersion(const std::string& request_id) {
   return JsonResponse(200, std::move(doc));
 }
 
-/// Unregisters an in-flight entry when the request leaves scope, so a
-/// throwing handler can never leak a forever-"running" row in
-/// /v1/status.
-class InflightGuard {
+/// The live introspection of one check request, shared by /v1/check and
+/// the fleet check endpoint: the request's /v1/status row, the check's
+/// progress stream into that row and the SSE feed, and its terminal SSE
+/// verdict.  The row lives as long as the object, so a throwing handler
+/// can never leak a forever-"running" row in /v1/status.
+class ObservedCheck {
  public:
-  InflightGuard(InflightTable* table, std::string request_id)
-      : table_(table), request_id_(std::move(request_id)) {}
-  ~InflightGuard() {
-    if (table_ != nullptr) table_->Finish(request_id_);
-  }
-  InflightGuard(const InflightGuard&) = delete;
-  InflightGuard& operator=(const InflightGuard&) = delete;
-
- private:
-  InflightTable* table_;
-  std::string request_id_;
-};
-
-/// Streams per-group progress into the /v1/status in-flight table and
-/// the SSE broker; shared by /v1/check and the fleet check endpoint.
-void WireProgressEvents(core::ServiceEnv& env, const ServiceState& state,
-                        const std::string& request_id) {
-  if (state.inflight == nullptr && state.events == nullptr) return;
-  InflightTable* inflight = state.inflight;
-  EventBroker* events = state.events;
-  env.on_group_progress = [inflight, events, request_id](
-                              const telemetry::GroupProgress& progress) {
-    if (inflight != nullptr) inflight->Update(request_id, progress);
-    if (events != nullptr && events->subscriber_count() > 0) {
+  /// Registers `entry` (started now) and points `env`'s progress stream
+  /// at it.  The stream calls come from whichever pool thread finished a
+  /// set; InflightTable and EventBroker are thread-safe.
+  ObservedCheck(const ServiceState& state, InflightEntry entry,
+                core::ServiceEnv& env)
+      : state_(state), request_id_(entry.request_id) {
+    if (state.inflight == nullptr && state.events == nullptr) return;
+    if (state.inflight != nullptr) {
+      entry.started = std::chrono::steady_clock::now();
+      state.inflight->Register(entry);
+    }
+    env.on_progress = [inflight = state.inflight, events = state.events,
+                       request_id = request_id_](
+                          const telemetry::Progress& progress) {
+      if (inflight != nullptr) inflight->Update(request_id, progress);
+      if (events == nullptr || events->subscriber_count() == 0) return;
       json::Object data;
       data["request_id"] = request_id;
-      data["groups_total"] =
-          static_cast<std::int64_t>(progress.groups_total);
-      data["groups_done"] =
-          static_cast<std::int64_t>(progress.groups_done);
+      data["groups_total"] = static_cast<std::int64_t>(progress.groups_total);
+      data["groups_done"] = static_cast<std::int64_t>(progress.groups_done);
       data["states_explored"] =
           static_cast<std::int64_t>(progress.states_explored);
       data["store_memory_bytes"] =
           static_cast<std::int64_t>(progress.store_memory_bytes);
       data["group_seconds"] = progress.seconds;
-      events->Publish(
-          {"progress", json::Value(std::move(data)).Dump(0)});
+      events->Publish({"progress", json::Value(std::move(data)).Dump(0)});
+    };
+  }
+  ~ObservedCheck() {
+    if (state_.inflight != nullptr) state_.inflight->Finish(request_id_);
+  }
+  ObservedCheck(const ObservedCheck&) = delete;
+  ObservedCheck& operator=(const ObservedCheck&) = delete;
+
+  /// Publishes the check's terminal `verdict` event.
+  void PublishVerdict(const core::CheckResponse& result) const {
+    if (state_.events == nullptr || state_.events->subscriber_count() == 0) {
+      return;
     }
-  };
-}
+    json::Object data;
+    data["request_id"] = request_id_;
+    data["verdict"] =
+        result.report.violations.empty() ? "clean" : "violations";
+    data["exit_code"] = result.exit_code;
+    data["violations"] =
+        static_cast<std::int64_t>(result.report.violations.size());
+    data["related_sets"] =
+        static_cast<std::int64_t>(result.report.related_set_count);
+    data["states_explored"] =
+        static_cast<std::int64_t>(result.report.states_explored);
+    data["seconds"] = result.report.seconds;
+    data["completed"] = result.report.completed;
+    state_.events->Publish({"verdict", json::Value(std::move(data)).Dump(0)});
+  }
+
+ private:
+  const ServiceState& state_;
+  std::string request_id_;
+};
 
 HttpResponse HandleCheck(const HttpRequest& request,
                          const ServiceState& state,
@@ -452,24 +473,15 @@ HttpResponse HandleCheck(const HttpRequest& request,
     return JsonResponse(200, std::move(doc));
   }
 
-  // Live introspection: register the request in the /v1/status table and
-  // stream per-group progress to it (and to any SSE subscriber).  The
-  // callback fires from whichever pool thread finished a group;
-  // InflightTable and EventBroker are thread-safe.
   const std::string fingerprint =
       config::DeploymentFingerprintHex(check.deployment);
-  if (state.inflight != nullptr) {
-    InflightEntry entry;
-    entry.request_id = request_id;
-    entry.endpoint = "check";
-    entry.deployment = check.deployment.name;
-    entry.fingerprint = fingerprint;
-    entry.deadline_seconds = check.options.deadline_seconds;
-    entry.started = std::chrono::steady_clock::now();
-    state.inflight->Register(entry);
-  }
-  InflightGuard inflight_guard(state.inflight, request_id);
-  WireProgressEvents(env, state, request_id);
+  InflightEntry entry;
+  entry.request_id = request_id;
+  entry.endpoint = "check";
+  entry.deployment = check.deployment.name;
+  entry.fingerprint = fingerprint;
+  entry.deadline_seconds = check.options.deadline_seconds;
+  const ObservedCheck observed(state, std::move(entry), env);
 
   // Coordinator mode: plan work units and dispatch them to the worker
   // fleet; the merged response is byte-identical to a local run (see
@@ -482,23 +494,7 @@ HttpResponse HandleCheck(const HttpRequest& request,
   core::CheckResponse result = coordinated
                                    ? std::move(cluster_outcome.response)
                                    : core::RunCheck(check, env);
-  if (state.events != nullptr && state.events->subscriber_count() > 0) {
-    json::Object data;
-    data["request_id"] = request_id;
-    data["verdict"] =
-        result.report.violations.empty() ? "clean" : "violations";
-    data["exit_code"] = result.exit_code;
-    data["violations"] =
-        static_cast<std::int64_t>(result.report.violations.size());
-    data["related_sets"] =
-        static_cast<std::int64_t>(result.report.related_set_count);
-    data["states_explored"] =
-        static_cast<std::int64_t>(result.report.states_explored);
-    data["seconds"] = result.report.seconds;
-    data["completed"] = result.report.completed;
-    state.events->Publish(
-        {"verdict", json::Value(std::move(data)).Dump(0)});
-  }
+  observed.PublishVerdict(result);
   if (auto* t = telemetry::Active()) {
     ++t->server.checks;
     if (!result.report.completed && check.options.deadline_seconds > 0) {
@@ -670,17 +666,12 @@ HttpResponse HandleDeploymentCheck(const HttpRequest& request,
   }
   core::ServiceEnv env = state.env;
   env.request_id = request_id;
-  if (state.inflight != nullptr) {
-    InflightEntry entry;
-    entry.request_id = request_id;
-    entry.endpoint = "fleet_check";
-    entry.deployment = id;
-    entry.deadline_seconds = options.deadline_seconds;
-    entry.started = std::chrono::steady_clock::now();
-    state.inflight->Register(entry);
-  }
-  InflightGuard inflight_guard(state.inflight, request_id);
-  WireProgressEvents(env, state, request_id);
+  InflightEntry entry;
+  entry.request_id = request_id;
+  entry.endpoint = "fleet_check";
+  entry.deployment = id;
+  entry.deadline_seconds = options.deadline_seconds;
+  const ObservedCheck observed(state, std::move(entry), env);
 
   std::optional<registry::Fleet::CheckOutcome> outcome;
   try {
@@ -693,6 +684,7 @@ HttpResponse HandleDeploymentCheck(const HttpRequest& request,
   if (!outcome) {
     throw RequestError(404, kErrNotFound, "no such deployment: " + id);
   }
+  observed.PublishVerdict(outcome->response);
   json::Object doc = ResponseEnvelope();
   doc["id"] = id;
   doc["revision"] = static_cast<std::int64_t>(outcome->revision);

@@ -295,44 +295,54 @@ void ScopedSpan::Attr(std::string_view key, double value) {
 
 // ---- Progress ----------------------------------------------------------------
 
-std::string FormatProgress(const ProgressSnapshot& snapshot) {
-  char head[256];
-  std::snprintf(head, sizeof(head),
-                "progress: %" PRIu64 " states (%.0f/s), %" PRIu64
-                " matched (%.1f%% pruned), %" PRIu64 " transitions, %" PRIu64
-                " drains",
-                snapshot.states_explored, snapshot.states_per_second,
-                snapshot.states_matched, snapshot.pruning_ratio * 100.0,
-                snapshot.transitions, snapshot.cascade_drains);
-  std::string out = head;
-  if (!snapshot.depth_histogram.empty()) {
-    out += ", depth ";
-    for (std::size_t i = 0; i < snapshot.depth_histogram.size(); ++i) {
-      if (i > 0) out += '|';
-      out += std::to_string(snapshot.depth_histogram[i]);
-    }
-  }
-  if (snapshot.store_fill_ratio > 0) {
-    char fill[48];
-    std::snprintf(fill, sizeof(fill), ", store fill %.2f%%",
-                  snapshot.store_fill_ratio * 100.0);
-    out += fill;
-  }
-  if (snapshot.jobs > 1) {
-    char par[96];
-    std::snprintf(par, sizeof(par),
-                  ", jobs %d, branches %" PRIu64 "/%" PRIu64, snapshot.jobs,
-                  snapshot.branches_done, snapshot.branches_total);
-    out += par;
-  }
-  if (snapshot.cache_hits + snapshot.cache_misses > 0) {
-    char cache[64];
-    std::snprintf(cache, sizeof(cache),
-                  ", cache %" PRIu64 " hit/%" PRIu64 " miss",
-                  snapshot.cache_hits, snapshot.cache_misses);
-    out += cache;
-  }
-  return out;
+std::string FormatProgress(const Progress& progress) {
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "progress: %" PRIu64 " states (%.0f/s), sets %" PRIu64
+                "/%" PRIu64,
+                progress.states_explored,
+                progress.elapsed_seconds > 0
+                    ? static_cast<double>(progress.states_explored) /
+                          progress.elapsed_seconds
+                    : 0.0,
+                progress.groups_done, progress.groups_total);
+  return line;
+}
+
+ProgressCounter::ProgressCounter(std::uint64_t groups_total,
+                                 std::uint64_t every,
+                                 ProgressCallback callback)
+    : every_(every),
+      callback_(std::move(callback)),
+      start_(std::chrono::steady_clock::now()) {
+  last_.groups_total = groups_total;
+}
+
+void ProgressCounter::FinishSet(std::uint64_t states,
+                                std::uint64_t store_memory_bytes,
+                                double seconds) {
+  states_.fetch_add(states, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++last_.groups_done;
+  last_.store_memory_bytes = store_memory_bytes;
+  last_.seconds = seconds;
+  Send();
+}
+
+void ProgressCounter::Report() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Send();
+}
+
+void ProgressCounter::Send() {
+  // Read under the mutex: a later report reads a later value of the
+  // monotone counter, so states_explored never decreases.
+  last_.states_explored = states_.load(std::memory_order_relaxed);
+  last_.elapsed_seconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start_)
+                              .count();
+  callback_(last_);
+  if (auto* t = Active()) ++t->search.progress_reports;
 }
 
 }  // namespace iotsan::telemetry

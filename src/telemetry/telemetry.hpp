@@ -19,10 +19,10 @@
 //     per-name totals so `--stats` can report per-phase cost without a
 //     trace file.  Span completion takes a mutex (spans are rare —
 //     phases, not states).
-//   * ProgressSnapshot — the periodic search-progress report the
-//     checker hands to `CheckOptions::on_progress`: states/sec, depth
-//     histogram, queue-drain counts, pruning ratio, store fill, and the
-//     parallel.* section (jobs, branch progress, per-worker states).
+//   * ProgressCounter — the one progress stream of a check: it counts
+//     the check's explored states and finished related sets, and hands
+//     each Progress report to the check's callback (the CLI's
+//     --progress-every line, the server's /v1/status row and SSE feed).
 //
 // The active Registry/TraceSink are process-global raw pointers set by
 // the embedding tool (CLI, bench, test); the globals must only be
@@ -68,7 +68,7 @@ using Counter = std::atomic<std::uint64_t>;
   X(invariant_evals, kCounter)     /* property-expression evaluations */      \
   X(violations_recorded, kCounter)                                            \
   X(budget_stops, kCounter)        /* runs cut short by a budget */           \
-  X(progress_reports, kCounter)    /* on_progress invocations */              \
+  X(progress_reports, kCounter)    /* check progress reports sent */         \
   X(replays_run, kCounter)         /* deterministic trace re-executions */    \
   X(replays_reproduced, kCounter)  /* replays that re-fired the property */   \
   X(replays_refuted, kCounter)     /* bitstate violations replay killed */
@@ -107,7 +107,7 @@ struct PipelineCounters { IOTSAN_PIPELINE_COUNTERS(IOTSAN_COUNTER_FIELD) };
 struct StoreGauges { IOTSAN_STORE_GAUGES(IOTSAN_COUNTER_FIELD) };
 
 /// Partial-order-reduction counters (cascade engine, concurrent
-/// scheduling with --por).  All monotonic.
+/// scheduling with CheckOptions::por).  All monotonic.
 #define IOTSAN_POR_COUNTERS(X)                                                \
   X(ample_singletons, kCounter)    /* expansions reduced to one pick */       \
   X(full_expansions, kCounter)     /* expansions that fanned out fully */     \
@@ -537,64 +537,67 @@ class ScopedSpan {
   std::unique_ptr<json::Object> attrs_;  // allocated only when used
 };
 
-// ---- Search progress ---------------------------------------------------------
+// ---- Check progress ----------------------------------------------------------
 
-/// A point-in-time view of a running (or finished) search, delivered to
-/// `CheckOptions::on_progress` every `progress_every` expanded states
-/// and once more when a budget stops the run.
-struct ProgressSnapshot {
-  std::uint64_t states_explored = 0;
-  std::uint64_t states_matched = 0;
-  std::uint64_t transitions = 0;
-  std::uint64_t cascade_drains = 0;
-  double elapsed_seconds = 0;
-  double states_per_second = 0;
-  /// matched / (explored + matched): how much of the reachable frontier
-  /// the store is pruning.
-  double pruning_ratio = 0;
-  /// Bit occupancy for BITSTATE stores, 0 for exhaustive.
-  double store_fill_ratio = 0;
-  /// States expanded per external-event depth (index 0 = initial state).
-  std::vector<std::uint64_t> depth_histogram;
-
-  // ---- parallel.* section (meaningful when jobs > 1) ----
-  /// Worker lanes the search runs on (1 = serial).
-  int jobs = 1;
-  /// Root-level (event × failure) branches partitioned across workers.
-  std::uint64_t branches_total = 0;
-  std::uint64_t branches_done = 0;
-  /// States expanded per worker lane.
-  std::vector<std::uint64_t> worker_states_explored;
-
-  // ---- cache.* section (meaningful when an analysis cache is active) ----
-  /// Related-set groups served from / missed by the incremental analysis
-  /// cache so far this run (mirrors the active Registry's cache.hits /
-  /// cache.misses at snapshot time; both 0 when no cache is configured).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-};
-
-using ProgressCallback = std::function<void(const ProgressSnapshot&)>;
-
-/// One-line human rendering ("progress: 12000 states (3400/s), ...").
-std::string FormatProgress(const ProgressSnapshot& snapshot);
-
-// ---- Group progress ----------------------------------------------------------
-
-/// Coarse progress of one whole verification: how many related-set
-/// groups have finished out of how many dispatched.  Emitted by the
-/// sanitizer after each group completes (from whichever pool thread ran
-/// it), separately from the per-state ProgressSnapshot stream so the
-/// CLI's stderr cadence is untouched.  This is what feeds the server's
-/// in-flight request table (`GET /v1/status`) and SSE progress events.
-struct GroupProgress {
+/// One progress report of a check: how many of its distinct related
+/// sets have finished, and how many states it has explored so far.
+struct Progress {
   std::uint64_t groups_total = 0;
-  std::uint64_t groups_done = 0;     // completed groups, including this one
-  std::uint64_t states_explored = 0; // cumulative across finished groups
-  std::uint64_t store_memory_bytes = 0;  // this group's store footprint
-  double seconds = 0;                // this group's search time
+  std::uint64_t groups_done = 0;
+  std::uint64_t states_explored = 0;
+  /// The last finished set's store footprint and search seconds (0
+  /// until a set finishes).
+  std::uint64_t store_memory_bytes = 0;
+  double seconds = 0;
+  /// Seconds since the check started.
+  double elapsed_seconds = 0;
 };
 
-using GroupProgressCallback = std::function<void(const GroupProgress&)>;
+using ProgressCallback = std::function<void(const Progress&)>;
+
+/// One-line human rendering ("progress: 1200 states (600/s), sets 3/118").
+std::string FormatProgress(const Progress& progress);
+
+/// The progress of one check, shared by the searches of all its sets.
+/// The code that runs the sets owns it (Sanitizer::CheckGroups, or the
+/// cluster coordinator), and each search reaches it through
+/// CheckOptions::progress.  A search of this process counts its states
+/// as it expands them; a set whose result arrives whole (a cache hit, a
+/// worker's unit) counts its states on arrival.  A report goes out after
+/// each finished set and, when `every` is set, each time the count of
+/// states crosses a multiple of it.  Reports go out one at a time, and
+/// their groups_done and states_explored never decrease.
+class ProgressCounter {
+ public:
+  ProgressCounter(std::uint64_t groups_total, std::uint64_t every,
+                  ProgressCallback callback);
+
+  /// Counts one state a search of this process expanded.
+  void CountState() {
+    const std::uint64_t total =
+        states_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (every_ != 0 && total % every_ == 0) Report();
+  }
+
+  /// Counts one finished distinct set and reports: `states` are the
+  /// set's states no search of this process counted (0 for a set
+  /// searched here).
+  void FinishSet(std::uint64_t states, std::uint64_t store_memory_bytes,
+                 double seconds);
+
+ private:
+  /// A cadence report.
+  void Report();
+  /// Fills in the count and elapsed time and calls back; the caller
+  /// holds mutex_.
+  void Send();
+
+  const std::uint64_t every_;
+  const ProgressCallback callback_;
+  const std::chrono::steady_clock::time_point start_;
+  std::atomic<std::uint64_t> states_{0};
+  std::mutex mutex_;  // serializes reports; guards last_
+  Progress last_;
+};
 
 }  // namespace iotsan::telemetry

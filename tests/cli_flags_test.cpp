@@ -94,16 +94,21 @@ TEST(CliFlagsTest, MetricsOutAndAccessLogAreCommandGated) {
   EXPECT_THROW(Parse(kCmdCheck, {"--metrics-out"}), Error);
 }
 
-TEST(CliFlagsTest, PorAndStateCompressionAreCheckAndAttributeFlags) {
-  const CliFlags flags =
-      Parse(kCmdCheck, {"--por", "--state-compression"});
-  EXPECT_TRUE(flags.request.por);
-  EXPECT_TRUE(flags.request.state_compression);
-  EXPECT_FALSE(Parse(kCmdCheck, {}).request.por);
+TEST(CliFlagsTest, StateCompressionIsACheckAndAttributeFlag) {
+  EXPECT_TRUE(
+      Parse(kCmdCheck, {"--state-compression"}).request.state_compression);
   EXPECT_FALSE(Parse(kCmdCheck, {}).request.state_compression);
-  EXPECT_TRUE(Parse(kCmdAttribute, {"--por"}).request.por);
-  EXPECT_THROW(Parse(kCmdServe, {"--por"}), Error);
+  EXPECT_TRUE(
+      Parse(kCmdAttribute, {"--state-compression"}).request.state_compression);
   EXPECT_THROW(Parse(kCmdDeps, {"--state-compression"}), Error);
+}
+
+TEST(CliFlagsTest, NoCommandTakesPor) {
+  // Partial-order reduction acts only under concurrent scheduling, which
+  // no front end selects, so the flag is gone from every command.
+  EXPECT_THROW(Parse(kCmdCheck, {"--por"}), Error);
+  EXPECT_THROW(Parse(kCmdAttribute, {"--por"}), Error);
+  EXPECT_THROW(Parse(kCmdCluster, {"--por"}), Error);
 }
 
 TEST(CliFlagsTest, BitstateBitsImpliesBitstate) {
@@ -141,7 +146,7 @@ TEST(CliFlagsTest, RequestOptionFlagsKeepTheirHelpPlaces) {
   // own rows exactly as they always have in usage and help.
   EXPECT_EQ(UsageFor(kCmdCheck),
             "usage: iotsan check <deployment.json> [--events N] [--jobs N] "
-            "[--failures] [--mono] [--bitstate] [--bitstate-bits P] [--por] "
+            "[--failures] [--mono] [--bitstate] [--bitstate-bits P] "
             "[--state-compression] [--first] [--properties FILE] "
             "[--allow-discovery] [--stats] [--trace-out FILE] "
             "[--progress-every N] [--artifacts-dir DIR] [--replay FILE] "

@@ -545,6 +545,41 @@ TEST(ClusterTest, TwoWorkersMatchSingleNodeByteForByte) {
   EXPECT_FALSE(outcome.degraded_local);
 }
 
+TEST(ClusterTest, CoordinatorReportsOncePerUnit) {
+  // A unit counts once, when its result arrives, so the coordinated
+  // check ends on the single node's last report.
+  const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[5];
+  core::CheckRequest request;
+  request.deployment = sut.deployment;
+  request.extra_sources = sut.extra_sources;
+  request.options.jobs = 1;
+  std::vector<telemetry::Progress> coordinated;
+  std::vector<telemetry::Progress> single;
+  core::ServiceEnv env;
+  env.on_progress = [&coordinated](const telemetry::Progress& progress) {
+    coordinated.push_back(progress);
+  };
+  WorkerFleet fleet(2);
+  Coordinator coordinator(FastRetryOptions(fleet.Specs()));
+  const ClusterOutcome outcome = coordinator.Check(request, env);
+  env.on_progress = [&single](const telemetry::Progress& progress) {
+    single.push_back(progress);
+  };
+  core::RunCheck(request, env);
+
+  ASSERT_GT(outcome.units_total, 1u);
+  ASSERT_EQ(coordinated.size(), outcome.units_total);
+  for (std::size_t i = 0; i < coordinated.size(); ++i) {
+    EXPECT_EQ(coordinated[i].groups_done, i + 1);
+    EXPECT_EQ(coordinated[i].groups_total, outcome.units_total);
+  }
+  ASSERT_FALSE(single.empty());
+  EXPECT_EQ(coordinated.back().groups_done, single.back().groups_done);
+  EXPECT_EQ(coordinated.back().groups_total, single.back().groups_total);
+  EXPECT_EQ(coordinated.back().states_explored,
+            single.back().states_explored);
+}
+
 TEST(ClusterTest, ParallelRequestStillMatchesSingleNode) {
   WorkerFleet fleet(2);
   Coordinator coordinator(FastRetryOptions(fleet.Specs()));

@@ -222,25 +222,21 @@ TEST_F(RegistryTest, DeltaIsByteIdenticalToColdFullCheckWithJobs4) {
   EXPECT_EQ(delta->response.exit_code, cold->response.exit_code);
 }
 
-TEST_F(RegistryTest, ChecksWithCompressionOrPorReuseNoPlainGroup) {
-  // Groups a plain check recorded cannot answer a check with COLLAPSE or
-  // POR on: the store footprint and counters may differ.
+TEST_F(RegistryTest, ChecksWithCompressionReuseNoPlainGroup) {
+  // Groups a plain check recorded cannot answer a check with COLLAPSE
+  // on: the store footprint and counters may differ.
   cache::ResultCache cache(cache::CacheConfig{});
   core::ServiceEnv env;
   env.cache = &cache;
   Fleet fleet(StoreConfig{});
   ASSERT_EQ(fleet.Put(MakeStored("home", 2, 40)), 1u);
   ASSERT_TRUE(fleet.Check("home", std::nullopt, {}, env).has_value());
-  for (bool core::RequestOptions::*option :
-       {&core::RequestOptions::state_compression,
-        &core::RequestOptions::por}) {
-    core::RequestOptions options;
-    options.*option = true;
-    auto check = fleet.Check("home", std::nullopt, options, env);
-    ASSERT_TRUE(check.has_value());
-    EXPECT_EQ(check->groups_reused, 0u);
-    EXPECT_EQ(check->groups_recomputed, check->groups_total);
-  }
+  core::RequestOptions options;
+  options.state_compression = true;
+  auto check = fleet.Check("home", std::nullopt, options, env);
+  ASSERT_TRUE(check.has_value());
+  EXPECT_EQ(check->groups_reused, 0u);
+  EXPECT_EQ(check->groups_recomputed, check->groups_total);
 }
 
 TEST_F(RegistryTest, AddedAndRemovedAppsReclassifyGroups) {
@@ -376,6 +372,50 @@ TEST_F(RegistryTest, RevisionsPersistAcrossStoreRestarts) {
   EXPECT_EQ(deployment->revision, 2u);
   EXPECT_EQ(reopened.Put(MakeStored("home", 1, 45)), 3u);
   EXPECT_EQ(reopened.List(), std::vector<std::string>{"home"});
+}
+
+TEST_F(RegistryTest, MemoryLayerEvictsToTheDiskCopy) {
+  // One resident deployment: a PUT of another id evicts the first from
+  // memory, and its disk copy serves it from then on.
+  const std::string dir = TempDir("evict");
+  Fleet fleet(StoreConfig{dir, 1});
+  core::ServiceEnv env;
+  core::RequestOptions options;
+  options.jobs = 1;
+  StoredDeployment home = MakeStored("home", 1, 40);
+  ASSERT_EQ(fleet.Put(home), 1u);
+  auto checked = fleet.Check("home", std::nullopt, options, env);
+  ASSERT_TRUE(checked.has_value());
+  EXPECT_EQ(registry_.registry.evictions.load(), 0u);
+  ASSERT_EQ(fleet.Put(MakeStored("cabin", 2, 35)), 1u);
+  EXPECT_EQ(registry_.registry.evictions.load(), 1u);
+
+  // Read back from disk (evicting cabin in turn), unchanged.
+  const std::optional<StoredDeployment> reread = fleet.Get("home");
+  ASSERT_TRUE(reread.has_value());
+  home.revision = 1;
+  EXPECT_EQ(StoredDeploymentToJson(*reread).Dump(0),
+            StoredDeploymentToJson(home).Dump(0));
+  EXPECT_EQ(registry_.registry.evictions.load(), 2u);
+
+  // Evicted again, its next PUT still gets the next revision, and the
+  // record of its check survives.
+  ASSERT_TRUE(fleet.Get("cabin").has_value());
+  EXPECT_EQ(registry_.registry.evictions.load(), 3u);
+  EXPECT_EQ(fleet.Put(MakeStored("home", 1, 45)), 2u);
+  bool listed = false;
+  for (const Fleet::Status& status : fleet.List()) {
+    if (status.id != "home") continue;
+    listed = true;
+    EXPECT_EQ(status.revision, 2u);
+    EXPECT_EQ(status.checked_revision, 1u);
+    EXPECT_EQ(status.verdict, checked->response.report.violations.empty()
+                                  ? "clean"
+                                  : "violations");
+    EXPECT_EQ(status.groups_total, checked->groups_total);
+    EXPECT_EQ(status.groups_recomputed, checked->groups_recomputed);
+  }
+  EXPECT_TRUE(listed);
 }
 
 TEST_F(RegistryTest, EarlierRecordFormatLoadsAsItsStatusRow) {

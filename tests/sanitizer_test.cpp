@@ -1,9 +1,11 @@
 // Sanitizer facade tests: source resolution, user-defined properties,
-// multiple installs, per-set reporting, and model options plumbing.
+// multiple installs, per-set reporting, model options plumbing, and the
+// check's progress stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "cache/result_cache.hpp"
 #include "config/builder.hpp"
 #include "core/sanitizer.hpp"
 #include "corpus/groups.hpp"
@@ -308,6 +310,135 @@ TEST(SanitizerTest, ParallelJobsMatchesSerial) {
   for (std::size_t i = 0; i < serial.per_set_violations.size(); ++i) {
     EXPECT_EQ(checker::FormatViolation(serial.per_set_violations[i]),
               checker::FormatViolation(parallel.per_set_violations[i]));
+  }
+}
+
+// ---- progress ------------------------------------------------------------------
+
+/// One check of an expert group with a progress cadence of 100 states:
+/// its reports in arrival order, and what the check searched.
+struct ProgressRun {
+  std::vector<telemetry::Progress> reports;
+  SanitizerReport report;
+  std::uint64_t distinct_sets = 0;
+  std::uint64_t searched_states = 0;  // the check's search.states_explored
+
+  ProgressRun(std::size_t group, int jobs, cache::ResultCache* cache = nullptr,
+              std::uint64_t max_states = 0) {
+    const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[group];
+    Sanitizer sanitizer(sut.deployment);
+    for (const auto& [name, source] : sut.extra_sources) {
+      sanitizer.AddAppSource(name, source);
+    }
+    SanitizerOptions options;
+    options.check.jobs = jobs;
+    options.check.max_states = max_states;
+    options.cache = cache;
+    options.progress_every = 100;
+    // Calls come one at a time, so the callback needs no lock.
+    options.on_progress = [this](const telemetry::Progress& progress) {
+      reports.push_back(progress);
+    };
+    SanitizerReport plan;
+    const std::vector<std::vector<std::size_t>> groups =
+        sanitizer.PlanGroups(options, plan);
+    const std::vector<std::size_t> first = FirstOccurrences(groups);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      distinct_sets += first[g] == g;
+    }
+    telemetry::Registry registry;
+    telemetry::SetActive(&registry);
+    report = sanitizer.Check(options);
+    telemetry::SetActive(nullptr);
+    searched_states = registry.search.states_explored.load();
+  }
+
+  /// Reports a finished set sent: those whose groups_done rose.
+  std::uint64_t SetReports() const {
+    std::uint64_t sets = 0;
+    std::uint64_t done = 0;
+    for (const telemetry::Progress& progress : reports) {
+      sets += progress.groups_done > done;
+      done = progress.groups_done;
+    }
+    return sets;
+  }
+};
+
+/// Neither count of `run`'s reports ever decreases.
+void ExpectMonotone(const ProgressRun& run) {
+  for (std::size_t i = 1; i < run.reports.size(); ++i) {
+    EXPECT_LE(run.reports[i - 1].groups_done, run.reports[i].groups_done)
+        << "report " << i;
+    EXPECT_LE(run.reports[i - 1].states_explored,
+              run.reports[i].states_explored)
+        << "report " << i;
+  }
+}
+
+// Expert groups 2, 3 and 6: the climate group's 118 distinct sets of
+// 168, and two groups of a few larger sets.
+constexpr std::size_t kProgressGroups[] = {1, 2, 5};
+
+TEST(SanitizerProgressTest, ReportsNeverDecreaseAndEndOnTheWholeCheck) {
+  for (std::size_t group : kProgressGroups) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE("group " + std::to_string(group + 1) + ", jobs " +
+                   std::to_string(jobs));
+      const ProgressRun run(group, jobs);
+      ASSERT_FALSE(run.reports.empty());
+      ExpectMonotone(run);
+      const telemetry::Progress& last = run.reports.back();
+      EXPECT_EQ(last.groups_total, run.distinct_sets);
+      EXPECT_EQ(last.groups_done, run.distinct_sets);
+      EXPECT_EQ(last.states_explored, run.searched_states);
+      // One report per finished set, and one per multiple of 100 the
+      // check's states crossed.
+      EXPECT_EQ(run.SetReports(), run.distinct_sets);
+      EXPECT_EQ(run.reports.size(),
+                run.distinct_sets + run.searched_states / 100);
+    }
+  }
+}
+
+TEST(SanitizerProgressTest, BudgetStoppedCheckStillEndsOnAReport) {
+  for (std::size_t group : kProgressGroups) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE("group " + std::to_string(group + 1) + ", jobs " +
+                   std::to_string(jobs));
+      const ProgressRun run(group, jobs, nullptr, /*max_states=*/20);
+      ASSERT_FALSE(run.report.completed);
+      ASSERT_FALSE(run.reports.empty());
+      ExpectMonotone(run);
+      const telemetry::Progress& last = run.reports.back();
+      EXPECT_EQ(last.groups_done, run.distinct_sets);
+      EXPECT_EQ(last.states_explored, run.searched_states);
+    }
+  }
+}
+
+TEST(SanitizerProgressTest, WarmCheckEndsOnTheColdChecksLastReport) {
+  // A cache hit counts its states when it arrives, so the warm check
+  // reports each set once and ends where the searching check ended.
+  for (std::size_t group : kProgressGroups) {
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE("group " + std::to_string(group + 1) + ", jobs " +
+                   std::to_string(jobs));
+      cache::ResultCache cache(cache::CacheConfig{});
+      const ProgressRun cold(group, jobs, &cache);
+      const ProgressRun warm(group, jobs, &cache);
+      EXPECT_EQ(warm.searched_states, 0u);
+      ASSERT_FALSE(cold.reports.empty());
+      ASSERT_FALSE(warm.reports.empty());
+      ExpectMonotone(warm);
+      EXPECT_EQ(warm.reports.size(), warm.distinct_sets);
+      EXPECT_EQ(warm.reports.back().groups_total,
+                cold.reports.back().groups_total);
+      EXPECT_EQ(warm.reports.back().groups_done,
+                cold.reports.back().groups_done);
+      EXPECT_EQ(warm.reports.back().states_explored,
+                cold.reports.back().states_explored);
+    }
   }
 }
 

@@ -398,6 +398,9 @@ TEST(RequestParseTest, IntegerOptionsMustBeIntegralAndInRange) {
        R"(option "events" wants a value in [1, 64], got 1e+300)"},
       // Work units travel in "units", not as options.
       {R"({"groupApps": [0]})", R"(unknown option "groupApps")"},
+      // POR acts only under concurrent scheduling, which no request
+      // selects, so no request offers it.
+      {R"({"por": true})", R"(unknown option "por")"},
   };
   for (const auto& [options, message] : cases) {
     json::Value body = json::Parse(CheckBody());
@@ -960,7 +963,7 @@ TEST(InflightTableTest, RegisterUpdateSnapshotFinish) {
   table.Register(entry);
   EXPECT_EQ(table.size(), 1u);
 
-  telemetry::GroupProgress progress;
+  telemetry::Progress progress;
   progress.groups_total = 4;
   progress.groups_done = 2;
   progress.states_explored = 1000;
@@ -1119,6 +1122,52 @@ TEST_F(ServerTest, EventStreamDeliversProgressThenVerdict) {
   // The §8 deployment splits into two related-set groups.
   EXPECT_GE(progress_events, 2u);
   EXPECT_EQ(last_groups_done, progress_events);
+  subscriber.Close();
+}
+
+TEST_F(ServerTest, FleetCheckPublishesItsVerdict) {
+  // A fleet check streams what POST /v1/check streams: progress for each
+  // related set, then one terminal verdict.  A plain check after it
+  // marks the end of the fleet check's events.
+  StartServer();
+  const int port = server_->port();
+  SseClient subscriber(port);
+  ASSERT_TRUE(subscriber.ReadHead());
+  ClientResponse put =
+      Fetch(port, "PUT", "/v1/deployments/home", CheckBody());
+  ASSERT_TRUE(put.complete);
+  ASSERT_EQ(put.status, 201) << put.body;
+  ClientResponse fleet_check =
+      Fetch(port, "POST", "/v1/deployments/home/check", "",
+            "X-Request-Id: fleet-7\r\n");
+  ASSERT_TRUE(fleet_check.complete);
+  ASSERT_EQ(fleet_check.status, 200) << fleet_check.body;
+  ClientResponse marker = Fetch(port, "POST", "/v1/check", CheckBody(),
+                                "X-Request-Id: marker-1\r\n");
+  ASSERT_TRUE(marker.complete);
+
+  std::size_t progress_events = 0;
+  std::vector<json::Value> verdicts;
+  SseEvent event;
+  for (;;) {
+    ASSERT_TRUE(subscriber.NextEvent(event)) << "stream ended early";
+    if (event.name == "hello") continue;
+    json::Value data = json::Parse(event.data);
+    const std::string& id = data.At("request_id").AsString();
+    if (id == "marker-1") {
+      if (event.name == "verdict") break;
+      continue;
+    }
+    ASSERT_EQ(id, "fleet-7");
+    if (event.name == "progress") ++progress_events;
+    if (event.name == "verdict") verdicts.push_back(std::move(data));
+  }
+  EXPECT_GE(progress_events, 2u);
+  ASSERT_EQ(verdicts.size(), 1u);
+  EXPECT_EQ(verdicts[0].At("verdict").AsString(), "violations");
+  EXPECT_EQ(verdicts[0].At("exit_code").AsInt(), 1);
+  EXPECT_EQ(verdicts[0].At("violations").AsInt(), 2);
+  EXPECT_TRUE(verdicts[0].At("completed").AsBool());
   subscriber.Close();
 }
 

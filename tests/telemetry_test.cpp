@@ -1,6 +1,6 @@
 // Telemetry tests: counter/gauge snapshots, latency histograms and
 // their Prometheus exposition, span nesting and JSONL shape,
-// search-progress cadence, and store-diagnostic math.
+// check-progress cadence, and store-diagnostic math.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -468,114 +468,92 @@ model::SystemModel UnlockModel() {
   return model::SystemModel(b.Build(), std::move(apps));
 }
 
-TEST(ProgressTest, CallbackFiresAtTheRequestedCadence) {
+TEST(ProgressTest, SearchCountsEveryStateAtTheRequestedCadence) {
   model::SystemModel model = UnlockModel();
   checker::Checker checker(model);
-  // Under --jobs N the initial state is reported like every other one.
+  // Under --jobs N the initial state counts like every other one.
   for (int jobs : {1, 4}) {
+    std::vector<Progress> seen;
+    ProgressCounter progress(1, 1, [&seen](const Progress& report) {
+      seen.push_back(report);
+    });
     checker::CheckOptions options;
     options.max_events = 2;
-    options.progress_every = 1;
     options.jobs = jobs;
-    std::vector<ProgressSnapshot> seen;
-    options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
-      seen.push_back(snapshot);
-    };
+    options.progress = &progress;
     checker::CheckResult result = checker.Run(options);
 
-    // Cadence 1 → one report per expanded state.
+    // Cadence 1 → one report per expanded state, counts never falling.
     EXPECT_EQ(seen.size(), result.states_explored) << "jobs " << jobs;
     ASSERT_FALSE(seen.empty());
-    const ProgressSnapshot& last = seen.back();
-    EXPECT_LE(last.states_explored, result.states_explored);
-    EXPECT_GE(last.elapsed_seconds, 0.0);
-    EXPECT_GE(last.pruning_ratio, 0.0);
-    EXPECT_LE(last.pruning_ratio, 1.0);
-    EXPECT_EQ(last.depth_histogram.size(), result.depth_histogram.size());
-    EXPECT_EQ(last.jobs, jobs);
+    for (std::size_t i = 1; i < seen.size(); ++i) {
+      EXPECT_LE(seen[i - 1].states_explored, seen[i].states_explored);
+    }
+    EXPECT_EQ(seen.back().states_explored, result.states_explored);
+    EXPECT_EQ(seen.back().groups_done, 0u);
+    EXPECT_GE(seen.back().elapsed_seconds, 0.0);
   }
 }
 
-TEST(ProgressTest, BudgetStopDeliversFinalSnapshot) {
+TEST(ProgressTest, BudgetStoppedSetEndsOnItsFinishedReport) {
   model::SystemModel model = UnlockModel();
   checker::Checker checker(model);
+  std::vector<Progress> seen;
+  ProgressCounter progress(1, 0, [&seen](const Progress& report) {
+    seen.push_back(report);
+  });
   checker::CheckOptions options;
   options.max_events = 3;
   options.max_states = 2;  // force an early stop
-  std::vector<ProgressSnapshot> seen;
-  options.on_progress = [&seen](const ProgressSnapshot& snapshot) {
-    seen.push_back(snapshot);
-  };
+  options.progress = &progress;
   checker::CheckResult result = checker.Run(options);
+  progress.FinishSet(0, result.store_memory_bytes, result.seconds);
 
   EXPECT_FALSE(result.completed);
-  // progress_every stayed 0, so the only report is the stop-time one.
+  // No cadence, so the only report is the finished set's.
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen.back().states_explored, result.states_explored);
+  EXPECT_EQ(seen.back().groups_done, 1u);
+  EXPECT_EQ(seen.back().groups_total, 1u);
 }
 
-// Golden renderings: the progress line is part of the operator-facing
+TEST(ProgressTest, ArrivedSetsCountTheirStatesOnce) {
+  std::vector<Progress> seen;
+  ProgressCounter progress(3, 100, [&seen](const Progress& report) {
+    seen.push_back(report);
+  });
+  progress.FinishSet(250, 4096, 0.5);  // a cache hit: one report
+  for (int i = 0; i < 60; ++i) progress.CountState();  // crosses 300
+  progress.FinishSet(0, 2048, 0.25);   // searched here: counted live
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].states_explored, 250u);
+  EXPECT_EQ(seen[0].groups_done, 1u);
+  EXPECT_EQ(seen[0].store_memory_bytes, 4096u);
+  EXPECT_EQ(seen[1].states_explored, 300u);
+  EXPECT_EQ(seen[1].groups_done, 1u);
+  EXPECT_EQ(seen[2].states_explored, 310u);
+  EXPECT_EQ(seen[2].groups_done, 2u);
+  EXPECT_EQ(seen[2].groups_total, 3u);
+  EXPECT_DOUBLE_EQ(seen[2].seconds, 0.25);
+}
+
+// Golden rendering: the progress line is part of the operator-facing
 // surface (docs/observability.md quotes it), so its exact shape is
-// pinned for the serial, parallel, and cache-active cases.
-TEST(ProgressTest, FormatProgressGoldenSerial) {
-  ProgressSnapshot snapshot;
-  snapshot.states_explored = 1200;
-  snapshot.states_per_second = 600;
-  snapshot.states_matched = 300;
-  snapshot.pruning_ratio = 0.2;
-  snapshot.transitions = 4000;
-  snapshot.cascade_drains = 5;
-  snapshot.depth_histogram = {1, 3, 8};
-  EXPECT_EQ(FormatProgress(snapshot),
-            "progress: 1200 states (600/s), 300 matched (20.0% pruned), "
-            "4000 transitions, 5 drains, depth 1|3|8");
+// pinned.
+TEST(ProgressTest, FormatProgressGolden) {
+  Progress progress;
+  progress.states_explored = 1200;
+  progress.elapsed_seconds = 2.0;
+  progress.groups_done = 3;
+  progress.groups_total = 118;
+  EXPECT_EQ(FormatProgress(progress),
+            "progress: 1200 states (600/s), sets 3/118");
 }
 
-TEST(ProgressTest, FormatProgressGoldenParallel) {
-  ProgressSnapshot snapshot;
-  snapshot.states_explored = 50000;
-  snapshot.states_per_second = 12500;
-  snapshot.states_matched = 10000;
-  snapshot.pruning_ratio = 0.5;
-  snapshot.transitions = 90000;
-  snapshot.cascade_drains = 7;
-  snapshot.store_fill_ratio = 0.1234;
-  snapshot.jobs = 4;
-  snapshot.branches_total = 9;
-  snapshot.branches_done = 6;
-  EXPECT_EQ(FormatProgress(snapshot),
-            "progress: 50000 states (12500/s), 10000 matched (50.0% "
-            "pruned), 90000 transitions, 7 drains, store fill 12.34%, "
-            "jobs 4, branches 6/9");
-}
-
-TEST(ProgressTest, FormatProgressGoldenCacheActive) {
-  ProgressSnapshot snapshot;
-  snapshot.states_explored = 10;
-  snapshot.states_per_second = 5;
-  snapshot.states_matched = 0;
-  snapshot.pruning_ratio = 0.0;
-  snapshot.transitions = 12;
-  snapshot.cascade_drains = 0;
-  snapshot.cache_hits = 3;
-  snapshot.cache_misses = 1;
-  EXPECT_EQ(FormatProgress(snapshot),
-            "progress: 10 states (5/s), 0 matched (0.0% pruned), "
-            "12 transitions, 0 drains, cache 3 hit/1 miss");
-}
-
-TEST(ProgressTest, FormatProgressMentionsTheHeadlineNumbers) {
-  ProgressSnapshot snapshot;
-  snapshot.states_explored = 1200;
-  snapshot.states_matched = 300;
-  snapshot.transitions = 4000;
-  snapshot.states_per_second = 600;
-  snapshot.pruning_ratio = 0.2;
-  snapshot.depth_histogram = {1, 3, 8};
-  const std::string line = FormatProgress(snapshot);
-  EXPECT_NE(line.find("progress:"), std::string::npos);
-  EXPECT_NE(line.find("1200"), std::string::npos);
-  EXPECT_NE(line.find("4000"), std::string::npos);
+TEST(ProgressTest, FormatProgressGoldenBeforeAnyTime) {
+  Progress progress;
+  progress.groups_total = 6;
+  EXPECT_EQ(FormatProgress(progress), "progress: 0 states (0/s), sets 0/6");
 }
 
 // ---- Store diagnostics -------------------------------------------------------

@@ -217,9 +217,9 @@ CliEnv MakeCliEnv(const CliFlags& flags) {
   }
   if (flags.progress_every > 0) {
     out.env.progress_every = flags.progress_every;
-    out.env.on_progress = [](const telemetry::ProgressSnapshot& snapshot) {
+    out.env.on_progress = [](const telemetry::Progress& progress) {
       std::fprintf(stderr, "%s\n",
-                   telemetry::FormatProgress(snapshot).c_str());
+                   telemetry::FormatProgress(progress).c_str());
     };
   }
   return out;
