@@ -521,32 +521,6 @@ std::unique_ptr<model::FootprintIndex> MakeFootprints(
 
 // ---- Shared state of one search run ------------------------------------------
 
-/// The first active property of each kind, null when none is active:
-/// what each monitor records its violations against.  Built once per
-/// run.
-class MonitorTable {
- public:
-  explicit MonitorTable(const model::SystemModel& model) {
-    for (const props::Property& property : model.active_properties()) {
-      const props::Property*& slot = by_kind_[Index(property.kind)];
-      if (slot == nullptr) slot = &property;
-    }
-  }
-
-  const props::Property* operator[](props::PropertyKind kind) const {
-    return by_kind_[Index(kind)];
-  }
-
- private:
-  static std::size_t Index(props::PropertyKind kind) {
-    return static_cast<std::size_t>(kind);
-  }
-
-  std::array<const props::Property*,
-             static_cast<std::size_t>(props::PropertyKind::kRobustness) + 1>
-      by_kind_{};
-};
-
 /// Crossbar between the branch workers of one run: the visited-state
 /// store, the stop flag, and the run's counters, which budgets read live
 /// and RunSearch reads once after the join.  Everything per-branch (path
@@ -555,12 +529,22 @@ class MonitorTable {
 struct SharedSearch {
   SharedSearch(const model::SystemModel& model, const CheckOptions& options)
       : options(options),
-        monitors(model),
         depth_histogram(
-            static_cast<std::size_t>(std::max(options.max_events, 0)) + 1) {}
+            static_cast<std::size_t>(std::max(options.max_events, 0)) + 1) {
+    for (const props::Property& property : model.active_properties()) {
+      const props::Property*& slot =
+          monitors[static_cast<std::size_t>(property.kind)];
+      if (slot == nullptr) slot = &property;
+    }
+  }
 
   const CheckOptions& options;
-  const MonitorTable monitors;
+  /// The first active property of each kind, indexed by PropertyKind,
+  /// null when none is active: what each monitor records its violations
+  /// against.
+  std::array<const props::Property*,
+             static_cast<std::size_t>(props::PropertyKind::kRobustness) + 1>
+      monitors{};
   StateStore* store = nullptr;
   /// POR oracle / COLLAPSE codec (null when the feature is off); both are
   /// thread-safe, so every branch worker uses the same instance.
@@ -781,7 +765,9 @@ class Search {
   void RunMonitors(const model::CascadeLog& log, int depth,
                    const model::FailureScenario& failure) {
     if (stopped_) return;
-    const MonitorTable& monitors = run_.monitors;
+    auto monitor = [this](props::PropertyKind kind) {
+      return run_.monitors[static_cast<std::size_t>(kind)];
+    };
 
     // Conflicting / repeated commands (Algorithm 1, line 16).  Each
     // cascade records at most one violation per monitor kind (the first
@@ -790,7 +776,7 @@ class Search {
     // counts a pure function of the explored-edge set, and therefore
     // identical across serial and parallel schedules.
     if (const props::Property* property =
-            monitors[props::PropertyKind::kNoConflict]) {
+            monitor(props::PropertyKind::kNoConflict)) {
       bool recorded = false;
       for (std::size_t i = 0; i < log.commands.size() && !recorded; ++i) {
         for (std::size_t j = i + 1; j < log.commands.size(); ++j) {
@@ -813,7 +799,7 @@ class Search {
       }
     }
     if (const props::Property* property =
-            monitors[props::PropertyKind::kNoRepeat]) {
+            monitor(props::PropertyKind::kNoRepeat)) {
       bool recorded = false;
       for (std::size_t i = 0; i < log.commands.size() && !recorded; ++i) {
         for (std::size_t j = i + 1; j < log.commands.size(); ++j) {
@@ -839,7 +825,7 @@ class Search {
       switch (api.kind) {
         case model::ApiCallRecord::Kind::kHttp:
           if (const props::Property* property =
-                  monitors[props::PropertyKind::kNoNetworkLeak];
+                  monitor(props::PropertyKind::kNoNetworkLeak);
               property != nullptr &&
               !model_.deployment().allow_network_interfaces) {
             RecordViolation(*property, depth, failure,
@@ -849,7 +835,7 @@ class Search {
           break;
         case model::ApiCallRecord::Kind::kSms:
           if (const props::Property* property =
-                  monitors[props::PropertyKind::kSmsRecipient];
+                  monitor(props::PropertyKind::kSmsRecipient);
               property != nullptr && api.recipient_mismatch) {
             RecordViolation(*property, depth, failure,
                             "SMS recipient '" + api.detail +
@@ -859,7 +845,7 @@ class Search {
           break;
         case model::ApiCallRecord::Kind::kUnsubscribe:
           if (const props::Property* property =
-                  monitors[props::PropertyKind::kNoSensitiveCmd]) {
+                  monitor(props::PropertyKind::kNoSensitiveCmd)) {
             RecordViolation(*property, depth, failure,
                             "security-sensitive command: unsubscribe()",
                             {api.app});
@@ -867,7 +853,7 @@ class Search {
           break;
         case model::ApiCallRecord::Kind::kFakeEvent:
           if (const props::Property* property =
-                  monitors[props::PropertyKind::kNoFakeEvent]) {
+                  monitor(props::PropertyKind::kNoFakeEvent)) {
             RecordViolation(*property, depth, failure,
                             "fake event injected: " + api.detail, {api.app});
           }
@@ -880,7 +866,7 @@ class Search {
     // Robustness: a command was lost to a failure and the user was never
     // notified (§8's robustness property).
     const props::Property* robustness =
-        monitors[props::PropertyKind::kRobustness];
+        monitor(props::PropertyKind::kRobustness);
     if (robustness != nullptr && failure.Any() &&
         log.failed_deliveries > 0 && !log.user_notified) {
       std::set<int> losers;

@@ -55,8 +55,9 @@ struct CheckOptions {
   /// cascade drains too, so a single event fanning out into a large
   /// interleaving space cannot overshoot the budget.
   double time_budget_seconds = 0;
-  /// The progress counter of the check this search belongs to: every
-  /// expanded state counts on it.  Not owned; null = none.
+  /// The progress counter of the check this search belongs to, set
+  /// only under a progress cadence: every expanded state counts on it.
+  /// Not owned; null = none.
   telemetry::ProgressCounter* progress = nullptr;
   /// Re-execute every BITSTATE violation's recorded event permutation
   /// deterministically (exhaustive store, guided path) before reporting

@@ -285,13 +285,16 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (first[g] == g) distinct.push_back(g);
   }
-  // The check's progress: a search counts its states as it expands
-  // them, and a cache hit counts its states when it arrives.
+  // The check's progress.  Under a cadence a search counts its states
+  // as it expands them; any other set (a cache hit, or every set with
+  // no cadence) counts its states when it finishes, which keeps the
+  // counter out of the search step when nothing reports mid-set.
   std::optional<telemetry::ProgressCounter> progress;
   if (options.on_progress) {
     progress.emplace(distinct.size(), options.progress_every,
                      options.on_progress);
   }
+  const bool searches_count = progress && options.progress_every != 0;
   // End-to-end group latency (cache hits included — that is what a
   // caller observes) and the search throughput computed groups achieved.
   std::vector<checker::CheckResult> results(groups.size());
@@ -317,14 +320,15 @@ std::vector<checker::CheckResult> Sanitizer::CheckGroups(
       }
     }
     if (progress) {
-      progress->FinishSet(group_searched ? 0 : result.states_explored,
-                          result.store_memory_bytes, result.seconds);
+      progress->FinishSet(
+          group_searched && searches_count ? 0 : result.states_explored,
+          result.store_memory_bytes, result.seconds);
     }
   };
 
   const unsigned lanes = util::ResolveJobs(options.check.jobs);
   SanitizerOptions counted = options;
-  counted.check.progress = progress ? &*progress : nullptr;
+  counted.check.progress = searches_count ? &*progress : nullptr;
   SanitizerOptions one_lane = counted;
   one_lane.check.jobs = 1;
   if (lanes == 1 || distinct.size() < 2) {

@@ -161,8 +161,9 @@ class Sanitizer {
   /// and a single node decide alike.  Records each search's latency and
   /// throughput histograms.  With `options.on_progress` set, the call
   /// owns the check's progress counter (groups_total = the distinct
-  /// groups), which each search counts its states on and each finished
-  /// group reports through.  `analyses` must hold
+  /// groups), which each finished group reports through; under
+  /// `options.progress_every` each search also counts its states on it
+  /// as it expands them.  `analyses` must hold
   /// every app of the groups.  When `searched` is set it receives how many
   /// positions were searched rather than taken from `options.cache`.
   /// With `options.cache_holder` set, the cache then holds the results.

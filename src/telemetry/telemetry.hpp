@@ -560,10 +560,10 @@ std::string FormatProgress(const Progress& progress);
 
 /// The progress of one check, shared by the searches of all its sets.
 /// The code that runs the sets owns it (Sanitizer::CheckGroups, or the
-/// cluster coordinator), and each search reaches it through
-/// CheckOptions::progress.  A search of this process counts its states
-/// as it expands them; a set whose result arrives whole (a cache hit, a
-/// worker's unit) counts its states on arrival.  A report goes out after
+/// cluster coordinator).  Under a cadence each search reaches it through
+/// CheckOptions::progress and counts its states as it expands them; any
+/// other set (a cache hit, a worker's unit, a set searched with no
+/// cadence) counts its states when it finishes.  A report goes out after
 /// each finished set and, when `every` is set, each time the count of
 /// states crosses a multiple of it.  Reports go out one at a time, and
 /// their groups_done and states_explored never decrease.

@@ -64,8 +64,8 @@ def main(iotsan, work):
     hits = int(re.search(r"cache\.hits\s+(\d+)", stats).group(1))
     assert hits > 0, "warm run recorded no cache hits"
 
-    # The key covers --state-compression (and --por) when on, so a warm
-    # run from a cache the defaults filled reports what a cold run does.
+    # The key covers --state-compression when on, so a warm run from a
+    # cache the defaults filled reports what a cold run does.
     sc_cold = check(iotsan, alice, "--state-compression", "--stats")
     sc_warm = check(iotsan, alice, "--cache-dir", cache,
                     "--state-compression", "--stats")

@@ -442,5 +442,47 @@ TEST(SanitizerProgressTest, WarmCheckEndsOnTheColdChecksLastReport) {
   }
 }
 
+TEST(SanitizerProgressTest, WithoutACadenceEachReportAddsOneFinishedSet) {
+  // With no cadence nothing reports mid-set, so the searches leave the
+  // counter alone and each set adds its states when it finishes: every
+  // report's count is the sum of the sets finished so far, even with
+  // four sets searched at once.
+  for (std::size_t group : kProgressGroups) {
+    SCOPED_TRACE("group " + std::to_string(group + 1));
+    const corpus::SystemUnderTest& sut = corpus::ExpertGroups()[group];
+    Sanitizer sanitizer(sut.deployment);
+    for (const auto& [name, source] : sut.extra_sources) {
+      sanitizer.AddAppSource(name, source);
+    }
+    SanitizerOptions options;
+    options.check.jobs = 4;
+    std::vector<telemetry::Progress> reports;
+    options.on_progress = [&reports](const telemetry::Progress& progress) {
+      reports.push_back(progress);
+    };
+    SanitizerReport plan;
+    AppAnalyses analyses;
+    const auto groups = sanitizer.PlanGroups(options, plan, &analyses);
+    const std::vector<checker::CheckResult> results =
+        sanitizer.CheckGroups(groups, options, analyses);
+    const std::vector<std::size_t> first = FirstOccurrences(groups);
+    std::vector<std::uint64_t> set_states;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (first[g] == g) set_states.push_back(results[g].states_explored);
+    }
+    ASSERT_EQ(reports.size(), set_states.size());
+    std::vector<std::uint64_t> added;
+    std::uint64_t before = 0;
+    for (const telemetry::Progress& progress : reports) {
+      ASSERT_GE(progress.states_explored, before);
+      added.push_back(progress.states_explored - before);
+      before = progress.states_explored;
+    }
+    std::sort(set_states.begin(), set_states.end());
+    std::sort(added.begin(), added.end());
+    EXPECT_EQ(added, set_states);
+  }
+}
+
 }  // namespace
 }  // namespace iotsan::core
